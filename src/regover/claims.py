@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .sequences import SequenceRef, sequence_table, sequence_value
-from .series import Ring, Series
+from .sequences import SequenceRef, sequence_series, sequence_value
+from .series import Ring, Series, Zmod
 
 DEFAULT_BOUND = 2000
 DEFAULT_PRIME_CAP = 20
@@ -176,7 +176,8 @@ class _ValueSource:
         if term.seq.is_series_backed:
             table = self._tables.get(term.seq)
             if table is None:
-                table = sequence_table(term.seq, self.modulus, self.bound)
+                # read-only use: the memoized coefficients, not a copy
+                table = sequence_series(term.seq, Zmod(self.modulus), self.bound).coeffs
                 self._tables[term.seq] = table
             v = table[idx]
         else:
@@ -298,7 +299,7 @@ def hunt(
     if max_step < 1:
         raise ValueError("max_step must be >= 1")
     if ref.is_series_backed:
-        table = sequence_table(ref, modulus, bound)
+        table = sequence_series(ref, Zmod(modulus), bound).coeffs
         start = 0
     else:
         start = 0 if ref.name in ("r", "chi") else 1

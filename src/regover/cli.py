@@ -41,6 +41,23 @@ class _UsageError(Exception):
     pass
 
 
+# (attribute, flag) pairs that no subcommand accepts below zero
+_NONNEGATIVE = (
+    ("order", "--order"),
+    ("n", "--n"),
+    ("bound", "--bound"),
+    ("prime_cap", "--prime-cap"),
+    ("k_cap", "--k-cap"),
+)
+
+
+def _check_nonnegative(args):
+    for attr, flag in _NONNEGATIVE:
+        value = getattr(args, attr, None)
+        if value is not None and value < 0:
+            raise _UsageError(f"{flag} must be >= 0, got {value}")
+
+
 def _emit_rows(rows, header, fmt):
     """rows: list of tuples; header: column names."""
     if fmt == "json":
@@ -214,6 +231,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_nonnegative(args)
         return args.func(args)
     except EtaSpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,9 +2,11 @@
 
 A Series stores the dense coefficient list of sum a(n) q^n for n = 0..order
 (truncation order inclusive).  Exact coefficients are arbitrary-precision
-ints; modular coefficients are kept as least nonnegative residues.  Values
-are immutable after construction and every operation is a pure function, so
-series can be shared freely between threads.
+ints; modular coefficients are kept as least nonnegative residues.  A Series
+is immutable after construction and every operation returns a new one.
+That alone does not make the package thread-safe: ``regover.sequences`` and
+``regover.arith`` memoize tables in mutable module-level caches with no
+locking, so concurrent threads must not build tables through them.
 """
 
 from __future__ import annotations

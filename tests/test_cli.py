@@ -143,3 +143,19 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["expand"])  # missing required --order
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("expand", "1^-1", "--order", "-1"), "--order"),
+        (("value", "A", "--ell", "5", "--n", "-1"), "--n"),
+        (("verify", "C-T1", "--bound", "-5"), "--bound"),
+        (("hunt", "pbar", "--mod", "5", "--max-step", "3", "--bound", "-1"), "--bound"),
+    ],
+)
+def test_negative_size_is_one_line_usage_error(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and flag in err

@@ -124,3 +124,15 @@ def test_cache_grows_and_truncates():
     long = sequence_series(SequenceRef("pbar"), ZZ, 50)
     short = sequence_series(SequenceRef("pbar"), ZZ, 10)
     assert short.coeffs == long.coeffs[:11]
+
+
+def test_sequence_table_hands_out_a_copy():
+    # writing into a returned table must not corrupt the memoized series
+    clear_caches()
+    table = sequence_table(SequenceRef("p"), None, 10)
+    table[5] = 999
+    assert sequence_value(SequenceRef("p"), 5) == 7
+    assert sequence_table(SequenceRef("p"), None, 10)[5] == 7
+    residues = sequence_table(SequenceRef("A", 5), 5, 20)
+    residues[:] = [1] * len(residues)
+    assert sequence_table(SequenceRef("A", 5), 5, 20)[3] == 3  # A_5(3) = 8
