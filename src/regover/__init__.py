@@ -21,7 +21,7 @@ from .claims import (
     verify_congruence,
     verify_identity,
 )
-from .kernels import HAVE_COMPILED, backend_name
+from .kernels import backend_name
 from .products import (
     EtaQuotientSpec,
     EtaSpecParseError,
@@ -51,7 +51,6 @@ __all__ = [
     "CongruenceClaim",
     "EtaQuotientSpec",
     "EtaSpecParseError",
-    "HAVE_COMPILED",
     "IdentityClaim",
     "Quantifier",
     "Ring",

@@ -125,7 +125,7 @@ def r_oracle_table(k: int, upto: int) -> list[int]:
     for _ in range(k):
         table = kernels.mul_exact(table, squares, upto + 1)
     _r_tables[k] = table
-    return table
+    return table[:]
 
 
 def r_oracle(k: int, n: int) -> int:

@@ -1,53 +1,241 @@
-"""Kernel backend selection.
+"""Truncated power series kernels: packed modular kernels and schoolbook
+exact kernels, in pure Python.
 
-The hot loops (truncated Cauchy products and power series division) exist
-twice: a Cython extension ``regover._ckernel`` and a pure-Python twin
-``regover._pykernel``.  The compiled module is used when importable;
-setting ``REGOVER_PURE_PYTHON=1`` forces the fallback.  Modular kernels are
-routed to the compiled path only for moduli below 2**31 so all int64
-intermediates stay exact.
+``mul_mod``, ``div_mod``, ``mul_exact`` and ``div_exact`` are the only
+kernel implementation.  ``series`` and ``arith`` call them as attributes of
+this module and none of them calls another, so wrapping the four attributes
+(as ``bench/tracer.py`` does) sees every kernel call exactly once.
+Coefficient lists may be shorter or longer than ``out_len`` (missing entries
+are zero, extra ones are ignored); outputs have exactly ``out_len`` entries.
+Modular results are least nonnegative residues.
+
+The exact kernels loop over the nonzero terms (schoolbook).
+
+The modular kernels use Kronecker substitution: a list of residues mod m
+becomes one Python int with a fixed field width, so CPython's C big-int
+arithmetic runs the inner loops.  Field-width rule: a field that receives
+at most t products of two residues gets the smallest width of 1, 2, 4 or 8
+bytes, or else the smallest whole number of bytes, with
+t * (m - 1)**2 < 2**width.  Then no field carries into the next one, and the
+low fields unpack exactly.
+
+``mul_mod`` packs the denser operand; t is the nonzero count of the other.
+When that one is sparse (see ``_SPARSE_RATIO``) it shift-adds a scaled copy
+of the packed operand per nonzero term; otherwise it packs it too and does
+one big-int multiply.
+
+``div_mod`` solves the quotient in blocks of ``_BLOCK`` coefficients.  The
+inverse of the divisor mod q**_BLOCK comes once from the sparse recurrence.
+Each block is (numerator - carried) times that inverse, one packed
+multiply, where "carried" is what earlier blocks contribute through the
+divisor's tail.  The finished block is then pushed forward: for each
+nonzero tail term v q**k, v times the packed block, shifted by k mod
+_BLOCK fields, is added to a packed accumulator that spans the two blocks
+from k // _BLOCK blocks ahead.  The part of a push that lands in the block
+itself is never read back, since the block inverse already accounts for it.
+Here t is the larger of _BLOCK and the divisor's nonzero tail count.
 """
 
-import os
+import sys
+from array import array
 
-from . import _pykernel
+# Both set by measurement on divisions by phi(-q) and (q;q) and on random
+# sparse-by-dense products, N = 2e3 to 1e5.  Block lengths 256 to 1024 time
+# alike; from 2048 on, mod-5 and mod-7 fields outgrow 2 bytes.  mul_mod
+# shift-adds the sparser operand when its nonzero count t satisfies
+# t * t <= _SPARSE_RATIO * (length of the other), which tracks the
+# break-even against one big-int (Karatsuba) multiply.
+_BLOCK = 512
+_SPARSE_RATIO = 30
 
-_MOD_LIMIT = 1 << 31
-
-if os.environ.get("REGOVER_PURE_PYTHON"):
-    _compiled = None
-else:
-    try:
-        from . import _ckernel as _compiled
-    except ImportError:
-        _compiled = None
-
-HAVE_COMPILED = _compiled is not None
+# array typecode per field width; arrays hold native-order items, packed
+# ints are little-endian
+_ARRAY_CODES = {array(code).itemsize: code for code in "QLIHB"}
+_SWAP = sys.byteorder == "big"
 
 
 def backend_name():
-    return "compiled" if HAVE_COMPILED else "pure-python"
+    """Kernel implementation label recorded with benchmark results."""
+    return "pure-python"
+
+
+def _field_bytes(terms, m):
+    """Bytes per field for a sum of `terms` products of residues mod m."""
+    nbytes = max(1, (terms * (m - 1) ** 2).bit_length() + 7 >> 3)
+    return 1 << (nbytes - 1).bit_length() if nbytes <= 8 else nbytes
+
+
+def _pack(residues, nbytes):
+    code = _ARRAY_CODES.get(nbytes)
+    if code is None:
+        data = b"".join([c.to_bytes(nbytes, "little") for c in residues])
+        return int.from_bytes(data, "little")
+    fields = array(code, residues)
+    if _SWAP:
+        fields.byteswap()
+    return int.from_bytes(fields, "little")
+
+
+def _unpack(x, n, nbytes, m):
+    """The low n fields of x, reduced mod m."""
+    size = n * nbytes
+    data = memoryview(x.to_bytes(max(size, (x.bit_length() + 7) >> 3), "little"))[:size]
+    code = _ARRAY_CODES.get(nbytes)
+    if code is None:
+        return [int.from_bytes(data[i : i + nbytes], "little") % m for i in range(0, size, nbytes)]
+    fields = array(code)
+    fields.frombytes(data)
+    if _SWAP:
+        fields.byteswap()
+    return [f % m for f in fields]
+
+
+def _nonzero(coeffs, limit):
+    return [(i, c) for i, c in enumerate(coeffs[:limit]) if c]
 
 
 def mul_mod(a, b, out_len, m):
-    if _compiled is not None and m < _MOD_LIMIT:
-        return _compiled.mul_mod(a, b, out_len, m)
-    return _pykernel.mul_mod(a, b, out_len, m)
-
-
-def div_mod(num, den, out_len, m):
-    if _compiled is not None and m < _MOD_LIMIT:
-        return _compiled.div_mod(num, den, out_len, m)
-    return _pykernel.div_mod(num, den, out_len, m)
+    """Cauchy product of a and b mod m, truncated to out_len coefficients."""
+    if out_len <= 0:
+        return []
+    ra = [c % m for c in a[:out_len]]
+    rb = [c % m for c in b[:out_len]]
+    nza = len(ra) - ra.count(0)
+    nzb = len(rb) - rb.count(0)
+    if nza < nzb:
+        ra, rb, nzb = rb, ra, nza
+    if not nzb:
+        return [0] * out_len
+    nbytes = _field_bytes(nzb, m)
+    packed = _pack(ra, nbytes)
+    if nzb * nzb <= _SPARSE_RATIO * len(ra):
+        width = 8 * nbytes
+        scaled = {}
+        acc = 0
+        for j, d in enumerate(rb):
+            if d:
+                term = scaled.get(d)
+                if term is None:
+                    term = scaled[d] = packed * d
+                acc += term << (j * width)
+    else:
+        acc = packed * _pack(rb, nbytes)
+    return _unpack(acc, out_len, nbytes, m)
 
 
 def mul_exact(a, b, out_len):
-    if _compiled is not None:
-        return _compiled.mul_exact(a, b, out_len)
-    return _pykernel.mul_exact(a, b, out_len)
+    """Cauchy product over exact integers, truncated to out_len coefficients."""
+    nza = _nonzero(a, out_len)
+    nzb = _nonzero(b, out_len)
+    if len(nza) < len(nzb):
+        nza, nzb = nzb, nza
+    out = [0] * out_len
+    for j, d in nzb:
+        lim = out_len - j
+        if d == 1:
+            for i, c in nza:
+                if i >= lim:
+                    break
+                out[i + j] += c
+        elif d == -1:
+            for i, c in nza:
+                if i >= lim:
+                    break
+                out[i + j] -= c
+        else:
+            for i, c in nza:
+                if i >= lim:
+                    break
+                out[i + j] += c * d
+    return out
+
+
+def div_mod(num, den, out_len, m):
+    """Truncated quotient num/den mod m; den[0] must be invertible mod m."""
+    inv0 = pow((den[0] if den else 0) % m, -1, m)  # raises ValueError when not a unit
+    if out_len <= 0:
+        return []
+    tail = [k for k in range(1, min(len(den), out_len)) if den[k] % m]
+    vals = [den[k] % m for k in tail]
+    block = min(_BLOCK, out_len)
+    # den**-1 mod q**block by the sparse recurrence
+    head = [(k, v) for k, v in zip(tail, vals) if k < block]
+    inv = [inv0]
+    for n in range(1, block):
+        acc = 0
+        for k, v in head:
+            if k > n:
+                break
+            acc -= v * inv[n - k]
+        inv.append(acc * inv0 % m)
+    nbytes = _field_bytes(max(block, len(tail)), m)
+    width = 8 * nbytes
+    packed_inv = _pack(inv, nbytes)
+    hops = [k // block for k in tail]
+    shifts = [k % block * width for k in tail]
+    nblocks = -(-out_len // block)
+    # window[t] collects the pushes into blocks t and t + 1
+    window = [0] * nblocks
+    q = []
+    for t in range(nblocks):
+        start = t * block
+        size = min(block, out_len - start)
+        carried = window[t]
+        if t:
+            carried += window[t - 1] >> (block * width)
+            window[t - 1] = 0
+        rhs = num[start : start + size]
+        rhs += [0] * (size - len(rhs))
+        rhs = [(c - p) % m for c, p in zip(rhs, _unpack(carried, size, nbytes, m))]
+        solved = _unpack(_pack(rhs, nbytes) * packed_inv, size, nbytes, m)
+        q += solved
+        if t + 1 == nblocks:
+            break
+        packed = _pack(solved, nbytes)
+        scaled = {}
+        for hop, shift, v in zip(hops, shifts, vals):
+            target = t + hop
+            if target >= nblocks:
+                break
+            term = scaled.get(v)
+            if term is None:
+                term = scaled[v] = packed * v
+            window[target] += term << shift
+    return q
 
 
 def div_exact(num, den, out_len):
-    if _compiled is not None:
-        return _compiled.div_exact(num, den, out_len)
-    return _pykernel.div_exact(num, den, out_len)
+    """Truncated quotient num/den over exact integers; den[0] must be ±1."""
+    d0 = den[0] if den else 0
+    if d0 not in (1, -1):
+        raise ValueError("constant term of divisor must be 1 or -1")
+    tail = [(k, v) for k, v in _nonzero(den[1:out_len], out_len - 1)]
+    tail = [(k + 1, v) for k, v in tail]
+    nlen = len(num)
+    q = [0] * out_len
+    magnitudes = {abs(v) for _, v in tail}
+    if len(magnitudes) <= 1:
+        # lacunary divisors like (q;q)_inf or phi(-q) have a single
+        # magnitude g in the tail: accumulate a signed sum, scale once
+        g = magnitudes.pop() if magnitudes else 0
+        signed = [(k, v > 0) for k, v in tail]
+        for n in range(out_len):
+            s = 0
+            for k, pos in signed:
+                if k > n:
+                    break
+                if pos:
+                    s += q[n - k]
+                else:
+                    s -= q[n - k]
+            acc = (num[n] if n < nlen else 0) - g * s
+            q[n] = acc if d0 == 1 else -acc
+        return q
+    for n in range(out_len):
+        acc = num[n] if n < nlen else 0
+        for k, v in tail:
+            if k > n:
+                break
+            acc -= v * q[n - k]
+        q[n] = acc if d0 == 1 else -acc
+    return q

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .series import Ring, Series
+from .series import Ring, Series, check_order
 
 
 def euler_product(scale: int, ring: Ring, order: int) -> Series:
@@ -22,6 +22,7 @@ def euler_product(scale: int, ring: Ring, order: int) -> Series:
     """
     if scale < 1:
         raise ValueError("scale must be >= 1")
+    check_order(order)
     c = [0] * (order + 1)
     c[0] = ring.reduce(1)
     sign = -1
@@ -45,6 +46,7 @@ def phi(sign: int, ring: Ring, order: int, scale: int = 1) -> Series:
         raise ValueError("sign must be +1 or -1")
     if scale < 1:
         raise ValueError("scale must be >= 1")
+    check_order(order)
     c = [0] * (order + 1)
     c[0] = ring.reduce(1)
     n = 1

@@ -45,6 +45,12 @@ def Zmod(m: int) -> Ring:
     return Ring(m)
 
 
+def check_order(order: int) -> None:
+    """Reject a negative truncation order."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+
+
 class Series:
     """Immutable truncated power series over a Ring."""
 
@@ -54,8 +60,7 @@ class Series:
         coeffs = list(coeffs)
         if order is None:
             order = len(coeffs) - 1 if coeffs else 0
-        if order < 0:
-            raise ValueError("order must be >= 0")
+        check_order(order)
         if len(coeffs) > order + 1:
             raise ValueError(
                 f"{len(coeffs)} coefficients exceed order {order} (max {order + 1})"
@@ -117,16 +122,19 @@ class Series:
 
     @classmethod
     def zero(cls, ring: Ring, order: int) -> Series:
+        check_order(order)
         return cls._raw(ring, [0] * (order + 1))
 
     @classmethod
     def one(cls, ring: Ring, order: int) -> Series:
+        check_order(order)
         c = [0] * (order + 1)
         c[0] = ring.reduce(1)
         return cls._raw(ring, c)
 
     @classmethod
     def monomial(cls, ring: Ring, exponent: int, order: int, coefficient: int = 1) -> Series:
+        check_order(order)
         c = [0] * (order + 1)
         if 0 <= exponent <= order:
             c[exponent] = ring.reduce(coefficient)

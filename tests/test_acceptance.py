@@ -1,8 +1,8 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL
 line with its wall-clock time (run with `pytest -s` to see every line).
 
-Budgets assume the compiled kernel backend; `regover.backend_name()` is
-printed alongside the first criterion.
+Budgets hold on the pure-Python kernels of `regover.kernels`;
+`regover.backend_name()` is printed alongside the first criterion.
 """
 
 import dataclasses

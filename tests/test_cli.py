@@ -95,12 +95,17 @@ def test_verify_json_roundtrip(capsys):
     assert json.loads(lines[0])["id"] == "C-SHEN-1"
 
 
-def test_verify_failure_exit_code(capsys, monkeypatch):
+@pytest.fixture
+def broken_claim(monkeypatch):
+    """Adds C-BROKEN, C-EX1 with a wrong offset, to the registry."""
     (ex1,) = registry.claims_by_id(["C-EX1"])
     broken = dataclasses.replace(
         ex1, id="C-BROKEN", lhs=dataclasses.replace(ex1.lhs, b=28)
     )
     monkeypatch.setattr(registry, "_REGISTRY", registry.builtin_registry() + [broken])
+
+
+def test_verify_failure_exit_code(capsys, broken_claim):
     code, out, _ = run(capsys, "verify", "C-BROKEN", "--bound", "200")
     assert code == 1
     assert "fail" in out and "counterexample" in out
@@ -159,3 +164,88 @@ def test_negative_size_is_one_line_usage_error(capsys, argv, flag):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and flag in err
+
+
+# (argv, expected exit code).  Verify and identities rows use --json so the
+# test can read each report's status.
+EXIT_CODE_GRID = [
+    (("expand", "1^-1", "--order", "-3"), 2),
+    (("expand", "1^-1", "--order", "0"), 0),
+    (("expand", "1^-1", "--order", "200"), 0),
+    (("expand", "1^-1", "--order", "10", "--mod", "0"), 2),
+    (("expand", "1^-1", "--order", "10", "--mod", "1"), 2),
+    (("expand", "1^-1", "--order", "10", "--mod", "-5"), 2),
+    (("expand", "1^-1", "--order", "10", "--mod", "x"), 2),
+    (("expand", "", "--order", "5"), 2),
+    (("expand", "1^", "--order", "5"), 2),
+    (("expand", "0^1", "--order", "5"), 2),
+    (("expand", "-2^1", "--order", "5"), 2),
+    (("expand", "q^-1 1^1", "--order", "5"), 2),
+    (("expand", "1^1.5", "--order", "5"), 2),
+    (("expand", "1000000^1", "--order", "5"), 0),
+    (("expand", "q^1000 1^1", "--order", "5"), 0),
+    (("value", "A", "--ell", "0", "--n", "5"), 2),
+    (("value", "A", "--n", "5"), 2),
+    (("value", "A", "--ell", "5", "--n", "0"), 0),
+    (("value", "A", "--ell", "5", "--n", "200"), 0),
+    (("value", "b", "--ell", "1", "--n", "3"), 2),
+    (("value", "r", "--k", "9", "--n", "5"), 2),
+    (("value", "r", "--k", "8", "--n", "200"), 0),
+    (("value", "zzz", "--n", "3"), 2),
+    (("value", "chi", "--n", "-1"), 2),
+    (("value", "dstar", "--n", "0"), 2),
+    (("verify", "NOPE", "--json"), 2),
+    (("verify", "C-T1", "NOPE", "--json"), 2),
+    (("verify", "C-T1", "--bound", "-1", "--json"), 2),
+    (("verify", "C-T1", "--bound", "0", "--json"), 0),
+    (("verify", "C-T1", "--bound", "200", "--json"), 0),
+    (("verify", "C-T1", "--bound", "abc", "--json"), 2),
+    (("verify", "C-T2", "--bound", "200", "--prime-cap", "0", "--json"), 0),
+    (("verify", "C-T2", "--bound", "200", "--prime-cap", "300", "--json"), 0),
+    (("verify", "C-T2", "--bound", "200", "--k-cap", "-1", "--json"), 2),
+    (("verify", "C-T2", "--bound", "200", "--k-cap", "50", "--json"), 0),
+    (("verify", "I-QP", "--order", "0", "--json"), 2),
+    (("verify", "I-QP", "--order", "-2", "--json"), 2),
+    (("verify", "C-BROKEN", "--bound", "0", "--json"), 0),
+    (("verify", "C-BROKEN", "--bound", "200", "--json"), 1),
+    (("verify", "C-T1", "C-BROKEN", "--bound", "200", "--json"), 1),
+    (("identities", "C-T1", "--json"), 2),
+    (("identities", "NOPE", "--json"), 2),
+    (("identities", "I-QP", "--order", "0", "--json"), 2),
+    (("identities", "I-QP", "--order", "50", "--json"), 0),
+    (("hunt", "A", "--ell", "5", "--mod", "0", "--max-step", "10", "--bound", "200"), 2),
+    (("hunt", "A", "--ell", "5", "--mod", "1", "--max-step", "10", "--bound", "200"), 2),
+    (("hunt", "A", "--ell", "5", "--mod", "-3", "--max-step", "10", "--bound", "200"), 2),
+    (("hunt", "A", "--ell", "5", "--mod", "5", "--max-step", "0", "--bound", "200"), 2),
+    (("hunt", "A", "--ell", "5", "--mod", "5", "--max-step", "-1", "--bound", "200"), 2),
+    (("hunt", "A", "--ell", "5", "--mod", "5", "--max-step", "1000", "--bound", "200"), 0),
+    (("hunt", "A", "--ell", "5", "--mod", "5", "--max-step", "10", "--bound", "0"), 0),
+    (("hunt", "A", "--ell", "5", "--mod", "5", "--max-step", "10", "--bound", "-1"), 2),
+    (("hunt", "A", "--ell", "5", "--mod", "5", "--max-step", "10", "--bound", "200",
+      "--min-instances", "1000000"), 0),
+    (("hunt", "A", "--mod", "5", "--max-step", "3", "--bound", "100"), 2),
+    (("hunt", "r", "--k", "9", "--mod", "5", "--max-step", "3", "--bound", "100"), 2),
+    (("hunt", "zzz", "--mod", "5", "--max-step", "3"), 2),
+    (("frobnicate",), 2),
+    ((), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", EXIT_CODE_GRID, ids=[" ".join(argv) or "-" for argv, _ in EXIT_CODE_GRID]
+)
+def test_exit_code_contract(capsys, broken_claim, argv, expected):
+    # 0 success, 1 a claim failed, 2 usage error; argparse's own usage errors
+    # leave through SystemExit, any other exception is a contract break
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == expected
+    if code == 2:
+        assert "error" in err
+    elif argv[0] in ("verify", "identities"):
+        statuses = [json.loads(line)["status"] for line in out.splitlines()]
+        assert statuses
+        assert (code == 1) == ("fail" in statuses)

@@ -1,4 +1,4 @@
-"""The packed modular kernels of ``regover._pykernel`` against schoolbook
+"""The packed modular kernels of ``regover.kernels`` against schoolbook
 reference loops, bit for bit.
 
 The references below are the plain O(N * nonzeros) loops the packed
@@ -10,11 +10,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regover import _pykernel
+from regover import kernels
 from regover.claims import hunt
 from regover.sequences import SequenceRef, clear_caches
 
-B = _pykernel._BLOCK
+B = kernels._BLOCK
 MODULI = [2, 5, 24, 2**31 - 1, 2**40, 2**61 - 1]
 OUT_LENS = [1, B - 1, B, B + 1, 2 * B + 1]
 
@@ -97,7 +97,7 @@ def _is_unit(c, m):
 def test_mul_mod_matches_schoolbook(data, m, out_len):
     a = data.draw(coeff_lists(out_len + 5))
     b = data.draw(coeff_lists(out_len + 5))
-    assert _pykernel.mul_mod(a, b, out_len, m) == ref_mul_mod(a, b, out_len, m)
+    assert kernels.mul_mod(a, b, out_len, m) == ref_mul_mod(a, b, out_len, m)
 
 
 @given(
@@ -110,7 +110,7 @@ def test_div_mod_matches_schoolbook(data, m, out_len):
     num = data.draw(coeff_lists(out_len + 5))
     den = data.draw(coeff_lists(out_len + 5))
     den[:1] = [data.draw(st.integers(-10**9, 10**9).filter(lambda h: _is_unit(h, m)))]
-    assert _pykernel.div_mod(num, den, out_len, m) == ref_div_mod(num, den, out_len, m)
+    assert kernels.div_mod(num, den, out_len, m) == ref_div_mod(num, den, out_len, m)
 
 
 @given(st.data(), st.sampled_from(MODULI), st.sampled_from(OUT_LENS + [3 * B + 1, 4 * B + 1]))
@@ -118,7 +118,7 @@ def test_div_mod_matches_schoolbook(data, m, out_len):
 def test_div_mod_lacunary_divisor_matches_schoolbook(data, m, out_len):
     num = data.draw(coeff_lists(out_len))
     den = data.draw(lacunary_divisors(m))
-    assert _pykernel.div_mod(num, den, out_len, m) == ref_div_mod(num, den, out_len, m)
+    assert kernels.div_mod(num, den, out_len, m) == ref_div_mod(num, den, out_len, m)
 
 
 @pytest.mark.parametrize("m", MODULI)
@@ -126,25 +126,25 @@ def test_largest_field_sums_do_not_carry(m):
     # every residue m - 1 makes each packed field reach its worst case
     n = 2 * B + 1
     full = [-1] * n
-    assert _pykernel.mul_mod(full, full, n, m) == ref_mul_mod(full, full, n, m)
+    assert kernels.mul_mod(full, full, n, m) == ref_mul_mod(full, full, n, m)
     sparse = [-1 if k * k <= n or k % B == 0 else 0 for k in range(n)]
-    assert _pykernel.mul_mod(full, sparse, n, m) == ref_mul_mod(full, sparse, n, m)
+    assert kernels.mul_mod(full, sparse, n, m) == ref_mul_mod(full, sparse, n, m)
     den = [1] + [-1] * (n - 1)
-    assert _pykernel.div_mod(full, den, n, m) == ref_div_mod(full, den, n, m)
+    assert kernels.div_mod(full, den, n, m) == ref_div_mod(full, den, n, m)
 
 
 @pytest.mark.parametrize("m, head", [(2, 0), (2, 4), (5, 10), (24, 6), (24, 9), (2**40, 2**20)])
 @pytest.mark.parametrize("out_len", [0, 1, B + 1])
 def test_div_mod_rejects_non_unit_constant_term(m, head, out_len):
     with pytest.raises(ValueError):
-        _pykernel.div_mod([1, 2, 3], [head, 1], out_len, m)
+        kernels.div_mod([1, 2, 3], [head, 1], out_len, m)
     with pytest.raises(ValueError):
         ref_div_mod([1, 2, 3], [head, 1], out_len, m)
 
 
 def test_empty_output():
-    assert _pykernel.mul_mod([1, 2], [3], 0, 5) == []
-    assert _pykernel.div_mod([1, 2], [3], 0, 5) == []
+    assert kernels.mul_mod([1, 2], [3], 0, 5) == []
+    assert kernels.div_mod([1, 2], [3], 0, 5) == []
 
 
 def test_hunt_at_bench_scale():

@@ -1,5 +1,6 @@
 import pytest
 
+from regover import arith
 from regover.products import eta_quotient
 from regover.registry import regular_overpartition_quotient
 from regover.sequences import (
@@ -136,3 +137,12 @@ def test_sequence_table_hands_out_a_copy():
     residues = sequence_table(SequenceRef("A", 5), 5, 20)
     residues[:] = [1] * len(residues)
     assert sequence_table(SequenceRef("A", 5), 5, 20)[3] == 3  # A_5(3) = 8
+
+
+def test_r_oracle_table_hands_out_a_copy():
+    # both the first build and a cache hit must leave the memoized table alone
+    arith._r_tables.clear()
+    arith.r_oracle_table(4, 10)[5] = 999
+    assert arith.r_oracle(4, 5) == 48
+    arith.r_oracle_table(4, 10)[5] = 999
+    assert arith.r_oracle_table(4, 10)[5] == 48

@@ -37,6 +37,24 @@ def test_construct_rejects_excess_coeffs():
         Series(ZZ, [1, 2, 3], 1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda order: Series(ZZ, [], order),
+        lambda order: Series.zero(ZZ, order),
+        lambda order: Series.one(ZZ, order),
+        lambda order: Series.monomial(ZZ, 0, order),
+        lambda order: euler_product(1, ZZ, order),
+        lambda order: phi(-1, ZZ, order),
+    ],
+    ids=["init", "zero", "one", "monomial", "euler_product", "phi"],
+)
+def test_negative_order_is_rejected(build):
+    assert build(0).order == 0
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        build(-1)
+
+
 def test_pbar_prefix_from_coeffs():
     # overpartition counts 1,2,4,8,14 (enumeration oracle, see test_sequences)
     s = Series(ZZ, [1, 2, 4, 8, 14], 4)
