@@ -25,10 +25,13 @@ DEFAULT_K_CAP = 1
 
 @dataclass(frozen=True)
 class Caps:
-    """Finite instantiation budget for quantified claims."""
+    """Finite instantiation budget for quantified claims.  bound is the
+    verification bound, so a quantifier can drop values that leave no
+    index in [1, bound]."""
 
     prime_cap: int = DEFAULT_PRIME_CAP
     k_cap: int = DEFAULT_K_CAP
+    bound: int = DEFAULT_BOUND
 
 
 @dataclass(frozen=True)
@@ -207,7 +210,7 @@ def verify_congruence(
     """Check every quantifier instantiation of the claim for all n with all
     indices in [1, bound]; series-backed sequences are computed once at
     order = bound per modulus and reused."""
-    caps = Caps(prime_cap, k_cap)
+    caps = Caps(prime_cap, k_cap, bound)
     sources: dict[int, _ValueSource] = {}
     total = 0
     for env in _expand_quantifiers(claim.quantifiers, caps):
@@ -292,25 +295,26 @@ def hunt(
     min_instances: int = 1,
 ) -> list[tuple[int, int, int]]:
     """Scan progressions a n + b (a <= max_step, b < a) where the sequence
-    vanishes mod modulus for every index <= bound, reporting (a, b, count)
-    for those with count >= min_instances.  Subsumed progressions are kept."""
+    vanishes mod modulus at every index in [1, bound], reporting (a, b, count)
+    for those with count >= min_instances.  Indices follow verify's instance
+    rule, so count is what ``verify_congruence`` reports for the progression.
+    Subsumed progressions are kept."""
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
     if max_step < 1:
         raise ValueError("max_step must be >= 1")
+    if min_instances < 1:
+        raise ValueError("min_instances must be >= 1")
     if ref.is_series_backed:
         table = sequence_series(ref, Zmod(modulus), bound).coeffs
-        start = 0
     else:
-        start = 0 if ref.name in ("r", "chi") else 1
-        table = [None] * start + [
-            sequence_value(ref, idx) % modulus for idx in range(start, bound + 1)
-        ]
+        table = [None] + [sequence_value(ref, idx) % modulus for idx in range(1, bound + 1)]
     results = []
     for a in range(1, max_step + 1):
-        for b in range(a):
-            n0 = 0 if b >= start else -((b - start) // a)
-            idx = a * n0 + b
+        if (bound - 1) // a + 1 < min_instances:
+            break  # no progression with this or a larger step has enough indices
+        for b in range(min(a, bound + 1)):
+            idx = b or a
             count = 0
             while idx <= bound:
                 if table[idx]:

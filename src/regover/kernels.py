@@ -9,7 +9,11 @@ Coefficient lists may be shorter or longer than ``out_len`` (missing entries
 are zero, extra ones are ignored); outputs have exactly ``out_len`` entries.
 Modular results are least nonnegative residues.
 
-The exact kernels loop over the nonzero terms (schoolbook).
+The exact kernels loop over the nonzero terms (schoolbook).  ``div_exact``
+groups the divisor's tail by magnitude g and, for each quotient term,
+subtracts g times a signed sum of earlier terms per group, so a lacunary
+divisor like (q;q)_inf or phi(-q), whose tail has one magnitude, costs one
+big-int multiply per term.
 
 The modular kernels use Kronecker substitution: a list of residues mod m
 becomes one Python int with a fixed field width, so CPython's C big-int
@@ -209,17 +213,16 @@ def div_exact(num, den, out_len):
     d0 = den[0] if den else 0
     if d0 not in (1, -1):
         raise ValueError("constant term of divisor must be 1 or -1")
-    tail = [(k, v) for k, v in _nonzero(den[1:out_len], out_len - 1)]
-    tail = [(k + 1, v) for k, v in tail]
+    by_magnitude = {}
+    for k, v in _nonzero(den, out_len):
+        if k:
+            by_magnitude.setdefault(abs(v), []).append((k, v > 0))
+    groups = list(by_magnitude.items())
     nlen = len(num)
     q = [0] * out_len
-    magnitudes = {abs(v) for _, v in tail}
-    if len(magnitudes) <= 1:
-        # lacunary divisors like (q;q)_inf or phi(-q) have a single
-        # magnitude g in the tail: accumulate a signed sum, scale once
-        g = magnitudes.pop() if magnitudes else 0
-        signed = [(k, v > 0) for k, v in tail]
-        for n in range(out_len):
+    for n in range(out_len):
+        acc = num[n] if n < nlen else 0
+        for g, signed in groups:
             s = 0
             for k, pos in signed:
                 if k > n:
@@ -228,14 +231,6 @@ def div_exact(num, den, out_len):
                     s += q[n - k]
                 else:
                     s -= q[n - k]
-            acc = (num[n] if n < nlen else 0) - g * s
-            q[n] = acc if d0 == 1 else -acc
-        return q
-    for n in range(out_len):
-        acc = num[n] if n < nlen else 0
-        for k, v in tail:
-            if k > n:
-                break
-            acc -= v * q[n - k]
+            acc -= g * s
         q[n] = acc if d0 == 1 else -acc
     return q

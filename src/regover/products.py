@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 from .series import Ring, Series, check_order
 
@@ -54,6 +55,21 @@ def phi(sign: int, ring: Ring, order: int, scale: int = 1) -> Series:
         c[scale * n * n] = ring.reduce(2 * (sign ** (n * n)))
         n += 1
     return Series._raw(ring, c)
+
+
+def one_plus_q_product(exponents, ring: Ring, order: int) -> Series:
+    """prod (1 + q^e) over the given exponents, by direct expansion.
+
+    One in-place shift-add per factor; e = 0 doubles the series, e > order
+    leaves it unchanged.  Coefficients are reduced once, at the end.
+    """
+    check_order(order)
+    c = [1] + [0] * order
+    for e in exponents:
+        if e < 0:
+            raise ValueError(f"exponent {e} must be >= 0")
+        c[e:] = [x + y for x, y in zip(c[e:], c)]
+    return Series(ring, c)
 
 
 # -- eta quotients ---------------------------------------------------------
@@ -202,22 +218,10 @@ def theta_f_product(spec: ThetaSpec, ring: Ring, order: int) -> Series:
     if spec.a_sign != 1 or spec.b_sign != 1:
         raise ValueError("product form requires positive signs")
     period = spec.a_power + spec.b_power
-    result = euler_product(period, ring, order)
-    for start in (spec.a_power, spec.b_power):
-        e = start
-        while e <= order:
-            # factor (1 + q^e); at e = 0 this is the constant 2
-            result = result * 2 if e == 0 else result * _one_plus_power(ring, e, order)
-            e += period
-    return result
-
-
-def _one_plus_power(ring: Ring, e: int, order: int) -> Series:
-    c = [0] * (order + 1)
-    c[0] = ring.reduce(1)
-    if e <= order:
-        c[e] = ring.reduce(1)
-    return Series._raw(ring, c)
+    exponents = chain(
+        range(spec.a_power, order + 1, period), range(spec.b_power, order + 1, period)
+    )
+    return euler_product(period, ring, order) * one_plus_q_product(exponents, ring, order)
 
 
 # -- 5-dissection of phi(-q) -------------------------------------------------

@@ -11,6 +11,8 @@ families.
 
 from __future__ import annotations
 
+from itertools import takewhile
+
 from .arith import primes_up_to
 from .claims import (
     ZERO,
@@ -26,6 +28,7 @@ from .products import (
     ThetaSpec,
     eta_quotient,
     euler_product,
+    one_plus_q_product,
     phi,
     phi_five_dissection_residual,
     theta_f_product,
@@ -37,32 +40,40 @@ from .series import Series, ZZ, Zmod
 # -- congruence claims -------------------------------------------------------
 
 
-def _primes(flt):
-    return lambda caps, env: [p for p in primes_up_to(caps.prime_cap) if flt(p)]
-
-
-def _k_range(caps, env):
-    return range(caps.k_cap + 1)
-
-
-def _i_range(caps, env):
-    return range(1, env["p"])
-
-
 def _prime_family(claim_id, seq, modulus, prefactor, e_base, e_step, p_filter, source):
-    """Claim: seq(prefactor * p^(e_step*k + e_base) * (p n + i)) = 0 mod m."""
+    """Claim: seq(prefactor * p^(e_step*k + e_base) * (p n + i)) = 0 mod m.
+
+    The least index of (p, k, i) is prefactor * p^e * i (at n = 0), so
+    values that put it above the bound are dropped: they have no checkable
+    instance, and enumerating them would cost time quadratic in the prime cap.
+    """
 
     def exponent(env):
         return e_step * env.get("k", 0) + e_base
 
-    quants = [Quantifier("p", _primes(p_filter))]
+    def scale(env):
+        return prefactor * env["p"] ** exponent(env)
+
+    def primes(caps, env):
+        candidates = primes_up_to(min(caps.prime_cap, caps.bound))
+        return [p for p in candidates if p_filter(p) and scale({"p": p}) <= caps.bound]
+
+    def ks(caps, env):
+        return list(
+            takewhile(lambda k: scale({**env, "k": k}) <= caps.bound, range(caps.k_cap + 1))
+        )
+
+    def residues(caps, env):
+        return range(1, min(env["p"], caps.bound // scale(env) + 1))
+
+    quants = [Quantifier("p", primes)]
     if e_step:
-        quants.append(Quantifier("k", _k_range))
-    quants.append(Quantifier("i", _i_range))
+        quants.append(Quantifier("k", ks))
+    quants.append(Quantifier("i", residues))
     lhs = Term(
         seq=seq,
         a=lambda env: prefactor * env["p"] ** (exponent(env) + 1),
-        b=lambda env: prefactor * env["p"] ** exponent(env) * env["i"],
+        b=lambda env: scale(env) * env["i"],
     )
     return CongruenceClaim(claim_id, lhs, ZERO, modulus, tuple(quants), source)
 
@@ -275,16 +286,6 @@ def _gf_lhs(ring, order, ell):
     return eta_quotient(regular_overpartition_quotient(ell), ring, order)
 
 
-def _one_plus_q_product(ring, order):
-    """(-q;q)_inf by direct expansion of the finite product."""
-    result = Series.one(ring, order)
-    for n in range(1, order + 1):
-        result = result * (
-            Series.one(ring, order) + Series.monomial(ring, n, order)
-        )
-    return result
-
-
 def _extracted(ref: SequenceRef, step: int, ring, order):
     return sequence_series(ref, ring, step * order).extract_progression(step, 0)
 
@@ -408,7 +409,7 @@ def _identity_claims() -> list[IdentityClaim]:
         ),
         IdentityClaim(
             "I-PBAR",
-            lambda ring, order: _one_plus_q_product(ring, order)
+            lambda ring, order: one_plus_q_product(range(1, order + 1), ring, order)
             / euler_product(1, ring, order),
             lambda ring, order: eta_quotient(
                 EtaQuotientSpec(0, ((2, 1), (1, -2))), ring, order

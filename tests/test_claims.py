@@ -5,10 +5,12 @@ import pytest
 
 from regover.claims import (
     ZERO,
+    Caps,
     CongruenceClaim,
     IdentityClaim,
     Quantifier,
     Term,
+    _expand_quantifiers,
     hunt,
     verify_congruence,
     verify_identity,
@@ -104,6 +106,29 @@ def test_literal_t7_hypothesis_fails_at_p_11():
     assert report.counterexample["index"] == 5 * 1331
 
 
+def test_prime_families_pruned_by_bound():
+    # (p, k, i) whose least index prefactor * p^e * i exceeds the bound has
+    # no instance, so the prime cap beyond the bound changes no report
+    (t2,) = claims_by_id(["C-T2"])
+    report = verify_congruence(t2, 200, prime_cap=300)
+    assert report.instances == 5
+    assert verify_congruence(t2, 200, prime_cap=5000) == report
+    envs = list(_expand_quantifiers(t2.quantifiers, Caps(prime_cap=5000, k_cap=1, bound=200)))
+    assert envs == [{"p": 3, "k": 0, "i": 1}, {"p": 3, "k": 0, "i": 2}]
+    # each quantifier stops exactly where the least index passes the bound
+    p_q, k_q, i_q = t2.quantifiers
+    assert list(p_q.enumerate(Caps(prime_cap=5000, bound=7**3), {})) == [3, 7]
+    caps = Caps(prime_cap=5000, k_cap=5, bound=3**7)
+    assert list(k_q.enumerate(caps, {"p": 3})) == [0, 1]
+    assert list(i_q.enumerate(caps, {"p": 3, "k": 1})) == [1]
+    (t3,) = claims_by_id(["C-T3"])
+    assert verify_congruence(t3, 190).instances == 10  # 19 i for i = 1..10
+    caps = Caps(prime_cap=5000, k_cap=3, bound=200)
+    for claim in claims_by_id(["C-T2", "C-T3", "C-T5a", "C-T5b", "C-T5c", "C-T7", "C-T8"]):
+        for env in _expand_quantifiers(claim.quantifiers, caps):
+            assert claim.lhs.b(env) <= 200  # so n = 0 is a checkable instance
+
+
 # -- mutation sensitivity ------------------------------------------------------
 
 
@@ -182,10 +207,22 @@ def test_hunt_sorted_and_subsumed_kept():
 
 
 def test_hunt_results_reverify():
-    for a, b, count in hunt(_a(5), 5, 100, 5000, 20):
+    found = hunt(_a(5), 5, 100, 5000, 20)
+    assert (79, 0, 63) in found  # b = 0 rows start at index a, as in verify
+    for a, b, count in found:
         report = verify_congruence(linear_claim(_a(5), a, b, 5), 5000)
         assert report.passed
         assert report.instances == count
+
+
+def test_hunt_stops_when_steps_outgrow_min_instances():
+    # step a reaches at most (200 - 1) // a + 1 indices in [1, 200]: 10 up
+    # to a = 22, fewer beyond
+    found = hunt(_a(5), 5, 10**5, 200, 10)
+    assert found == hunt(_a(5), 5, 22, 200, 10)
+    assert found
+    # a = 24 is the last step that reaches 9 indices, and its row is kept
+    assert (24, 3, 9) in hunt(_a(3), 6, 10**5, 200, 9)
 
 
 def test_hunt_validation():
@@ -193,6 +230,8 @@ def test_hunt_validation():
         hunt(_a(5), 1, 10, 100)
     with pytest.raises(ValueError):
         hunt(_a(5), 5, 0, 100)
+    with pytest.raises(ValueError):
+        hunt(_a(5), 5, 10, 100, 0)
 
 
 def test_hunt_pointwise_sequence():

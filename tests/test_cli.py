@@ -144,6 +144,18 @@ def test_hunt_empty_is_success(capsys):
     assert out.strip() == ""
 
 
+def test_hunt_json_rows(capsys):
+    # the format bench/run.py reads: one object per row, keyed by column
+    code, out, _ = run(
+        capsys, "hunt", "A", "--ell", "5", "--mod", "5", "--max-step", "100",
+        "--bound", "2000", "--min-instances", "20", "--json",
+    )
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert {"a": 81, "b": 27, "instances": 25} in rows
+    assert all(list(row) == ["a", "b", "instances"] for row in rows)
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["expand"])  # missing required --order
@@ -191,6 +203,7 @@ EXIT_CODE_GRID = [
     (("value", "b", "--ell", "1", "--n", "3"), 2),
     (("value", "r", "--k", "9", "--n", "5"), 2),
     (("value", "r", "--k", "8", "--n", "200"), 0),
+    (("value", "r", "--n", "5"), 2),
     (("value", "zzz", "--n", "3"), 2),
     (("value", "chi", "--n", "-1"), 2),
     (("value", "dstar", "--n", "0"), 2),
@@ -209,6 +222,9 @@ EXIT_CODE_GRID = [
     (("verify", "C-BROKEN", "--bound", "0", "--json"), 0),
     (("verify", "C-BROKEN", "--bound", "200", "--json"), 1),
     (("verify", "C-T1", "C-BROKEN", "--bound", "200", "--json"), 1),
+    # no ids: every registry claim, C-BROKEN included (its index 28 <= 50)
+    (("verify", "--bound", "50", "--order", "20", "--json"), 1),
+    (("verify", "--bound", "20", "--order", "20", "--json"), 0),
     (("identities", "C-T1", "--json"), 2),
     (("identities", "NOPE", "--json"), 2),
     (("identities", "I-QP", "--order", "0", "--json"), 2),
@@ -223,6 +239,8 @@ EXIT_CODE_GRID = [
     (("hunt", "A", "--ell", "5", "--mod", "5", "--max-step", "10", "--bound", "-1"), 2),
     (("hunt", "A", "--ell", "5", "--mod", "5", "--max-step", "10", "--bound", "200",
       "--min-instances", "1000000"), 0),
+    (("hunt", "A", "--ell", "5", "--mod", "5", "--max-step", "10", "--bound", "200",
+      "--min-instances", "0"), 2),
     (("hunt", "A", "--mod", "5", "--max-step", "3", "--bound", "100"), 2),
     (("hunt", "r", "--k", "9", "--mod", "5", "--max-step", "3", "--bound", "100"), 2),
     (("hunt", "zzz", "--mod", "5", "--max-step", "3"), 2),

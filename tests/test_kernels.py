@@ -1,10 +1,10 @@
 """The exact kernels of ``regover.kernels`` against schoolbook reference
 loops, bit for bit.
 
-``div_exact`` has a fast path for divisors whose tail holds a single
-magnitude (the pentagonal and theta series); the reference below has no
-such branch, so the two routes check each other.  The packed modular
-kernels are tested in ``test_packed_kernels.py``.
+``div_exact`` groups the divisor's tail by magnitude and scales one signed
+sum per group; the reference below multiplies term by term, so the two
+routes check each other.  The packed modular kernels are tested in
+``test_packed_kernels.py``.
 """
 
 import pytest
@@ -43,7 +43,7 @@ out_lens = st.integers(0, 80)
 @st.composite
 def unit_divisors(draw):
     """den[0] = +-1 and a tail of either mixed magnitudes or one magnitude
-    with random signs, so both division routes are drawn."""
+    with random signs, so one group and many groups are both drawn."""
     head = draw(st.sampled_from([1, -1]))
     length = draw(st.integers(0, 40))
     if draw(st.booleans()):
@@ -70,10 +70,17 @@ def test_div_exact_matches_schoolbook(num, den, out_len):
 @given(coeff_lists, st.integers(0, 60), st.sampled_from([1, -1]))
 @settings(max_examples=80, deadline=None)
 def test_div_exact_phi_shaped_divisor(num, out_len, head):
-    # all tail entries +-2: the single-magnitude path; the copy ending in -3
-    # takes the generic path
+    # all tail entries +-2: one magnitude group; the copy ending in -3 has two
     for den in (PHI_SHAPED, PHI_PERTURBED):
         den = [head] + den[1:]
+        assert kernels.div_exact(num, den, out_len) == ref_div_exact(num, den, out_len)
+
+
+def test_div_exact_three_magnitudes_negative_head():
+    # tail magnitudes 1, 3 and 10**20 with both signs in each, den[0] = -1
+    den = [-1, 3, 0, -1, 10**20, -3, 0, 1, -(10**20), 0, 3]
+    num = [5, -7, 0, 2, 10**25, 0, 0, -1]
+    for out_len in (0, 1, 4, 11, 40):
         assert kernels.div_exact(num, den, out_len) == ref_div_exact(num, den, out_len)
 
 

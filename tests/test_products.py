@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regover.products import (
     EtaQuotientSpec,
@@ -6,6 +7,7 @@ from regover.products import (
     ThetaSpec,
     eta_quotient,
     euler_product,
+    one_plus_q_product,
     parse_eta_spec,
     phi,
     phi_five_dissection_residual,
@@ -160,6 +162,31 @@ def test_theta_negative_sign_series():
 def test_theta_sum_equals_product(a, b):
     spec = ThetaSpec(1, a, 1, b)
     assert theta_f_series(spec, ZZ, 500) == theta_f_product(spec, ZZ, 500)
+
+
+@given(
+    st.lists(st.integers(0, 70), max_size=25),
+    st.sampled_from([ZZ, Zmod(2), Zmod(5), Zmod(24)]),
+    st.integers(0, 60),
+)
+@settings(max_examples=150, deadline=None)
+def test_one_plus_q_product_matches_factorwise_product(exponents, ring, order):
+    # reference: one Series per factor (1 + q^e), multiplied through
+    # Series.__mul__; exponents include 0, repeats and values above order
+    expected = Series.one(ring, order)
+    for e in exponents:
+        factor = [1] + [0] * order
+        if e <= order:
+            factor[e] += 1
+        expected = expected * Series(ring, factor)
+    assert one_plus_q_product(exponents, ring, order) == expected
+
+
+def test_one_plus_q_product_rejects_negative_exponent():
+    with pytest.raises(ValueError):
+        one_plus_q_product([1, -1], ZZ, 10)
+    with pytest.raises(ValueError):
+        one_plus_q_product([], ZZ, -1)
 
 
 def test_theta_product_rejects_signs():
