@@ -1,5 +1,5 @@
-"""Truncated power series kernels: packed modular kernels and schoolbook
-exact kernels, in pure Python.
+"""Truncated power series kernels: packed modular kernels, a schoolbook
+exact product and a blocked exact quotient, in pure Python.
 
 ``mul_mod``, ``div_mod``, ``mul_exact`` and ``div_exact`` are the only
 kernel implementation.  ``series`` and ``arith`` call them as attributes of
@@ -9,11 +9,18 @@ Coefficient lists may be shorter or longer than ``out_len`` (missing entries
 are zero, extra ones are ignored); outputs have exactly ``out_len`` entries.
 Modular results are least nonnegative residues.
 
-The exact kernels loop over the nonzero terms (schoolbook).  ``div_exact``
-groups the divisor's tail by magnitude g and, for each quotient term,
-subtracts g times a signed sum of earlier terms per group, so a lacunary
-divisor like (q;q)_inf or phi(-q), whose tail has one magnitude, costs one
-big-int multiply per term.
+``mul_exact`` loops over the nonzero terms (schoolbook).  ``div_exact``
+groups the divisor's tail by magnitude g, so a lacunary divisor like
+(q;q)_inf or phi(-q), whose tail has one magnitude, needs one multiply by g
+per quotient term.  It solves the quotient in blocks of ``_BLOCK``
+coefficients.  For block [s, e) it first sums what the finished prefix
+q[:s] contributes: per group, each tail term k adds or subtracts the slice
+q[max(s, k) - k : min(e, s + k) - k] into a block-sized accumulator with
+one ``map`` over list slices, so the big-int additions run without a
+Python-level step each, and the numerator slice loses g times that
+accumulator.  Then it solves the block with the plain recurrence over the
+in-block sources only (tail terms k <= n - s).  Each block pulls from
+finished coefficients, so no partial sums are held ahead of the block.
 
 The modular kernels use Kronecker substitution: a list of residues mod m
 becomes one Python int with a fixed field width, so CPython's C big-int
@@ -42,13 +49,15 @@ Here t is the larger of _BLOCK and the divisor's nonzero tail count.
 
 import sys
 from array import array
+from operator import add, sub
 
 # Both set by measurement on divisions by phi(-q) and (q;q) and on random
 # sparse-by-dense products, N = 2e3 to 1e5.  Block lengths 256 to 1024 time
-# alike; from 2048 on, mod-5 and mod-7 fields outgrow 2 bytes.  mul_mod
-# shift-adds the sparser operand when its nonzero count t satisfies
-# t * t <= _SPARSE_RATIO * (length of the other), which tracks the
-# break-even against one big-int (Karatsuba) multiply.
+# alike; from 2048 on, mod-5 and mod-7 fields outgrow 2 bytes.  div_exact
+# shares _BLOCK: its exact 1/phi(-q) to 1.25e5 times alike at 128, 512 and
+# 2048.  mul_mod shift-adds the sparser operand when its nonzero count t
+# satisfies t * t <= _SPARSE_RATIO * (length of the other), which tracks
+# the break-even against one big-int (Karatsuba) multiply.
 _BLOCK = 512
 _SPARSE_RATIO = 30
 
@@ -216,21 +225,38 @@ def div_exact(num, den, out_len):
     by_magnitude = {}
     for k, v in _nonzero(den, out_len):
         if k:
-            by_magnitude.setdefault(abs(v), []).append((k, v > 0))
+            by_magnitude.setdefault(abs(v), []).append((k, add if v > 0 else sub))
     groups = list(by_magnitude.items())
-    nlen = len(num)
-    q = [0] * out_len
-    for n in range(out_len):
-        acc = num[n] if n < nlen else 0
-        for g, signed in groups:
-            s = 0
-            for k, pos in signed:
-                if k > n:
+    q = []
+    for s in range(0, out_len, _BLOCK):
+        e = min(s + _BLOCK, out_len)
+        size = e - s
+        rhs = num[s:e]
+        rhs += [0] * (size - len(rhs))
+        # what the finished prefix q[:s] contributes: tail term k reaches
+        # targets [max(s, k), min(e, s + k)) from sources below s
+        for g, terms in groups:
+            acc = [0] * size
+            for k, op in terms:
+                if k >= e:
                     break
-                if pos:
-                    s += q[n - k]
-                else:
-                    s -= q[n - k]
-            acc -= g * s
-        q[n] = acc if d0 == 1 else -acc
+                lo = max(s, k) - s
+                hi = min(e, s + k) - s
+                acc[lo:hi] = map(op, acc[lo:hi], q[s + lo - k : s + hi - k])
+            if g == 1:
+                rhs = list(map(sub, rhs, acc))
+            else:
+                rhs = [r - g * a for r, a in zip(rhs, acc)]
+        # the in-block sources, k <= n - s
+        for i in range(size):
+            val = rhs[i]
+            n = s + i
+            for g, terms in groups:
+                t = 0
+                for k, op in terms:
+                    if k > i:
+                        break
+                    t = op(t, q[n - k])
+                val -= g * t
+            q.append(val if d0 == 1 else -val)
     return q

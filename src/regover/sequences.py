@@ -7,7 +7,10 @@ phi(-q^l)/phi(-q)).
 
 Oracle route: direct descending-part recursion, deliberately memo-free and
 structurally unrelated to the series pipeline, weighting each partition by
-2^(number of distinct part sizes) for the overlined variants.
+2^(number of distinct part sizes) for the overlined variants.  The
+recursion stops at part 2: whatever remains is forced to be all ones, so
+it adds that one partition's weight directly (none when the restriction
+is 1 and ones are barred).
 """
 
 from __future__ import annotations
@@ -134,10 +137,12 @@ def oracle_partition(restriction: int | None, n: int, cap: int = ORACLE_CAP) -> 
         if remaining == 0:
             return 1
         total = 0
-        for part in range(min(remaining, max_part), 0, -1):
+        for part in range(min(remaining, max_part), 1, -1):
             if restriction is not None and part % restriction == 0:
                 continue
             total += count(remaining - part, part)
+        if max_part >= 1 and restriction != 1:
+            total += 1  # the rest as ones
         return total
 
     return count(n, n)
@@ -156,13 +161,15 @@ def oracle_regular_overpartition(restriction: int | None, n: int, cap: int = ORA
         if remaining == 0:
             return 1
         total = 0
-        for part in range(min(remaining, max_part), 0, -1):
+        for part in range(min(remaining, max_part), 1, -1):
             if restriction is not None and part % restriction == 0:
                 continue
             used = part
             while used <= remaining:
                 total += 2 * count(remaining - used, part - 1)
                 used += part
+        if max_part >= 1 and restriction != 1:
+            total += 2  # the rest as ones, overlined or not
         return total
 
     return count(n, n)

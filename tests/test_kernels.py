@@ -1,11 +1,18 @@
 """The exact kernels of ``regover.kernels`` against schoolbook reference
 loops, bit for bit.
 
-``div_exact`` groups the divisor's tail by magnitude and scales one signed
-sum per group; the reference below multiplies term by term, so the two
-routes check each other.  The packed modular kernels are tested in
-``test_packed_kernels.py``.
+``div_exact`` works in blocks of ``kernels._BLOCK`` coefficients: per
+magnitude group of the divisor's tail it sums the finished prefix into each
+block with list-slice maps, then runs the recurrence over the in-block
+sources.  The reference below is one plain recurrence that multiplies term
+by term, so the two routes check each other.  The small hypothesis cases
+stay inside one block; the block-edge cases put tail terms and output
+lengths on either side of each block boundary, where a wrong slice window,
+a wrong in-block cut-off or a dropped magnitude would show.  The packed
+modular kernels are tested in ``test_packed_kernels.py``.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -88,6 +95,72 @@ def test_div_exact_three_magnitudes_negative_head():
 @settings(max_examples=100, deadline=None)
 def test_division_inverts_multiplication(num, den):
     n = len(num)
+    assert kernels.mul_exact(kernels.div_exact(num, den, n), den, n) == num
+
+
+B = kernels._BLOCK
+EDGE_LENS = (1, B - 1, B, B + 1, 2 * B + 1, 3 * B)
+EDGE_KS = (1, B - 1, B, B + 1, 2 * B, 2 * B + 1)
+BEYOND = 3 * B + 1  # a tail term past every out_len drawn
+MAGNITUDES = (1, 2, 3, 10**20)
+NUM_LENS = (3, B + 2, 4 * B)  # shorter and longer than out_len
+
+
+def _numerator(seed, length):
+    rng = random.Random(seed)
+    return [rng.randint(-(10**30), 10**30) for _ in range(length)]
+
+
+@st.composite
+def block_edge_divisors(draw):
+    """den[0] = +-1, tail terms on some of the block-edge offsets and one
+    past every out_len, each of a magnitude from MAGNITUDES with either
+    sign.  The term at k = 1 stays small: 10**20 there would grow the
+    quotient by 20 digits per coefficient and only slow the reference."""
+    den = [draw(st.sampled_from([1, -1]))] + [0] * BEYOND
+    for k in sorted(draw(st.sets(st.sampled_from(EDGE_KS), min_size=1)) | {BEYOND}):
+        g = draw(st.sampled_from(MAGNITUDES if k > 1 else MAGNITUDES[:-1]))
+        den[k] = g * draw(st.sampled_from([1, -1]))
+    return den
+
+
+@given(
+    block_edge_divisors(),
+    st.sampled_from(EDGE_LENS),
+    st.sampled_from(NUM_LENS),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=30, deadline=None)
+def test_div_exact_across_block_edges(den, out_len, num_len, seed):
+    num = _numerator(seed, num_len)
+    assert kernels.div_exact(num, den, out_len) == ref_div_exact(num, den, out_len)
+
+
+@pytest.mark.parametrize("g", MAGNITUDES)
+@pytest.mark.parametrize("head", [1, -1])
+def test_div_exact_one_magnitude_both_signs_on_every_edge(g, head):
+    # den[1] = -1 keeps the quotient small whatever g is
+    den = [head, -1] + [0] * BEYOND
+    for i, k in enumerate(EDGE_KS[1:] + (BEYOND,)):
+        den[k] = g if i % 2 else -g
+    for num_len in (3, 4 * B):
+        num = _numerator(num_len, num_len)
+        assert kernels.div_exact(num, den, 3 * B) == ref_div_exact(num, den, 3 * B)
+
+
+def test_div_exact_dense_divisor_across_two_blocks():
+    rng = random.Random(5)
+    den = [-1] + [rng.randint(-3, 3) for _ in range(2 * B)]
+    num = _numerator(6, B)
+    n = 2 * B + 1
+    assert kernels.div_exact(num, den, n) == ref_div_exact(num, den, n)
+
+
+@given(block_edge_divisors(), st.integers(0, 2**32))
+@settings(max_examples=10, deadline=None)
+def test_block_division_inverts_multiplication(den, seed):
+    n = 2 * B + 1
+    num = _numerator(seed, n)
     assert kernels.mul_exact(kernels.div_exact(num, den, n), den, n) == num
 
 

@@ -54,6 +54,58 @@ def test_oracle_examples():
     assert oracle_partition(None, 0) == 1
 
 
+def ref_oracle_partition(restriction, n):
+    """The oracle before the all-ones shortcut: it recurses down to part 1."""
+
+    def count(remaining, max_part):
+        if remaining == 0:
+            return 1
+        total = 0
+        for part in range(min(remaining, max_part), 0, -1):
+            if restriction is not None and part % restriction == 0:
+                continue
+            total += count(remaining - part, part)
+        return total
+
+    return count(n, n)
+
+
+def ref_oracle_regular_overpartition(restriction, n):
+    """The oracle before the all-ones shortcut: it tries every multiplicity
+    of every part, part 1 included."""
+
+    def count(remaining, max_part):
+        if remaining == 0:
+            return 1
+        total = 0
+        for part in range(min(remaining, max_part), 0, -1):
+            if restriction is not None and part % restriction == 0:
+                continue
+            used = part
+            while used <= remaining:
+                total += 2 * count(remaining - used, part - 1)
+                used += part
+        return total
+
+    return count(n, n)
+
+
+@pytest.mark.parametrize("restriction", [None, 1, 2, 3, 5, 25])
+def test_oracles_match_full_recursion(restriction):
+    for n in range(31):
+        assert oracle_partition(restriction, n) == ref_oracle_partition(restriction, n), n
+        assert oracle_regular_overpartition(restriction, n) == ref_oracle_regular_overpartition(
+            restriction, n
+        ), n
+
+
+def test_oracles_with_every_part_barred():
+    # restriction 1 bars part 1 too, so the all-ones tail must add nothing
+    for oracle in (oracle_partition, oracle_regular_overpartition):
+        assert oracle(1, 0) == 1
+        assert [oracle(1, n) for n in range(1, 31)] == [0] * 30
+
+
 def test_oracle_cap():
     with pytest.raises(ValueError):
         oracle_regular_overpartition(3, 61)
