@@ -4,7 +4,6 @@ regular overpartitions and friends."""
 from .arith import (
     chi,
     d_star,
-    legendre,
     r_formula,
     r_oracle,
     sigma3_minus,
@@ -43,7 +42,7 @@ from .sequences import (
     sequence_table,
     sequence_value,
 )
-from .series import Ring, Series, ZZ, Zmod, congruent_up_to
+from .series import Ring, Series, ZZ, Zmod
 
 __version__ = "0.1.0"
 
@@ -65,12 +64,10 @@ __all__ = [
     "backend_name",
     "builtin_registry",
     "chi",
-    "congruent_up_to",
     "d_star",
     "eta_quotient",
     "euler_product",
     "hunt",
-    "legendre",
     "oracle_partition",
     "oracle_regular_overpartition",
     "parse_eta_spec",

@@ -1,5 +1,5 @@
-"""Pointwise arithmetic functions: divisor sums, the mod-4 character,
-Legendre symbols, and representation counts r_k(n) by sums of squares.
+"""Pointwise arithmetic functions: divisor sums, the mod-4 character, a
+prime sieve, and representation counts r_k(n) by sums of squares.
 
 r_k values come two independent ways: closed divisor-sum formulas
 (r_formula) and k-fold convolution of the one-dimensional squares vector
@@ -11,19 +11,6 @@ from __future__ import annotations
 from . import kernels
 
 R_ORACLE_N_CAP = 5000
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -70,14 +57,6 @@ def chi(n: int) -> int:
     if r == 3:
         return -1
     return 0
-
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) by Euler's criterion; p must be an odd prime."""
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    v = pow(a % p, (p - 1) // 2, p)
-    return -1 if v == p - 1 else v
 
 
 def r_formula(k: int, n: int) -> int:

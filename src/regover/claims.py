@@ -7,7 +7,9 @@ environment, which is how families like index = c p^(4k+3) (p n + i) are
 expressed while staying plain mutable-by-replace dataclasses.
 
 An instance is checked iff every index of both sides lies in [1, bound];
-a claim with no checkable instance reports skipped, never pass.
+a claim with no checkable instance reports skipped, never pass.  Values
+reach verify and hunt by one path: a progression's residues are a slice of
+a series table, or pointwise values at exactly its indices.
 """
 
 from __future__ import annotations
@@ -151,9 +153,6 @@ class _ConcreteTerm:
     b: int
     sign_twist: bool
 
-    def index(self, n: int) -> int:
-        return self.a * n + self.b
-
 
 def _concretize(term: Term, env: dict) -> _ConcreteTerm:
     seq = _resolve(term.seq, env)
@@ -164,30 +163,18 @@ def _concretize(term: Term, env: dict) -> _ConcreteTerm:
     return _ConcreteTerm(seq, a, b, term.sign_twist)
 
 
-class _ValueSource:
-    """Evaluates concrete terms mod m, memoizing series tables at the bound."""
-
-    def __init__(self, modulus: int, bound: int):
-        self.modulus = modulus
-        self.bound = bound
-        self._tables: dict[SequenceRef, list[int]] = {}
-
-    def value(self, term: _ConcreteTerm, n: int) -> int:
-        if term.seq is None:
-            return 0
-        idx = term.index(n)
-        if term.seq.is_series_backed:
-            table = self._tables.get(term.seq)
-            if table is None:
-                # read-only use: the memoized coefficients, not a copy
-                table = sequence_series(term.seq, Zmod(self.modulus), self.bound).coeffs
-                self._tables[term.seq] = table
-            v = table[idx]
-        else:
-            v = sequence_value(term.seq, idx) % self.modulus
-        if term.sign_twist and idx & 1:
-            v = -v % self.modulus
-        return v
+def _residues(
+    ref: SequenceRef, modulus: int, indices: range, bound: int, tables: dict
+) -> list[int]:
+    """Residues mod modulus of ref at the indices, all in [1, bound].  A
+    series-backed ref is computed at order bound once per (ref, modulus) in
+    tables, then sliced; a pointwise ref is evaluated at the indices only."""
+    if ref.is_series_backed:
+        table = tables.get((ref, modulus))
+        if table is None:
+            table = tables[ref, modulus] = sequence_series(ref, Zmod(modulus), bound)
+        return table[indices.start : indices.stop : indices.step]
+    return [sequence_value(ref, idx) % modulus for idx in indices]
 
 
 def _instance_range(sides: list[_ConcreteTerm], bound: int) -> tuple[int, int]:
@@ -208,10 +195,11 @@ def verify_congruence(
     k_cap: int = DEFAULT_K_CAP,
 ) -> VerificationReport:
     """Check every quantifier instantiation of the claim for all n with all
-    indices in [1, bound]; series-backed sequences are computed once at
-    order = bound per modulus and reused."""
+    indices in [1, bound].  Each side is one sign-twisted residue list over
+    its progression; the two lists are compared whole, and the first
+    mismatch is located only when they differ."""
     caps = Caps(prime_cap, k_cap, bound)
-    sources: dict[int, _ValueSource] = {}
+    tables: dict = {}
     total = 0
     for env in _expand_quantifiers(claim.quantifiers, caps):
         modulus = _resolve(claim.modulus, env)
@@ -220,26 +208,33 @@ def verify_congruence(
         lo, hi = _instance_range([lhs, rhs], bound)
         if hi < lo:
             continue
-        source = sources.get(modulus)
-        if source is None:
-            source = sources[modulus] = _ValueSource(modulus, bound)
-        for n in range(lo, hi + 1):
-            v1 = source.value(lhs, n)
-            v2 = source.value(rhs, n)
-            total += 1
-            if (v1 - v2) % modulus:
-                return VerificationReport(
-                    claim.id,
-                    bound,
-                    total,
-                    "fail",
-                    {
-                        "params": {**env, "n": n},
-                        "index": lhs.index(n),
-                        "lhs": v1,
-                        "rhs": v2,
-                    },
-                )
+        sides = []
+        for t in (lhs, rhs):
+            if t.seq is None:
+                sides.append([0] * (hi - lo + 1))
+                continue
+            indices = range(t.a * lo + t.b, t.a * hi + t.b + 1, t.a)
+            values = _residues(t.seq, modulus, indices, bound, tables)
+            if t.sign_twist:
+                values = [-v % modulus if i & 1 else v for i, v in zip(indices, values)]
+            sides.append(values)
+        v1, v2 = sides
+        if v1 != v2:
+            j = next(j for j, (x, y) in enumerate(zip(v1, v2)) if x != y)
+            n = lo + j
+            return VerificationReport(
+                claim.id,
+                bound,
+                total + j + 1,
+                "fail",
+                {
+                    "params": {**env, "n": n},
+                    "index": lhs.a * n + lhs.b,
+                    "lhs": v1[j],
+                    "rhs": v2[j],
+                },
+            )
+        total += hi - lo + 1
     if total == 0:
         return VerificationReport(
             claim.id, bound, 0, "skipped(no checkable instance within bound)"
@@ -249,7 +244,8 @@ def verify_congruence(
 
 def verify_identity(claim: IdentityClaim, order: int) -> VerificationReport:
     """Evaluate both series expressions of every case at the given order
-    (capped by the claim's order_cap) and compare coefficientwise."""
+    (capped by the claim's order_cap); the coefficient lists are compared
+    whole, and the first mismatch is located only when they differ."""
     if order < 1:
         raise ValueError("order must be >= 1")
     eff = order if claim.order_cap is None else min(order, claim.order_cap)
@@ -259,17 +255,17 @@ def verify_identity(claim: IdentityClaim, order: int) -> VerificationReport:
         lhs = claim.lhs(ring, eff, **case)
         rhs = claim.rhs(ring, eff, **case)
         top = min(lhs.order, rhs.order, eff)
-        la, ra = lhs.coeffs, rhs.coeffs
-        for n in range(top + 1):
-            total += 1
-            if la[n] != ra[n]:
-                return VerificationReport(
-                    claim.id,
-                    eff,
-                    total,
-                    "fail",
-                    {"params": dict(case), "index": n, "lhs": la[n], "rhs": ra[n]},
-                )
+        la, ra = lhs[: top + 1], rhs[: top + 1]
+        if la != ra:
+            n = next(n for n, (x, y) in enumerate(zip(la, ra)) if x != y)
+            return VerificationReport(
+                claim.id,
+                eff,
+                total + n + 1,
+                "fail",
+                {"params": dict(case), "index": n, "lhs": la[n], "rhs": ra[n]},
+            )
+        total += top + 1
     return VerificationReport(claim.id, eff, total, "pass")
 
 
@@ -297,31 +293,30 @@ def hunt(
     """Scan progressions a n + b (a <= max_step, b < a) where the sequence
     vanishes mod modulus at every index in [1, bound], reporting (a, b, count)
     for those with count >= min_instances.  Indices follow verify's instance
-    rule, so count is what ``verify_congruence`` reports for the progression.
-    Subsumed progressions are kept."""
+    rule and come from the same residue table, so count is what
+    ``verify_congruence`` reports for the progression.  Subsumed progressions
+    are kept."""
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
     if max_step < 1:
         raise ValueError("max_step must be >= 1")
     if min_instances < 1:
         raise ValueError("min_instances must be >= 1")
-    if ref.is_series_backed:
-        table = sequence_series(ref, Zmod(modulus), bound).coeffs
-    else:
-        table = [None] + [sequence_value(ref, idx) % modulus for idx in range(1, bound + 1)]
+    # table[i] is the residue at index i + 1
+    table = _residues(ref, modulus, range(1, bound + 1), bound, {})
     results = []
     for a in range(1, max_step + 1):
         if (bound - 1) // a + 1 < min_instances:
             break  # no progression with this or a larger step has enough indices
         for b in range(min(a, bound + 1)):
-            idx = b or a
+            pos = (b or a) - 1
             count = 0
-            while idx <= bound:
-                if table[idx]:
+            while pos < bound:
+                if table[pos]:
                     count = -1
                     break
                 count += 1
-                idx += a
+                pos += a
             if count >= min_instances:
                 results.append((a, b, count))
     return results

@@ -103,10 +103,10 @@ def _build_series(ref: SequenceRef, ring: Ring, order: int) -> Series:
 def sequence_table(ref: SequenceRef, modulus: int | None, upto: int) -> list[int]:
     """Values 0..upto, as residues when modulus is given (series-backed refs).
 
-    Returns a fresh list: the cached table stays intact whatever the caller
-    does with it."""
+    Returns a fresh list (``Series.coeffs`` copies): the cached table stays
+    intact whatever the caller does with it."""
     ring = ZZ if modulus is None else Zmod(modulus)
-    return list(sequence_series(ref, ring, upto).coeffs)
+    return sequence_series(ref, ring, upto).coeffs
 
 
 def sequence_value(ref: SequenceRef, n: int) -> int:

@@ -83,14 +83,16 @@ class Series:
 
     @property
     def coeffs(self) -> list:
-        """Dense coefficient list, index n = coefficient of q^n (read-only)."""
-        return self._coeffs
+        """Dense coefficient list, index n = coefficient of q^n.  A fresh
+        copy on every access, so no caller can alter the series (or a
+        cached table); index or slice the series to read part of it."""
+        return self._coeffs[:]
 
     @property
     def order(self) -> int:
         return len(self._coeffs) - 1
 
-    def __getitem__(self, n: int) -> int:
+    def __getitem__(self, n: int | slice) -> int | list:
         return self._coeffs[n]
 
     def __len__(self) -> int:
@@ -260,12 +262,6 @@ class Series:
             [red(-c) if n & 1 else c for n, c in enumerate(self._coeffs)],
         )
 
-    def reduce_mod(self, m: int) -> Series:
-        """Map an exact series into ZZ/m."""
-        if not self.ring.is_exact:
-            raise ValueError("series is already modular")
-        return Series._raw(Zmod(m), [c % m for c in self._coeffs])
-
     # -- serialization ----------------------------------------------------
 
     def to_json_obj(self) -> dict:
@@ -288,12 +284,3 @@ def _div(num: list, den: list, out_len: int, ring: Ring) -> list:
         raise ValueError(f"constant term {d0} is not a unit mod {ring.modulus}")
     return kernels.div_mod(num, den, out_len, ring.modulus)
 
-
-def congruent_up_to(a: Series, b: Series, m: int, bound: int) -> bool:
-    """True iff the coefficients of a and b agree mod m for 0 <= n <= bound."""
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    if bound > a.order or bound > b.order:
-        raise ValueError(f"bound {bound} exceeds a truncation order")
-    ca, cb = a.coeffs, b.coeffs
-    return all((ca[n] - cb[n]) % m == 0 for n in range(bound + 1))

@@ -51,6 +51,27 @@ def test_falsified_claim_counterexample():
     assert ce["lhs"] == 2 and ce["rhs"] == 3
 
 
+def test_failure_in_second_environment_counts_every_earlier_instance():
+    # A_5(3n) = (-1)^(3n) r_4(3n) holds mod 5 (n = 1..20) but not mod 20,
+    # where it first breaks at n = 3: index 9 is odd, so the twisted rhs is
+    # -r_4(9) = -104 = 16 mod 20
+    claim = CongruenceClaim(
+        "two-env",
+        Term(_a(5), a=3),
+        Term(SequenceRef("r", 4), a=3, sign_twist=True),
+        lambda env: env["m"],
+        (Quantifier("m", (5, 20)),),
+    )
+    report = verify_congruence(claim, 60)
+    assert report.to_json_obj() == {
+        "id": "two-env",
+        "bound": 60,
+        "instances": 20 + 3,
+        "status": "fail",
+        "counterexample": {"params": {"m": 20, "n": 3}, "index": 9, "lhs": 6, "rhs": 16},
+    }
+
+
 def test_zero_instances_is_skipped_not_pass():
     # C-T9 needs 625n >= 625 on the rhs, so bound 100 has no instance
     (t9,) = claims_by_id(["C-T9"])
@@ -174,6 +195,29 @@ def test_identity_counterexample():
         verify_identity(wrong, 0)
 
 
+def test_identity_failure_in_second_case_counts_every_earlier_instance():
+    # 1/(1 - q^k) against 1/(1 - q^2): case k = 2 passes (7 coefficients),
+    # case k = 4 breaks at q^2
+    def geometric(ring, order, k):
+        return Series.one(ring, order) / Series(ring, [1] + [0] * (k - 1) + [-1], order)
+
+    claim = IdentityClaim(
+        "two-case",
+        geometric,
+        lambda ring, order, k: geometric(ring, order, 2),
+        ZZ,
+        cases=({"k": 2}, {"k": 4}),
+    )
+    report = verify_identity(claim, 6)
+    assert report.to_json_obj() == {
+        "id": "two-case",
+        "bound": 6,
+        "instances": 7 + 3,
+        "status": "fail",
+        "counterexample": {"params": {"k": 4}, "index": 2, "lhs": 0, "rhs": 1},
+    }
+
+
 def test_report_json_shape():
     (t6,) = claims_by_id(["C-T6"])
     report = verify_congruence(t6, 600)
@@ -235,10 +279,12 @@ def test_hunt_validation():
 
 
 def test_hunt_pointwise_sequence():
-    # d*(5n+b) has no vanishing progression mod 7 this small; just exercise
-    # the pointwise path end to end
-    found = hunt(SequenceRef("dstar"), 7, 5, 300, 5)
-    assert isinstance(found, list)
+    # chi vanishes exactly at the even indices
+    assert hunt(SequenceRef("chi"), 2, 4, 40, 5) == [(2, 0, 20), (4, 0, 10), (4, 2, 10)]
+    # r_4 = 8 d* vanishes mod 8 everywhere; the last index reached is the bound
+    assert hunt(SequenceRef("r", 4), 8, 3, 10, 1) == [
+        (1, 0, 10), (2, 0, 5), (2, 1, 5), (3, 0, 3), (3, 1, 4), (3, 2, 3),
+    ]
 
 
 # -- quantifier plumbing ---------------------------------------------------------
