@@ -154,16 +154,37 @@ def parse_eta_spec(text: str) -> EtaQuotientSpec:
 def eta_quotient(spec: EtaQuotientSpec, ring: Ring, order: int) -> Series:
     """Evaluate q^t * prod (q^s;q^s)^e, truncated at the given order.
 
-    Positive exponents multiply in pentagonal-sparse factors; negative ones
-    divide by them (linear-recurrence division keyed on the sparse divisor),
-    so dense-by-dense products never arise.
+    A factor with a small exponent multiplies in (or divides out) its
+    pentagonal-sparse series |e| times, so dense-by-dense products never
+    arise.  A large exponent would make that loop the whole cost, so when
+    ``_power_is_cheaper`` says so the factor (inverted first when e < 0) is
+    raised to |e| by binary powering and multiplied in once.
     """
     result = Series.monomial(ring, spec.prefactor_exponent, order)
     for scale, exponent in spec.factors:
         factor = euler_product(scale, ring, order)
-        for _ in range(abs(exponent)):
+        count = abs(exponent)
+        if _power_is_cheaper(count, factor):
+            if exponent < 0:
+                factor = factor.inverse()
+            result = result * factor**count
+            continue
+        for _ in range(count):
             result = result * factor if exponent > 0 else result / factor
     return result
+
+
+def _power_is_cheaper(count: int, factor: Series) -> bool:
+    """Cost model for ``eta_quotient``: count sparse passes cost
+    count * nnz * N coefficient steps against (squarings + multiplies + 1)
+    dense products for binary powering, each priced at the schoolbook N^2.
+    That price is exact for the exact kernel and high for the packed
+    modular one, so small exponents keep the sparse loop: at the orders the
+    registry uses (>= 40) every |e| <= 8 does."""
+    n = len(factor)
+    nnz = n - factor[:].count(0)
+    products = count.bit_length() + bin(count).count("1")
+    return count * nnz * n > products * n * n
 
 
 # -- Ramanujan theta function f(a, b) ---------------------------------------

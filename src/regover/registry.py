@@ -286,6 +286,11 @@ def _gf_lhs(ring, order, ell):
     return eta_quotient(regular_overpartition_quotient(ell), ring, order)
 
 
+def _gf_extracted(ell, step, ring, order):
+    """The step*n coefficients of the eta quotient, not of the cached A table."""
+    return _gf_lhs(ring, step * order, ell).extract_progression(step, 0)
+
+
 def _extracted(ref: SequenceRef, step: int, ring, order):
     return sequence_series(ref, ring, step * order).extract_progression(step, 0)
 
@@ -300,8 +305,9 @@ def _identity_claims() -> list[IdentityClaim]:
             cases=tuple({"ell": ell} for ell in (3, 4, 5, 9, 25)),
             default_order=40,
             order_cap=40,
-            lhs_text="eta quotient (q^l;q^l)^2 (q^2;q^2) / (q;q)^2 (q^2l;q^2l)",
-            rhs_text="regular-overpartition enumeration oracle",
+            lhs_text="eta quotient (q^l;q^l)^2 (q^2;q^2) / (q;q)^2 (q^2l;q^2l)"
+            " from pentagonal Euler products",
+            rhs_text="regular-overpartition enumeration oracle (descending-part recursion)",
             source="Shen (2016) generating function",
         ),
         IdentityClaim(
@@ -311,8 +317,8 @@ def _identity_claims() -> list[IdentityClaim]:
             lambda case: Zmod(case["p"]),
             cases=({"p": 3}, {"p": 5}, {"p": 7}),
             default_order=500,
-            lhs_text="(q;q)^p",
-            rhs_text="(q^p;q^p) mod p",
+            lhs_text="pentagonal series (q;q) raised to p by binary powering, mod p",
+            rhs_text="pentagonal series (q^p;q^p), mod p",
             source="binomial theorem (freshman's dream)",
         ),
         IdentityClaim(
@@ -323,8 +329,8 @@ def _identity_claims() -> list[IdentityClaim]:
             ),
             ZZ,
             default_order=1000,
-            lhs_text="phi(-q) theta sum",
-            rhs_text="(q;q)^2 / (q^2;q^2)",
+            lhs_text="phi(-q) theta sum 1 + 2 sum (-1)^n q^(n^2)",
+            rhs_text="eta quotient (q;q)^2 / (q^2;q^2) from pentagonal Euler products",
             source="Berndt, Ramanujan's Notebooks III, p. 37",
         ),
         IdentityClaim(
@@ -335,8 +341,8 @@ def _identity_claims() -> list[IdentityClaim]:
             ),
             Zmod(5),
             default_order=1000,
-            lhs_text="5-regular overpartition series",
-            rhs_text="((q;q)^2/(q^2;q^2))^4 mod 5",
+            lhs_text="A_5 table phi(-q^5) * 1/phi(-q), mod 5",
+            rhs_text="eta quotient (q;q)^8 / (q^2;q^2)^4 from pentagonal Euler products, mod 5",
             source="generating function reduced mod 5",
         ),
         IdentityClaim(
@@ -345,8 +351,8 @@ def _identity_claims() -> list[IdentityClaim]:
             lambda ring, order: phi(-1, ring, order) ** 8,
             Zmod(5),
             default_order=1000,
-            lhs_text="25-regular overpartition series on 5n",
-            rhs_text="phi(-q)^8 mod 5",
+            lhs_text="5n-extraction of the A_25 table phi(-q^25) * 1/phi(-q), mod 5",
+            rhs_text="phi(-q) theta sum raised to 8 by binary powering, mod 5",
             source="via Treneer's overpartition congruence",
         ),
         IdentityClaim(
@@ -355,20 +361,21 @@ def _identity_claims() -> list[IdentityClaim]:
             lambda ring, order: phi(-1, ring, order) ** 3,
             Zmod(5),
             default_order=1000,
-            lhs_text="overpartition series on 5n",
-            rhs_text="phi(-q)^3 mod 5",
+            lhs_text="5n-extraction of the overpartition table 1/phi(-q), mod 5",
+            rhs_text="phi(-q) theta sum cubed by binary powering, mod 5",
             source="Treneer (2006)",
         ),
         IdentityClaim(
             "I-GF125",
-            lambda ring, order: _extracted(_a(125), 125, ring, order),
+            lambda ring, order: _gf_extracted(125, 125, ring, order),
             lambda ring, order: phi(-1, ring, order)
             * _extracted(SequenceRef("pbar"), 125, ring, order),
-            ZZ,
+            Zmod(5**4),
             default_order=200,
-            lhs_text="125-regular overpartition series on 125n",
-            rhs_text="phi(-q) * overpartition series on 125n",
-            source="exact extraction from the generating function",
+            lhs_text="125n-extraction of the eta quotient"
+            " (q^125;q^125)^2 (q^2;q^2)/(q;q)^2 (q^250;q^250), mod 5^4",
+            rhs_text="phi(-q) theta sum * 125n-extraction of 1/phi(-q), mod 5^4",
+            source="generating function of A_125(125n); the paper states it mod 5",
         ),
         IdentityClaim(
             "I-DISSECT",
@@ -376,7 +383,8 @@ def _identity_claims() -> list[IdentityClaim]:
             lambda ring, order: Series.zero(ring, order),
             ZZ,
             default_order=1000,
-            lhs_text="phi(-q) minus its 5-dissection",
+            lhs_text="phi(-q) theta sum minus its 5-dissection"
+            " phi(-q^25) - 2q M1(-q^5) + 2q^4 M2(-q^5) from bilateral sums",
             rhs_text="0",
             source="Berndt, Ramanujan's Notebooks III, p. 49",
         ),
@@ -392,20 +400,22 @@ def _identity_claims() -> list[IdentityClaim]:
             cases=({"a": 3, "b": 7}, {"a": 1, "b": 9}),
             default_order=300,
             lhs_text="f(q^a, q^b) bilateral sum",
-            rhs_text="Jacobi triple product",
+            rhs_text="Jacobi triple product (-q^a;q^(a+b)) (-q^b;q^(a+b)) (q^(a+b);q^(a+b))"
+            " by shift-adds and a pentagonal series",
             source="Jacobi triple product identity",
         ),
         IdentityClaim(
             "I-ALPHA",
-            lambda ring, order, alpha: _extracted(_a(5**alpha), 25, ring, order),
+            lambda ring, order, alpha: _gf_extracted(5**alpha, 25, ring, order),
             lambda ring, order, alpha: phi(-1, ring, order, scale=5 ** (alpha - 2))
             * _extracted(SequenceRef("pbar"), 25, ring, order),
-            ZZ,
+            Zmod(5**4),
             cases=({"alpha": 2}, {"alpha": 3}, {"alpha": 4}),
             default_order=200,
-            lhs_text="5^a-regular overpartition series on 25n",
-            rhs_text="phi(-q^(5^(a-2))) * overpartition series on 25n",
-            source="exact extraction from the generating function",
+            lhs_text="25n-extraction of the eta quotient"
+            " (q^l;q^l)^2 (q^2;q^2)/(q;q)^2 (q^2l;q^2l), l = 5^a, mod 5^4",
+            rhs_text="phi(-q^(5^(a-2))) theta sum * 25n-extraction of 1/phi(-q), mod 5^4",
+            source="generating function of A_(5^a)(25n); the paper states it mod 5",
         ),
         IdentityClaim(
             "I-PBAR",
@@ -416,8 +426,8 @@ def _identity_claims() -> list[IdentityClaim]:
             ),
             ZZ,
             default_order=500,
-            lhs_text="(-q;q)/(q;q) by direct product expansion",
-            rhs_text="(q^2;q^2)/(q;q)^2",
+            lhs_text="(-q;q) by shift-adds, divided by the pentagonal series (q;q)",
+            rhs_text="eta quotient (q^2;q^2) / (q;q)^2 from pentagonal Euler products",
             source="overpartition generating function",
         ),
     ]

@@ -78,13 +78,17 @@ def sequence_series(ref: SequenceRef, ring: Ring, order: int) -> Series:
     """
     if not ref.is_series_backed:
         raise ValueError(f"sequence {ref.label()} has no generating function route")
+    return _memoized(ref, ring, order).truncate(order)
+
+
+def _memoized(ref: SequenceRef, ring: Ring, order: int) -> Series:
+    """The cached series for (ref, ring), built first when it is missing or
+    shorter than order; it may run past order."""
     key = (ref.name, ref.param, ring.modulus)
     cached = _series_cache.get(key)
-    if cached is not None and cached.order >= order:
-        return cached.truncate(order)
-    series = _build_series(ref, ring, order)
-    _series_cache[key] = series
-    return series
+    if cached is None or cached.order < order:
+        cached = _series_cache[key] = _build_series(ref, ring, order)
+    return cached
 
 
 def _build_series(ref: SequenceRef, ring: Ring, order: int) -> Series:
@@ -110,9 +114,12 @@ def sequence_table(ref: SequenceRef, modulus: int | None, upto: int) -> list[int
 
 
 def sequence_value(ref: SequenceRef, n: int) -> int:
-    """Exact value at n, series-backed or pointwise."""
+    """Exact value at n, series-backed or pointwise.  A series-backed value
+    is read straight from the cached table, with no prefix copy."""
     if ref.is_series_backed:
-        return sequence_series(ref, ZZ, n)[n]
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        return _memoized(ref, ZZ, n)[n]
     if ref.name == "r":
         return arith.r_formula(ref.param, n)
     if ref.name == "dstar":

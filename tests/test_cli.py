@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import time
+from math import comb
 
 import pytest
 
@@ -46,6 +48,20 @@ def test_expand_json_is_series_object(capsys):
     assert code == 0
     obj = json.loads(out)
     assert Series.from_json_obj(obj).coeffs == [1, 2, 4, 8, 14]
+
+
+def test_expand_huge_exponent_is_fast_and_binomial(capsys):
+    # (q;q)^e = (1 - q - q^2)^e up to q^3, so the coefficient of q^n is
+    # sum_k (-1)^k C(e, k) C(k, n - k)
+    e = 99999999
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "expand", f"1^{e}", "--order", "3")
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    coeffs = [int(line.split()[1]) for line in out.strip().splitlines()]
+    assert coeffs == [
+        sum((-1) ** k * comb(e, k) * comb(k, n - k) for k in range(n + 1)) for n in range(4)
+    ]
 
 
 def test_expand_parse_error(capsys):

@@ -1,6 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from regover import products
+from regover.claims import IdentityClaim, verify_identity
 from regover.products import (
     EtaQuotientSpec,
     EtaSpecParseError,
@@ -14,6 +18,8 @@ from regover.products import (
     theta_f_product,
     theta_f_series,
 )
+from regover.registry import builtin_registry
+from regover.sequences import clear_caches
 from regover.series import Series, ZZ, Zmod
 
 
@@ -111,6 +117,57 @@ def test_eta_quotient_inverse_spec():
     s = eta_quotient(spec, ZZ, 60)
     t = eta_quotient(spec.inverse(), ZZ, 60)
     assert s * t == Series.one(ZZ, 60)
+
+
+def repeated_eta(spec, ring, order):
+    """The sparse route alone: one product or quotient per unit of |e|."""
+    result = Series.monomial(ring, spec.prefactor_exponent, order)
+    for scale, exponent in spec.factors:
+        factor = euler_product(scale, ring, order)
+        for _ in range(abs(exponent)):
+            result = result * factor if exponent > 0 else result / factor
+    return result
+
+
+def test_eta_quotient_powering_matches_repeated_products(monkeypatch):
+    powered = []
+    choose = products._power_is_cheaper
+
+    def spy(count, factor):
+        powered.append(choose(count, factor))
+        return powered[-1]
+
+    monkeypatch.setattr(products, "_power_is_cheaper", spy)
+    rng = random.Random(7)
+    for _ in range(60):
+        factors = tuple(
+            (rng.randint(1, 4), rng.choice([-1, 1]) * rng.randint(1, 40))
+            for _ in range(rng.randint(1, 3))
+        )
+        spec = EtaQuotientSpec(rng.randint(0, 2), factors)
+        order = rng.randint(0, 30)
+        for ring in (ZZ, Zmod(7)):
+            assert eta_quotient(spec, ring, order) == repeated_eta(spec, ring, order), (
+                spec,
+                order,
+            )
+    assert True in powered and False in powered  # both routes ran
+
+
+def test_registry_eta_quotients_keep_the_sparse_route(monkeypatch):
+    # every exponent the registry uses has |e| <= 8; at the registry's
+    # orders the cost model must leave all of them on the repeated product
+    choose = products._power_is_cheaper
+
+    def spy(count, factor):
+        assert not choose(count, factor), (count, len(factor))
+        return False
+
+    monkeypatch.setattr(products, "_power_is_cheaper", spy)
+    clear_caches()
+    for claim in builtin_registry():
+        if isinstance(claim, IdentityClaim):
+            assert verify_identity(claim, claim.default_order).passed
 
 
 def test_eta_spec_merges_duplicate_scales():

@@ -1,4 +1,7 @@
-from regover.claims import CongruenceClaim, IdentityClaim
+import json
+from pathlib import Path
+
+from regover.claims import CongruenceClaim, IdentityClaim, verify_identity
 from regover.registry import builtin_registry, claims_by_id, registry_ids, verify_all
 from regover.sequences import SequenceRef
 
@@ -58,3 +61,23 @@ def test_verify_all_default_scale_passes():
     assert all(r.passed for r in reports), [
         (r.claim_id, r.status) for r in reports if not r.passed
     ]
+
+
+BENCH_EXPECTED = Path(__file__).resolve().parent.parent / "bench" / "expected.json"
+
+
+def test_identity_reports_match_the_benchmark_expectations():
+    # the `identities` benchmark workload runs every identity at order 1000
+    # and gates on these (status, bound, instances); a claim rewrite that
+    # drifts from them fails here, not only in a benchmark run
+    expected = json.loads(BENCH_EXPECTED.read_text())["identities"]
+    identities = [c for c in builtin_registry() if isinstance(c, IdentityClaim)]
+    assert sorted(expected) == sorted(c.id for c in identities)
+    for claim in identities:
+        report = verify_identity(claim, 1000)
+        want = expected[claim.id]
+        assert (report.status, report.bound, report.instances) == (
+            want["status"],
+            want["bound"],
+            want["instances"],
+        ), claim.id

@@ -12,7 +12,7 @@ from regover.sequences import (
     sequence_table,
     sequence_value,
 )
-from regover.series import ZZ, Zmod
+from regover.series import Series, ZZ, Zmod
 
 
 def test_sequence_ref_validation():
@@ -170,6 +170,25 @@ def test_sequence_value():
     assert sequence_value(SequenceRef("dstar"), 12) == 12
     assert sequence_value(SequenceRef("sigma3m"), 4) == 71
     assert sequence_value(SequenceRef("chi"), 3) == -1
+
+
+def test_sequence_value_reads_the_cached_table_without_copying(monkeypatch):
+    clear_caches()
+    pbar = SequenceRef("pbar")
+    table = sequence_series(pbar, ZZ, 2000)
+    copies = []
+    truncate = Series.truncate
+
+    def counting(self, order):
+        copies.append(order)
+        return truncate(self, order)
+
+    monkeypatch.setattr(Series, "truncate", counting)
+    assert [sequence_value(pbar, n) for n in range(1000, 2001)] == table[1000:]
+    assert copies == []
+    assert sequence_value(pbar, 2500) == sequence_series(pbar, ZZ, 2500)[2500]
+    with pytest.raises(ValueError):
+        sequence_value(pbar, -1)
 
 
 def test_cache_grows_and_truncates():
