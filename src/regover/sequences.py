@@ -67,7 +67,10 @@ _series_cache: dict[tuple[str, int | None, int | None], Series] = {}
 
 
 def clear_caches():
+    """Empty both cache layers: the series tables here and arith's r_k
+    lattice tables."""
     _series_cache.clear()
+    arith._r_tables.clear()
 
 
 def sequence_series(ref: SequenceRef, ring: Ring, order: int) -> Series:

@@ -1,9 +1,12 @@
 import random
-from math import gcd
+from functools import lru_cache
+from math import gcd, isqrt, prod
 
 import pytest
 
+from regover import arith
 from regover.arith import (
+    R_ORACLE_N_CAP,
     chi,
     d_star,
     primes_up_to,
@@ -14,6 +17,82 @@ from regover.arith import (
 )
 from regover.products import phi
 from regover.series import ZZ
+
+
+# -- trial-division references: each divisor sum straight from its definition
+
+
+@lru_cache(maxsize=None)
+def ref_divisors(n):
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return tuple(small + [n // d for d in reversed(small) if d * d != n])
+
+
+def ref_d_star(n):
+    return sum(d for d in ref_divisors(n) if d % 4)
+
+
+def ref_sigma3_minus(n):
+    return sum(d**3 if d % 2 == 0 else -(d**3) for d in ref_divisors(n))
+
+
+def ref_r_formula(k, n):
+    if n == 0:
+        return 1
+    divisors = ref_divisors(n)
+    if k == 2:
+        return 4 * sum(chi(d) for d in divisors)
+    if k == 4:
+        return 8 * ref_d_star(n)
+    if k == 6:
+        return 16 * sum(chi(n // d) * d * d for d in divisors) - 4 * sum(
+            chi(d) * d * d for d in divisors
+        )
+    return 16 * (-1) ** n * ref_sigma3_minus(n)
+
+
+def _check_against_references(n):
+    assert d_star(n) == ref_d_star(n), n
+    assert sigma3_minus(n) == ref_sigma3_minus(n), n
+    for k in (2, 4, 6, 8):
+        assert r_formula(k, n) == ref_r_formula(k, n), (k, n)
+
+
+def _large_cases():
+    rng = random.Random(160308660)
+    cases = [2**a for a in range(1, 31)]
+    # p = 1 (mod 4) and p = 3 (mod 4), to odd and even powers, alone and
+    # beside a random even cofactor
+    for p in (5, 13, 17, 3, 7, 11):
+        for e in range(1, 9):
+            cases += [p**e, p**e * 2 * rng.randint(1, 500)]
+    # primes above 1000 (1009, 1013 = 1 and 1019, 1031 = 3 mod 4), their
+    # squares, and their products, so the cofactor outlives the small primes
+    big = [1009, 1013, 1019, 1031, 7919, 104723, 1000003]
+    cases += big + [p * p for p in big]
+    cases += [1009 * 1019, 3 * 1019**2, 4 * 1013**2 * 7, 1009 * 1013 * 1019]
+    # a large prime cofactor beside a random small one, up to 10^12
+    for p in (999999937, 1000000007, 1000000009, 2147483647):
+        cases.append(p * rng.randint(2, 10**12 // p))
+    return cases
+
+
+def test_closed_forms_match_trial_division_up_to_5000():
+    for n in range(1, 5001):
+        _check_against_references(n)
+
+
+def test_closed_forms_match_trial_division_on_large_n():
+    for n in _large_cases():
+        _check_against_references(n)
+
+
+def test_factorize_gives_increasing_prime_powers():
+    for n in _large_cases():
+        factors = arith._factorize(n)
+        assert prod(p**e for p, e in factors) == n, n
+        assert [p for p, _ in factors] == sorted({p for p, _ in factors}), n
+        assert all(len(ref_divisors(p)) == 2 for p, _ in factors), n
 
 
 def test_d_star():
@@ -69,8 +148,8 @@ def test_r_oracle_examples():
 
 @pytest.mark.parametrize("k", [2, 4, 6, 8])
 def test_r_formula_matches_oracle(k):
-    table = r_oracle_table(k, 400)
-    for n in range(1, 401):
+    table = r_oracle_table(k, R_ORACLE_N_CAP)
+    for n in range(1, R_ORACLE_N_CAP + 1):
         assert r_formula(k, n) == table[n], (k, n)
 
 

@@ -1,7 +1,7 @@
 import json
 from pathlib import Path
 
-from regover.claims import CongruenceClaim, IdentityClaim, verify_identity
+from regover.claims import CongruenceClaim, IdentityClaim, verify_congruence, verify_identity
 from regover.registry import builtin_registry, claims_by_id, registry_ids, verify_all
 from regover.sequences import SequenceRef
 
@@ -75,6 +75,23 @@ def test_identity_reports_match_the_benchmark_expectations():
     assert sorted(expected) == sorted(c.id for c in identities)
     for claim in identities:
         report = verify_identity(claim, 1000)
+        want = expected[claim.id]
+        assert (report.status, report.bound, report.instances) == (
+            want["status"],
+            want["bound"],
+            want["instances"],
+        ), claim.id
+
+
+def test_congruence_reports_match_the_benchmark_expectations():
+    # the `congruences` benchmark workload runs every congruence at bound
+    # 20000 (prime cap 20, k cap 1) and gates on these (status, bound,
+    # instances); a pointwise or claim rewrite that drifts fails here
+    expected = json.loads(BENCH_EXPECTED.read_text())["congruences"]
+    congruences = [c for c in builtin_registry() if isinstance(c, CongruenceClaim)]
+    assert sorted(expected) == sorted(c.id for c in congruences)
+    for claim in congruences:
+        report = verify_congruence(claim, 20000, prime_cap=20, k_cap=1)
         want = expected[claim.id]
         assert (report.status, report.bound, report.instances) == (
             want["status"],

@@ -1,6 +1,6 @@
 import pytest
 
-from regover import arith
+from regover import arith, sequences
 from regover.products import eta_quotient
 from regover.registry import regular_overpartition_quotient
 from regover.sequences import (
@@ -229,3 +229,11 @@ def test_r_oracle_table_hands_out_a_copy():
     assert arith.r_oracle(4, 5) == 48
     arith.r_oracle_table(4, 10)[5] = 999
     assert arith.r_oracle_table(4, 10)[5] == 48
+
+
+def test_clear_caches_empties_both_cache_layers():
+    sequence_series(SequenceRef("pbar"), Zmod(5), 10)
+    arith.r_oracle_table(4, 10)
+    clear_caches()
+    assert sequences._series_cache == {}
+    assert arith._r_tables == {}
