@@ -116,10 +116,12 @@ def r_formula(k: int, n: int) -> int:
     sum_i chi(p)^(e-i) p^(2i) and sum chi(d) d^2 gives sum_i chi(p)^i p^(2i)
     (i = 0..e); for p = 2 they give 1, 2^(2e) and 1.
     """
-    if n == 0:
-        return 1
     if n < 0:
         raise ValueError("n must be >= 0")
+    if k not in (2, 4, 6, 8):
+        raise ValueError(f"no closed formula for k={k} (supported: 2, 4, 6, 8)")
+    if n == 0:
+        return 1
     if k == 2:
         reps = 4
         for p, e in _split_two(n)[1]:
@@ -138,9 +140,7 @@ def r_formula(k: int, n: int) -> int:
             twisted *= sum(c ** (e - i) * p ** (2 * i) for i in range(e + 1))
             plain *= sum(c**i * p ** (2 * i) for i in range(e + 1))
         return 16 * twisted - 4 * plain
-    if k == 8:
-        return 16 * (-1) ** n * sigma3_minus(n)
-    raise ValueError(f"no closed formula for k={k} (supported: 2, 4, 6, 8)")
+    return 16 * (-1) ** n * sigma3_minus(n)
 
 
 _r_tables: dict[int, list[int]] = {}

@@ -159,9 +159,17 @@ def eta_quotient(spec: EtaQuotientSpec, ring: Ring, order: int) -> Series:
     arise.  A large exponent would make that loop the whole cost, so when
     ``_power_is_cheaper`` says so the factor (inverted first when e < 0) is
     raised to |e| by binary powering and multiplied in once.
+
+    Every factor with e > 0 is applied before any with e < 0, each group in
+    increasing scale.  A product costs in proportion to its sparser
+    operand, so multiplying while the running result is still sparse is
+    cheap, whereas a division costs the same whatever the numerator; the
+    other order would shift-add a dense quotient once per term of each
+    numerator factor.  The arithmetic is exact in either order, so the
+    output does not depend on it.
     """
     result = Series.monomial(ring, spec.prefactor_exponent, order)
-    for scale, exponent in spec.factors:
+    for scale, exponent in sorted(spec.factors, key=lambda f: f[1] < 0):
         factor = euler_product(scale, ring, order)
         count = abs(exponent)
         if _power_is_cheaper(count, factor):

@@ -8,9 +8,9 @@ phi(-q^l)/phi(-q)).
 Oracle route: direct descending-part recursion, deliberately memo-free and
 structurally unrelated to the series pipeline, weighting each partition by
 2^(number of distinct part sizes) for the overlined variants.  The
-recursion stops at part 2: whatever remains is forced to be all ones, so
-it adds that one partition's weight directly (none when the restriction
-is 1 and ones are barred).
+recursion stops at part 3: whatever remains is a partition into 1s and
+2s, whose count (or weighted count) has a closed form in its size, so it
+is added directly.
 """
 
 from __future__ import annotations
@@ -137,22 +137,33 @@ def sequence_value(ref: SequenceRef, n: int) -> int:
 
 def oracle_partition(restriction: int | None, n: int, cap: int = ORACLE_CAP) -> int:
     """Partitions of n (weight 1), optionally into parts not divisible by
-    the restriction; plain recursion over the largest part."""
+    the restriction; plain recursion over the largest part, down to part 3.
+
+    A remainder r > 0 left for parts 1 and 2 has floor(r/2) + 1 partitions
+    when both are allowed, 1 (all ones) when 2 is barred, and none when
+    the restriction is 1."""
     if n > cap:
         raise ValueError(f"n={n} exceeds the enumeration cap {cap}")
     if n < 0:
         raise ValueError("n must be >= 0")
 
+    ones, twos = (restriction is None or part % restriction != 0 for part in (1, 2))
+
+    def small_parts(r: int) -> int:
+        if not ones:
+            return 0
+        return r // 2 + 1 if twos else 1
+
     def count(remaining: int, max_part: int) -> int:
         if remaining == 0:
             return 1
-        total = 0
-        for part in range(min(remaining, max_part), 1, -1):
+        # max_part >= 2 here unless remaining <= 1: the first call passes
+        # n, and every later one follows a part >= 3
+        total = small_parts(remaining)
+        for part in range(min(remaining, max_part), 2, -1):
             if restriction is not None and part % restriction == 0:
                 continue
             total += count(remaining - part, part)
-        if max_part >= 1 and restriction != 1:
-            total += 1  # the rest as ones
         return total
 
     return count(n, n)
@@ -161,25 +172,37 @@ def oracle_partition(restriction: int | None, n: int, cap: int = ORACLE_CAP) -> 
 def oracle_regular_overpartition(restriction: int | None, n: int, cap: int = ORACLE_CAP) -> int:
     """Overpartitions of n into parts not divisible by the restriction
     (None = plain overpartitions): each partition counts with weight
-    2^(number of distinct part sizes)."""
+    2^(number of distinct part sizes).  The recursion over the largest
+    part stops at part 3.
+
+    A remainder r > 0 left for parts 1 and 2 weighs 2r in total when both
+    are allowed (2 for all ones, 2 for all twos when r is even, 4 for each
+    mix), 2 when 2 is barred, and 0 when the restriction is 1."""
     if n > cap:
         raise ValueError(f"n={n} exceeds the enumeration cap {cap}")
     if n < 0:
         raise ValueError("n must be >= 0")
 
+    ones, twos = (restriction is None or part % restriction != 0 for part in (1, 2))
+
+    def small_parts(r: int) -> int:
+        if not ones:
+            return 0
+        return 2 * r if twos else 2
+
     def count(remaining: int, max_part: int) -> int:
         if remaining == 0:
             return 1
-        total = 0
-        for part in range(min(remaining, max_part), 1, -1):
+        # max_part >= 2 here unless remaining <= 1: the first call passes
+        # n, and every later one follows a part >= 3
+        total = small_parts(remaining)
+        for part in range(min(remaining, max_part), 2, -1):
             if restriction is not None and part % restriction == 0:
                 continue
             used = part
             while used <= remaining:
                 total += 2 * count(remaining - used, part - 1)
                 used += part
-        if max_part >= 1 and restriction != 1:
-            total += 2  # the rest as ones, overlined or not
         return total
 
     return count(n, n)

@@ -130,9 +130,17 @@ def test_r_formula_examples():
     assert r_formula(2, 5) == 8
     assert r_formula(6, 1) == 12
     assert r_formula(8, 3) == 448
-    assert r_formula(4, 0) == 1
+    assert [r_formula(k, 0) for k in (2, 4, 6, 8)] == [1, 1, 1, 1]
     with pytest.raises(ValueError):
         r_formula(3, 5)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 7, 9])
+def test_r_formula_rejects_unsupported_k_at_every_n(k):
+    # n = 0 must not answer r_k(0) = 1 before k is checked
+    for n in (0, 5):
+        with pytest.raises(ValueError, match=f"no closed formula for k={k}"):
+            r_formula(k, n)
 
 
 def test_r_oracle_examples():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regover import products
+from regover import kernels, products
 from regover.claims import IdentityClaim, verify_identity
 from regover.products import (
     EtaQuotientSpec,
@@ -18,7 +18,7 @@ from regover.products import (
     theta_f_product,
     theta_f_series,
 )
-from regover.registry import builtin_registry
+from regover.registry import builtin_registry, regular_overpartition_quotient
 from regover.sequences import clear_caches
 from regover.series import Series, ZZ, Zmod
 
@@ -127,6 +127,33 @@ def repeated_eta(spec, ring, order):
         for _ in range(abs(exponent)):
             result = result * factor if exponent > 0 else result / factor
     return result
+
+
+@pytest.mark.parametrize(
+    "ring,order,kernel_names",
+    [(Zmod(625), 3000, ("mul_mod", "div_mod")), (ZZ, 300, ("mul_exact", "div_exact"))],
+    ids=["mod625", "ZZ"],
+)
+@pytest.mark.parametrize("ell", [25, 125, 625])
+def test_eta_quotient_multiplies_before_dividing(monkeypatch, ell, ring, order, kernel_names):
+    # every numerator factor goes in before the first division, and the
+    # result equals the scale-order route coefficient for coefficient
+    spec = regular_overpartition_quotient(ell)
+    expected = repeated_eta(spec, ring, order)
+    calls = []
+    for name in kernel_names:
+        real = getattr(kernels, name)
+
+        def spy(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(kernels, name, spy)
+    assert eta_quotient(spec, ring, order).coeffs == expected.coeffs
+    mul, div = kernel_names
+    # two products by (q^l;q^l) and one by (q^2;q^2), then two quotients
+    # by (q;q) and one by (q^2l;q^2l)
+    assert calls == [mul] * 3 + [div] * 3
 
 
 def test_eta_quotient_powering_matches_repeated_products(monkeypatch):

@@ -90,7 +90,19 @@ def ref_oracle_regular_overpartition(restriction, n):
     return count(n, n)
 
 
-@pytest.mark.parametrize("restriction", [None, 1, 2, 3, 5, 25])
+def test_oracle_closed_form_remainder():
+    # n = 1 and 2 never enter the recursion: the whole count is the
+    # parts-at-most-2 remainder.  Both parts allowed: 1, 1+1, 2 give
+    # 1 and 2 partitions, weighing 2 and 2 + 2 overlined.
+    for restriction in (None, 3, 4):
+        assert [oracle_partition(restriction, n) for n in (1, 2)] == [1, 2]
+        assert [oracle_regular_overpartition(restriction, n) for n in (1, 2)] == [2, 4]
+    # restriction 2 bars part 2, leaving only the all-ones partition
+    assert [oracle_partition(2, n) for n in (1, 2)] == [1, 1]
+    assert [oracle_regular_overpartition(2, n) for n in (1, 2)] == [2, 2]
+
+
+@pytest.mark.parametrize("restriction", [None, 1, 2, 3, 4, 5, 9, 25])
 def test_oracles_match_full_recursion(restriction):
     for n in range(31):
         assert oracle_partition(restriction, n) == ref_oracle_partition(restriction, n), n
