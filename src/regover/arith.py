@@ -143,18 +143,15 @@ def r_formula(k: int, n: int) -> int:
     return 16 * (-1) ** n * sigma3_minus(n)
 
 
-_r_tables: dict[int, list[int]] = {}
-
-
 def r_oracle_table(k: int, upto: int) -> list[int]:
-    """r_k(0..upto) by k-fold convolution of the squares-count vector."""
+    """r_k(0..upto) by k-fold convolution of the squares-count vector,
+    built afresh on every call."""
+    if upto < 0:
+        raise ValueError("n must be >= 0")
     if not 1 <= k <= 8:
         raise ValueError("k must be between 1 and 8")
     if upto > R_ORACLE_N_CAP:
         raise ValueError(f"n exceeds the enumeration cap {R_ORACLE_N_CAP}")
-    cached = _r_tables.get(k)
-    if cached is not None and len(cached) > upto:
-        return cached[: upto + 1]
     squares = [0] * (upto + 1)
     squares[0] = 1
     j = 1
@@ -164,8 +161,7 @@ def r_oracle_table(k: int, upto: int) -> list[int]:
     table = [1] + [0] * upto
     for _ in range(k):
         table = kernels.mul_exact(table, squares, upto + 1)
-    _r_tables[k] = table
-    return table[:]
+    return table
 
 
 def r_oracle(k: int, n: int) -> int:

@@ -146,21 +146,14 @@ def _expand_quantifiers(
     return rec(0, {})
 
 
-@dataclass(frozen=True)
-class _ConcreteTerm:
-    seq: SequenceRef | None
-    a: int
-    b: int
-    sign_twist: bool
-
-
-def _concretize(term: Term, env: dict) -> _ConcreteTerm:
+def _concretize(term: Term, env: dict) -> Term:
+    """The term with seq, a and b resolved in the quantifier environment."""
     seq = _resolve(term.seq, env)
     a = _resolve(term.a, env)
     b = _resolve(term.b, env)
     if seq is not None and a < 1:
         raise ValueError("index multiplier must be >= 1")
-    return _ConcreteTerm(seq, a, b, term.sign_twist)
+    return Term(seq, a, b, term.sign_twist)
 
 
 def _residues(
@@ -177,7 +170,7 @@ def _residues(
     return [sequence_value(ref, idx) % modulus for idx in indices]
 
 
-def _instance_range(sides: list[_ConcreteTerm], bound: int) -> tuple[int, int]:
+def _instance_range(sides: list[Term], bound: int) -> tuple[int, int]:
     """Largest n-interval where every sequence index lies in [1, bound]."""
     lo, hi = 0, bound
     for t in sides:

@@ -1,5 +1,5 @@
-"""Truncated power series kernels: packed modular kernels, a schoolbook
-exact product and a blocked exact quotient, in pure Python.
+"""Truncated power series kernels: packed modular kernels and plain-loop
+exact kernels, in pure Python.
 
 ``mul_mod``, ``div_mod``, ``mul_exact`` and ``div_exact`` are the only
 kernel implementation.  ``series`` and ``arith`` call them as attributes of
@@ -9,18 +9,12 @@ Coefficient lists may be shorter or longer than ``out_len`` (missing entries
 are zero, extra ones are ignored); outputs have exactly ``out_len`` entries.
 Modular results are least nonnegative residues.
 
-``mul_exact`` loops over the nonzero terms (schoolbook).  ``div_exact``
-groups the divisor's tail by magnitude g, so a lacunary divisor like
-(q;q)_inf or phi(-q), whose tail has one magnitude, needs one multiply by g
-per quotient term.  It solves the quotient in blocks of ``_BLOCK``
-coefficients.  For block [s, e) it first sums what the finished prefix
-q[:s] contributes: per group, each tail term k adds or subtracts the slice
-q[max(s, k) - k : min(e, s + k) - k] into a block-sized accumulator with
-one ``map`` over list slices, so the big-int additions run without a
-Python-level step each, and the numerator slice loses g times that
-accumulator.  Then it solves the block with the plain recurrence over the
-in-block sources only (tail terms k <= n - s).  Each block pulls from
-finished coefficients, so no partial sums are held ahead of the block.
+``mul_exact`` and ``div_exact`` are plain loops over the nonzero terms:
+the schoolbook product, and the recurrence
+q[n] = den[0] * (num[n] - sum of v * q[n - k]) over the divisor's nonzero
+tail terms v q**k.  Exact series run to a few thousand coefficients, where
+each call takes milliseconds; a blocked quotient would pay off only from
+about 10**4 coefficients.
 
 The modular kernels use Kronecker substitution: a list of residues mod m
 becomes one Python int with a fixed field width, so CPython's C big-int
@@ -49,13 +43,11 @@ Here t is the larger of _BLOCK and the divisor's nonzero tail count.
 
 import sys
 from array import array
-from operator import add, sub
 
 # Both set by measurement on divisions by phi(-q) and (q;q) and on random
-# sparse-by-dense products, N = 2e3 to 1e5.  Block lengths 256 to 1024 time
-# alike; from 2048 on, mod-5 and mod-7 fields outgrow 2 bytes.  div_exact
-# shares _BLOCK: its exact 1/phi(-q) to 1.25e5 times alike at 128, 512 and
-# 2048.  mul_mod shift-adds the sparser operand when its nonzero count t
+# sparse-by-dense products, N = 2e3 to 1e5.  div_mod's block lengths 256 to
+# 1024 time alike; from 2048 on, mod-5 and mod-7 fields outgrow 2 bytes.
+# mul_mod shift-adds the sparser operand when its nonzero count t
 # satisfies t * t <= _SPARSE_RATIO * (length of the other), which tracks
 # the break-even against one big-int (Karatsuba) multiply.
 _BLOCK = 512
@@ -145,21 +137,10 @@ def mul_exact(a, b, out_len):
     out = [0] * out_len
     for j, d in nzb:
         lim = out_len - j
-        if d == 1:
-            for i, c in nza:
-                if i >= lim:
-                    break
-                out[i + j] += c
-        elif d == -1:
-            for i, c in nza:
-                if i >= lim:
-                    break
-                out[i + j] -= c
-        else:
-            for i, c in nza:
-                if i >= lim:
-                    break
-                out[i + j] += c * d
+        for i, c in nza:
+            if i >= lim:
+                break
+            out[i + j] += c * d
     return out
 
 
@@ -222,41 +203,13 @@ def div_exact(num, den, out_len):
     d0 = den[0] if den else 0
     if d0 not in (1, -1):
         raise ValueError("constant term of divisor must be 1 or -1")
-    by_magnitude = {}
-    for k, v in _nonzero(den, out_len):
-        if k:
-            by_magnitude.setdefault(abs(v), []).append((k, add if v > 0 else sub))
-    groups = list(by_magnitude.items())
+    tail = _nonzero(den, out_len)[1:]
     q = []
-    for s in range(0, out_len, _BLOCK):
-        e = min(s + _BLOCK, out_len)
-        size = e - s
-        rhs = num[s:e]
-        rhs += [0] * (size - len(rhs))
-        # what the finished prefix q[:s] contributes: tail term k reaches
-        # targets [max(s, k), min(e, s + k)) from sources below s
-        for g, terms in groups:
-            acc = [0] * size
-            for k, op in terms:
-                if k >= e:
-                    break
-                lo = max(s, k) - s
-                hi = min(e, s + k) - s
-                acc[lo:hi] = map(op, acc[lo:hi], q[s + lo - k : s + hi - k])
-            if g == 1:
-                rhs = list(map(sub, rhs, acc))
-            else:
-                rhs = [r - g * a for r, a in zip(rhs, acc)]
-        # the in-block sources, k <= n - s
-        for i in range(size):
-            val = rhs[i]
-            n = s + i
-            for g, terms in groups:
-                t = 0
-                for k, op in terms:
-                    if k > i:
-                        break
-                    t = op(t, q[n - k])
-                val -= g * t
-            q.append(val if d0 == 1 else -val)
+    for n in range(out_len):
+        acc = num[n] if n < len(num) else 0
+        for k, v in tail:
+            if k > n:
+                break
+            acc -= v * q[n - k]
+        q.append(d0 * acc)
     return q

@@ -218,6 +218,7 @@ class ThetaSpec:
 
 def theta_f_series(spec: ThetaSpec, ring: Ring, order: int) -> Series:
     """Bilateral sum: f(a,b) = sum_{n in Z} a^(n(n+1)/2) b^(n(n-1)/2)."""
+    check_order(order)
     c = [0] * (order + 1)
 
     def add_term(n: int) -> bool:

@@ -67,10 +67,9 @@ _series_cache: dict[tuple[str, int | None, int | None], Series] = {}
 
 
 def clear_caches():
-    """Empty both cache layers: the series tables here and arith's r_k
-    lattice tables."""
+    """Empty the series table cache, the package's one cache of sequence
+    tables (arith builds every r_k lattice table afresh)."""
     _series_cache.clear()
-    arith._r_tables.clear()
 
 
 def sequence_series(ref: SequenceRef, ring: Ring, order: int) -> Series:
@@ -146,6 +145,8 @@ def oracle_partition(restriction: int | None, n: int, cap: int = ORACLE_CAP) -> 
         raise ValueError(f"n={n} exceeds the enumeration cap {cap}")
     if n < 0:
         raise ValueError("n must be >= 0")
+    if restriction is not None and restriction < 1:
+        raise ValueError("restriction must be >= 1")
 
     ones, twos = (restriction is None or part % restriction != 0 for part in (1, 2))
 
@@ -182,6 +183,8 @@ def oracle_regular_overpartition(restriction: int | None, n: int, cap: int = ORA
         raise ValueError(f"n={n} exceeds the enumeration cap {cap}")
     if n < 0:
         raise ValueError("n must be >= 0")
+    if restriction is not None and restriction < 1:
+        raise ValueError("restriction must be >= 1")
 
     ones, twos = (restriction is None or part % restriction != 0 for part in (1, 2))
 

@@ -133,6 +133,8 @@ def test_r_formula_examples():
     assert [r_formula(k, 0) for k in (2, 4, 6, 8)] == [1, 1, 1, 1]
     with pytest.raises(ValueError):
         r_formula(3, 5)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        r_formula(4, -1)
 
 
 @pytest.mark.parametrize("k", [1, 3, 5, 7, 9])
@@ -152,6 +154,10 @@ def test_r_oracle_examples():
         r_oracle(4, 6000)
     with pytest.raises(ValueError):
         r_oracle(9, 10)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        r_oracle(4, -1)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        r_oracle_table(4, -1)
 
 
 @pytest.mark.parametrize("k", [2, 4, 6, 8])

@@ -195,6 +195,14 @@ def test_identity_counterexample():
         verify_identity(wrong, 0)
 
 
+def test_claims_reject_malformed_shapes():
+    with pytest.raises(ValueError, match="at least one case"):
+        IdentityClaim("no-cases", Series.one, Series.one, ZZ, cases=())
+    zero_step = linear_claim(SequenceRef("p"), 0, 1, 5)
+    with pytest.raises(ValueError, match="index multiplier must be >= 1"):
+        verify_congruence(zero_step, 10)
+
+
 def test_identity_failure_in_second_case_counts_every_earlier_instance():
     # 1/(1 - q^k) against 1/(1 - q^2): case k = 2 passes (7 coefficients),
     # case k = 4 breaks at q^2

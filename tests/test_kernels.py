@@ -1,15 +1,15 @@
 """The exact kernels of ``regover.kernels`` against schoolbook reference
 loops, bit for bit.
 
-``div_exact`` works in blocks of ``kernels._BLOCK`` coefficients: per
-magnitude group of the divisor's tail it sums the finished prefix into each
-block with list-slice maps, then runs the recurrence over the in-block
-sources.  The reference below is one plain recurrence that multiplies term
-by term, so the two routes check each other.  The small hypothesis cases
-stay inside one block; the block-edge cases put tail terms and output
-lengths on either side of each block boundary, where a wrong slice window,
-a wrong in-block cut-off or a dropped magnitude would show.  The packed
-modular kernels are tested in ``test_packed_kernels.py``.
+``div_exact`` runs the recurrence over the divisor's nonzero tail only,
+skipping zero terms and stopping at the first term past n.  The reference
+below walks every tail entry, zero or not, so a wrong cut-off or a
+dropped term would show.  The hypothesis cases draw divisors with mixed
+magnitudes and with one magnitude under random signs.  The block-edge cases
+put tail terms, output lengths and numerator lengths around multiples of
+``kernels._BLOCK`` (512, the block length of ``div_mod``); they exercise the
+plain loop at those lengths with long big-int quotients.  The packed modular
+kernels are tested in ``test_packed_kernels.py``.
 """
 
 import random
@@ -50,7 +50,7 @@ out_lens = st.integers(0, 80)
 @st.composite
 def unit_divisors(draw):
     """den[0] = +-1 and a tail of either mixed magnitudes or one magnitude
-    with random signs, so one group and many groups are both drawn."""
+    with random signs (the shape of (q;q) and phi(-q))."""
     head = draw(st.sampled_from([1, -1]))
     length = draw(st.integers(0, 40))
     if draw(st.booleans()):
@@ -77,7 +77,7 @@ def test_div_exact_matches_schoolbook(num, den, out_len):
 @given(coeff_lists, st.integers(0, 60), st.sampled_from([1, -1]))
 @settings(max_examples=80, deadline=None)
 def test_div_exact_phi_shaped_divisor(num, out_len, head):
-    # all tail entries +-2: one magnitude group; the copy ending in -3 has two
+    # all tail entries +-2, as in phi(-q); the copy ending in -3 breaks that
     for den in (PHI_SHAPED, PHI_PERTURBED):
         den = [head] + den[1:]
         assert kernels.div_exact(num, den, out_len) == ref_div_exact(num, den, out_len)

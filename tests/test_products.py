@@ -278,11 +278,30 @@ def test_theta_product_rejects_signs():
         theta_f_product(ThetaSpec(-1, 3, 1, 7), ZZ, 10)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: euler_product(0, ZZ, 5), "scale must be >= 1"),
+        (lambda: phi(2, ZZ, 5), "sign must be"),
+        (lambda: phi(-1, ZZ, 5, scale=0), "scale must be >= 1"),
+        # built directly: parse_eta_spec rejects both before construction
+        (lambda: EtaQuotientSpec(-1, ((1, 1),)), "prefactor exponent must be >= 0"),
+        (lambda: EtaQuotientSpec(0, ((0, 1),)), "scale 0 must be >= 1"),
+    ],
+    ids=["euler_scale", "phi_sign", "phi_scale", "eta_prefactor", "eta_scale"],
+)
+def test_product_builders_reject_bad_parameters(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_theta_spec_validation():
     with pytest.raises(ValueError):
         ThetaSpec(1, 0, 1, 0)
     with pytest.raises(ValueError):
         ThetaSpec(2, 1, 1, 1)
+    with pytest.raises(ValueError, match="powers must be >= 0"):
+        ThetaSpec(1, -1, 1, 2)
 
 
 def test_dissection_residual_zero():

@@ -118,11 +118,22 @@ def test_oracles_with_every_part_barred():
         assert [oracle(1, n) for n in range(1, 31)] == [0] * 30
 
 
+@pytest.mark.parametrize("restriction", [0, -2])
+def test_oracles_reject_a_restriction_below_one(restriction):
+    for oracle in (oracle_partition, oracle_regular_overpartition):
+        for n in (0, 1, 5):
+            with pytest.raises(ValueError, match="restriction must be >= 1"):
+                oracle(restriction, n)
+
+
 def test_oracle_cap():
     with pytest.raises(ValueError):
         oracle_regular_overpartition(3, 61)
     with pytest.raises(ValueError):
         oracle_partition(None, 61)
+    for oracle in (oracle_partition, oracle_regular_overpartition):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            oracle(None, -1)
     assert oracle_partition(None, 61, cap=61) > 0
 
 
@@ -235,8 +246,7 @@ def test_sequence_series_coeffs_cannot_corrupt_the_cache():
 
 
 def test_r_oracle_table_hands_out_a_copy():
-    # both the first build and a cache hit must leave the memoized table alone
-    arith._r_tables.clear()
+    # writing into a returned table must not change any later value
     arith.r_oracle_table(4, 10)[5] = 999
     assert arith.r_oracle(4, 5) == 48
     arith.r_oracle_table(4, 10)[5] = 999
@@ -245,7 +255,5 @@ def test_r_oracle_table_hands_out_a_copy():
 
 def test_clear_caches_empties_both_cache_layers():
     sequence_series(SequenceRef("pbar"), Zmod(5), 10)
-    arith.r_oracle_table(4, 10)
     clear_caches()
     assert sequences._series_cache == {}
-    assert arith._r_tables == {}

@@ -1,10 +1,11 @@
 import json
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from regover.series import Ring, Series, ZZ, Zmod
-from regover.products import euler_product, phi
+from regover.products import ThetaSpec, euler_product, phi, theta_f_product, theta_f_series
 
 
 def squares_series(sign, order):
@@ -46,8 +47,19 @@ def test_construct_rejects_excess_coeffs():
         lambda order: Series.monomial(ZZ, 0, order),
         lambda order: euler_product(1, ZZ, order),
         lambda order: phi(-1, ZZ, order),
+        lambda order: theta_f_series(ThetaSpec(), ZZ, order),
+        lambda order: theta_f_product(ThetaSpec(), ZZ, order),
     ],
-    ids=["init", "zero", "one", "monomial", "euler_product", "phi"],
+    ids=[
+        "init",
+        "zero",
+        "one",
+        "monomial",
+        "euler_product",
+        "phi",
+        "theta_f_series",
+        "theta_f_product",
+    ],
 )
 def test_negative_order_is_rejected(build):
     assert build(0).order == 0
@@ -141,6 +153,8 @@ def test_substitute_power():
     assert s.substitute_power(1) is s
     lhs = phi(-1, ZZ, 25).substitute_power(5)
     assert lhs[0] == 1 and lhs[5] == -2 and lhs[20] == 2 and lhs[25] == 0
+    with pytest.raises(ValueError, match="requires k >= 1"):
+        s.substitute_power(0)
 
 
 def test_extract_progression():
@@ -150,14 +164,45 @@ def test_extract_progression():
     assert s.extract_progression(1, 0) == s
     with pytest.raises(ValueError):
         s.extract_progression(2, 2)
+    with pytest.raises(ValueError, match="step must be >= 1"):
+        s.extract_progression(0, 0)
+    with pytest.raises(ValueError, match="residue 3 exceeds truncation order 2"):
+        s.extract_progression(5, 3)
 
 
 def test_shift_and_scalar():
     s = Series(ZZ, [1, 2, 3])
     assert s.shift(1).coeffs == [0, 1, 2]
     assert s.shift(5).coeffs == [0, 0, 0]
+    with pytest.raises(ValueError, match="shift must be >= 0"):
+        s.shift(-1)
     assert (s * 3).coeffs == [3, 6, 9]
     assert (-s).coeffs == [-1, -2, -3]
+
+
+def test_series_is_immutable():
+    s = Series(ZZ, [1, 2])
+    with pytest.raises(AttributeError, match="Series is immutable"):
+        s.ring = Zmod(5)
+    assert s.ring == ZZ
+
+
+def test_foreign_operands_are_not_series():
+    s = Series(ZZ, [1, 1])
+    assert s != [1, 1]
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.pow):
+        with pytest.raises(TypeError):
+            op(s, 1.5)
+
+
+def test_repr():
+    assert repr(Series(ZZ, [-1, -1, 2, 0, 1, -3], 6)) == (
+        "Series(ZZ, order=6, -1 - q + 2*q^2 + q^4 - 3*q^5)"
+    )
+    assert repr(Series(Zmod(5), [], 2)) == "Series(Zmod(5), order=2, 0)"
+    assert repr(Series(ZZ, [1] * 10)) == (
+        "Series(ZZ, order=9, 1 + q + q^2 + q^3 + q^4 + q^5 + q^6 + q^7 + ...)"
+    )
 
 
 def test_json_roundtrip():
