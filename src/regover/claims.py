@@ -10,14 +10,33 @@ An instance is checked iff every index of both sides lies in [1, bound];
 a claim with no checkable instance reports skipped, never pass.  Values
 reach verify and hunt by one path: a progression's residues are a slice of
 a series table, or pointwise values at exactly its indices.
+
+Series tables come from a TablePlan.  Before the first table is built, the
+plan expands every claim's quantifiers once and declares what each claim
+reads: (sequence, modulus, top index).  Each series-backed sequence is then
+built once per run, over the lcm of its own moduli (pbar's include those of
+every A_l built from it), and a read mod m is served by reducing that
+table.  The lcm is taken per sequence, not over the run, because a table
+over a larger modulus costs more to build.  A table is dropped after its
+last consumer.  A lone verify_congruence is a plan of one claim, and a hunt
+one of the single claim ref(n) = 0 mod m, so each builds its tables over
+exactly the moduli it reads.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import lcm
 from typing import Callable, Iterable, Iterator
 
-from .sequences import SequenceRef, sequence_series, sequence_value
+from .sequences import (
+    SequenceRef,
+    drop_series,
+    sequence_series,
+    sequence_value,
+    series_inputs,
+)
 from .series import Ring, Series, Zmod
 
 DEFAULT_BOUND = 2000
@@ -156,20 +175,6 @@ def _concretize(term: Term, env: dict) -> Term:
     return Term(seq, a, b, term.sign_twist)
 
 
-def _residues(
-    ref: SequenceRef, modulus: int, indices: range, bound: int, tables: dict
-) -> list[int]:
-    """Residues mod modulus of ref at the indices, all in [1, bound].  A
-    series-backed ref is computed at order bound once per (ref, modulus) in
-    tables, then sliced; a pointwise ref is evaluated at the indices only."""
-    if ref.is_series_backed:
-        table = tables.get((ref, modulus))
-        if table is None:
-            table = tables[ref, modulus] = sequence_series(ref, Zmod(modulus), bound)
-        return table[indices.start : indices.stop : indices.step]
-    return [sequence_value(ref, idx) % modulus for idx in indices]
-
-
 def _instance_range(sides: list[Term], bound: int) -> tuple[int, int]:
     """Largest n-interval where every sequence index lies in [1, bound]."""
     lo, hi = 0, bound
@@ -181,53 +186,185 @@ def _instance_range(sides: list[Term], bound: int) -> tuple[int, int]:
     return lo, hi
 
 
+@dataclass(frozen=True)
+class _Check:
+    """One quantifier instance with a checkable n: lhs(index) = rhs(index)
+    mod modulus for n in [lo, hi], with env the quantifier values."""
+
+    env: dict
+    modulus: int
+    lhs: Term
+    rhs: Term
+    lo: int
+    hi: int
+
+
+def _declare(claim: CongruenceClaim, caps: Caps) -> list[_Check]:
+    """The claim's instances that have a checkable n, in quantifier order,
+    from one expansion of its quantifiers."""
+    checks = []
+    for env in _expand_quantifiers(claim.quantifiers, caps):
+        modulus = _resolve(claim.modulus, env)
+        lhs = _concretize(claim.lhs, env)
+        rhs = _concretize(claim.rhs, env)
+        lo, hi = _instance_range([lhs, rhs], caps.bound)
+        if lo <= hi:
+            checks.append(_Check(env, modulus, lhs, rhs, lo, hi))
+    return checks
+
+
+def _needs(checks: list[_Check]) -> dict:
+    """{(ref, modulus): top index} over the series-backed sides of checks."""
+    needs: dict = {}
+    for c in checks:
+        for t in (c.lhs, c.rhs):
+            if t.seq is not None and t.seq.is_series_backed:
+                key = (t.seq, c.modulus)
+                needs[key] = max(needs.get(key, 0), t.a * c.hi + t.b)
+    return needs
+
+
+class TablePlan:
+    """The series tables that a run of congruence claims reads (see the
+    module docstring).
+
+    The first ``checks`` call declares every claim's needs.  A sequence is
+    built, to its largest top index, when a claim first reads it, after the
+    tables it is built from.  Its consumers are the claims that read it and
+    the tables built from it; after the last one, its table leaves the
+    series cache.  Identity claims read no table and are left out.
+    """
+
+    def __init__(self, claims: Iterable, caps: Caps):
+        self.caps = caps
+        self._claims = [c for c in claims if isinstance(c, CongruenceClaim)]
+        self._checks: dict | None = None  # id(claim) -> its checks
+        self._reads: dict = {}  # id(claim) -> the sequences it reads
+        self._modulus: dict = {}  # sequence -> lcm of its moduli
+        self._top: dict = {}  # sequence -> largest top index
+        self._consumers: Counter = Counter()  # sequence -> readers and builds left
+        self._built: set = set()
+
+    def checks(self, claim: CongruenceClaim) -> list[_Check]:
+        """The claim's checks; the first call declares every claim's needs."""
+        if self._checks is None:
+            self._checks = {}
+            for c in self._claims:
+                checks = self._checks[id(c)] = _declare(c, self.caps)
+                needs = _needs(checks)
+                for (ref, modulus), top in needs.items():
+                    self._add(ref, modulus, top)
+                reads = self._reads[id(c)] = {ref for ref, _ in needs}
+                for ref in reads:
+                    self._consumers[ref] += 1
+        if id(claim) not in self._checks:
+            raise ValueError(f"claim {claim.id} is not in the plan")
+        return self._checks[id(claim)]
+
+    def _add(self, ref: SequenceRef, modulus: int, top: int):
+        """Add the need, and the same need of every table ref's is built from."""
+        if ref in self._modulus:
+            self._modulus[ref] = lcm(self._modulus[ref], modulus)
+            self._top[ref] = max(self._top[ref], top)
+        else:
+            self._modulus[ref], self._top[ref] = modulus, top
+            for dep in series_inputs(ref):
+                self._consumers[dep] += 1  # ref's build reads dep's table
+        for dep in series_inputs(ref):
+            self._add(dep, modulus, top)
+
+    def series(self, ref: SequenceRef, modulus: int) -> Series:
+        """ref's series mod modulus (a divisor of the planned modulus), to
+        the planned top index, from the planned table."""
+        self._build(ref)
+        return sequence_series(ref, Zmod(modulus), self._top[ref])
+
+    def _build(self, ref: SequenceRef):
+        if ref in self._built:
+            return
+        inputs = series_inputs(ref)
+        for dep in inputs:
+            self._build(dep)
+        sequence_series(ref, Zmod(self._modulus[ref]), self._top[ref])
+        self._built.add(ref)
+        for dep in inputs:
+            self._release(dep)
+
+    def done(self, claim: CongruenceClaim):
+        """Release the tables the claim read."""
+        for ref in self._reads.get(id(claim), ()):
+            self._release(ref)
+
+    def _release(self, ref: SequenceRef):
+        self._consumers[ref] -= 1
+        if self._consumers[ref] <= 0:
+            drop_series(ref, Zmod(self._modulus[ref]))
+
+
+def _side(t: Term, check: _Check, tables: dict, plan: TablePlan) -> list[int]:
+    """Residues of one side over its progression for n in [lo, hi]: a slice
+    of the planned table for a series-backed sequence, pointwise values at
+    exactly its indices otherwise; tables holds the claim's table per
+    (ref, modulus)."""
+    m = check.modulus
+    if t.seq is None:
+        return [0] * (check.hi - check.lo + 1)
+    indices = range(t.a * check.lo + t.b, t.a * check.hi + t.b + 1, t.a)
+    if t.seq.is_series_backed:
+        table = tables.get((t.seq, m))
+        if table is None:
+            table = tables[t.seq, m] = plan.series(t.seq, m)
+        values = table[indices.start : indices.stop : indices.step]
+    else:
+        values = [sequence_value(t.seq, idx) % m for idx in indices]
+    if t.sign_twist:
+        values = [-v % m if i & 1 else v for i, v in zip(indices, values)]
+    return values
+
+
 def verify_congruence(
     claim: CongruenceClaim,
     bound: int,
     prime_cap: int = DEFAULT_PRIME_CAP,
     k_cap: int = DEFAULT_K_CAP,
+    plan: TablePlan | None = None,
 ) -> VerificationReport:
     """Check every quantifier instantiation of the claim for all n with all
     indices in [1, bound].  Each side is one sign-twisted residue list over
     its progression; the two lists are compared whole, and the first
-    mismatch is located only when they differ."""
+    mismatch is located only when they differ.
+
+    Tables come from plan, which must hold the claim and have been made
+    with these caps; with no plan, the claim is a plan of its own."""
     caps = Caps(prime_cap, k_cap, bound)
+    if plan is None:
+        plan = TablePlan([claim], caps)
+    elif plan.caps != caps:
+        raise ValueError(f"plan made for {plan.caps}, not {caps}")
     tables: dict = {}
     total = 0
-    for env in _expand_quantifiers(claim.quantifiers, caps):
-        modulus = _resolve(claim.modulus, env)
-        lhs = _concretize(claim.lhs, env)
-        rhs = _concretize(claim.rhs, env)
-        lo, hi = _instance_range([lhs, rhs], bound)
-        if hi < lo:
-            continue
-        sides = []
-        for t in (lhs, rhs):
-            if t.seq is None:
-                sides.append([0] * (hi - lo + 1))
-                continue
-            indices = range(t.a * lo + t.b, t.a * hi + t.b + 1, t.a)
-            values = _residues(t.seq, modulus, indices, bound, tables)
-            if t.sign_twist:
-                values = [-v % modulus if i & 1 else v for i, v in zip(indices, values)]
-            sides.append(values)
-        v1, v2 = sides
-        if v1 != v2:
-            j = next(j for j, (x, y) in enumerate(zip(v1, v2)) if x != y)
-            n = lo + j
-            return VerificationReport(
-                claim.id,
-                bound,
-                total + j + 1,
-                "fail",
-                {
-                    "params": {**env, "n": n},
-                    "index": lhs.a * n + lhs.b,
-                    "lhs": v1[j],
-                    "rhs": v2[j],
-                },
-            )
-        total += hi - lo + 1
+    try:
+        for check in plan.checks(claim):
+            v1 = _side(check.lhs, check, tables, plan)
+            v2 = _side(check.rhs, check, tables, plan)
+            if v1 != v2:
+                j = next(j for j, (x, y) in enumerate(zip(v1, v2)) if x != y)
+                n = check.lo + j
+                return VerificationReport(
+                    claim.id,
+                    bound,
+                    total + j + 1,
+                    "fail",
+                    {
+                        "params": {**check.env, "n": n},
+                        "index": check.lhs.a * n + check.lhs.b,
+                        "lhs": v1[j],
+                        "rhs": v2[j],
+                    },
+                )
+            total += check.hi - check.lo + 1
+    finally:
+        plan.done(claim)
     if total == 0:
         return VerificationReport(
             claim.id, bound, 0, "skipped(no checkable instance within bound)"
@@ -268,11 +405,13 @@ def verify_claim(
     prime_cap: int = DEFAULT_PRIME_CAP,
     k_cap: int = DEFAULT_K_CAP,
     order: int | None = None,
+    plan: TablePlan | None = None,
 ) -> VerificationReport:
     """Dispatch on claim kind; identity claims use their default order
-    unless one is given."""
+    unless one is given.  A congruence claim reads its tables from plan
+    (see verify_congruence)."""
     if isinstance(claim, CongruenceClaim):
-        return verify_congruence(claim, bound, prime_cap, k_cap)
+        return verify_congruence(claim, bound, prime_cap, k_cap, plan)
     return verify_identity(claim, order if order is not None else claim.default_order)
 
 
@@ -295,8 +434,17 @@ def hunt(
         raise ValueError("max_step must be >= 1")
     if min_instances < 1:
         raise ValueError("min_instances must be >= 1")
-    # table[i] is the residue at index i + 1
-    table = _residues(ref, modulus, range(1, bound + 1), bound, {})
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+    # table[i] is the residue at index i + 1: the left side that verify reads
+    # for the claim ref(n) = 0 mod modulus, whose one check has n = 1..bound
+    whole = CongruenceClaim("hunt", Term(ref), ZERO, modulus)
+    plan = TablePlan([whole], Caps(bound=bound))
+    try:
+        checks = plan.checks(whole)
+        table = _side(whole.lhs, checks[0], {}, plan) if checks else []
+    finally:
+        plan.done(whole)
     results = []
     for a in range(1, max_step + 1):
         if (bound - 1) // a + 1 < min_instances:

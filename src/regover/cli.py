@@ -6,13 +6,15 @@ search), identities (identity claims only).  Output is plain text by
 default; --json emits one JSON object per line, --csv comma-separated rows.
 
 Exit codes: 0 success / all pass, 1 verification failure, 2 usage or parse
-error.
+error, 141 (128 + SIGPIPE) when the reader of standard output closed it
+before the output was written, as ``regover ... | head`` can.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import claims as claims_mod
@@ -123,6 +125,10 @@ def _print_report(report, fmt):
 def _run_claims(selected, args) -> int:
     fmt = _format_of(args)
     order = getattr(args, "order", None)
+    # the plan declares its needs in the first verify_claim call, so every
+    # table is built inside one
+    caps = claims_mod.Caps(prime_cap=args.prime_cap, k_cap=args.k_cap, bound=args.bound)
+    plan = claims_mod.TablePlan(selected, caps)
     failed = False
     for claim in selected:
         report = claims_mod.verify_claim(
@@ -131,6 +137,7 @@ def _run_claims(selected, args) -> int:
             prime_cap=args.prime_cap,
             k_cap=args.k_cap,
             order=order,
+            plan=plan,
         )
         failed = failed or report.failed
         _print_report(report, fmt)
@@ -232,7 +239,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_nonnegative(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull, so that the interpreter's final flush of
+        # what is still buffered stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except EtaSpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

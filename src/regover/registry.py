@@ -13,12 +13,15 @@ from __future__ import annotations
 
 from itertools import takewhile
 
+from . import sequences
 from .arith import primes_up_to
 from .claims import (
     ZERO,
+    Caps,
     CongruenceClaim,
     IdentityClaim,
     Quantifier,
+    TablePlan,
     Term,
     VerificationReport,
     verify_claim,
@@ -444,6 +447,14 @@ def builtin_registry() -> list:
     return list(_REGISTRY)
 
 
+def _forget_registry():
+    global _REGISTRY
+    _REGISTRY = None
+
+
+sequences._clear_hooks.append(_forget_registry)
+
+
 def registry_ids() -> list[str]:
     return [c.id for c in builtin_registry()]
 
@@ -459,9 +470,11 @@ def claims_by_id(ids) -> list:
 def verify_all(
     bound: int, prime_cap: int = 20, k_cap: int = 1
 ) -> list[VerificationReport]:
-    """Verify every registry entry in order; identity claims run at their
-    default order."""
+    """Verify every registry entry in order, the congruences from one table
+    plan; identity claims run at their default order."""
+    claims = builtin_registry()
+    plan = TablePlan(claims, Caps(prime_cap=prime_cap, k_cap=k_cap, bound=bound))
     return [
-        verify_claim(claim, bound=bound, prime_cap=prime_cap, k_cap=k_cap)
-        for claim in builtin_registry()
+        verify_claim(claim, bound=bound, prime_cap=prime_cap, k_cap=k_cap, plan=plan)
+        for claim in claims
     ]

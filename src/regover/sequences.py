@@ -65,18 +65,33 @@ class SequenceRef:
 
 _series_cache: dict[tuple[str, int | None, int | None], Series] = {}
 
+# Resets that clear_caches also runs, one per cache kept by a module that
+# imports this one (the built claim registry); each registers at its import,
+# so this module imports none of them.
+_clear_hooks: list = []
+
+_PBAR = SequenceRef("pbar")
+
 
 def clear_caches():
-    """Empty the series table cache, the package's one cache of sequence
-    tables (arith builds every r_k lattice table afresh)."""
+    """Empty every cache in the package: the series table cache, its one
+    cache of sequence tables (arith builds every r_k lattice table afresh),
+    and each cache registered in _clear_hooks, which is the built claim
+    registry."""
     _series_cache.clear()
+    for reset in _clear_hooks:
+        reset()
 
 
 def sequence_series(ref: SequenceRef, ring: Ring, order: int) -> Series:
     """The sequence's generating function as a Series (series-backed refs only).
 
     Results are memoized per (ref, ring) keeping the longest prefix computed
-    so far, so repeated verification passes share one table.
+    so far, so repeated verification passes share one table.  A request
+    over Zmod(m) that no table over Zmod(m) reaches is served from a cached
+    table over Zmod(M), for a multiple M of m, that does: its prefix reduced
+    mod m, which is not cached.  Only when neither exists is a table built,
+    over the requested ring.
     """
     if not ref.is_series_backed:
         raise ValueError(f"sequence {ref.label()} has no generating function route")
@@ -84,13 +99,32 @@ def sequence_series(ref: SequenceRef, ring: Ring, order: int) -> Series:
 
 
 def _memoized(ref: SequenceRef, ring: Ring, order: int) -> Series:
-    """The cached series for (ref, ring), built first when it is missing or
-    shorter than order; it may run past order."""
+    """The cached series for (ref, ring), or one reduced from a cached table
+    over a multiple of ring's modulus, built over ring when neither reaches
+    order; it may run past order."""
     key = (ref.name, ref.param, ring.modulus)
     cached = _series_cache.get(key)
-    if cached is None or cached.order < order:
-        cached = _series_cache[key] = _build_series(ref, ring, order)
+    if cached is not None and cached.order >= order:
+        return cached
+    m = ring.modulus
+    if m is not None:
+        for (name, param, modulus), table in _series_cache.items():
+            multiple = modulus is not None and modulus % m == 0
+            if (name, param) == key[:2] and multiple and table.order >= order:
+                return Series._raw(ring, [c % m for c in table[: order + 1]])
+    cached = _series_cache[key] = _build_series(ref, ring, order)
     return cached
+
+
+def drop_series(ref: SequenceRef, ring: Ring) -> None:
+    """Remove the cached table of ref over ring, if there is one."""
+    _series_cache.pop((ref.name, ref.param, ring.modulus), None)
+
+
+def series_inputs(ref: SequenceRef) -> tuple[SequenceRef, ...]:
+    """The series-backed sequences whose tables _build_series reads to build
+    ref's, over the same ring: pbar for every A_l, none for the others."""
+    return (_PBAR,) if ref.name == "A" else ()
 
 
 def _build_series(ref: SequenceRef, ring: Ring, order: int) -> Series:
@@ -102,7 +136,7 @@ def _build_series(ref: SequenceRef, ring: Ring, order: int) -> Series:
         return euler_product(ref.param, ring, order) / euler_product(1, ring, order)
     # regular overpartitions: phi(-q^l) * pbar, the grouped form of
     # (q^l;q^l)^2 (q^2;q^2) / (q;q)^2 (q^2l;q^2l)
-    pbar = sequence_series(SequenceRef("pbar"), ring, order)
+    pbar = sequence_series(_PBAR, ring, order)
     return phi(-1, ring, order, scale=ref.param) * pbar
 
 

@@ -108,15 +108,16 @@ class Series:
     def __repr__(self):
         terms = []
         for n, c in enumerate(self._coeffs):
-            if c:
-                if n == 0:
-                    terms.append(str(c))
-                else:
-                    mag = "" if c == 1 else "-" if c == -1 else f"{c}*"
-                    terms.append(f"{mag}q^{n}" if n > 1 else f"{mag}q")
-            if len(terms) >= 8:
+            if not c:
+                continue
+            if len(terms) == 8:  # a ninth nonzero term: show that more follow
                 terms.append("...")
                 break
+            if n == 0:
+                terms.append(str(c))
+            else:
+                mag = "" if c == 1 else "-" if c == -1 else f"{c}*"
+                terms.append(f"{mag}q^{n}" if n > 1 else f"{mag}q")
         body = " + ".join(terms).replace("+ -", "- ") if terms else "0"
         return f"Series({self.ring!r}, order={self.order}, {body})"
 

@@ -9,13 +9,15 @@ from regover.claims import (
     CongruenceClaim,
     IdentityClaim,
     Quantifier,
+    TablePlan,
     Term,
     _expand_quantifiers,
     hunt,
+    verify_claim,
     verify_congruence,
     verify_identity,
 )
-from regover.registry import _a, _prime_family, claims_by_id
+from regover.registry import _a, _prime_family, claims_by_id, registry_ids
 from regover.sequences import SequenceRef
 from regover.series import Series, ZZ
 
@@ -164,10 +166,38 @@ def mutated_registry_claims():
     ]
 
 
+# (index, lhs, rhs) of each mutant's first counterexample at bound 200
+MUTANT_FAILURES = {
+    "sign flip": (1, 2, 3),
+    "modulus +1": (1, 2, 4),
+    "offset +1": (28, 2, 0),
+    "wrong rhs": (5, 4, 1),
+    "multiplier +1": (191, 4, 0),
+}
+
+
+def first_failure(report):
+    ce = report.counterexample
+    return ce["index"], ce["lhs"], ce["rhs"]
+
+
 @pytest.mark.parametrize("label,claim", mutated_registry_claims())
 def test_mutation_sensitivity(label, claim):
     report = verify_congruence(claim, 200)
     assert report.failed, label
+    assert first_failure(report) == MUTANT_FAILURES[label]
+
+
+def test_mutants_fail_alike_under_one_plan_with_the_registry():
+    # C-T1 at modulus 6 puts A_5 at lcm(5, 6) = 30 and pbar at lcm(840, 6)
+    mutants = mutated_registry_claims()
+    registered = [c for c in claims_by_id(registry_ids()) if isinstance(c, CongruenceClaim)]
+    selected = registered + [claim for _, claim in mutants]
+    plan = TablePlan(selected, Caps(bound=200))
+    reports = [verify_claim(c, 200, plan=plan) for c in selected]
+    for (label, _), report in zip(mutants, reports[len(registered) :]):
+        assert report.failed and first_failure(report) == MUTANT_FAILURES[label]
+    assert reports[: len(registered)] == [verify_congruence(c, 200) for c in registered]
 
 
 # -- identity verification -----------------------------------------------------

@@ -1,11 +1,16 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from regover import registry
+import regover
+from regover import claims, registry, sequences
 from regover.cli import main
 from regover.claims import Term
 from regover.series import Series
@@ -283,3 +288,57 @@ def test_exit_code_contract(capsys, broken_claim, argv, expected):
         statuses = [json.loads(line)["status"] for line in out.splitlines()]
         assert statuses
         assert (code == 1) == ("fail" in statuses)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("value", "p", "--n", "5"),
+        ("hunt", "A", "--ell", "5", "--mod", "5", "--max-step", "100", "--bound", "2000",
+         "--min-instances", "1"),
+        ("verify", "C-SHEN-1", "I-PHI", "--bound", "200", "--json"),
+    ],
+)
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    # stdout is a pipe whose reader is gone, as in `regover ... | head -0`
+    src = str(Path(regover.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "regover", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert "Traceback" not in done.stderr
+    assert done.stderr == ""
+
+
+def test_verify_builds_tables_only_inside_verify_claim(monkeypatch, capsys):
+    # the benchmark stamps its wall time at the first claims.verify_claim
+    # call: every table is built inside one, and each claim gets one call
+    events = []
+    verify_claim = claims.verify_claim
+    build = sequences._build_series
+
+    def spy_verify(claim, *args, **kwargs):
+        events.append(("verify", claim.id))
+        return verify_claim(claim, *args, **kwargs)
+
+    def spy_build(ref, ring, order):
+        events.append(("build", ref.label()))
+        return build(ref, ring, order)
+
+    monkeypatch.setattr(claims, "verify_claim", spy_verify)
+    monkeypatch.setattr(sequences, "_build_series", spy_build)
+    sequences.clear_caches()
+    ids = ["C-CHEN-2", "I-PHI", "C-SHEN-4", "C-T1", "C-T6"]
+    code, out, _ = run(capsys, "verify", *ids, "--bound", "500", "--json")
+    assert code == 0
+    assert [json.loads(line)["id"] for line in out.splitlines()] == ids
+    assert [e for kind, e in events if kind == "verify"] == ids
+    assert events[0] == ("verify", ids[0])
+    assert ("build", "pbar") in events

@@ -1,6 +1,6 @@
 import pytest
 
-from regover import arith, sequences
+from regover import arith, registry, sequences
 from regover.products import eta_quotient
 from regover.registry import regular_overpartition_quotient
 from regover.sequences import (
@@ -255,5 +255,31 @@ def test_r_oracle_table_hands_out_a_copy():
 
 def test_clear_caches_empties_both_cache_layers():
     sequence_series(SequenceRef("pbar"), Zmod(5), 10)
+    registry.builtin_registry()
     clear_caches()
     assert sequences._series_cache == {}
+    assert registry._REGISTRY is None
+
+
+def test_a_table_over_a_multiple_serves_a_smaller_modulus(monkeypatch):
+    clear_caches()
+    a3 = SequenceRef("A", 3)
+    over24 = sequence_series(a3, Zmod(24), 300)
+    builds = []
+    build = sequences._build_series
+
+    def spy(ref, ring, order):
+        builds.append((ref.label(), ring.modulus, order))
+        return build(ref, ring, order)
+
+    monkeypatch.setattr(sequences, "_build_series", spy)
+    for m in (2, 3, 6, 8, 12, 24):
+        served = sequence_series(a3, Zmod(m), 250)
+        assert served.ring == Zmod(m)
+        assert served.coeffs == [c % m for c in over24[:251]]
+    assert builds == []
+    assert set(sequences._series_cache) == {("A", 3, 24), ("pbar", None, 24)}
+    # a modulus that does not divide 24, or an order past the table, builds
+    sequence_series(a3, Zmod(5), 10)
+    sequence_series(a3, Zmod(6), 301)
+    assert builds == [("A(3)", 5, 10), ("pbar", 5, 10), ("A(3)", 6, 301), ("pbar", 6, 301)]

@@ -203,6 +203,16 @@ def test_repr():
     assert repr(Series(ZZ, [1] * 10)) == (
         "Series(ZZ, order=9, 1 + q + q^2 + q^3 + q^4 + q^5 + q^6 + q^7 + ...)"
     )
+    # "..." only when a further nonzero term follows the eighth shown
+    assert repr(Series(ZZ, [1] * 8 + [0, 0])) == (
+        "Series(ZZ, order=9, 1 + q + q^2 + q^3 + q^4 + q^5 + q^6 + q^7)"
+    )
+    assert repr(Series(ZZ, [1] * 8 + [0, 2])) == (
+        "Series(ZZ, order=9, 1 + q + q^2 + q^3 + q^4 + q^5 + q^6 + q^7 + ...)"
+    )
+    assert repr(Series(ZZ, [1] * 8)) == (
+        "Series(ZZ, order=7, 1 + q + q^2 + q^3 + q^4 + q^5 + q^6 + q^7)"
+    )
 
 
 def test_json_roundtrip():
