@@ -11,16 +11,18 @@ a claim with no checkable instance reports skipped, never pass.  Values
 reach verify and hunt by one path: a progression's residues are a slice of
 a series table, or pointwise values at exactly its indices.
 
-Series tables come from a TablePlan.  Before the first table is built, the
-plan expands every claim's quantifiers once and declares what each claim
-reads: (sequence, modulus, top index).  Each series-backed sequence is then
-built once per run, over the lcm of its own moduli (pbar's include those of
-every A_l built from it), and a read mod m is served by reducing that
-table.  The lcm is taken per sequence, not over the run, because a table
-over a larger modulus costs more to build.  A table is dropped after its
-last consumer.  A lone verify_congruence is a plan of one claim, and a hunt
-one of the single claim ref(n) = 0 mod m, so each builds its tables over
-exactly the moduli it reads.
+Series tables come from a TablePlan, which holds its own tables and never
+reads, writes or evicts the series cache of ``regover.sequences``.  Before
+the first table is built, the plan expands every claim's quantifiers once
+and declares what each claim reads: (sequence, modulus, top index).  Each
+series-backed sequence is then built once per run, over the lcm of its own
+moduli (pbar's include those of every A_l built from it), and a read mod m
+reduces the slice it reads of that table.  The lcm is taken per sequence,
+not over the run, because a table over a larger modulus costs more to
+build.  A table is dropped after its last consumer.  A lone
+verify_congruence is a plan of one claim, and a hunt one of the single
+claim ref(n) = 0 mod m, so each builds its tables over exactly the moduli
+it reads.
 """
 
 from __future__ import annotations
@@ -30,13 +32,8 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Callable, Iterable, Iterator
 
-from .sequences import (
-    SequenceRef,
-    drop_series,
-    sequence_series,
-    sequence_value,
-    series_inputs,
-)
+from . import sequences
+from .sequences import SequenceRef, sequence_value, series_inputs
 from .series import Ring, Series, Zmod
 
 DEFAULT_BOUND = 2000
@@ -228,11 +225,13 @@ class TablePlan:
     """The series tables that a run of congruence claims reads (see the
     module docstring).
 
-    The first ``checks`` call declares every claim's needs.  A sequence is
-    built, to its largest top index, when a claim first reads it, after the
-    tables it is built from.  Its consumers are the claims that read it and
-    the tables built from it; after the last one, its table leaves the
-    series cache.  Identity claims read no table and are left out.
+    The plan holds its own tables, one per sequence, over the planned lcm
+    and to the planned top index.  The first ``checks`` call declares every
+    claim's needs.  A sequence is built, through sequences._build_series,
+    when a claim first reads it, from the tables it is built from, reduced
+    into its ring.  Its consumers are the claims that read it and the
+    tables built from it; after the last one, the plan drops its table.
+    Identity claims read no table and are left out.
     """
 
     def __init__(self, claims: Iterable, caps: Caps):
@@ -243,7 +242,7 @@ class TablePlan:
         self._modulus: dict = {}  # sequence -> lcm of its moduli
         self._top: dict = {}  # sequence -> largest top index
         self._consumers: Counter = Counter()  # sequence -> readers and builds left
-        self._built: set = set()
+        self._tables: dict = {}  # sequence -> its table, until its last consumer
 
     def checks(self, claim: CongruenceClaim) -> list[_Check]:
         """The claim's checks; the first call declares every claim's needs."""
@@ -273,22 +272,21 @@ class TablePlan:
         for dep in series_inputs(ref):
             self._add(dep, modulus, top)
 
-    def series(self, ref: SequenceRef, modulus: int) -> Series:
-        """ref's series mod modulus (a divisor of the planned modulus), to
-        the planned top index, from the planned table."""
-        self._build(ref)
-        return sequence_series(ref, Zmod(modulus), self._top[ref])
-
-    def _build(self, ref: SequenceRef):
-        if ref in self._built:
-            return
-        inputs = series_inputs(ref)
-        for dep in inputs:
-            self._build(dep)
-        sequence_series(ref, Zmod(self._modulus[ref]), self._top[ref])
-        self._built.add(ref)
-        for dep in inputs:
-            self._release(dep)
+    def _table(self, ref: SequenceRef) -> Series:
+        """ref's table over the planned modulus, built on its first read from
+        the tables it is built from, each reduced into its ring."""
+        table = self._tables.get(ref)
+        if table is None:
+            m, top = self._modulus[ref], self._top[ref]
+            inputs = []
+            for dep in series_inputs(ref):
+                dep_table = self._table(dep)
+                self._release(dep)
+                if dep_table.ring.modulus != m:
+                    dep_table = Series._raw(Zmod(m), [c % m for c in dep_table[: top + 1]])
+                inputs.append(dep_table)
+            table = self._tables[ref] = sequences._build_series(ref, Zmod(m), top, *inputs)
+        return table
 
     def done(self, claim: CongruenceClaim):
         """Release the tables the claim read."""
@@ -298,23 +296,23 @@ class TablePlan:
     def _release(self, ref: SequenceRef):
         self._consumers[ref] -= 1
         if self._consumers[ref] <= 0:
-            drop_series(ref, Zmod(self._modulus[ref]))
+            self._tables.pop(ref, None)
 
 
-def _side(t: Term, check: _Check, tables: dict, plan: TablePlan) -> list[int]:
+def _side(t: Term, check: _Check, plan: TablePlan) -> list[int]:
     """Residues of one side over its progression for n in [lo, hi]: a slice
-    of the planned table for a series-backed sequence, pointwise values at
-    exactly its indices otherwise; tables holds the claim's table per
-    (ref, modulus)."""
+    of the planned table for a series-backed sequence, reduced mod the
+    check's modulus when that properly divides the table's, and pointwise
+    values at exactly its indices otherwise."""
     m = check.modulus
     if t.seq is None:
         return [0] * (check.hi - check.lo + 1)
     indices = range(t.a * check.lo + t.b, t.a * check.hi + t.b + 1, t.a)
     if t.seq.is_series_backed:
-        table = tables.get((t.seq, m))
-        if table is None:
-            table = tables[t.seq, m] = plan.series(t.seq, m)
+        table = plan._table(t.seq)
         values = table[indices.start : indices.stop : indices.step]
+        if table.ring.modulus != m:
+            values = [v % m for v in values]
     else:
         values = [sequence_value(t.seq, idx) % m for idx in indices]
     if t.sign_twist:
@@ -335,18 +333,19 @@ def verify_congruence(
     mismatch is located only when they differ.
 
     Tables come from plan, which must hold the claim and have been made
-    with these caps; with no plan, the claim is a plan of its own."""
+    with these caps.  With no plan, the claim is a plan of its own: the
+    call builds its tables and frees them when it returns, so a loop over
+    claims should pass one plan over all of them to build each table once."""
     caps = Caps(prime_cap, k_cap, bound)
     if plan is None:
         plan = TablePlan([claim], caps)
     elif plan.caps != caps:
         raise ValueError(f"plan made for {plan.caps}, not {caps}")
-    tables: dict = {}
     total = 0
     try:
         for check in plan.checks(claim):
-            v1 = _side(check.lhs, check, tables, plan)
-            v2 = _side(check.rhs, check, tables, plan)
+            v1 = _side(check.lhs, check, plan)
+            v2 = _side(check.rhs, check, plan)
             if v1 != v2:
                 j = next(j for j, (x, y) in enumerate(zip(v1, v2)) if x != y)
                 n = check.lo + j
@@ -440,11 +439,9 @@ def hunt(
     # for the claim ref(n) = 0 mod modulus, whose one check has n = 1..bound
     whole = CongruenceClaim("hunt", Term(ref), ZERO, modulus)
     plan = TablePlan([whole], Caps(bound=bound))
-    try:
-        checks = plan.checks(whole)
-        table = _side(whole.lhs, checks[0], {}, plan) if checks else []
-    finally:
-        plan.done(whole)
+    checks = plan.checks(whole)
+    table = _side(whole.lhs, checks[0], plan) if checks else []
+    plan.done(whole)  # the scan reads only the slice: free the table first
     results = []
     for a in range(1, max_step + 1):
         if (bound - 1) // a + 1 < min_instances:

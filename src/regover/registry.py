@@ -16,6 +16,8 @@ from itertools import takewhile
 from . import sequences
 from .arith import primes_up_to
 from .claims import (
+    DEFAULT_K_CAP,
+    DEFAULT_PRIME_CAP,
     ZERO,
     Caps,
     CongruenceClaim,
@@ -468,7 +470,7 @@ def claims_by_id(ids) -> list:
 
 
 def verify_all(
-    bound: int, prime_cap: int = 20, k_cap: int = 1
+    bound: int, prime_cap: int = DEFAULT_PRIME_CAP, k_cap: int = DEFAULT_K_CAP
 ) -> list[VerificationReport]:
     """Verify every registry entry in order, the congruences from one table
     plan; identity claims run at their default order."""

@@ -74,10 +74,10 @@ _PBAR = SequenceRef("pbar")
 
 
 def clear_caches():
-    """Empty every cache in the package: the series table cache, its one
-    cache of sequence tables (arith builds every r_k lattice table afresh),
-    and each cache registered in _clear_hooks, which is the built claim
-    registry."""
+    """Empty every cache in the package: the series table cache, which is
+    the one module-level table cache (arith builds every r_k lattice table
+    afresh), and each cache registered in _clear_hooks, which is the built
+    claim registry."""
     _series_cache.clear()
     for reset in _clear_hooks:
         reset()
@@ -87,11 +87,7 @@ def sequence_series(ref: SequenceRef, ring: Ring, order: int) -> Series:
     """The sequence's generating function as a Series (series-backed refs only).
 
     Results are memoized per (ref, ring) keeping the longest prefix computed
-    so far, so repeated verification passes share one table.  A request
-    over Zmod(m) that no table over Zmod(m) reaches is served from a cached
-    table over Zmod(M), for a multiple M of m, that does: its prefix reduced
-    mod m, which is not cached.  Only when neither exists is a table built,
-    over the requested ring.
+    so far, so repeated verification passes share one table.
     """
     if not ref.is_series_backed:
         raise ValueError(f"sequence {ref.label()} has no generating function route")
@@ -99,35 +95,26 @@ def sequence_series(ref: SequenceRef, ring: Ring, order: int) -> Series:
 
 
 def _memoized(ref: SequenceRef, ring: Ring, order: int) -> Series:
-    """The cached series for (ref, ring), or one reduced from a cached table
-    over a multiple of ring's modulus, built over ring when neither reaches
-    order; it may run past order."""
+    """The cached series for (ref, ring), built over ring from the cached
+    tables it is built from when it does not reach order; it may run past
+    order."""
     key = (ref.name, ref.param, ring.modulus)
     cached = _series_cache.get(key)
-    if cached is not None and cached.order >= order:
-        return cached
-    m = ring.modulus
-    if m is not None:
-        for (name, param, modulus), table in _series_cache.items():
-            multiple = modulus is not None and modulus % m == 0
-            if (name, param) == key[:2] and multiple and table.order >= order:
-                return Series._raw(ring, [c % m for c in table[: order + 1]])
-    cached = _series_cache[key] = _build_series(ref, ring, order)
+    if cached is None or cached.order < order:
+        inputs = [_memoized(dep, ring, order) for dep in series_inputs(ref)]
+        cached = _series_cache[key] = _build_series(ref, ring, order, *inputs)
     return cached
 
 
-def drop_series(ref: SequenceRef, ring: Ring) -> None:
-    """Remove the cached table of ref over ring, if there is one."""
-    _series_cache.pop((ref.name, ref.param, ring.modulus), None)
-
-
 def series_inputs(ref: SequenceRef) -> tuple[SequenceRef, ...]:
-    """The series-backed sequences whose tables _build_series reads to build
-    ref's, over the same ring: pbar for every A_l, none for the others."""
+    """The series-backed sequences whose tables _build_series is given to
+    build ref's: pbar for every A_l, none for the others."""
     return (_PBAR,) if ref.name == "A" else ()
 
 
-def _build_series(ref: SequenceRef, ring: Ring, order: int) -> Series:
+def _build_series(ref: SequenceRef, ring: Ring, order: int, *inputs: Series) -> Series:
+    """ref's series over ring to order, from the tables of series_inputs(ref),
+    in that order, over ring and reaching order; reads no cache."""
     if ref.name == "p":
         return Series.one(ring, order) / euler_product(1, ring, order)
     if ref.name == "pbar":
@@ -136,7 +123,7 @@ def _build_series(ref: SequenceRef, ring: Ring, order: int) -> Series:
         return euler_product(ref.param, ring, order) / euler_product(1, ring, order)
     # regular overpartitions: phi(-q^l) * pbar, the grouped form of
     # (q^l;q^l)^2 (q^2;q^2) / (q;q)^2 (q^2l;q^2l)
-    pbar = sequence_series(_PBAR, ring, order)
+    (pbar,) = inputs
     return phi(-1, ring, order, scale=ref.param) * pbar
 
 

@@ -4,9 +4,10 @@ A Series stores the dense coefficient list of sum a(n) q^n for n = 0..order
 (truncation order inclusive).  Exact coefficients are arbitrary-precision
 ints; modular coefficients are kept as least nonnegative residues.  A Series
 is immutable after construction and every operation returns a new one.
-That alone does not make the package thread-safe: ``regover.sequences`` and
-``regover.arith`` memoize tables in mutable module-level caches with no
-locking, so concurrent threads must not build tables through them.
+That alone does not make the package thread-safe: ``regover.sequences``
+memoizes tables in ``_series_cache``, the one module-level table cache,
+which is mutable and has no locking, so concurrent threads must not build
+tables through it.
 """
 
 from __future__ import annotations
@@ -222,6 +223,7 @@ class Series:
     # -- structural operations --------------------------------------------
 
     def truncate(self, order: int) -> Series:
+        check_order(order)
         if order >= self.order:
             return self
         return Series._raw(self.ring, self._coeffs[: order + 1])

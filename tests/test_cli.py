@@ -328,9 +328,9 @@ def test_verify_builds_tables_only_inside_verify_claim(monkeypatch, capsys):
         events.append(("verify", claim.id))
         return verify_claim(claim, *args, **kwargs)
 
-    def spy_build(ref, ring, order):
+    def spy_build(ref, ring, order, *inputs):
         events.append(("build", ref.label()))
-        return build(ref, ring, order)
+        return build(ref, ring, order, *inputs)
 
     monkeypatch.setattr(claims, "verify_claim", spy_verify)
     monkeypatch.setattr(sequences, "_build_series", spy_build)

@@ -38,8 +38,8 @@ def bump_pbar(monkeypatch, index):
     """Perturb the overpartition table 1/phi(-q) every sequence is built from."""
     build = sequences._build_series
 
-    def mutated(ref, ring, order):
-        series = build(ref, ring, order)
+    def mutated(ref, ring, order, *inputs):
+        series = build(ref, ring, order, *inputs)
         return bump(series, index) if ref == SequenceRef("pbar") else series
 
     monkeypatch.setattr(sequences, "_build_series", mutated)

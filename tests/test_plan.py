@@ -9,6 +9,7 @@ from regover.claims import Caps, TablePlan, hunt, verify_claim, verify_congruenc
 from regover.cli import main
 from regover.registry import _a, claims_by_id
 from regover.sequences import SequenceRef
+from regover.series import Zmod
 
 BOUND = 2000
 
@@ -26,9 +27,9 @@ def builds(monkeypatch):
     seen = []
     build = sequences._build_series
 
-    def spy(ref, ring, order):
+    def spy(ref, ring, order, *inputs):
         seen.append((ref.label(), ring.modulus, order))
-        return build(ref, ring, order)
+        return build(ref, ring, order, *inputs)
 
     monkeypatch.setattr(sequences, "_build_series", spy)
     return seen
@@ -76,6 +77,32 @@ def test_hunt_and_a_lone_claim_build_at_the_requested_modulus(builds):
     assert verify_congruence(shen2, BOUND).passed
     assert [(label, m) for label, m, _ in builds] == [("pbar", 6), ("A(3)", 6)]
     assert sequences._series_cache == {}
+
+
+def test_a_run_leaves_other_callers_tables_alone(capsys):
+    a5, pbar = _a(5), SequenceRef("pbar")
+    sequences.sequence_series(a5, Zmod(5), 100)
+    sequences.sequence_series(pbar, Zmod(5), 100)
+    cached = dict(sequences._series_cache)
+    assert set(cached) == {("A", 5, 5), ("pbar", None, 5)}
+    (t1,) = claims_by_id(["C-T1"])
+    assert verify_congruence(t1, 200).passed
+    assert sequences._series_cache == cached
+    assert all(sequences._series_cache[k] is v for k, v in cached.items())
+    assert main(["verify", "C-T1", "--bound", "200", "--json"]) == 0
+    assert sequences._series_cache == cached
+    assert all(sequences._series_cache[k] is v for k, v in cached.items())
+
+
+def test_a_plan_that_verifies_a_claim_twice_keeps_no_table():
+    shen1, shen4 = claims_by_id(["C-SHEN-1", "C-SHEN-4"])
+    plan = TablePlan([shen1, shen4], Caps(bound=BOUND))
+    first = verify_claim(shen1, BOUND, plan=plan)
+    assert verify_claim(shen4, BOUND, plan=plan).passed
+    assert verify_claim(shen1, BOUND, plan=plan) == first
+    assert first.passed
+    assert sequences._series_cache == {}
+    assert plan._tables == {}
 
 
 def test_a_claim_outside_the_plan_or_caps_is_refused():

@@ -261,25 +261,21 @@ def test_clear_caches_empties_both_cache_layers():
     assert registry._REGISTRY is None
 
 
-def test_a_table_over_a_multiple_serves_a_smaller_modulus(monkeypatch):
+def test_build_series_reads_no_cache():
+    # an A_l table is built from the pbar table it is given, not a cached one
     clear_caches()
-    a3 = SequenceRef("A", 3)
-    over24 = sequence_series(a3, Zmod(24), 300)
-    builds = []
-    build = sequences._build_series
+    a5 = SequenceRef("A", 5)
+    pbar = sequences._build_series(SequenceRef("pbar"), Zmod(5), 50)
+    built = sequences._build_series(a5, Zmod(5), 50, pbar)
+    assert sequences._series_cache == {}
+    assert built == sequence_series(a5, Zmod(5), 50)
 
-    def spy(ref, ring, order):
-        builds.append((ref.label(), ring.modulus, order))
-        return build(ref, ring, order)
 
-    monkeypatch.setattr(sequences, "_build_series", spy)
-    for m in (2, 3, 6, 8, 12, 24):
-        served = sequence_series(a3, Zmod(m), 250)
-        assert served.ring == Zmod(m)
-        assert served.coeffs == [c % m for c in over24[:251]]
-    assert builds == []
-    assert set(sequences._series_cache) == {("A", 3, 24), ("pbar", None, 24)}
-    # a modulus that does not divide 24, or an order past the table, builds
-    sequence_series(a3, Zmod(5), 10)
-    sequence_series(a3, Zmod(6), 301)
-    assert builds == [("A(3)", 5, 10), ("pbar", 5, 10), ("A(3)", 6, 301), ("pbar", 6, 301)]
+def test_negative_order_is_rejected_on_a_cold_and_a_warm_cache():
+    clear_caches()
+    a5 = SequenceRef("A", 5)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        sequence_series(a5, Zmod(5), -1)
+    sequence_series(a5, Zmod(5), 10)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        sequence_series(a5, Zmod(5), -1)

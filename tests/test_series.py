@@ -180,6 +180,16 @@ def test_shift_and_scalar():
     assert (-s).coeffs == [-1, -2, -3]
 
 
+def test_truncate():
+    s = Series(ZZ, range(1, 11))
+    assert s.truncate(3).coeffs == [1, 2, 3, 4]
+    assert s.truncate(0).coeffs == [1]
+    assert s.truncate(20) is s
+    for order in (-1, -5):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            s.truncate(order)
+
+
 def test_series_is_immutable():
     s = Series(ZZ, [1, 2])
     with pytest.raises(AttributeError, match="Series is immutable"):

@@ -37,3 +37,21 @@ def test_tracer_installs_and_uninstalls_against_the_package():
     assert tracer.counts["arith.trial_div_steps"] > 0
     after = [dict(vars(m)) for m in modules] + [dict(vars(Series))]
     assert after == before
+
+
+def test_one_plan_over_the_congruences_builds_each_table_once():
+    # the benchmark's per-layer build count reads the sequences.build spans:
+    # every plan build goes through sequences._build_series by attribute
+    tracer_mod = load_tracer()
+    selected = [c for c in registry.builtin_registry() if isinstance(c, claims.CongruenceClaim)]
+    assert len(selected) == 24
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer_mod.install_layers(tracer)
+        plan = claims.TablePlan(selected, claims.Caps(bound=2000))
+        assert all(claims.verify_claim(c, 2000, plan=plan).passed for c in selected)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("sequences.build") == 10
+    assert names.count("kernels.div_mod") == 1
