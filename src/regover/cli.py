@@ -3,7 +3,8 @@
 Subcommands: expand (eta-quotient coefficients), value (single sequence
 values), verify (registry congruence/identity claims), hunt (progression
 search), identities (identity claims only).  Output is plain text by
-default; --json emits one JSON object per line, --csv comma-separated rows.
+default; --json emits one JSON object per line, --csv comma-separated rows
+(the two exclude each other).
 
 Exit codes: 0 success / all pass, 1 verification failure, 2 usage or parse
 error, 141 (128 + SIGPIPE) when the reader of standard output closed it
@@ -173,9 +174,10 @@ def cmd_hunt(args) -> int:
 
 
 def _add_format_flags(p, csv=True):
-    p.add_argument("--json", action="store_true", help="one JSON object per line")
+    formats = p.add_mutually_exclusive_group()
+    formats.add_argument("--json", action="store_true", help="one JSON object per line")
     if csv:
-        p.add_argument("--csv", action="store_true", help="comma-separated output")
+        formats.add_argument("--csv", action="store_true", help="comma-separated output")
 
 
 def _add_verify_flags(p):

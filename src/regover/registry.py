@@ -11,6 +11,7 @@ families.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import takewhile
 
 from . import sequences
@@ -291,9 +292,32 @@ def _gf_lhs(ring, order, ell):
     return eta_quotient(regular_overpartition_quotient(ell), ring, order)
 
 
+_OVERPARTITION_QUOTIENT = EtaQuotientSpec(0, ((2, 1), (1, -2)))
+
+
 def _gf_extracted(ell, step, ring, order):
-    """The step*n coefficients of the eta quotient, not of the cached A table."""
-    return _gf_lhs(ring, step * order, ell).extract_progression(step, 0)
+    """The step*n coefficients of the eta quotient, not of the cached A table:
+    (q^r;q^r)^2/(q^2r;q^2r) times the step*n extraction of (q^2;q^2)/(q;q)^2,
+    with r = ell/step.
+
+    step must divide ell.  Then the factor (q^ell;q^ell)^2/(q^2ell;q^2ell)
+    is a series in q^step, so it commutes with the extraction and is
+    evaluated at order instead of step*order.  Only the overpartition
+    quotient is expanded to step*order."""
+    r = ell // step
+    outer = eta_quotient(EtaQuotientSpec(0, ((r, 2), (2 * r, -1))), ring, order)
+    return outer * _extracted_core(step, ring, order)
+
+
+@lru_cache(maxsize=1)
+def _extracted_core(step, ring, order):
+    """The step*n extraction of (q^2;q^2)/(q;q)^2 from pentagonal Euler
+    products.  One entry is enough for I-ALPHA's three cases to share it:
+    verify_identity runs a claim's cases back to back, whatever the claim
+    order.  sequences.clear_caches empties it."""
+    return eta_quotient(_OVERPARTITION_QUOTIENT, ring, step * order).extract_progression(
+        step, 0
+    )
 
 
 def _extracted(ref: SequenceRef, step: int, ring, order):
@@ -378,7 +402,9 @@ def _identity_claims() -> list[IdentityClaim]:
             Zmod(5**4),
             default_order=200,
             lhs_text="125n-extraction of the eta quotient"
-            " (q^125;q^125)^2 (q^2;q^2)/(q;q)^2 (q^250;q^250), mod 5^4",
+            " (q^125;q^125)^2 (q^2;q^2)/(q;q)^2 (q^250;q^250), evaluated as"
+            " (q;q)^2/(q^2;q^2) times the 125n-extraction of (q^2;q^2)/(q;q)^2,"
+            " from pentagonal Euler products, mod 5^4",
             rhs_text="phi(-q) theta sum * 125n-extraction of 1/phi(-q), mod 5^4",
             source="generating function of A_125(125n); the paper states it mod 5",
         ),
@@ -418,7 +444,9 @@ def _identity_claims() -> list[IdentityClaim]:
             cases=({"alpha": 2}, {"alpha": 3}, {"alpha": 4}),
             default_order=200,
             lhs_text="25n-extraction of the eta quotient"
-            " (q^l;q^l)^2 (q^2;q^2)/(q;q)^2 (q^2l;q^2l), l = 5^a, mod 5^4",
+            " (q^l;q^l)^2 (q^2;q^2)/(q;q)^2 (q^2l;q^2l), l = 5^a, evaluated as"
+            " (q^r;q^r)^2/(q^2r;q^2r), r = 5^(a-2), times the 25n-extraction of"
+            " (q^2;q^2)/(q;q)^2, from pentagonal Euler products, mod 5^4",
             rhs_text="phi(-q^(5^(a-2))) theta sum * 25n-extraction of 1/phi(-q), mod 5^4",
             source="generating function of A_(5^a)(25n); the paper states it mod 5",
         ),
@@ -426,9 +454,7 @@ def _identity_claims() -> list[IdentityClaim]:
             "I-PBAR",
             lambda ring, order: one_plus_q_product(range(1, order + 1), ring, order)
             / euler_product(1, ring, order),
-            lambda ring, order: eta_quotient(
-                EtaQuotientSpec(0, ((2, 1), (1, -2))), ring, order
-            ),
+            lambda ring, order: eta_quotient(_OVERPARTITION_QUOTIENT, ring, order),
             ZZ,
             default_order=500,
             lhs_text="(-q;q) by shift-adds, divided by the pentagonal series (q;q)",
@@ -454,7 +480,7 @@ def _forget_registry():
     _REGISTRY = None
 
 
-sequences._clear_hooks.append(_forget_registry)
+sequences._clear_hooks.extend((_forget_registry, _extracted_core.cache_clear))
 
 
 def registry_ids() -> list[str]:

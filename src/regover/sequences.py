@@ -66,18 +66,20 @@ class SequenceRef:
 _series_cache: dict[tuple[str, int | None, int | None], Series] = {}
 
 # Resets that clear_caches also runs, one per cache kept by a module that
-# imports this one (the built claim registry); each registers at its import,
-# so this module imports none of them.
+# imports this one (the built claim registry and the registry's one-entry
+# memo of an extracted eta quotient); each registers at its import, so this
+# module imports none of them.
 _clear_hooks: list = []
 
 _PBAR = SequenceRef("pbar")
 
 
 def clear_caches():
-    """Empty every cache in the package: the series table cache, which is
-    the one module-level table cache (arith builds every r_k lattice table
-    afresh), and each cache registered in _clear_hooks, which is the built
-    claim registry."""
+    """Empty every cache in the package: the series table cache (arith
+    builds every r_k lattice table afresh), and each cache registered in
+    _clear_hooks: the built claim registry and registry._extracted_core,
+    the one-entry memo of the extracted overpartition quotient that I-GF125
+    and I-ALPHA read."""
     _series_cache.clear()
     for reset in _clear_hooks:
         reset()

@@ -7,7 +7,10 @@ is immutable after construction and every operation returns a new one.
 That alone does not make the package thread-safe: ``regover.sequences``
 memoizes tables in ``_series_cache``, the one module-level table cache,
 which is mutable and has no locking, so concurrent threads must not build
-tables through it.
+tables through it.  The only other memo of a series is
+``regover.registry._extracted_core``, a one-entry ``functools.lru_cache``
+of the extracted overpartition quotient that I-GF125 and I-ALPHA read;
+``sequences.clear_caches`` empties both.
 """
 
 from __future__ import annotations

@@ -217,6 +217,7 @@ EXIT_CODE_GRID = [
     (("expand", "1^1.5", "--order", "5"), 2),
     (("expand", "1000000^1", "--order", "5"), 0),
     (("expand", "q^1000 1^1", "--order", "5"), 0),
+    (("expand", "1^-1", "--order", "5", "--csv", "--json"), 2),
     (("value", "A", "--ell", "0", "--n", "5"), 2),
     (("value", "A", "--n", "5"), 2),
     (("value", "A", "--ell", "5", "--n", "0"), 0),
@@ -265,6 +266,8 @@ EXIT_CODE_GRID = [
     (("hunt", "A", "--mod", "5", "--max-step", "3", "--bound", "100"), 2),
     (("hunt", "r", "--k", "9", "--mod", "5", "--max-step", "3", "--bound", "100"), 2),
     (("hunt", "zzz", "--mod", "5", "--max-step", "3"), 2),
+    (("hunt", "A", "--ell", "5", "--mod", "5", "--max-step", "10", "--bound", "200",
+      "--csv", "--json"), 2),
     (("frobnicate",), 2),
     ((), 2),
 ]

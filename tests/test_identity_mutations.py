@@ -122,6 +122,13 @@ def test_i_gf125_fails_on_a_wrong_overpartition_table(monkeypatch):
     check_fails("I-GF125", 20, {}, 2)
 
 
+def test_i_gf125_fails_on_a_wrong_eta_factor(monkeypatch):
+    # (q;q) enters the eta side twice, in the factor evaluated at order and
+    # in the extracted overpartition quotient; the theta side reads neither
+    bump_euler(monkeypatch, products, 1, 1)
+    check_fails("I-GF125", 20, {}, 1)
+
+
 def test_i_dissect_fails_on_a_wrong_dissection_component(monkeypatch):
     # phi(-q) itself is built at scale 1; only the dissection uses scale 25
     bump_phi(monkeypatch, 25, 25)
@@ -139,6 +146,13 @@ def test_i_alpha_fails_on_a_wrong_overpartition_table(monkeypatch):
     # this mutation passed every case.
     bump_pbar(monkeypatch, 250)
     check_fails("I-ALPHA", 20, {"alpha": 2}, 10)
+
+
+def test_i_alpha_fails_on_a_wrong_eta_factor(monkeypatch):
+    # the autouse fixture empties the extracted-quotient memo, so the core
+    # the three cases share is rebuilt from the mutated (q;q)
+    bump_euler(monkeypatch, products, 1, 1)
+    check_fails("I-ALPHA", 20, {"alpha": 2}, 1)
 
 
 def test_i_pbar_fails_when_only_the_scale_two_product_is_wrong(monkeypatch):

@@ -1,9 +1,12 @@
 import json
 from pathlib import Path
 
+from regover import registry, sequences
 from regover.claims import CongruenceClaim, IdentityClaim, verify_congruence, verify_identity
+from regover.products import eta_quotient
 from regover.registry import builtin_registry, claims_by_id, registry_ids, verify_all
 from regover.sequences import SequenceRef
+from regover.series import ZZ, Zmod
 
 import pytest
 
@@ -98,3 +101,36 @@ def test_congruence_reports_match_the_benchmark_expectations():
             want["bound"],
             want["instances"],
         ), claim.id
+
+
+@pytest.mark.parametrize("ell, step", [(125, 125), (25, 25), (125, 25), (625, 25)])
+@pytest.mark.parametrize(
+    "ring, order",
+    [(ring, order) for ring in (Zmod(625), Zmod(5)) for order in (0, 1, 7, 40)]
+    + [(ZZ, order) for order in (0, 1, 7)],
+)
+def test_gf_extracted_equals_the_extraction_of_the_whole_quotient(ell, step, ring, order):
+    # the factor in q^step is evaluated after the extraction, at order
+    whole = eta_quotient(registry.regular_overpartition_quotient(ell), ring, step * order)
+    assert registry._gf_extracted(ell, step, ring, order) == whole.extract_progression(step, 0)
+
+
+def test_i_alpha_builds_the_extracted_quotient_once(monkeypatch):
+    sequences.clear_caches()
+    built = []
+    evaluate = registry.eta_quotient
+
+    def spy(spec, ring, order):
+        built.append((spec, order))
+        return evaluate(spec, ring, order)
+
+    monkeypatch.setattr(registry, "eta_quotient", spy)
+    (claim,) = claims_by_id(["I-ALPHA"])
+    assert verify_identity(claim, 40).passed
+    assert built.count((registry._OVERPARTITION_QUOTIENT, 25 * 40)) == 1
+    outer = [spec for spec, order in built if order == 40]
+    assert len(outer) == len(set(outer)) == 3
+    assert len(built) == 4
+    assert registry._extracted_core.cache_info().currsize == 1
+    sequences.clear_caches()
+    assert registry._extracted_core.cache_info().currsize == 0
