@@ -13,24 +13,28 @@ a series table, or pointwise values at exactly its indices.
 
 Series tables come from a TablePlan, which holds its own tables and never
 reads, writes or evicts the series cache of ``regover.sequences``.  Before
-the first table is built, the plan expands every claim's quantifiers once
-and declares what each claim reads: (sequence, modulus, top index).  Each
-series-backed sequence is then built once per run, over the lcm of its own
-moduli (pbar's include those of every A_l built from it), and a read mod m
-reduces the slice it reads of that table.  The lcm is taken per sequence,
-not over the run, because a table over a larger modulus costs more to
-build.  A table is dropped after its last consumer.  A lone
-verify_congruence is a plan of one claim, and a hunt one of the single
-claim ref(n) = 0 mod m, so each builds its tables over exactly the moduli
-it reads.
+the first table is built, the plan expands every congruence claim's
+quantifiers once and declares what each claim reads: (table, modulus, top
+index).  An identity claim declares its reads as data (table, modulus,
+step), read at the indices step*n up to the order the run checks it at.
+Each table is then built once per run, over the lcm of its own moduli
+(pbar's include those of every A_l built from it), and a read mod m reduces
+the part it reads of that table.  The lcm is taken per table, not over the
+run, because a table over a larger modulus costs more to build.  For the
+same reason congruence and identity claims read separate tables: their
+moduli of pbar (lcm 840 and 625) have the lcm 105,000, whose residues need
+twice the kernel field width.  A table is dropped after its last consumer.
+A lone verify_congruence or verify_identity is a plan of one claim, and a
+hunt one of the single claim ref(n) = 0 mod m, so each builds its tables
+over exactly the moduli it reads.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import lcm
-from typing import Callable, Iterable, Iterator
+from math import gcd, lcm
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import sequences
 from .sequences import SequenceRef, sequence_value, series_inputs
@@ -91,13 +95,25 @@ class CongruenceClaim:
     source: str = ""
 
 
+class Read(NamedTuple):
+    """An identity side's read of a table: its coefficients at the indices
+    step*n, mod modulus.  The table is a series-backed sequence, or a
+    function (ring, order) -> Series that builds a table that is none."""
+
+    table: SequenceRef | Callable[[Ring, int], Series]
+    modulus: int
+    step: int = 1
+
+
 @dataclass(frozen=True)
 class IdentityClaim:
     """Exact or modular series identity, evaluated case by case.
 
-    lhs/rhs are callables (ring, order, **case) -> Series; ring may be a
-    callable of the case for per-case moduli.  order_cap bounds evaluation
-    for sides backed by the enumeration oracle.
+    lhs/rhs are callables (ring, order, *tables, **case) -> Series, where
+    tables holds one Series over Zmod(read.modulus) to order for each of the
+    side's reads (lhs_reads or rhs_reads), in that order, from the run's
+    TablePlan.  ring may be a callable of the case for per-case moduli.
+    order_cap bounds evaluation for sides backed by the enumeration oracle.
     """
 
     id: str
@@ -110,6 +126,8 @@ class IdentityClaim:
     lhs_text: str = ""
     rhs_text: str = ""
     source: str = ""
+    lhs_reads: tuple[Read, ...] = ()
+    rhs_reads: tuple[Read, ...] = ()
 
     def __post_init__(self):
         if not self.cases:
@@ -221,82 +239,163 @@ def _needs(checks: list[_Check]) -> dict:
     return needs
 
 
-class TablePlan:
-    """The series tables that a run of congruence claims reads (see the
-    module docstring).
+def _effective_order(claim: IdentityClaim, order: int) -> int:
+    """The order an identity claim is evaluated at: order, capped by its
+    order_cap."""
+    return order if claim.order_cap is None else min(order, claim.order_cap)
 
-    The plan holds its own tables, one per sequence, over the planned lcm
-    and to the planned top index.  The first ``checks`` call declares every
-    claim's needs.  A sequence is built, through sequences._build_series,
+
+def _inputs(source: SequenceRef | Callable) -> tuple[SequenceRef, ...]:
+    """The tables source's table is built from."""
+    return series_inputs(source) if isinstance(source, SequenceRef) else ()
+
+
+# A plan's tables are keyed (source, family): congruence and identity claims
+# read separate tables (see the module docstring).
+_CONGRUENCE, _IDENTITY = "congruence", "identity"
+
+
+class TablePlan:
+    """The series tables that a run of claims reads (see the module
+    docstring).
+
+    The plan holds its own tables, one per (source, family), over the
+    planned lcm and to the planned top index.  The first ``checks`` or
+    ``identity_tables`` call declares every claim's reads.  A table is built
     when a claim first reads it, from the tables it is built from, reduced
-    into its ring.  Its consumers are the claims that read it and the
-    tables built from it; after the last one, the plan drops its table.
-    Identity claims read no table and are left out.
+    into its ring: a sequence through sequences._build_series, any other
+    table through its own function.  Identity claims read at the order
+    given, or else at each claim's default_order.  A table whose reads all
+    use steps that share the divisor g is kept as its g-progression
+    (congruence reads use step 1).  Such a table holds about 1/g of its
+    build, so the first identity claim that reads a table builds them
+    before any other, largest g first: a whole table, such as pbar to
+    125*order, is then never held while the core is expanded to the same
+    length.  Every other table is built at its first read.  A table's
+    consumers are the claims that read it and the tables built from it;
+    after the last one, the plan drops it.
     """
 
-    def __init__(self, claims: Iterable, caps: Caps):
+    def __init__(self, claims: Iterable, caps: Caps = Caps(), order: int | None = None):
         self.caps = caps
-        self._claims = [c for c in claims if isinstance(c, CongruenceClaim)]
-        self._checks: dict | None = None  # id(claim) -> its checks
-        self._reads: dict = {}  # id(claim) -> the sequences it reads
-        self._modulus: dict = {}  # sequence -> lcm of its moduli
-        self._top: dict = {}  # sequence -> largest top index
-        self._consumers: Counter = Counter()  # sequence -> readers and builds left
-        self._tables: dict = {}  # sequence -> its table, until its last consumer
+        self.order = order
+        self._claims = list(claims)
+        self._checks: dict | None = None  # id(congruence claim) -> its checks
+        self._reads: dict = {}  # id(claim) -> the tables it reads
+        self._modulus: dict = {}  # table -> lcm of its moduli
+        self._top: dict = {}  # table -> largest top index
+        self._step: dict = {}  # table -> gcd of its read steps
+        self._consumers: Counter = Counter()  # table -> readers and builds left
+        self._tables: dict = {}  # table -> its table, until its last consumer
+        self._built_progressions = False
 
-    def checks(self, claim: CongruenceClaim) -> list[_Check]:
-        """The claim's checks; the first call declares every claim's needs."""
+    def order_of(self, claim: IdentityClaim) -> int:
+        """The order the run checks an identity claim at."""
+        return claim.default_order if self.order is None else self.order
+
+    def _require(self, claim):
+        """Declare every claim's reads, on the first call; then check that
+        the claim is in the plan."""
         if self._checks is None:
             self._checks = {}
             for c in self._claims:
-                checks = self._checks[id(c)] = _declare(c, self.caps)
-                needs = _needs(checks)
-                for (ref, modulus), top in needs.items():
-                    self._add(ref, modulus, top)
-                reads = self._reads[id(c)] = {ref for ref, _ in needs}
-                for ref in reads:
-                    self._consumers[ref] += 1
-        if id(claim) not in self._checks:
+                if isinstance(c, CongruenceClaim):
+                    checks = self._checks[id(c)] = _declare(c, self.caps)
+                    reads = [
+                        ((ref, _CONGRUENCE), modulus, top, 1)
+                        for (ref, modulus), top in _needs(checks).items()
+                    ]
+                else:
+                    eff = _effective_order(c, self.order_of(c))
+                    reads = [
+                        ((r.table, _IDENTITY), r.modulus, r.step * eff, r.step)
+                        for r in c.lhs_reads + c.rhs_reads
+                    ]
+                for key, modulus, top, step in reads:
+                    self._add(key, modulus, top, step)
+                keys = self._reads[id(c)] = {key for key, *_ in reads}
+                for key in keys:
+                    self._consumers[key] += 1
+        if id(claim) not in self._reads:
             raise ValueError(f"claim {claim.id} is not in the plan")
+
+    def checks(self, claim: CongruenceClaim) -> list[_Check]:
+        """The congruence claim's checks."""
+        self._require(claim)
         return self._checks[id(claim)]
 
-    def _add(self, ref: SequenceRef, modulus: int, top: int):
-        """Add the need, and the same need of every table ref's is built from."""
-        if ref in self._modulus:
-            self._modulus[ref] = lcm(self._modulus[ref], modulus)
-            self._top[ref] = max(self._top[ref], top)
-        else:
-            self._modulus[ref], self._top[ref] = modulus, top
-            for dep in series_inputs(ref):
-                self._consumers[dep] += 1  # ref's build reads dep's table
-        for dep in series_inputs(ref):
-            self._add(dep, modulus, top)
+    def identity_tables(self, claim: IdentityClaim) -> tuple[list[Series], list[Series]]:
+        """The series the identity claim's lhs and rhs read, each to the
+        claim's effective order.  The first claim that reads a table builds
+        every table kept as a progression first, largest step first."""
+        self._require(claim)
+        if not self._built_progressions and claim.lhs_reads + claim.rhs_reads:
+            self._built_progressions = True
+            kept = [key for key, step in self._step.items() if step > 1]
+            for key in sorted(kept, key=self._step.get, reverse=True):
+                self._table(key)
+        eff = _effective_order(claim, self.order_of(claim))
+        return tuple(
+            [self._read(r, eff) for r in reads] for reads in (claim.lhs_reads, claim.rhs_reads)
+        )
 
-    def _table(self, ref: SequenceRef) -> Series:
-        """ref's table over the planned modulus, built on its first read from
-        the tables it is built from, each reduced into its ring."""
-        table = self._tables.get(ref)
+    def _add(self, key: tuple, modulus: int, top: int, step: int):
+        """Add the read, and a whole read of every table key's is built from."""
+        source, family = key
+        if key in self._modulus:
+            self._modulus[key] = lcm(self._modulus[key], modulus)
+            self._top[key] = max(self._top[key], top)
+            self._step[key] = gcd(self._step[key], step)
+        else:
+            self._modulus[key], self._top[key], self._step[key] = modulus, top, step
+            for dep in _inputs(source):
+                self._consumers[(dep, family)] += 1  # key's build reads dep's table
+        for dep in _inputs(source):
+            self._add((dep, family), modulus, top, 1)
+
+    def _table(self, key: tuple) -> Series:
+        """key's table over the planned modulus, built on its first read from
+        the tables it is built from, each reduced into its ring, and kept as
+        its planned progression."""
+        table = self._tables.get(key)
         if table is None:
-            m, top = self._modulus[ref], self._top[ref]
+            (source, family), m, top = key, self._modulus[key], self._top[key]
             inputs = []
-            for dep in series_inputs(ref):
-                dep_table = self._table(dep)
-                self._release(dep)
+            for dep in _inputs(source):
+                dep_table = self._table((dep, family))
+                self._release((dep, family))
                 if dep_table.ring.modulus != m:
                     dep_table = Series._raw(Zmod(m), [c % m for c in dep_table[: top + 1]])
                 inputs.append(dep_table)
-            table = self._tables[ref] = sequences._build_series(ref, Zmod(m), top, *inputs)
+            if isinstance(source, SequenceRef):
+                table = sequences._build_series(source, Zmod(m), top, *inputs)
+            else:
+                table = source(Zmod(m), top)
+            if self._step[key] > 1:
+                table = table.extract_progression(self._step[key], 0)
+            self._tables[key] = table
         return table
 
-    def done(self, claim: CongruenceClaim):
-        """Release the tables the claim read."""
-        for ref in self._reads.get(id(claim), ()):
-            self._release(ref)
+    def _read(self, read: Read, order: int) -> Series:
+        """The read's coefficients at step*n for n <= order, mod its modulus;
+        shorter when the table is."""
+        key = (read.table, _IDENTITY)
+        table = self._table(key)
+        stride = read.step // self._step[key]
+        values = table[: stride * order + 1 : stride]
+        if table.ring.modulus != read.modulus:
+            values = [v % read.modulus for v in values]
+        return Series._raw(Zmod(read.modulus), values)
 
-    def _release(self, ref: SequenceRef):
-        self._consumers[ref] -= 1
-        if self._consumers[ref] <= 0:
-            self._tables.pop(ref, None)
+    def done(self, claim):
+        """Release the tables the claim read."""
+        for key in self._reads.get(id(claim), ()):
+            self._release(key)
+
+    def _release(self, key: tuple):
+        self._consumers[key] -= 1
+        if self._consumers[key] <= 0:
+            self._tables.pop(key, None)
 
 
 def _side(t: Term, check: _Check, plan: TablePlan) -> list[int]:
@@ -309,7 +408,7 @@ def _side(t: Term, check: _Check, plan: TablePlan) -> list[int]:
         return [0] * (check.hi - check.lo + 1)
     indices = range(t.a * check.lo + t.b, t.a * check.hi + t.b + 1, t.a)
     if t.seq.is_series_backed:
-        table = plan._table(t.seq)
+        table = plan._table((t.seq, _CONGRUENCE))
         values = table[indices.start : indices.stop : indices.step]
         if table.ring.modulus != m:
             values = [v % m for v in values]
@@ -371,30 +470,55 @@ def verify_congruence(
     return VerificationReport(claim.id, bound, total, "pass")
 
 
-def verify_identity(claim: IdentityClaim, order: int) -> VerificationReport:
+def verify_identity(
+    claim: IdentityClaim, order: int, plan: TablePlan | None = None
+) -> VerificationReport:
     """Evaluate both series expressions of every case at the given order
     (capped by the claim's order_cap); the coefficient lists are compared
-    whole, and the first mismatch is located only when they differ."""
+    whole, and the first mismatch is located only when they differ.  A side
+    that stops short of that order raises ValueError, so it cannot shrink
+    the check.
+
+    The sides' tables come from plan, which must hold the claim and check
+    it at this order.  With no plan, the claim is a plan of its own, as in
+    verify_congruence."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    eff = order if claim.order_cap is None else min(order, claim.order_cap)
+    if plan is None:
+        plan = TablePlan([claim], order=order)
+    elif plan.order_of(claim) != order:
+        raise ValueError(f"plan checks {claim.id} at order {plan.order_of(claim)}, not {order}")
+    eff = _effective_order(claim, order)
     total = 0
-    for case in claim.cases:
-        ring = _resolve(claim.ring, case)
-        lhs = claim.lhs(ring, eff, **case)
-        rhs = claim.rhs(ring, eff, **case)
-        top = min(lhs.order, rhs.order, eff)
-        la, ra = lhs[: top + 1], rhs[: top + 1]
-        if la != ra:
-            n = next(n for n, (x, y) in enumerate(zip(la, ra)) if x != y)
-            return VerificationReport(
-                claim.id,
-                eff,
-                total + n + 1,
-                "fail",
-                {"params": dict(case), "index": n, "lhs": la[n], "rhs": ra[n]},
-            )
-        total += top + 1
+    try:
+        lhs_tables, rhs_tables = plan.identity_tables(claim)
+        for case in claim.cases:
+            ring = _resolve(claim.ring, case)
+            sides = []
+            for name, side, tables in (
+                ("lhs", claim.lhs, lhs_tables),
+                ("rhs", claim.rhs, rhs_tables),
+            ):
+                series = side(ring, eff, *tables, **case)
+                if series.order < eff:
+                    raise ValueError(
+                        f"{claim.id}: {name} of case {case} stops at order"
+                        f" {series.order}, not {eff}"
+                    )
+                sides.append(series[: eff + 1])
+            la, ra = sides
+            if la != ra:
+                n = next(n for n, (x, y) in enumerate(zip(la, ra)) if x != y)
+                return VerificationReport(
+                    claim.id,
+                    eff,
+                    total + n + 1,
+                    "fail",
+                    {"params": dict(case), "index": n, "lhs": la[n], "rhs": ra[n]},
+                )
+            total += eff + 1
+    finally:
+        plan.done(claim)
     return VerificationReport(claim.id, eff, total, "pass")
 
 
@@ -407,11 +531,13 @@ def verify_claim(
     plan: TablePlan | None = None,
 ) -> VerificationReport:
     """Dispatch on claim kind; identity claims use their default order
-    unless one is given.  A congruence claim reads its tables from plan
-    (see verify_congruence)."""
+    unless one is given.  The claim reads its tables from plan (see
+    verify_congruence and verify_identity)."""
     if isinstance(claim, CongruenceClaim):
         return verify_congruence(claim, bound, prime_cap, k_cap, plan)
-    return verify_identity(claim, order if order is not None else claim.default_order)
+    return verify_identity(
+        claim, order if order is not None else claim.default_order, plan
+    )
 
 
 def hunt(

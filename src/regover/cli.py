@@ -127,9 +127,10 @@ def _run_claims(selected, args) -> int:
     fmt = _format_of(args)
     order = getattr(args, "order", None)
     # the plan declares its needs in the first verify_claim call, so every
-    # table is built inside one
+    # table is built inside one; identity claims read at --order, or else
+    # at their default order
     caps = claims_mod.Caps(prime_cap=args.prime_cap, k_cap=args.k_cap, bound=args.bound)
-    plan = claims_mod.TablePlan(selected, caps)
+    plan = claims_mod.TablePlan(selected, caps, order)
     failed = False
     for claim in selected:
         report = claims_mod.verify_claim(

@@ -266,8 +266,6 @@ def phi_five_dissection_residual(ring: Ring, order: int) -> Series:
     M_i(-q^5) is built by sign-folding the M_i series (q -> -q) and then
     substituting q -> q^5.
     """
-    if order < 4:
-        raise ValueError("order must be >= 4")
     lhs = phi(-1, ring, order)
     part25 = phi(-1, ring, order, scale=25)
     m1 = theta_f_series(_M1, ring, order).negate_variable().substitute_power(5)

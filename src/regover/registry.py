@@ -11,7 +11,6 @@ families.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import takewhile
 
 from . import sequences
@@ -24,6 +23,7 @@ from .claims import (
     CongruenceClaim,
     IdentityClaim,
     Quantifier,
+    Read,
     TablePlan,
     Term,
     VerificationReport,
@@ -40,7 +40,8 @@ from .products import (
     theta_f_product,
     theta_f_series,
 )
-from .sequences import SequenceRef, oracle_regular_overpartition, sequence_series
+# bench/tracer.py wraps registry.sequence_series, so the name is kept here
+from .sequences import SequenceRef, oracle_regular_overpartition, sequence_series  # noqa: F401
 from .series import Series, ZZ, Zmod
 
 # -- congruence claims -------------------------------------------------------
@@ -295,33 +296,27 @@ def _gf_lhs(ring, order, ell):
 _OVERPARTITION_QUOTIENT = EtaQuotientSpec(0, ((2, 1), (1, -2)))
 
 
-def _gf_extracted(ell, step, ring, order):
-    """The step*n coefficients of the eta quotient, not of the cached A table:
-    (q^r;q^r)^2/(q^2r;q^2r) times the step*n extraction of (q^2;q^2)/(q;q)^2,
-    with r = ell/step.
+def _build_core(ring, order):
+    """The overpartition quotient (q^2;q^2)/(q;q)^2 from pentagonal Euler
+    products: the eta core that I-GF125 and I-ALPHA read extracted."""
+    return eta_quotient(_OVERPARTITION_QUOTIENT, ring, order)
+
+
+_PBAR = SequenceRef("pbar")
+
+
+def _gf_extracted(ell, step, ring, order, core):
+    """The step*n coefficients of the eta quotient, not of the A table:
+    (q^r;q^r)^2/(q^2r;q^2r) times core, the step*n extraction of
+    (q^2;q^2)/(q;q)^2 to order, with r = ell/step.
 
     step must divide ell.  Then the factor (q^ell;q^ell)^2/(q^2ell;q^2ell)
     is a series in q^step, so it commutes with the extraction and is
-    evaluated at order instead of step*order.  Only the overpartition
-    quotient is expanded to step*order."""
+    evaluated at order instead of step*order.  Only the core is expanded to
+    step*order, once per run by the claims' table plan."""
     r = ell // step
     outer = eta_quotient(EtaQuotientSpec(0, ((r, 2), (2 * r, -1))), ring, order)
-    return outer * _extracted_core(step, ring, order)
-
-
-@lru_cache(maxsize=1)
-def _extracted_core(step, ring, order):
-    """The step*n extraction of (q^2;q^2)/(q;q)^2 from pentagonal Euler
-    products.  One entry is enough for I-ALPHA's three cases to share it:
-    verify_identity runs a claim's cases back to back, whatever the claim
-    order.  sequences.clear_caches empties it."""
-    return eta_quotient(_OVERPARTITION_QUOTIENT, ring, step * order).extract_progression(
-        step, 0
-    )
-
-
-def _extracted(ref: SequenceRef, step: int, ring, order):
-    return sequence_series(ref, ring, step * order).extract_progression(step, 0)
+    return outer * core
 
 
 def _identity_claims() -> list[IdentityClaim]:
@@ -364,7 +359,7 @@ def _identity_claims() -> list[IdentityClaim]:
         ),
         IdentityClaim(
             "I-GF5",
-            lambda ring, order: sequence_series(_a(5), ring, order),
+            lambda ring, order, a5: a5,
             lambda ring, order: eta_quotient(
                 EtaQuotientSpec(0, ((1, 8), (2, -4))), ring, order
             ),
@@ -373,32 +368,34 @@ def _identity_claims() -> list[IdentityClaim]:
             lhs_text="A_5 table phi(-q^5) * 1/phi(-q), mod 5",
             rhs_text="eta quotient (q;q)^8 / (q^2;q^2)^4 from pentagonal Euler products, mod 5",
             source="generating function reduced mod 5",
+            lhs_reads=(Read(_a(5), 5),),
         ),
         IdentityClaim(
             "I-R25",
-            lambda ring, order: _extracted(_a(25), 5, ring, order),
+            lambda ring, order, a25: a25,
             lambda ring, order: phi(-1, ring, order) ** 8,
             Zmod(5),
             default_order=1000,
             lhs_text="5n-extraction of the A_25 table phi(-q^25) * 1/phi(-q), mod 5",
             rhs_text="phi(-q) theta sum raised to 8 by binary powering, mod 5",
             source="via Treneer's overpartition congruence",
+            lhs_reads=(Read(_a(25), 5, 5),),
         ),
         IdentityClaim(
             "I-TRENEER",
-            lambda ring, order: _extracted(SequenceRef("pbar"), 5, ring, order),
+            lambda ring, order, pbar: pbar,
             lambda ring, order: phi(-1, ring, order) ** 3,
             Zmod(5),
             default_order=1000,
             lhs_text="5n-extraction of the overpartition table 1/phi(-q), mod 5",
             rhs_text="phi(-q) theta sum cubed by binary powering, mod 5",
             source="Treneer (2006)",
+            lhs_reads=(Read(_PBAR, 5, 5),),
         ),
         IdentityClaim(
             "I-GF125",
-            lambda ring, order: _gf_extracted(125, 125, ring, order),
-            lambda ring, order: phi(-1, ring, order)
-            * _extracted(SequenceRef("pbar"), 125, ring, order),
+            lambda ring, order, core: _gf_extracted(125, 125, ring, order, core),
+            lambda ring, order, pbar: phi(-1, ring, order) * pbar,
             Zmod(5**4),
             default_order=200,
             lhs_text="125n-extraction of the eta quotient"
@@ -407,6 +404,8 @@ def _identity_claims() -> list[IdentityClaim]:
             " from pentagonal Euler products, mod 5^4",
             rhs_text="phi(-q) theta sum * 125n-extraction of 1/phi(-q), mod 5^4",
             source="generating function of A_125(125n); the paper states it mod 5",
+            lhs_reads=(Read(_build_core, 5**4, 125),),
+            rhs_reads=(Read(_PBAR, 5**4, 125),),
         ),
         IdentityClaim(
             "I-DISSECT",
@@ -437,9 +436,9 @@ def _identity_claims() -> list[IdentityClaim]:
         ),
         IdentityClaim(
             "I-ALPHA",
-            lambda ring, order, alpha: _gf_extracted(5**alpha, 25, ring, order),
-            lambda ring, order, alpha: phi(-1, ring, order, scale=5 ** (alpha - 2))
-            * _extracted(SequenceRef("pbar"), 25, ring, order),
+            lambda ring, order, core, alpha: _gf_extracted(5**alpha, 25, ring, order, core),
+            lambda ring, order, pbar, alpha: phi(-1, ring, order, scale=5 ** (alpha - 2))
+            * pbar,
             Zmod(5**4),
             cases=({"alpha": 2}, {"alpha": 3}, {"alpha": 4}),
             default_order=200,
@@ -449,6 +448,8 @@ def _identity_claims() -> list[IdentityClaim]:
             " (q^2;q^2)/(q;q)^2, from pentagonal Euler products, mod 5^4",
             rhs_text="phi(-q^(5^(a-2))) theta sum * 25n-extraction of 1/phi(-q), mod 5^4",
             source="generating function of A_(5^a)(25n); the paper states it mod 5",
+            lhs_reads=(Read(_build_core, 5**4, 25),),
+            rhs_reads=(Read(_PBAR, 5**4, 25),),
         ),
         IdentityClaim(
             "I-PBAR",
@@ -480,7 +481,7 @@ def _forget_registry():
     _REGISTRY = None
 
 
-sequences._clear_hooks.extend((_forget_registry, _extracted_core.cache_clear))
+sequences._clear_hooks.append(_forget_registry)
 
 
 def registry_ids() -> list[str]:

@@ -66,9 +66,8 @@ class SequenceRef:
 _series_cache: dict[tuple[str, int | None, int | None], Series] = {}
 
 # Resets that clear_caches also runs, one per cache kept by a module that
-# imports this one (the built claim registry and the registry's one-entry
-# memo of an extracted eta quotient); each registers at its import, so this
-# module imports none of them.
+# imports this one (the built claim registry); each registers at its
+# import, so this module imports none of them.
 _clear_hooks: list = []
 
 _PBAR = SequenceRef("pbar")
@@ -77,9 +76,8 @@ _PBAR = SequenceRef("pbar")
 def clear_caches():
     """Empty every cache in the package: the series table cache (arith
     builds every r_k lattice table afresh), and each cache registered in
-    _clear_hooks: the built claim registry and registry._extracted_core,
-    the one-entry memo of the extracted overpartition quotient that I-GF125
-    and I-ALPHA read."""
+    _clear_hooks: the built claim registry.  No claim run fills a cache;
+    its tables live in its claims.TablePlan."""
     _series_cache.clear()
     for reset in _clear_hooks:
         reset()
@@ -89,7 +87,9 @@ def sequence_series(ref: SequenceRef, ring: Ring, order: int) -> Series:
     """The sequence's generating function as a Series (series-backed refs only).
 
     Results are memoized per (ref, ring) keeping the longest prefix computed
-    so far, so repeated verification passes share one table.
+    so far, so repeated calls share one table.  Only library callers and
+    sequence_table and sequence_value read this memo: claim runs read their
+    tables from a claims.TablePlan.
     """
     if not ref.is_series_backed:
         raise ValueError(f"sequence {ref.label()} has no generating function route")

@@ -7,10 +7,10 @@ is immutable after construction and every operation returns a new one.
 That alone does not make the package thread-safe: ``regover.sequences``
 memoizes tables in ``_series_cache``, the one module-level table cache,
 which is mutable and has no locking, so concurrent threads must not build
-tables through it.  The only other memo of a series is
-``regover.registry._extracted_core``, a one-entry ``functools.lru_cache``
-of the extracted overpartition quotient that I-GF125 and I-ALPHA read;
-``sequences.clear_caches`` empties both.
+tables through it.  Only library callers of ``sequence_series``,
+``sequence_table`` and ``sequence_value`` fill it; claim runs, hunts
+included, read their tables from a ``regover.claims.TablePlan``, which
+holds them for one run.
 """
 
 from __future__ import annotations

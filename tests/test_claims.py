@@ -225,6 +225,24 @@ def test_identity_counterexample():
         verify_identity(wrong, 0)
 
 
+@pytest.mark.parametrize("short_side", ["lhs", "rhs"])
+def test_a_short_side_is_an_error_not_a_smaller_check(short_side):
+    # a side that stops at order 3 would have shrunk the check to 4
+    # coefficients and still passed
+    def side(name):
+        def build(ring, order, k):
+            return Series.one(ring, 3 if name == short_side else order)
+
+        return build
+
+    claim = IdentityClaim("stub", side("lhs"), side("rhs"), ZZ, cases=({"k": 1},))
+    with pytest.raises(ValueError) as err:
+        verify_identity(claim, 10)
+    message = str(err.value)
+    assert "stub" in message and short_side in message and "{'k': 1}" in message
+    assert verify_identity(claim, 3).passed
+
+
 def test_claims_reject_malformed_shapes():
     with pytest.raises(ValueError, match="at least one case"):
         IdentityClaim("no-cases", Series.one, Series.one, ZZ, cases=())

@@ -140,6 +140,15 @@ def test_identities_runs_only_identity_claims(capsys):
     assert "C-T1" not in ids
 
 
+@pytest.mark.parametrize("order", ["1", "3"])
+def test_identities_run_at_the_smallest_orders(capsys, order):
+    # I-DISSECT's residual is zero at every order, below 4 too
+    code, out, err = run(capsys, "identities", "--order", order)
+    assert (code, err) == (0, "")
+    statuses = [line.split()[1] for line in out.strip().splitlines()]
+    assert statuses == ["pass"] * 11
+
+
 def test_identities_rejects_congruence_id(capsys):
     code, _, err = run(capsys, "identities", "C-T1")
     assert code == 2
@@ -247,6 +256,7 @@ EXIT_CODE_GRID = [
     # no ids: every registry claim, C-BROKEN included (its index 28 <= 50)
     (("verify", "--bound", "50", "--order", "20", "--json"), 1),
     (("verify", "--bound", "20", "--order", "20", "--json"), 0),
+    (("verify", "--bound", "20", "--order", "2", "--json"), 0),
     (("identities", "C-T1", "--json"), 2),
     (("identities", "NOPE", "--json"), 2),
     (("identities", "I-QP", "--order", "0", "--json"), 2),

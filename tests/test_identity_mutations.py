@@ -6,13 +6,15 @@ whose two sides were built from one shared table would pass any such
 mutation of that table, so these tests pin that the two sides of every
 identity are independent routes.  Where both sides share a builder (the
 Euler product in I-QP and I-PBAR), the builder is perturbed at a scale only
-one side uses.
+one side uses.  Every mutant fails at the same place in a run of one table
+plan over all eleven identities as in a run of its claim alone, so sharing
+the plan's tables between claims hides no mutation.
 """
 
 import pytest
 
 from regover import products, registry, sequences
-from regover.claims import verify_identity
+from regover.claims import IdentityClaim, TablePlan, verify_identity
 from regover.registry import claims_by_id
 from regover.sequences import SequenceRef
 from regover.series import Series
@@ -68,12 +70,17 @@ def bump_phi(monkeypatch, target, index):
 
 
 def check_fails(claim_id, order, params, index):
+    """The claim fails at (params, index), alone and in one plan over every
+    identity; each run builds its tables afresh under the mutation."""
     (claim,) = claims_by_id([claim_id])
-    report = verify_identity(claim, order)
-    assert report.status == "fail", report
-    assert report.counterexample is not None
-    assert report.counterexample["params"] == params
-    assert report.counterexample["index"] == index
+    selected = [c for c in registry.builtin_registry() if isinstance(c, IdentityClaim)]
+    plan = TablePlan(selected, order=order)
+    shared = {c.id: verify_identity(c, order, plan) for c in selected}
+    for report in (verify_identity(claim, order), shared[claim_id]):
+        assert report.status == "fail", report
+        assert report.counterexample is not None
+        assert report.counterexample["params"] == params
+        assert report.counterexample["index"] == index
 
 
 def test_i_gf_fails_on_a_wrong_oracle_value(monkeypatch):
@@ -149,8 +156,8 @@ def test_i_alpha_fails_on_a_wrong_overpartition_table(monkeypatch):
 
 
 def test_i_alpha_fails_on_a_wrong_eta_factor(monkeypatch):
-    # the autouse fixture empties the extracted-quotient memo, so the core
-    # the three cases share is rebuilt from the mutated (q;q)
+    # the core the three cases share is built in the run, from the mutated
+    # (q;q)
     bump_euler(monkeypatch, products, 1, 1)
     check_fails("I-ALPHA", 20, {"alpha": 2}, 1)
 

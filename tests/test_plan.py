@@ -1,11 +1,18 @@
-"""The table plan of a congruence run: every series-backed sequence is built
-once, over the lcm of the moduli its claims read it at, and dropped after
-its last consumer, with every report unchanged."""
+"""The table plan of a run: every table is built once, over the lcm of the
+moduli its claims read it at and to the largest index they read, and
+dropped after its last consumer, with every report unchanged."""
 
 import pytest
 
 from regover import claims, registry, sequences
-from regover.claims import Caps, TablePlan, hunt, verify_claim, verify_congruence
+from regover.claims import (
+    Caps,
+    TablePlan,
+    hunt,
+    verify_claim,
+    verify_congruence,
+    verify_identity,
+)
 from regover.cli import main
 from regover.registry import _a, claims_by_id
 from regover.sequences import SequenceRef
@@ -119,3 +126,98 @@ def test_hunt_rejects_a_negative_bound():
         hunt(SequenceRef("chi"), 2, 4, -1)
     with pytest.raises(ValueError):
         hunt(_a(5), 5, 4, -1)
+
+
+# -- identity claims ----------------------------------------------------------
+
+
+def identities():
+    return [c for c in registry.builtin_registry() if isinstance(c, claims.IdentityClaim)]
+
+
+def run_identities(selected, order):
+    plan = TablePlan(selected, order=order)
+    return {c.id: verify_identity(c, order, plan) for c in selected}
+
+
+@pytest.mark.parametrize("order", [7, 200])
+def test_identity_reports_do_not_depend_on_the_plan(order):
+    selected = identities()
+    assert len(selected) == 11
+    alone = {c.id: verify_identity(c, order) for c in selected}
+    assert run_identities(selected, order) == alone
+    assert run_identities(selected[::-1], order) == alone
+    assert all(r.passed for r in alone.values())
+
+
+def test_each_identity_table_is_built_once_to_its_largest_read(builds, monkeypatch):
+    core = []
+    evaluate = registry.eta_quotient
+
+    def spy(spec, ring, order):
+        if spec == registry._OVERPARTITION_QUOTIENT:
+            core.append((ring.modulus, order))
+        return evaluate(spec, ring, order)
+
+    monkeypatch.setattr(registry, "eta_quotient", spy)
+    order = 20
+    run_identities(identities(), order)
+    # pbar serves the mod-5 reads of I-TRENEER, A_5 and A_25 by reduction
+    assert sorted(builds) == [
+        ("A(25)", 5, 5 * order),
+        ("A(5)", 5, order),
+        ("pbar", 625, 125 * order),
+    ]
+    # one core for I-GF125 (step 125) and the three cases of I-ALPHA (25);
+    # I-PBAR's eta side builds the same quotient over ZZ at the order
+    assert len(core) == 2 and set(core) == {(625, 125 * order), (None, order)}
+
+
+def test_progression_tables_are_built_before_whole_ones(builds, monkeypatch):
+    # I-GF5 reads first, but pbar to 125*order is not held while the core
+    # is expanded to the same length
+    evaluate = registry.eta_quotient
+
+    def spy(spec, ring, order):
+        if spec == registry._OVERPARTITION_QUOTIENT:
+            builds.append(("core", ring.modulus, order))
+        return evaluate(spec, ring, order)
+
+    monkeypatch.setattr(registry, "eta_quotient", spy)
+    selected = claims_by_id(["I-GF5", "I-R25", "I-GF125"])
+    assert all(r.passed for r in run_identities(selected, 20).values())
+    assert builds == [
+        ("core", 625, 2500),  # kept as its 125-progression
+        ("pbar", 625, 2500),  # built for A_25, kept whole for I-GF5 and I-GF125
+        ("A(25)", 5, 100),  # kept as its 5-progression
+        ("A(5)", 5, 20),
+    ]
+
+
+def test_the_core_is_kept_as_the_progression_its_reads_share():
+    gf125, alpha = claims_by_id(["I-GF125", "I-ALPHA"])
+    plan = TablePlan([gf125, alpha], order=40)
+    key = (registry._build_core, claims._IDENTITY)
+    plan.identity_tables(gf125)
+    assert len(plan._tables[key]) == 125 * 40 // 25 + 1
+    assert verify_identity(gf125, 40, plan).passed
+    assert verify_identity(alpha, 40, plan).passed
+    assert plan._tables == {}
+
+
+def test_an_identity_run_leaves_no_table(capsys):
+    ids = [c.id for c in identities()]
+    assert main(["identities", *ids, "--order", "30", "--json"]) == 0
+    assert main(["verify", "--bound", "200", "--order", "30", "--json"]) == 0
+    assert sequences._series_cache == {}
+
+
+def test_an_identity_outside_the_plan_or_order_is_refused():
+    gf125, alpha = claims_by_id(["I-GF125", "I-ALPHA"])
+    plan = TablePlan([gf125], order=20)
+    with pytest.raises(ValueError, match="not in the plan"):
+        verify_identity(alpha, 20, plan)
+    with pytest.raises(ValueError, match="order 20, not 21"):
+        verify_identity(gf125, 21, plan)
+    default = TablePlan([gf125])
+    assert verify_identity(gf125, gf125.default_order, default).passed

@@ -2,7 +2,13 @@ import json
 from pathlib import Path
 
 from regover import registry, sequences
-from regover.claims import CongruenceClaim, IdentityClaim, verify_congruence, verify_identity
+from regover.claims import (
+    CongruenceClaim,
+    IdentityClaim,
+    TablePlan,
+    verify_congruence,
+    verify_identity,
+)
 from regover.products import eta_quotient
 from regover.registry import builtin_registry, claims_by_id, registry_ids, verify_all
 from regover.sequences import SequenceRef
@@ -110,12 +116,29 @@ def test_congruence_reports_match_the_benchmark_expectations():
     + [(ZZ, order) for order in (0, 1, 7)],
 )
 def test_gf_extracted_equals_the_extraction_of_the_whole_quotient(ell, step, ring, order):
-    # the factor in q^step is evaluated after the extraction, at order
+    # the factor in q^step is evaluated after the extraction, at order, and
+    # multiplies the extracted core that the claims read from their plan
     whole = eta_quotient(registry.regular_overpartition_quotient(ell), ring, step * order)
-    assert registry._gf_extracted(ell, step, ring, order) == whole.extract_progression(step, 0)
+    core = registry._build_core(ring, step * order).extract_progression(step, 0)
+    got = registry._gf_extracted(ell, step, ring, order, core)
+    assert got == whole.extract_progression(step, 0)
+
+
+def test_no_identity_side_reads_the_other_sides_table():
+    # the eta core and pbar are two routes to one series: a side that read
+    # the other route's table would let a wrong table confirm itself
+    for claim in builtin_registry():
+        if isinstance(claim, IdentityClaim):
+            lhs = {read.table for read in claim.lhs_reads}
+            assert not lhs & {read.table for read in claim.rhs_reads}, claim.id
+    (gf125,) = claims_by_id(["I-GF125"])
+    assert [r.table for r in gf125.lhs_reads] == [registry._build_core]
+    assert [r.table for r in gf125.rhs_reads] == [SequenceRef("pbar")]
 
 
 def test_i_alpha_builds_the_extracted_quotient_once(monkeypatch):
+    # the three cases share one build of the core, and the plan keeps no
+    # table after the claim
     sequences.clear_caches()
     built = []
     evaluate = registry.eta_quotient
@@ -126,11 +149,11 @@ def test_i_alpha_builds_the_extracted_quotient_once(monkeypatch):
 
     monkeypatch.setattr(registry, "eta_quotient", spy)
     (claim,) = claims_by_id(["I-ALPHA"])
-    assert verify_identity(claim, 40).passed
+    plan = TablePlan([claim], order=40)
+    assert verify_identity(claim, 40, plan).passed
     assert built.count((registry._OVERPARTITION_QUOTIENT, 25 * 40)) == 1
     outer = [spec for spec, order in built if order == 40]
     assert len(outer) == len(set(outer)) == 3
     assert len(built) == 4
-    assert registry._extracted_core.cache_info().currsize == 1
-    sequences.clear_caches()
-    assert registry._extracted_core.cache_info().currsize == 0
+    assert plan._tables == {}
+    assert sequences._series_cache == {}

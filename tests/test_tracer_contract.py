@@ -55,3 +55,47 @@ def test_one_plan_over_the_congruences_builds_each_table_once():
     names = [span[0] for span in tracer.spans]
     assert names.count("sequences.build") == 10
     assert names.count("kernels.div_mod") == 1
+
+
+def test_one_plan_over_the_identities_builds_each_table_once(monkeypatch):
+    # the spies sit under the tracer, so the spans counted are the ones the
+    # benchmark reads, and the spies add the rings and orders
+    tracer_mod = load_tracer()
+    builds, cores = [], []
+    build, evaluate = sequences._build_series, registry.eta_quotient
+
+    def spy_build(ref, ring, order, *inputs):
+        builds.append((ref.label(), ring.modulus, order))
+        return build(ref, ring, order, *inputs)
+
+    def spy_eta(spec, ring, order):
+        if spec == registry._OVERPARTITION_QUOTIENT and ring.modulus == 625:
+            cores.append(order)
+        return evaluate(spec, ring, order)
+
+    monkeypatch.setattr(sequences, "_build_series", spy_build)
+    monkeypatch.setattr(registry, "eta_quotient", spy_eta)
+    selected = [c for c in registry.builtin_registry() if isinstance(c, claims.IdentityClaim)]
+    assert len(selected) == 11
+    order = 200
+    cached = dict(sequences._series_cache)
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer_mod.install_layers(tracer)
+        plan = claims.TablePlan(selected, order=order)
+        assert all(claims.verify_claim(c, order=order, plan=plan).passed for c in selected)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("sequences.build") == 3
+    assert sorted(builds) == [
+        ("A(25)", 5, 5 * order),
+        ("A(5)", 5, order),
+        ("pbar", 625, 125 * order),
+    ]
+    assert cores == [125 * order]
+    # pbar 1, the core 2 (by (q;q) twice), the outer factors of I-GF125 and
+    # I-ALPHA's three cases 4, and I-GF5's eta side 4
+    assert names.count("kernels.div_mod") == 11
+    assert sequences._series_cache == cached  # the run adds no table to it
+    assert plan._tables == {}
