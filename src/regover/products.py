@@ -1,9 +1,11 @@
-"""Named q-products: Euler products (q^s;q^s)_inf, eta quotients, the theta
-functions phi(+-q) and f(a,b), and the 5-dissection residual of phi(-q).
+"""Named q-products: Euler products (q^s;q^s)_inf and their cubes, eta
+quotients, the theta functions phi(+-q) and f(a,b), and the 5-dissection
+residual of phi(-q).
 
 Each construction has an independent second route used by the tests
-(finite-product expansion, bilateral sum vs. triple product), so a bug in
-one path cannot silently confirm itself.
+(finite-product expansion, bilateral sum vs. triple product, Jacobi's cube
+vs. the cubed pentagonal series), so a bug in one path cannot silently
+confirm itself.
 """
 
 from __future__ import annotations
@@ -38,6 +40,23 @@ def euler_product(scale: int, ring: Ring, order: int) -> Series:
             c[e2] = ring.reduce(sign)
         sign = -sign
         j += 1
+    return Series._raw(ring, c)
+
+
+def jacobi_cube(scale: int, ring: Ring, order: int) -> Series:
+    """(q^s; q^s)_inf^3 via Jacobi's identity.
+
+    Nonzero terms sit at s*n(n+1)/2 for n >= 0 with coefficient
+    (-1)^n (2n+1), so the truncation holds O(sqrt(order/s)) terms.
+    """
+    if scale < 1:
+        raise ValueError("scale must be >= 1")
+    check_order(order)
+    c = [0] * (order + 1)
+    n = 0
+    while scale * n * (n + 1) // 2 <= order:
+        c[scale * n * (n + 1) // 2] = ring.reduce((-1) ** n * (2 * n + 1))
+        n += 1
     return Series._raw(ring, c)
 
 

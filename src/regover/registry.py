@@ -34,14 +34,21 @@ from .products import (
     ThetaSpec,
     eta_quotient,
     euler_product,
+    jacobi_cube,
     one_plus_q_product,
     phi,
     phi_five_dissection_residual,
     theta_f_product,
     theta_f_series,
 )
-# bench/tracer.py wraps registry.sequence_series, so the name is kept here
-from .sequences import SequenceRef, oracle_regular_overpartition, sequence_series  # noqa: F401
+# bench/tracer.py wraps registry.sequence_series and
+# registry.oracle_regular_overpartition, so both names are kept here
+from .sequences import (  # noqa: F401
+    SequenceRef,
+    oracle_regular_overpartition,
+    oracle_regular_overpartition_table,
+    sequence_series,
+)
 from .series import Series, ZZ, Zmod
 
 # -- congruence claims -------------------------------------------------------
@@ -285,8 +292,7 @@ def regular_overpartition_quotient(ell: int) -> EtaQuotientSpec:
 
 
 def _oracle_series(ring, order, ell):
-    vals = [oracle_regular_overpartition(ell, n) for n in range(order + 1)]
-    return Series(ring, vals)
+    return Series(ring, oracle_regular_overpartition_table(ell, order))
 
 
 def _gf_lhs(ring, order, ell):
@@ -295,11 +301,23 @@ def _gf_lhs(ring, order, ell):
 
 _OVERPARTITION_QUOTIENT = EtaQuotientSpec(0, ((2, 1), (1, -2)))
 
+# psi(q) = f(q, q^3) = sum q^(n(n+1)/2)
+_PSI = ThetaSpec(1, 1, 1, 3)
+
 
 def _build_core(ring, order):
-    """The overpartition quotient (q^2;q^2)/(q;q)^2 from pentagonal Euler
-    products: the eta core that I-GF125 and I-ALPHA read extracted."""
-    return eta_quotient(_OVERPARTITION_QUOTIENT, ring, order)
+    """The overpartition quotient (q^2;q^2)/(q;q)^2 as psi(q)^2 / (q^2;q^2)^3:
+    the eta core that I-GF125 and I-ALPHA read extracted.
+
+    Gauss gives psi(q) = (q^2;q^2)^2/(q;q), so one division by Jacobi's
+    sparse cube replaces two by (q;q).  psi is squared over ZZ, where the
+    product is a sparse pair loop, and reduced into ring once; psi itself
+    is dropped before the division.  The core reads no theta series of
+    phi(-q), so it shares no construction with the pbar side."""
+    psi = theta_f_series(_PSI, ZZ, order)
+    square = Series(ring, (psi * psi)[:])
+    del psi
+    return square / jacobi_cube(2, ring, order)
 
 
 _PBAR = SequenceRef("pbar")
@@ -400,8 +418,9 @@ def _identity_claims() -> list[IdentityClaim]:
             default_order=200,
             lhs_text="125n-extraction of the eta quotient"
             " (q^125;q^125)^2 (q^2;q^2)/(q;q)^2 (q^250;q^250), evaluated as"
-            " (q;q)^2/(q^2;q^2) times the 125n-extraction of (q^2;q^2)/(q;q)^2,"
-            " from pentagonal Euler products, mod 5^4",
+            " (q;q)^2/(q^2;q^2) from pentagonal Euler products times the"
+            " 125n-extraction of (q^2;q^2)/(q;q)^2, built as psi(q)^2 / (q^2;q^2)^3"
+            " from the triangular theta sum and Jacobi's cube, mod 5^4",
             rhs_text="phi(-q) theta sum * 125n-extraction of 1/phi(-q), mod 5^4",
             source="generating function of A_125(125n); the paper states it mod 5",
             lhs_reads=(Read(_build_core, 5**4, 125),),
@@ -444,8 +463,10 @@ def _identity_claims() -> list[IdentityClaim]:
             default_order=200,
             lhs_text="25n-extraction of the eta quotient"
             " (q^l;q^l)^2 (q^2;q^2)/(q;q)^2 (q^2l;q^2l), l = 5^a, evaluated as"
-            " (q^r;q^r)^2/(q^2r;q^2r), r = 5^(a-2), times the 25n-extraction of"
-            " (q^2;q^2)/(q;q)^2, from pentagonal Euler products, mod 5^4",
+            " (q^r;q^r)^2/(q^2r;q^2r), r = 5^(a-2), from pentagonal Euler products"
+            " times the 25n-extraction of (q^2;q^2)/(q;q)^2, built as"
+            " psi(q)^2 / (q^2;q^2)^3 from the triangular theta sum and Jacobi's cube,"
+            " mod 5^4",
             rhs_text="phi(-q^(5^(a-2))) theta sum * 25n-extraction of 1/phi(-q), mod 5^4",
             source="generating function of A_(5^a)(25n); the paper states it mod 5",
             lhs_reads=(Read(_build_core, 5**4, 25),),

@@ -10,7 +10,8 @@ structurally unrelated to the series pipeline, weighting each partition by
 2^(number of distinct part sizes) for the overlined variants.  The
 recursion stops at part 3: whatever remains is a partition into 1s and
 2s, whose count (or weighted count) has a closed form in its size, so it
-is added directly.
+is added directly.  The overlined oracle walks once up to a size and
+returns the whole table; its value at one n is read from that table.
 """
 
 from __future__ import annotations
@@ -193,42 +194,47 @@ def oracle_partition(restriction: int | None, n: int, cap: int = ORACLE_CAP) -> 
     return count(n, n)
 
 
-def oracle_regular_overpartition(restriction: int | None, n: int, cap: int = ORACLE_CAP) -> int:
-    """Overpartitions of n into parts not divisible by the restriction
+def oracle_regular_overpartition_table(
+    restriction: int | None, upto: int, cap: int = ORACLE_CAP
+) -> list[int]:
+    """Overpartitions of 0..upto into parts not divisible by the restriction
     (None = plain overpartitions): each partition counts with weight
-    2^(number of distinct part sizes).  The recursion over the largest
-    part stops at part 3.
+    2^(number of distinct part sizes).
 
-    A remainder r > 0 left for parts 1 and 2 weighs 2r in total when both
-    are allowed (2 for all ones, 2 for all twos when r is even, 4 for each
-    mix), 2 when 2 is barred, and 0 when the restriction is 1."""
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the enumeration cap {cap}")
-    if n < 0:
+    One walk over the overpartitions into allowed parts >= 3 of size <= upto
+    tallies their weight by size.  The rest of a size n is a partition of a
+    remainder r into 1s and 2s, whose total weight has a closed form: 2r
+    when both parts are allowed (2 for all ones, 2 for all twos when r is
+    even, 4 for each mix), 2 when 2 is barred, and 0 when the restriction
+    is 1; the empty remainder weighs 1.  The table is the convolution of
+    the two."""
+    if upto > cap:
+        raise ValueError(f"n={upto} exceeds the enumeration cap {cap}")
+    if upto < 0:
         raise ValueError("n must be >= 0")
     if restriction is not None and restriction < 1:
         raise ValueError("restriction must be >= 1")
 
     ones, twos = (restriction is None or part % restriction != 0 for part in (1, 2))
+    small = [1] + [(2 * r if twos else 2) if ones else 0 for r in range(1, upto + 1)]
 
-    def small_parts(r: int) -> int:
-        if not ones:
-            return 0
-        return 2 * r if twos else 2
+    large = [0] * (upto + 1)
 
-    def count(remaining: int, max_part: int) -> int:
-        if remaining == 0:
-            return 1
-        # max_part >= 2 here unless remaining <= 1: the first call passes
-        # n, and every later one follows a part >= 3
-        total = small_parts(remaining)
-        for part in range(min(remaining, max_part), 2, -1):
+    def walk(size: int, max_part: int, weight: int):
+        large[size] += weight
+        for part in range(min(upto - size, max_part), 2, -1):
             if restriction is not None and part % restriction == 0:
                 continue
             used = part
-            while used <= remaining:
-                total += 2 * count(remaining - used, part - 1)
+            while size + used <= upto:
+                walk(size + used, part - 1, 2 * weight)
                 used += part
-        return total
 
-    return count(n, n)
+    walk(0, upto, 1)
+    return [sum(large[j] * small[n - j] for j in range(n + 1)) for n in range(upto + 1)]
+
+
+def oracle_regular_overpartition(restriction: int | None, n: int, cap: int = ORACLE_CAP) -> int:
+    """The weighted overpartition count of n; see
+    oracle_regular_overpartition_table."""
+    return oracle_regular_overpartition_table(restriction, n, cap)[n]

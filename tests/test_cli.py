@@ -13,7 +13,7 @@ import regover
 from regover import claims, registry, sequences
 from regover.cli import main
 from regover.claims import Term
-from regover.series import Series
+from regover.series import ZZ, Series
 
 
 def run(capsys, *argv):
@@ -90,6 +90,18 @@ def test_value_missing_param(capsys):
 def test_value_json(capsys):
     code, out, _ = run(capsys, "value", "pbar", "--n", "6", "--json")
     assert json.loads(out) == {"seq": "pbar", "param": None, "n": 6, "value": 40}
+
+
+def test_value_leaves_the_series_cache_as_it_found_it(capsys):
+    sequences.clear_caches()
+    sequences.sequence_series(sequences.SequenceRef("pbar"), ZZ, 10)
+    cached = dict(sequences._series_cache)
+    for argv in (["value", "pbar", "--n", "3000"], ["value", "A", "--ell", "5", "--n", "50"]):
+        assert main(argv) == 0
+        assert sequences._series_cache == cached
+        assert all(sequences._series_cache[k] is v for k, v in cached.items())
+    capsys.readouterr()
+    sequences.clear_caches()
 
 
 def test_verify_single_claim(capsys):

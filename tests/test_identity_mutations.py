@@ -69,6 +69,20 @@ def bump_phi(monkeypatch, target, index):
     monkeypatch.setattr(products, "phi", mutated)
 
 
+def bump_core_factor(monkeypatch, name, index):
+    """Perturb one of the two factors of the eta core psi(q)^2 / (q^2;q^2)^3:
+    Jacobi's cube, or the theta series psi(q) alone."""
+    build = getattr(registry, name)
+
+    def mutated(spec_or_scale, ring, order):
+        series = build(spec_or_scale, ring, order)
+        if name == "theta_f_series" and spec_or_scale != registry._PSI:
+            return series
+        return bump(series, index)
+
+    monkeypatch.setattr(registry, name, mutated)
+
+
 def check_fails(claim_id, order, params, index):
     """The claim fails at (params, index), alone and in one plan over every
     identity; each run builds its tables afresh under the mutation."""
@@ -84,12 +98,15 @@ def check_fails(claim_id, order, params, index):
 
 
 def test_i_gf_fails_on_a_wrong_oracle_value(monkeypatch):
-    oracle = registry.oracle_regular_overpartition
-    monkeypatch.setattr(
-        registry,
-        "oracle_regular_overpartition",
-        lambda ell, n: oracle(ell, n) + (n == 7),
-    )
+    table = registry.oracle_regular_overpartition_table
+
+    def mutated(ell, upto):
+        values = table(ell, upto)
+        if upto >= 7:
+            values[7] += 1
+        return values
+
+    monkeypatch.setattr(registry, "oracle_regular_overpartition_table", mutated)
     check_fails("I-GF", 40, {"ell": 3}, 7)
 
 
@@ -130,10 +147,18 @@ def test_i_gf125_fails_on_a_wrong_overpartition_table(monkeypatch):
 
 
 def test_i_gf125_fails_on_a_wrong_eta_factor(monkeypatch):
-    # (q;q) enters the eta side twice, in the factor evaluated at order and
-    # in the extracted overpartition quotient; the theta side reads neither
+    # (q;q) enters the eta side in the factor evaluated at order; the theta
+    # side never builds an Euler product
     bump_euler(monkeypatch, products, 1, 1)
     check_fails("I-GF125", 20, {}, 1)
+
+
+@pytest.mark.parametrize("factor", ["jacobi_cube", "theta_f_series"])
+def test_i_gf125_fails_on_a_wrong_core_factor(monkeypatch, factor):
+    # a wrong q^250 term of either factor first changes the core at q^250,
+    # its 125-progression at 2; the theta side builds neither factor
+    bump_core_factor(monkeypatch, factor, 250)
+    check_fails("I-GF125", 20, {}, 2)
 
 
 def test_i_dissect_fails_on_a_wrong_dissection_component(monkeypatch):
@@ -156,10 +181,17 @@ def test_i_alpha_fails_on_a_wrong_overpartition_table(monkeypatch):
 
 
 def test_i_alpha_fails_on_a_wrong_eta_factor(monkeypatch):
-    # the core the three cases share is built in the run, from the mutated
-    # (q;q)
+    # (q;q) enters the outer factor of the first case, alpha = 2
     bump_euler(monkeypatch, products, 1, 1)
     check_fails("I-ALPHA", 20, {"alpha": 2}, 1)
+
+
+@pytest.mark.parametrize("factor", ["jacobi_cube", "theta_f_series"])
+def test_i_alpha_fails_on_a_wrong_core_factor(monkeypatch, factor):
+    # the core the three cases share is built in the run, from the mutated
+    # factor; its 25-progression first differs at 10
+    bump_core_factor(monkeypatch, factor, 250)
+    check_fails("I-ALPHA", 20, {"alpha": 2}, 10)
 
 
 def test_i_pbar_fails_when_only_the_scale_two_product_is_wrong(monkeypatch):

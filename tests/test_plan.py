@@ -152,14 +152,13 @@ def test_identity_reports_do_not_depend_on_the_plan(order):
 
 def test_each_identity_table_is_built_once_to_its_largest_read(builds, monkeypatch):
     core = []
-    evaluate = registry.eta_quotient
+    cube = registry.jacobi_cube
 
-    def spy(spec, ring, order):
-        if spec == registry._OVERPARTITION_QUOTIENT:
-            core.append((ring.modulus, order))
-        return evaluate(spec, ring, order)
+    def spy(scale, ring, order):
+        core.append((ring.modulus, order))  # one cube per core build
+        return cube(scale, ring, order)
 
-    monkeypatch.setattr(registry, "eta_quotient", spy)
+    monkeypatch.setattr(registry, "jacobi_cube", spy)
     order = 20
     run_identities(identities(), order)
     # pbar serves the mod-5 reads of I-TRENEER, A_5 and A_25 by reduction
@@ -168,22 +167,20 @@ def test_each_identity_table_is_built_once_to_its_largest_read(builds, monkeypat
         ("A(5)", 5, order),
         ("pbar", 625, 125 * order),
     ]
-    # one core for I-GF125 (step 125) and the three cases of I-ALPHA (25);
-    # I-PBAR's eta side builds the same quotient over ZZ at the order
-    assert len(core) == 2 and set(core) == {(625, 125 * order), (None, order)}
+    # one core for I-GF125 (step 125) and the three cases of I-ALPHA (25)
+    assert core == [(625, 125 * order)]
 
 
 def test_progression_tables_are_built_before_whole_ones(builds, monkeypatch):
     # I-GF5 reads first, but pbar to 125*order is not held while the core
     # is expanded to the same length
-    evaluate = registry.eta_quotient
+    cube = registry.jacobi_cube
 
-    def spy(spec, ring, order):
-        if spec == registry._OVERPARTITION_QUOTIENT:
-            builds.append(("core", ring.modulus, order))
-        return evaluate(spec, ring, order)
+    def spy(scale, ring, order):
+        builds.append(("core", ring.modulus, order))  # one cube per core build
+        return cube(scale, ring, order)
 
-    monkeypatch.setattr(registry, "eta_quotient", spy)
+    monkeypatch.setattr(registry, "jacobi_cube", spy)
     selected = claims_by_id(["I-GF5", "I-R25", "I-GF125"])
     assert all(r.passed for r in run_identities(selected, 20).values())
     assert builds == [

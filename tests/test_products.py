@@ -11,6 +11,7 @@ from regover.products import (
     ThetaSpec,
     eta_quotient,
     euler_product,
+    jacobi_cube,
     one_plus_q_product,
     parse_eta_spec,
     phi,
@@ -78,6 +79,15 @@ def test_euler_small():
 def test_euler_matches_finite_product(scale):
     order = 400
     assert euler_product(scale, ZZ, order).coeffs == finite_product_expansion(scale, order)
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(625)], ids=["ZZ", "mod625"])
+@pytest.mark.parametrize("scale", [1, 2, 3, 5])
+def test_jacobi_cube_is_the_cubed_pentagonal_series(scale, ring):
+    # the second route: (q^s;q^s)^3 as the cube of the pentagonal series
+    for order in range(301):
+        cubed = euler_product(scale, ring, order) ** 3
+        assert jacobi_cube(scale, ring, order) == cubed, order
 
 
 def test_eta_quotient_partition_series():
@@ -282,13 +292,14 @@ def test_theta_product_rejects_signs():
     "build, message",
     [
         (lambda: euler_product(0, ZZ, 5), "scale must be >= 1"),
+        (lambda: jacobi_cube(0, ZZ, 5), "scale must be >= 1"),
         (lambda: phi(2, ZZ, 5), "sign must be"),
         (lambda: phi(-1, ZZ, 5, scale=0), "scale must be >= 1"),
         # built directly: parse_eta_spec rejects both before construction
         (lambda: EtaQuotientSpec(-1, ((1, 1),)), "prefactor exponent must be >= 0"),
         (lambda: EtaQuotientSpec(0, ((0, 1),)), "scale 0 must be >= 1"),
     ],
-    ids=["euler_scale", "phi_sign", "phi_scale", "eta_prefactor", "eta_scale"],
+    ids=["euler_scale", "cube_scale", "phi_sign", "phi_scale", "eta_prefactor", "eta_scale"],
 )
 def test_product_builders_reject_bad_parameters(build, message):
     with pytest.raises(ValueError, match=message):

@@ -1,7 +1,8 @@
 import json
+from math import isqrt
 from pathlib import Path
 
-from regover import registry, sequences
+from regover import kernels, registry, sequences
 from regover.claims import (
     CongruenceClaim,
     IdentityClaim,
@@ -136,24 +137,61 @@ def test_no_identity_side_reads_the_other_sides_table():
     assert [r.table for r in gf125.rhs_reads] == [SequenceRef("pbar")]
 
 
+@pytest.mark.parametrize(
+    "ring, orders",
+    [(ZZ, (0, 1, 2, 3, 7, 40, 2000)), (Zmod(625), (0, 1, 7, 25000)), (Zmod(5), (0, 1, 7, 25000))],
+    ids=["ZZ", "mod625", "mod5"],
+)
+def test_the_core_equals_the_pentagonal_eta_quotient(ring, orders):
+    # psi(q)^2 / (q^2;q^2)^3 against the two divisions by (q;q)
+    for order in orders:
+        expected = eta_quotient(registry._OVERPARTITION_QUOTIENT, ring, order)
+        assert registry._build_core(ring, order) == expected, order
+
+
+def test_one_core_build_divides_once_by_a_sparse_divisor(monkeypatch):
+    # a cost guard by count: the square of psi is taken over ZZ, and the
+    # one division is by a divisor with O(sqrt(N)) terms
+    N = 125 * 1000
+    calls = []
+    for name in ("mul_exact", "mul_mod", "div_exact", "div_mod"):
+        real = getattr(kernels, name)
+
+        def spy(*args, _real=real, _name=name):
+            calls.append((_name, args))
+            return _real(*args)
+
+        monkeypatch.setattr(kernels, name, spy)
+    registry._build_core(Zmod(625), N)
+    assert [name for name, _ in calls] == ["mul_exact", "div_mod"]
+    _, (num, den, out_len, m) = calls[1]
+    assert (out_len, m) == (N + 1, 625)
+    assert sum(1 for c in den[1:] if c % m) <= isqrt(N) + 1
+
+
 def test_i_alpha_builds_the_extracted_quotient_once(monkeypatch):
     # the three cases share one build of the core, and the plan keeps no
     # table after the claim
     sequences.clear_caches()
-    built = []
-    evaluate = registry.eta_quotient
+    built, cubes = [], []
+    evaluate, cube = registry.eta_quotient, registry.jacobi_cube
 
     def spy(spec, ring, order):
         built.append((spec, order))
         return evaluate(spec, ring, order)
 
+    def spy_cube(scale, ring, order):
+        cubes.append((scale, ring.modulus, order))
+        return cube(scale, ring, order)
+
     monkeypatch.setattr(registry, "eta_quotient", spy)
+    monkeypatch.setattr(registry, "jacobi_cube", spy_cube)
     (claim,) = claims_by_id(["I-ALPHA"])
     plan = TablePlan([claim], order=40)
     assert verify_identity(claim, 40, plan).passed
-    assert built.count((registry._OVERPARTITION_QUOTIENT, 25 * 40)) == 1
-    outer = [spec for spec, order in built if order == 40]
-    assert len(outer) == len(set(outer)) == 3
-    assert len(built) == 4
+    assert cubes == [(2, 625, 25 * 40)]
+    # the outer factors are the only eta quotients, one per case at order
+    assert len(built) == len({spec for spec, _ in built}) == 3
+    assert {order for _, order in built} == {40}
     assert plan._tables == {}
     assert sequences._series_cache == {}

@@ -8,6 +8,7 @@ from regover.sequences import (
     clear_caches,
     oracle_partition,
     oracle_regular_overpartition,
+    oracle_regular_overpartition_table,
     sequence_series,
     sequence_table,
     sequence_value,
@@ -111,6 +112,14 @@ def test_oracles_match_full_recursion(restriction):
         ), n
 
 
+@pytest.mark.parametrize("restriction", [None, 1, 2, 3, 4, 5, 9, 25])
+def test_oracle_table_matches_full_recursion(restriction):
+    # one walk up to 30 gives every value the full recursion gives per n
+    table = oracle_regular_overpartition_table(restriction, 30)
+    assert table == [ref_oracle_regular_overpartition(restriction, n) for n in range(31)]
+    assert oracle_regular_overpartition_table(restriction, 0) == [1]
+
+
 def test_oracles_with_every_part_barred():
     # restriction 1 bars part 1 too, so the all-ones tail must add nothing
     for oracle in (oracle_partition, oracle_regular_overpartition):
@@ -134,6 +143,10 @@ def test_oracle_cap():
     for oracle in (oracle_partition, oracle_regular_overpartition):
         with pytest.raises(ValueError, match="n must be >= 0"):
             oracle(None, -1)
+    with pytest.raises(ValueError):
+        oracle_regular_overpartition_table(3, 61)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        oracle_regular_overpartition_table(3, -1)
     assert oracle_partition(None, 61, cap=61) > 0
 
 

@@ -62,19 +62,18 @@ def test_one_plan_over_the_identities_builds_each_table_once(monkeypatch):
     # benchmark reads, and the spies add the rings and orders
     tracer_mod = load_tracer()
     builds, cores = [], []
-    build, evaluate = sequences._build_series, registry.eta_quotient
+    build, cube = sequences._build_series, registry.jacobi_cube
 
     def spy_build(ref, ring, order, *inputs):
         builds.append((ref.label(), ring.modulus, order))
         return build(ref, ring, order, *inputs)
 
-    def spy_eta(spec, ring, order):
-        if spec == registry._OVERPARTITION_QUOTIENT and ring.modulus == 625:
-            cores.append(order)
-        return evaluate(spec, ring, order)
+    def spy_cube(scale, ring, order):
+        cores.append((ring.modulus, order))  # one cube per core build
+        return cube(scale, ring, order)
 
     monkeypatch.setattr(sequences, "_build_series", spy_build)
-    monkeypatch.setattr(registry, "eta_quotient", spy_eta)
+    monkeypatch.setattr(registry, "jacobi_cube", spy_cube)
     selected = [c for c in registry.builtin_registry() if isinstance(c, claims.IdentityClaim)]
     assert len(selected) == 11
     order = 200
@@ -93,9 +92,9 @@ def test_one_plan_over_the_identities_builds_each_table_once(monkeypatch):
         ("A(5)", 5, order),
         ("pbar", 625, 125 * order),
     ]
-    assert cores == [125 * order]
-    # pbar 1, the core 2 (by (q;q) twice), the outer factors of I-GF125 and
+    assert cores == [(625, 125 * order)]
+    # pbar 1, the core 1 (by (q^2;q^2)^3), the outer factors of I-GF125 and
     # I-ALPHA's three cases 4, and I-GF5's eta side 4
-    assert names.count("kernels.div_mod") == 11
+    assert names.count("kernels.div_mod") == 10
     assert sequences._series_cache == cached  # the run adds no table to it
     assert plan._tables == {}
