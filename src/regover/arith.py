@@ -6,6 +6,9 @@ divisors of n, but every such sum is multiplicative, so each is evaluated
 as a product over the prime powers p^e of n (Grosswald, Representations of
 Integers as Sums of Squares, 1985).  The factorization is by trial division
 up to the square root of the remaining cofactor, with no table or cache.
+These closed forms serve ``regover value`` one n at a time; at the prime
+powers they also seed the multiplicative sieves that build the residue
+tables claim runs read (``regover.sequences``).
 
 r_k values come two independent ways: these closed formulas (r_formula)
 and k-fold convolution of the one-dimensional squares vector (r_oracle),
@@ -104,6 +107,19 @@ def chi(n: int) -> int:
     return 0
 
 
+def r6_factors(p: int, e: int) -> tuple[int, int]:
+    """The factors at p^e of r_6's two multiplicative divisor sums,
+    sum chi(n/d) d^2 and sum chi(d) d^2: sum_i chi(p)^(e-i) p^(2i) and
+    sum_i chi(p)^i p^(2i) (i = 0..e) for odd p, and 2^(2e) and 1 for p = 2."""
+    if p == 2:
+        return 4**e, 1
+    c = chi(p)
+    return (
+        sum(c ** (e - i) * p ** (2 * i) for i in range(e + 1)),
+        sum(c**i * p ** (2 * i) for i in range(e + 1)),
+    )
+
+
 def r_formula(k: int, n: int) -> int:
     """Closed formulas for the number of representations by k squares:
 
@@ -112,9 +128,8 @@ def r_formula(k: int, n: int) -> int:
 
     each sum over the divisors d of n.  Every sum is multiplicative, so it
     is evaluated as a product over the prime powers p^e of n: for odd p,
-    sum chi(d) gives sum_i chi(p)^i, sum chi(n/d) d^2 gives
-    sum_i chi(p)^(e-i) p^(2i) and sum chi(d) d^2 gives sum_i chi(p)^i p^(2i)
-    (i = 0..e); for p = 2 they give 1, 2^(2e) and 1.
+    sum chi(d) gives sum_i chi(p)^i (i = 0..e), and 1 for p = 2; the r_6
+    sums give r6_factors(p, e).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -133,12 +148,10 @@ def r_formula(k: int, n: int) -> int:
     if k == 4:
         return 8 * d_star(n)
     if k == 6:
-        a, odd = _split_two(n)
-        twisted, plain = 4**a, 1
-        for p, e in odd:
-            c = chi(p)
-            twisted *= sum(c ** (e - i) * p ** (2 * i) for i in range(e + 1))
-            plain *= sum(c**i * p ** (2 * i) for i in range(e + 1))
+        twisted = plain = 1
+        for p, e in _factorize(n):
+            t, s = r6_factors(p, e)
+            twisted, plain = twisted * t, plain * s
         return 16 * twisted - 4 * plain
     return 16 * (-1) ** n * sigma3_minus(n)
 

@@ -9,9 +9,10 @@ expressed while staying plain mutable-by-replace dataclasses.
 An instance is checked iff every index of both sides lies in [1, bound];
 a claim with no checkable instance reports skipped, never pass.  Values
 reach verify and hunt by one path: a progression's residues are a slice of
-a series table, or pointwise values at exactly its indices.
+a residue table, a series table for a series-backed sequence and a sieved
+one for a pointwise sequence (see ``regover.sequences``).
 
-Series tables come from a TablePlan, which holds its own tables and never
+Tables come from a TablePlan, which holds its own tables and never
 reads, writes or evicts the series cache of ``regover.sequences``.  Before
 the first table is built, the plan expands every congruence claim's
 quantifiers once and declares what each claim reads: (table, modulus, top
@@ -37,7 +38,8 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import sequences
-from .sequences import SequenceRef, sequence_value, series_inputs
+# bench/tracer.py wraps claims.sequence_value, so the name is kept here
+from .sequences import SequenceRef, sequence_value, series_inputs  # noqa: F401
 from .series import Ring, Series, Zmod
 
 DEFAULT_BOUND = 2000
@@ -229,11 +231,11 @@ def _declare(claim: CongruenceClaim, caps: Caps) -> list[_Check]:
 
 
 def _needs(checks: list[_Check]) -> dict:
-    """{(ref, modulus): top index} over the series-backed sides of checks."""
+    """{(ref, modulus): top index} over the sides of checks."""
     needs: dict = {}
     for c in checks:
         for t in (c.lhs, c.rhs):
-            if t.seq is not None and t.seq.is_series_backed:
+            if t.seq is not None:
                 key = (t.seq, c.modulus)
                 needs[key] = max(needs.get(key, 0), t.a * c.hi + t.b)
     return needs
@@ -256,7 +258,7 @@ _CONGRUENCE, _IDENTITY = "congruence", "identity"
 
 
 class TablePlan:
-    """The series tables that a run of claims reads (see the module
+    """The tables that a run of claims reads (see the module
     docstring).
 
     The plan holds its own tables, one per (source, family), over the
@@ -400,20 +402,16 @@ class TablePlan:
 
 def _side(t: Term, check: _Check, plan: TablePlan) -> list[int]:
     """Residues of one side over its progression for n in [lo, hi]: a slice
-    of the planned table for a series-backed sequence, reduced mod the
-    check's modulus when that properly divides the table's, and pointwise
-    values at exactly its indices otherwise."""
+    of the planned table, reduced mod the check's modulus when that properly
+    divides the table's."""
     m = check.modulus
     if t.seq is None:
         return [0] * (check.hi - check.lo + 1)
     indices = range(t.a * check.lo + t.b, t.a * check.hi + t.b + 1, t.a)
-    if t.seq.is_series_backed:
-        table = plan._table((t.seq, _CONGRUENCE))
-        values = table[indices.start : indices.stop : indices.step]
-        if table.ring.modulus != m:
-            values = [v % m for v in values]
-    else:
-        values = [sequence_value(t.seq, idx) % m for idx in indices]
+    table = plan._table((t.seq, _CONGRUENCE))
+    values = table[indices.start : indices.stop : indices.step]
+    if table.ring.modulus != m:
+        values = [v % m for v in values]
     if t.sign_twist:
         values = [-v % m if i & 1 else v for i, v in zip(indices, values)]
     return values

@@ -29,6 +29,9 @@ _SEQ_CHOICES = ("p", "pbar", "b", "A", "r", "dstar", "sigma3m", "chi")
 
 def _seq_from_args(args) -> SequenceRef:
     name = args.seq
+    for flag, value, takers in (("--ell", args.ell, ("b", "A")), ("--k", args.k, ("r",))):
+        if value is not None and name not in takers:
+            raise _UsageError(f"sequence {name!r} takes no {flag}")
     if name in ("b", "A"):
         if args.ell is None:
             raise _UsageError(f"sequence {name!r} requires --ell")

@@ -5,6 +5,12 @@ function (partitions 1/(q;q), regular partitions (q^l;q^l)/(q;q),
 overpartitions (q^2;q^2)/(q;q)^2 = 1/phi(-q), and regular overpartitions
 phi(-q^l)/phi(-q)).
 
+Table route for the pointwise sequences (r_k, d*, sigma3m, chi): a
+multiplicative sieve over the primes up to the top index, seeded at the
+prime powers by the closed forms of ``regover.arith``; r_k is built from
+its divisor sums, never as a power of theta.  Claim runs read these tables
+from their plan; ``sequence_value`` evaluates the closed forms at one n.
+
 Oracle route: direct descending-part recursion, deliberately memo-free and
 structurally unrelated to the series pipeline, weighting each partition by
 2^(number of distinct part sizes) for the overlined variants.  The
@@ -17,10 +23,11 @@ returns the whole table; its value at one n is read from that table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from . import arith
 from .products import euler_product, phi
-from .series import Ring, Series, ZZ, Zmod
+from .series import Ring, Series, ZZ, Zmod, check_order
 
 ORACLE_CAP = 60
 
@@ -117,7 +124,13 @@ def series_inputs(ref: SequenceRef) -> tuple[SequenceRef, ...]:
 
 def _build_series(ref: SequenceRef, ring: Ring, order: int, *inputs: Series) -> Series:
     """ref's series over ring to order, from the tables of series_inputs(ref),
-    in that order, over ring and reaching order; reads no cache."""
+    in that order, over ring and reaching order; reads no cache.  A
+    pointwise ref's series holds its residues, over a ring Zmod(m)."""
+    if not ref.is_series_backed:
+        check_order(order)
+        if ring.is_exact:
+            raise ValueError(f"sequence {ref.label()} is tabled mod m only")
+        return Series._raw(ring, _pointwise_table(ref, ring.modulus, order))
     if ref.name == "p":
         return Series.one(ring, order) / euler_product(1, ring, order)
     if ref.name == "pbar":
@@ -128,6 +141,57 @@ def _build_series(ref: SequenceRef, ring: Ring, order: int, *inputs: Series) -> 
     # (q^l;q^l)^2 (q^2;q^2) / (q;q)^2 (q^2l;q^2l)
     (pbar,) = inputs
     return phi(-1, ring, order, scale=ref.param) * pbar
+
+
+def _multiplicative(seed, m: int, order: int) -> list[int]:
+    """f(0..order), with 0 at 0, for the multiplicative f with f(p^e) =
+    seed(p, e) mod m, the products left unreduced.  Each prime p scales its
+    multiples once: t[p::p] = map(mul, t[p::p], run), where run holds f(p^e)
+    at the multiples of p^e that p^(e+1) does not divide."""
+    t = [1] * (order + 1)
+    t[0] = 0
+    for p in arith.primes_up_to(order):
+        run = [seed(p, 1) % m] * (order // p)
+        q, e = p, 2
+        while q * p <= order:  # run[i] is at (i + 1) p, a multiple of p^e when q | i + 1
+            run[q - 1 :: q] = [seed(p, e) % m] * (order // (q * p))
+            q, e = q * p, e + 1
+        t[p::p] = map(mul, t[p::p], run)
+    return t
+
+
+def _pointwise_table(ref: SequenceRef, m: int, order: int) -> list[int]:
+    """ref(0..order) mod m, with r_k(0) = 1 and 0 at 0 for the others, from
+    multiplicative sieves.  d* and chi are multiplicative, and so are
+    -sigma3m (as sigma3m(1) = -1), r_2 / 4 and the two divisor sums T and
+    P of r_6; r_4 = 8 d*, r_6 = 16 T - 4 P and r_8 = 16 (-1)^n sigma3m."""
+
+    def sieve(seed):
+        return _multiplicative(seed, m, order)
+
+    # the seeds look arith up at call time, so a caller can stand in for it
+    name = ref.label()
+    if name == "r(6)":
+        twisted = sieve(lambda p, e: arith.r6_factors(p, e)[0])
+        plain = sieve(lambda p, e: arith.r6_factors(p, e)[1])
+        t = [(16 * a - 4 * b) % m for a, b in zip(twisted, plain)]
+    else:
+        # ref(n) = scale f(n), for the multiplicative f seed gives, where
+        # scale is odd at odd n and even at even n
+        seed, odd, even = {
+            "chi": (lambda p, e: arith.chi(p**e), 1, 1),
+            "dstar": (lambda p, e: arith.d_star(p**e), 1, 1),
+            "r(4)": (lambda p, e: arith.d_star(p**e), 8, 8),
+            "sigma3m": (lambda p, e: -arith.sigma3_minus(p**e), -1, -1),
+            "r(8)": (lambda p, e: -arith.sigma3_minus(p**e), 16, -16),
+            "r(2)": (lambda p, e: arith.r_formula(2, p**e) // 4, 4, 4),
+        }[name]
+        t = sieve(seed)
+        t[1::2] = [odd * v % m for v in t[1::2]]
+        t[::2] = [even * v % m for v in t[::2]]
+    if ref.name == "r":
+        t[0] = 1
+    return t
 
 
 def sequence_table(ref: SequenceRef, modulus: int | None, upto: int) -> list[int]:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from regover import arith
 from regover.claims import (
     ZERO,
     Caps,
@@ -341,6 +342,31 @@ def test_hunt_pointwise_sequence():
     assert hunt(SequenceRef("r", 4), 8, 3, 10, 1) == [
         (1, 0, 10), (2, 0, 5), (2, 1, 5), (3, 0, 3), (3, 1, 4), (3, 2, 3),
     ]
+
+
+def brute_force_hunt(value, modulus, max_step, bound):
+    """hunt's rows with min_instances 1, from one closed-form value per index."""
+    vanishes = [None] + [value(n) % modulus == 0 for n in range(1, bound + 1)]
+    rows = []
+    for a in range(1, max_step + 1):
+        for b in range(min(a, bound + 1)):
+            indices = range(b or a, bound + 1, a)
+            if indices and all(vanishes[i] for i in indices):
+                rows.append((a, b, len(indices)))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "ref, modulus, value",
+    [
+        (SequenceRef("r", 6), 7, lambda n: arith.r_formula(6, n)),
+        (SequenceRef("dstar"), 5, arith.d_star),
+        (SequenceRef("dstar"), 3, arith.d_star),  # d*(2m) = 3 sigma(odd part)
+    ],
+    ids=["r6-mod-7", "dstar-mod-5", "dstar-mod-3"],
+)
+def test_pointwise_hunt_matches_a_scan_of_the_closed_forms(ref, modulus, value):
+    assert hunt(ref, modulus, 50, 3000, 1) == brute_force_hunt(value, modulus, 50, 3000)
 
 
 # -- quantifier plumbing ---------------------------------------------------------

@@ -87,6 +87,24 @@ def test_value_missing_param(capsys):
     assert "--ell" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("value", "p", "--ell", "5", "--n", "10"), "--ell"),
+        (("value", "chi", "--k", "4", "--n", "10"), "--k"),
+        (("value", "r", "--k", "4", "--ell", "5", "--n", "10"), "--ell"),
+        (("value", "A", "--ell", "5", "--k", "4", "--n", "10"), "--k"),
+        (("hunt", "pbar", "--ell", "5", "--mod", "5", "--max-step", "3"), "--ell"),
+        (("hunt", "dstar", "--k", "4", "--mod", "5", "--max-step", "3"), "--k"),
+    ],
+)
+def test_a_parameter_flag_the_sequence_does_not_take_is_refused(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: sequence {argv[1]!r} takes no {flag}\n"
+
+
 def test_value_json(capsys):
     code, out, _ = run(capsys, "value", "pbar", "--n", "6", "--json")
     assert json.loads(out) == {"seq": "pbar", "param": None, "n": 6, "value": 40}

@@ -63,9 +63,17 @@ def test_reports_do_not_depend_on_the_plan():
 def test_each_sequence_is_built_once_over_the_lcm_of_its_moduli(builds):
     run_plan(congruences())
     labels = [label for label, _, _ in builds]
-    assert len(labels) == len(set(labels)) == 10
+    # ten series tables and five sieved ones
+    assert len(labels) == len(set(labels)) == 15
     assert ("pbar", 840, BOUND) in builds  # lcm(2, 3, 5, 6, 7, 24)
     assert ("A(3)", 24, BOUND) in builds  # lcm(2, 3, 6, 24)
+    assert set(builds) > {
+        ("r(2)", 3, BOUND),
+        ("r(4)", 5, BOUND),
+        ("r(6)", 7, BOUND),
+        ("r(8)", 3, BOUND),
+        ("sigma3m", 5, BOUND // 5),  # C-T6 reads it at n for A_25(5n)
+    }
     # pbar is built before the first A_l that is built from it
     assert labels[0] == "pbar"
 

@@ -1,3 +1,5 @@
+import types
+
 import pytest
 
 from regover import arith, registry, sequences
@@ -292,3 +294,64 @@ def test_negative_order_is_rejected_on_a_cold_and_a_warm_cache():
     sequence_series(a5, Zmod(5), 10)
     with pytest.raises(ValueError, match="order must be >= 0"):
         sequence_series(a5, Zmod(5), -1)
+
+
+# -- sieved tables of the pointwise sequences ---------------------------------
+
+POINTWISE = [
+    SequenceRef("r", 2),
+    SequenceRef("r", 4),
+    SequenceRef("r", 6),
+    SequenceRef("r", 8),
+    SequenceRef("dstar"),
+    SequenceRef("sigma3m"),
+    SequenceRef("chi"),
+]
+TABLE_MODULI = (2, 3, 5, 7, 8, 24, 625)
+
+
+@pytest.mark.parametrize("ref", POINTWISE, ids=SequenceRef.label)
+def test_pointwise_tables_match_the_closed_forms(ref):
+    values = [sequence_value(ref, n) for n in range(1, 3001)]
+    for m in TABLE_MODULI:
+        table = sequences._build_series(ref, Zmod(m), 3000)
+        assert table.order == 3000
+        assert table[1:] == [v % m for v in values]
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 8])
+def test_r_tables_match_the_lattice_count(k):
+    # the squares-vector convolution shares nothing with the sieve
+    lattice = arith.r_oracle_table(k, 5000)
+    for m in TABLE_MODULI:
+        table = sequences._build_series(SequenceRef("r", k), Zmod(m), 5000)
+        assert table.coeffs == [v % m for v in lattice]
+
+
+def test_a_table_seeds_each_prime_power_once(monkeypatch):
+    # the closed forms are read through sequences.arith, once per p^e
+    seen = []
+    proxy = types.SimpleNamespace(**vars(arith))
+    for name in ("r_formula", "d_star", "sigma3_minus", "chi", "r6_factors"):
+        def spy(*args, fn=getattr(arith, name)):
+            seen.append(args)
+            return fn(*args)
+
+        setattr(proxy, name, spy)
+    monkeypatch.setattr(sequences, "arith", proxy)
+    order = 20000
+    table = sequences._build_series(SequenceRef("r", 4), Zmod(5), order)
+    prime_powers = [
+        p**e for p in arith.primes_up_to(order) for e in range(1, 15) if p**e <= order
+    ]
+    assert sorted(n for (n,) in seen) == sorted(prime_powers)
+    assert table[order] == arith.r_formula(4, order) % 5
+
+
+def test_pointwise_tables_are_residue_tables():
+    with pytest.raises(ValueError, match="mod m only"):
+        sequences._build_series(SequenceRef("dstar"), ZZ, 10)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        sequences._build_series(SequenceRef("r", 4), Zmod(5), -1)
+    assert sequences._build_series(SequenceRef("r", 6), Zmod(7), 0).coeffs == [1]
+    assert sequences._build_series(SequenceRef("chi"), Zmod(3), 1).coeffs == [0, 1]

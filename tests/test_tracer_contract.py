@@ -33,7 +33,8 @@ def test_tracer_installs_and_uninstalls_against_the_package():
     finally:
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
-    assert {"claims.C-T6", "sequences.value", "arith", "registry"} <= names
+    # the sigma3m table is sieved from arith's values at the prime powers
+    assert {"claims.C-T6", "sequences.build", "arith", "registry"} <= names
     assert tracer.counts["arith.trial_div_steps"] > 0
     after = [dict(vars(m)) for m in modules] + [dict(vars(Series))]
     assert after == before
@@ -41,7 +42,9 @@ def test_tracer_installs_and_uninstalls_against_the_package():
 
 def test_one_plan_over_the_congruences_builds_each_table_once():
     # the benchmark's per-layer build count reads the sequences.build spans:
-    # every plan build goes through sequences._build_series by attribute
+    # every plan build goes through sequences._build_series by attribute,
+    # the ten series tables and the five sieved ones (r_2, r_4, r_6, r_8
+    # and sigma3m)
     tracer_mod = load_tracer()
     selected = [c for c in registry.builtin_registry() if isinstance(c, claims.CongruenceClaim)]
     assert len(selected) == 24
@@ -53,7 +56,7 @@ def test_one_plan_over_the_congruences_builds_each_table_once():
     finally:
         tracer.uninstall()
     names = [span[0] for span in tracer.spans]
-    assert names.count("sequences.build") == 10
+    assert names.count("sequences.build") == 15
     assert names.count("kernels.div_mod") == 1
 
 
