@@ -12,9 +12,8 @@ reach verify and hunt by one path: a progression's residues are a slice of
 a residue table, a series table for a series-backed sequence and a sieved
 one for a pointwise sequence (see ``regover.sequences``).
 
-Tables come from a TablePlan, which holds its own tables and never
-reads, writes or evicts the series cache of ``regover.sequences``.  Before
-the first table is built, the plan expands every congruence claim's
+Tables come from a TablePlan, which holds its own tables.  Before the
+first table is built, the plan expands every congruence claim's
 quantifiers once and declares what each claim reads: (table, modulus, top
 index).  An identity claim declares its reads as data (table, modulus,
 step), read at the indices step*n up to the order the run checks it at.

@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import claims as claims_mod
-from . import registry, sequences
+from . import registry
 from .products import EtaSpecParseError, eta_quotient, parse_eta_spec
 from .sequences import SequenceRef, sequence_value
 from .series import ZZ, Zmod
@@ -104,14 +104,7 @@ def cmd_expand(args) -> int:
 
 def cmd_value(args) -> int:
     ref = _seq_from_args(args)
-    # sequence_value memoizes a series-backed table for library callers; one
-    # CLI value should not keep an exact table for the life of the process
-    saved = dict(sequences._series_cache)
-    try:
-        value = sequence_value(ref, args.n)
-    finally:
-        sequences._series_cache.clear()
-        sequences._series_cache.update(saved)
+    value = sequence_value(ref, args.n)
     if _format_of(args) == "json":
         print(json.dumps({"seq": ref.name, "param": ref.param, "n": args.n, "value": value}))
     else:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from itertools import takewhile
 
-from . import sequences
 from .arith import primes_up_to
 from .claims import (
     DEFAULT_K_CAP,
@@ -486,23 +485,9 @@ def _identity_claims() -> list[IdentityClaim]:
     ]
 
 
-_REGISTRY: list | None = None
-
-
 def builtin_registry() -> list:
     """All claims in fixed order; congruences first, then identities."""
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _congruence_claims() + _identity_claims()
-    return list(_REGISTRY)
-
-
-def _forget_registry():
-    global _REGISTRY
-    _REGISTRY = None
-
-
-sequences._clear_hooks.append(_forget_registry)
+    return _congruence_claims() + _identity_claims()
 
 
 def registry_ids() -> list[str]:

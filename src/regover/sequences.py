@@ -71,49 +71,23 @@ class SequenceRef:
 
 # -- generating-function route ----------------------------------------------
 
-_series_cache: dict[tuple[str, int | None, int | None], Series] = {}
-
-# Resets that clear_caches also runs, one per cache kept by a module that
-# imports this one (the built claim registry); each registers at its
-# import, so this module imports none of them.
-_clear_hooks: list = []
-
 _PBAR = SequenceRef("pbar")
 
 
 def clear_caches():
-    """Empty every cache in the package: the series table cache (arith
-    builds every r_k lattice table afresh), and each cache registered in
-    _clear_hooks: the built claim registry.  No claim run fills a cache;
-    its tables live in its claims.TablePlan."""
-    _series_cache.clear()
-    for reset in _clear_hooks:
-        reset()
+    """Do nothing.  The package keeps no table: a claim run's tables live in
+    its claims.TablePlan, and a library call's with its caller.  The
+    function remains only for the benchmark's tracer tests, which call it."""
 
 
 def sequence_series(ref: SequenceRef, ring: Ring, order: int) -> Series:
-    """The sequence's generating function as a Series (series-backed refs only).
-
-    Results are memoized per (ref, ring) keeping the longest prefix computed
-    so far, so repeated calls share one table.  Only library callers and
-    sequence_table and sequence_value read this memo: claim runs read their
-    tables from a claims.TablePlan.
-    """
+    """The sequence's generating function as a Series (series-backed refs
+    only), built afresh by each call, with the tables of series_inputs(ref)
+    built first."""
     if not ref.is_series_backed:
         raise ValueError(f"sequence {ref.label()} has no generating function route")
-    return _memoized(ref, ring, order).truncate(order)
-
-
-def _memoized(ref: SequenceRef, ring: Ring, order: int) -> Series:
-    """The cached series for (ref, ring), built over ring from the cached
-    tables it is built from when it does not reach order; it may run past
-    order."""
-    key = (ref.name, ref.param, ring.modulus)
-    cached = _series_cache.get(key)
-    if cached is None or cached.order < order:
-        inputs = [_memoized(dep, ring, order) for dep in series_inputs(ref)]
-        cached = _series_cache[key] = _build_series(ref, ring, order, *inputs)
-    return cached
+    inputs = [sequence_series(dep, ring, order) for dep in series_inputs(ref)]
+    return _build_series(ref, ring, order, *inputs)
 
 
 def series_inputs(ref: SequenceRef) -> tuple[SequenceRef, ...]:
@@ -124,8 +98,8 @@ def series_inputs(ref: SequenceRef) -> tuple[SequenceRef, ...]:
 
 def _build_series(ref: SequenceRef, ring: Ring, order: int, *inputs: Series) -> Series:
     """ref's series over ring to order, from the tables of series_inputs(ref),
-    in that order, over ring and reaching order; reads no cache.  A
-    pointwise ref's series holds its residues, over a ring Zmod(m)."""
+    in that order, over ring and reaching order.  A pointwise ref's series
+    holds its residues, over a ring Zmod(m)."""
     if not ref.is_series_backed:
         check_order(order)
         if ring.is_exact:
@@ -195,21 +169,20 @@ def _pointwise_table(ref: SequenceRef, m: int, order: int) -> list[int]:
 
 
 def sequence_table(ref: SequenceRef, modulus: int | None, upto: int) -> list[int]:
-    """Values 0..upto, as residues when modulus is given (series-backed refs).
-
-    Returns a fresh list (``Series.coeffs`` copies): the cached table stays
-    intact whatever the caller does with it."""
+    """Values 0..upto, as residues when modulus is given (series-backed refs),
+    in a list built afresh by each call."""
     ring = ZZ if modulus is None else Zmod(modulus)
     return sequence_series(ref, ring, upto).coeffs
 
 
 def sequence_value(ref: SequenceRef, n: int) -> int:
     """Exact value at n, series-backed or pointwise.  A series-backed value
-    is read straight from the cached table, with no prefix copy."""
+    is read from a table built to n by this call, so a loop over n should
+    read one sequence_table instead."""
     if ref.is_series_backed:
         if n < 0:
             raise ValueError("n must be >= 0")
-        return _memoized(ref, ZZ, n)[n]
+        return sequence_series(ref, ZZ, n)[n]
     if ref.name == "r":
         return arith.r_formula(ref.param, n)
     if ref.name == "dstar":

@@ -4,13 +4,6 @@ A Series stores the dense coefficient list of sum a(n) q^n for n = 0..order
 (truncation order inclusive).  Exact coefficients are arbitrary-precision
 ints; modular coefficients are kept as least nonnegative residues.  A Series
 is immutable after construction and every operation returns a new one.
-That alone does not make the package thread-safe: ``regover.sequences``
-memoizes tables in ``_series_cache``, the one module-level table cache,
-which is mutable and has no locking, so concurrent threads must not build
-tables through it.  Only library callers of ``sequence_series``,
-``sequence_table`` and ``sequence_value`` fill it; claim runs, hunts
-included, read their tables from a ``regover.claims.TablePlan``, which
-holds them for one run.
 """
 
 from __future__ import annotations
@@ -88,8 +81,8 @@ class Series:
     @property
     def coeffs(self) -> list:
         """Dense coefficient list, index n = coefficient of q^n.  A fresh
-        copy on every access, so no caller can alter the series (or a
-        cached table); index or slice the series to read part of it."""
+        copy on every access, so no caller can alter the series; index or
+        slice the series to read part of it."""
         return self._coeffs[:]
 
     @property

@@ -13,7 +13,7 @@ import regover
 from regover import claims, registry, sequences
 from regover.cli import main
 from regover.claims import Term
-from regover.series import ZZ, Series
+from regover.series import Series
 
 
 def run(capsys, *argv):
@@ -110,18 +110,6 @@ def test_value_json(capsys):
     assert json.loads(out) == {"seq": "pbar", "param": None, "n": 6, "value": 40}
 
 
-def test_value_leaves_the_series_cache_as_it_found_it(capsys):
-    sequences.clear_caches()
-    sequences.sequence_series(sequences.SequenceRef("pbar"), ZZ, 10)
-    cached = dict(sequences._series_cache)
-    for argv in (["value", "pbar", "--n", "3000"], ["value", "A", "--ell", "5", "--n", "50"]):
-        assert main(argv) == 0
-        assert sequences._series_cache == cached
-        assert all(sequences._series_cache[k] is v for k, v in cached.items())
-    capsys.readouterr()
-    sequences.clear_caches()
-
-
 def test_verify_single_claim(capsys):
     code, out, _ = run(capsys, "verify", "C-T6", "--bound", "5000")
     assert code == 0
@@ -153,7 +141,8 @@ def broken_claim(monkeypatch):
     broken = dataclasses.replace(
         ex1, id="C-BROKEN", lhs=dataclasses.replace(ex1.lhs, b=28)
     )
-    monkeypatch.setattr(registry, "_REGISTRY", registry.builtin_registry() + [broken])
+    claims_with_broken = registry.builtin_registry() + [broken]
+    monkeypatch.setattr(registry, "builtin_registry", lambda: list(claims_with_broken))
 
 
 def test_verify_failure_exit_code(capsys, broken_claim):
@@ -377,7 +366,6 @@ def test_verify_builds_tables_only_inside_verify_claim(monkeypatch, capsys):
 
     monkeypatch.setattr(claims, "verify_claim", spy_verify)
     monkeypatch.setattr(sequences, "_build_series", spy_build)
-    sequences.clear_caches()
     ids = ["C-CHEN-2", "I-PHI", "C-SHEN-4", "C-T1", "C-T6"]
     code, out, _ = run(capsys, "verify", *ids, "--bound", "500", "--json")
     assert code == 0

@@ -20,14 +20,6 @@ from regover.sequences import SequenceRef
 from regover.series import Series
 
 
-@pytest.fixture(autouse=True)
-def fresh_tables():
-    # a mutated table must never outlive its test
-    sequences.clear_caches()
-    yield
-    sequences.clear_caches()
-
-
 def bump(series, index):
     """The series with the coefficient of q^index raised by one."""
     coeffs = series.coeffs

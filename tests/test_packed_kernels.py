@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from regover import kernels
 from regover.claims import hunt
-from regover.sequences import SequenceRef, clear_caches
+from regover.sequences import SequenceRef
 
 B = kernels._BLOCK
 MODULI = [2, 5, 24, 2**31 - 1, 2**40, 2**61 - 1]
@@ -149,8 +149,4 @@ def test_empty_output():
 
 def test_hunt_at_bench_scale():
     # the rows bench/expected.json pins for the hunt workload
-    clear_caches()
-    try:
-        assert hunt(SequenceRef("A", 5), 5, 100, 100000) == [(81, 27, 1235), (81, 54, 1234)]
-    finally:
-        clear_caches()
+    assert hunt(SequenceRef("A", 5), 5, 100, 100000) == [(81, 27, 1235), (81, 54, 1234)]

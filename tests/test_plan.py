@@ -1,6 +1,10 @@
 """The table plan of a run: every table is built once, over the lcm of the
 moduli its claims read it at and to the largest index they read, and
-dropped after its last consumer, with every report unchanged."""
+dropped after its last consumer, with every report unchanged.  The plan,
+or a library call's caller, is the only holder of a table: the package
+keeps no table or claim list at module level."""
+
+import sys
 
 import pytest
 
@@ -21,13 +25,6 @@ from regover.series import Zmod
 BOUND = 2000
 
 
-@pytest.fixture(autouse=True)
-def fresh_tables():
-    sequences.clear_caches()
-    yield
-    sequences.clear_caches()
-
-
 @pytest.fixture
 def builds(monkeypatch):
     """(label, modulus, order) of every table built, in order."""
@@ -40,6 +37,19 @@ def builds(monkeypatch):
 
     monkeypatch.setattr(sequences, "_build_series", spy)
     return seen
+
+
+def module_state():
+    """Each regover module's globals, dunder names aside: the id of every
+    object, and the length of every dict, list or set."""
+    state = {}
+    for name, module in list(sys.modules.items()):
+        if name == "regover" or name.startswith("regover."):
+            for key, value in vars(module).items():
+                if not key.startswith("__"):
+                    size = len(value) if isinstance(value, (dict, list, set)) else None
+                    state[name, key] = (id(value), size)
+    return state
 
 
 def congruences():
@@ -78,10 +88,20 @@ def test_each_sequence_is_built_once_over_the_lcm_of_its_moduli(builds):
     assert labels[0] == "pbar"
 
 
+def test_the_package_keeps_no_module_state(capsys):
+    before = module_state()
+    sequences.sequence_series(_a(5), Zmod(5), 100)
+    registry.builtin_registry()
+    assert main(["value", "pbar", "--n", "3000"]) == 0
+    assert main(["verify", "C-T1", "--bound", "200"]) == 0
+    assert module_state() == before
+
+
 def test_a_run_leaves_no_table_it_built(capsys):
     ids = [c.id for c in congruences()]
+    before = module_state()
     assert main(["verify", *ids, "--bound", str(BOUND), "--json"]) == 0
-    assert sequences._series_cache == {}
+    assert module_state() == before
 
 
 def test_hunt_and_a_lone_claim_build_at_the_requested_modulus(builds):
@@ -91,22 +111,6 @@ def test_hunt_and_a_lone_claim_build_at_the_requested_modulus(builds):
     (shen2,) = claims_by_id(["C-SHEN-2"])
     assert verify_congruence(shen2, BOUND).passed
     assert [(label, m) for label, m, _ in builds] == [("pbar", 6), ("A(3)", 6)]
-    assert sequences._series_cache == {}
-
-
-def test_a_run_leaves_other_callers_tables_alone(capsys):
-    a5, pbar = _a(5), SequenceRef("pbar")
-    sequences.sequence_series(a5, Zmod(5), 100)
-    sequences.sequence_series(pbar, Zmod(5), 100)
-    cached = dict(sequences._series_cache)
-    assert set(cached) == {("A", 5, 5), ("pbar", None, 5)}
-    (t1,) = claims_by_id(["C-T1"])
-    assert verify_congruence(t1, 200).passed
-    assert sequences._series_cache == cached
-    assert all(sequences._series_cache[k] is v for k, v in cached.items())
-    assert main(["verify", "C-T1", "--bound", "200", "--json"]) == 0
-    assert sequences._series_cache == cached
-    assert all(sequences._series_cache[k] is v for k, v in cached.items())
 
 
 def test_a_plan_that_verifies_a_claim_twice_keeps_no_table():
@@ -116,7 +120,6 @@ def test_a_plan_that_verifies_a_claim_twice_keeps_no_table():
     assert verify_claim(shen4, BOUND, plan=plan).passed
     assert verify_claim(shen1, BOUND, plan=plan) == first
     assert first.passed
-    assert sequences._series_cache == {}
     assert plan._tables == {}
 
 
@@ -212,9 +215,10 @@ def test_the_core_is_kept_as_the_progression_its_reads_share():
 
 def test_an_identity_run_leaves_no_table(capsys):
     ids = [c.id for c in identities()]
+    before = module_state()
     assert main(["identities", *ids, "--order", "30", "--json"]) == 0
     assert main(["verify", "--bound", "200", "--order", "30", "--json"]) == 0
-    assert sequences._series_cache == {}
+    assert module_state() == before
 
 
 def test_an_identity_outside_the_plan_or_order_is_refused():

@@ -20,7 +20,6 @@ from regover.products import (
     theta_f_series,
 )
 from regover.registry import builtin_registry, regular_overpartition_quotient
-from regover.sequences import clear_caches
 from regover.series import Series, ZZ, Zmod
 
 
@@ -201,7 +200,6 @@ def test_registry_eta_quotients_keep_the_sparse_route(monkeypatch):
         return False
 
     monkeypatch.setattr(products, "_power_is_cheaper", spy)
-    clear_caches()
     for claim in builtin_registry():
         if isinstance(claim, IdentityClaim):
             assert verify_identity(claim, claim.default_order).passed

@@ -2,7 +2,7 @@ import json
 from math import isqrt
 from pathlib import Path
 
-from regover import kernels, registry, sequences
+from regover import kernels, registry
 from regover.claims import (
     CongruenceClaim,
     IdentityClaim,
@@ -172,7 +172,6 @@ def test_one_core_build_divides_once_by_a_sparse_divisor(monkeypatch):
 def test_i_alpha_builds_the_extracted_quotient_once(monkeypatch):
     # the three cases share one build of the core, and the plan keeps no
     # table after the claim
-    sequences.clear_caches()
     built, cubes = [], []
     evaluate, cube = registry.eta_quotient, registry.jacobi_cube
 
@@ -194,4 +193,3 @@ def test_i_alpha_builds_the_extracted_quotient_once(monkeypatch):
     assert len(built) == len({spec for spec, _ in built}) == 3
     assert {order for _, order in built} == {40}
     assert plan._tables == {}
-    assert sequences._series_cache == {}

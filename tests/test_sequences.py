@@ -2,12 +2,11 @@ import types
 
 import pytest
 
-from regover import arith, registry, sequences
-from regover.products import eta_quotient
+from regover import arith, sequences
+from regover.products import eta_quotient, phi
 from regover.registry import regular_overpartition_quotient
 from regover.sequences import (
     SequenceRef,
-    clear_caches,
     oracle_partition,
     oracle_regular_overpartition,
     oracle_regular_overpartition_table,
@@ -210,35 +209,18 @@ def test_sequence_value():
     assert sequence_value(SequenceRef("chi"), 3) == -1
 
 
-def test_sequence_value_reads_the_cached_table_without_copying(monkeypatch):
-    clear_caches()
-    pbar = SequenceRef("pbar")
-    table = sequence_series(pbar, ZZ, 2000)
-    copies = []
-    truncate = Series.truncate
-
-    def counting(self, order):
-        copies.append(order)
-        return truncate(self, order)
-
-    monkeypatch.setattr(Series, "truncate", counting)
-    assert [sequence_value(pbar, n) for n in range(1000, 2001)] == table[1000:]
-    assert copies == []
-    assert sequence_value(pbar, 2500) == sequence_series(pbar, ZZ, 2500)[2500]
-    with pytest.raises(ValueError):
+def test_sequence_value_agrees_with_one_table():
+    pbar, a5 = SequenceRef("pbar"), SequenceRef("A", 5)
+    table = sequence_table(pbar, None, 2000)
+    for n in (0, 1, 999, 2000):
+        assert sequence_value(pbar, n) == table[n]
+    assert sequence_value(a5, 50) == sequence_table(a5, None, 50)[50]
+    with pytest.raises(ValueError, match="n must be >= 0"):
         sequence_value(pbar, -1)
 
 
-def test_cache_grows_and_truncates():
-    clear_caches()
-    long = sequence_series(SequenceRef("pbar"), ZZ, 50)
-    short = sequence_series(SequenceRef("pbar"), ZZ, 10)
-    assert short.coeffs == long.coeffs[:11]
-
-
 def test_sequence_table_hands_out_a_copy():
-    # writing into a returned table must not corrupt the memoized series
-    clear_caches()
+    # writing into a returned table must not change any later value
     table = sequence_table(SequenceRef("p"), None, 10)
     table[5] = 999
     assert sequence_value(SequenceRef("p"), 5) == 7
@@ -246,18 +228,6 @@ def test_sequence_table_hands_out_a_copy():
     residues = sequence_table(SequenceRef("A", 5), 5, 20)
     residues[:] = [1] * len(residues)
     assert sequence_table(SequenceRef("A", 5), 5, 20)[3] == 3  # A_5(3) = 8
-
-
-def test_sequence_series_coeffs_cannot_corrupt_the_cache():
-    # Series.coeffs is a fresh list, so writing into the coefficients of a
-    # memoized series leaves every later read alone
-    clear_caches()
-    pbar = SequenceRef("pbar")
-    sequence_series(pbar, ZZ, 10).coeffs[5] = 999
-    assert sequence_value(pbar, 5) == 24
-    series = sequence_series(pbar, Zmod(5), 10)
-    series.coeffs[:] = [0] * 11
-    assert series[5] == 4 and sequence_series(pbar, Zmod(5), 10)[5] == 4
 
 
 def test_r_oracle_table_hands_out_a_copy():
@@ -268,32 +238,18 @@ def test_r_oracle_table_hands_out_a_copy():
     assert arith.r_oracle_table(4, 10)[5] == 48
 
 
-def test_clear_caches_empties_both_cache_layers():
-    sequence_series(SequenceRef("pbar"), Zmod(5), 10)
-    registry.builtin_registry()
-    clear_caches()
-    assert sequences._series_cache == {}
-    assert registry._REGISTRY is None
-
-
 def test_build_series_reads_no_cache():
-    # an A_l table is built from the pbar table it is given, not a cached one
-    clear_caches()
-    a5 = SequenceRef("A", 5)
-    pbar = sequences._build_series(SequenceRef("pbar"), Zmod(5), 50)
-    built = sequences._build_series(a5, Zmod(5), 50, pbar)
-    assert sequences._series_cache == {}
-    assert built == sequence_series(a5, Zmod(5), 50)
+    # an A_l table is built from the pbar table it is given, and nothing else
+    a5, ring = SequenceRef("A", 5), Zmod(5)
+    pbar = sequences._build_series(SequenceRef("pbar"), ring, 50)
+    assert sequences._build_series(a5, ring, 50, pbar) == sequence_series(a5, ring, 50)
+    one = Series.one(ring, 50)
+    assert sequences._build_series(a5, ring, 50, one) == phi(-1, ring, 50, scale=5)
 
 
-def test_negative_order_is_rejected_on_a_cold_and_a_warm_cache():
-    clear_caches()
-    a5 = SequenceRef("A", 5)
+def test_sequence_series_rejects_a_negative_order():
     with pytest.raises(ValueError, match="order must be >= 0"):
-        sequence_series(a5, Zmod(5), -1)
-    sequence_series(a5, Zmod(5), 10)
-    with pytest.raises(ValueError, match="order must be >= 0"):
-        sequence_series(a5, Zmod(5), -1)
+        sequence_series(SequenceRef("A", 5), Zmod(5), -1)
 
 
 # -- sieved tables of the pointwise sequences ---------------------------------

@@ -195,6 +195,10 @@ def test_series_is_immutable():
     with pytest.raises(AttributeError, match="Series is immutable"):
         s.ring = Zmod(5)
     assert s.ring == ZZ
+    # coeffs is a fresh list, so writing into it leaves the series alone
+    t = Series(Zmod(5), [1, 2, 4, 3, 4, 4])
+    t.coeffs[:] = [0] * 6
+    assert t.coeffs == [1, 2, 4, 3, 4, 4] and t[5] == 4
 
 
 def test_foreign_operands_are_not_series():

@@ -21,7 +21,6 @@ def load_tracer():
 def test_tracer_installs_and_uninstalls_against_the_package():
     tracer_mod = load_tracer()
     modules = (arith, claims, cli, kernels, registry, sequences)
-    registry.builtin_registry()  # built once per process; not the tracer's doing
     before = [dict(vars(m)) for m in modules] + [dict(vars(Series))]
     sequence_value = claims.sequence_value
     tracer = tracer_mod.Tracer()
@@ -80,7 +79,6 @@ def test_one_plan_over_the_identities_builds_each_table_once(monkeypatch):
     selected = [c for c in registry.builtin_registry() if isinstance(c, claims.IdentityClaim)]
     assert len(selected) == 11
     order = 200
-    cached = dict(sequences._series_cache)
     tracer = tracer_mod.Tracer()
     try:
         tracer_mod.install_layers(tracer)
@@ -99,5 +97,4 @@ def test_one_plan_over_the_identities_builds_each_table_once(monkeypatch):
     # pbar 1, the core 1 (by (q^2;q^2)^3), the outer factors of I-GF125 and
     # I-ALPHA's three cases 4, and I-GF5's eta side 4
     assert names.count("kernels.div_mod") == 10
-    assert sequences._series_cache == cached  # the run adds no table to it
     assert plan._tables == {}
