@@ -230,6 +230,17 @@ def test_sequence_table_hands_out_a_copy():
     assert sequence_table(SequenceRef("A", 5), 5, 20)[3] == 3  # A_5(3) = 8
 
 
+def test_sequence_series_coeffs_cannot_corrupt_the_cache():
+    # Series.coeffs is a fresh list, so writing into the coefficients of a
+    # returned series leaves that series and every later read alone
+    pbar = SequenceRef("pbar")
+    sequence_series(pbar, ZZ, 10).coeffs[5] = 999
+    assert sequence_value(pbar, 5) == 24
+    series = sequence_series(pbar, Zmod(5), 10)
+    series.coeffs[:] = [0] * 11
+    assert series[5] == 4 and sequence_series(pbar, Zmod(5), 10)[5] == 4
+
+
 def test_r_oracle_table_hands_out_a_copy():
     # writing into a returned table must not change any later value
     arith.r_oracle_table(4, 10)[5] = 999
