@@ -4,11 +4,14 @@ prime sieve, and representation counts r_k(n) by sums of squares.
 d*, sigma3_minus and the closed r_k formulas are defined as sums over the
 divisors of n, but every such sum is multiplicative, so each is evaluated
 as a product over the prime powers p^e of n (Grosswald, Representations of
-Integers as Sums of Squares, 1985).  The factorization is by trial division
-up to the square root of the remaining cofactor, with no table or cache.
-These closed forms serve ``regover value`` one n at a time; at the prime
-powers they also seed the multiplicative sieves that build the residue
-tables claim runs read (``regover.sequences``).
+Integers as Sums of Squares, 1985).  The factorization takes one gcd
+with _PRIMORIAL, the product of the primes below 1000 computed at import,
+and divides n only by the small primes that gcd contains; a cofactor at or
+above 1009^2 is then trial-divided by odd d up to its square root.  So a
+prime above 1000 costs one gcd and no division.  These closed forms
+serve ``regover value`` one n at a time; at the prime powers they also seed
+the multiplicative sieves that build the residue tables claim runs read
+(``regover.sequences``).
 
 r_k values come two independent ways: these closed formulas (r_formula)
 and k-fold convolution of the one-dimensional squares vector (r_oracle),
@@ -17,7 +20,8 @@ so each checks the other.
 
 from __future__ import annotations
 
-from itertools import chain, count
+from itertools import compress, count
+from math import gcd, prod
 
 from . import kernels
 
@@ -33,19 +37,34 @@ def primes_up_to(n: int) -> list[int]:
     for p in range(2, int(n**0.5) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(compress(range(n + 1), sieve))
 
 
 _SMALL_PRIMES = primes_up_to(1000)
+_PRIMORIAL = prod(_SMALL_PRIMES)
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
     """The prime factorization of n >= 1 as [(p, e), ...], p increasing.
 
-    Divides by the primes up to 1000 and then by the odd d above them, until
-    d^2 exceeds the remaining cofactor; what is left above 1 is a prime."""
+    g = gcd(n, _PRIMORIAL) is the product of n's distinct primes below 1000,
+    so only the small primes up to the largest of them are tried, and a
+    prime n above 1000 tries none.  The cofactor left has no prime factor
+    below 1009, so below 1009^2 it is 1 or a prime; a larger one is divided
+    by the odd d from 1009 until d^2 exceeds it."""
     factors = []
-    for d in chain(_SMALL_PRIMES, count(_SMALL_PRIMES[-1] + 2, 2)):
+    g = gcd(n, _PRIMORIAL)
+    for p in _SMALL_PRIMES:
+        if g == 1:
+            break
+        if g % p == 0:
+            g //= p
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors.append((p, e))
+    for d in count(1009, 2):
         if d * d > n:
             break
         if n % d == 0:
@@ -59,42 +78,32 @@ def _factorize(n: int) -> list[tuple[int, int]]:
     return factors
 
 
-def _split_two(n: int) -> tuple[int, list[tuple[int, int]]]:
-    """n = 2^a m with m odd, as a and the factorization of m."""
-    a = (n & -n).bit_length() - 1
-    return a, _factorize(n >> a)
-
-
-def _sigma(factors: list[tuple[int, int]], k: int) -> int:
-    """The sum of the k-th powers of the divisors, as the product of
-    (p^(k(e+1)) - 1) / (p^k - 1) over the prime powers p^e."""
-    total = 1
-    for p, e in factors:
-        q = p**k
-        total *= (q ** (e + 1) - 1) // (q - 1)
-    return total
-
-
 def d_star(n: int) -> int:
     """Sum of the divisors of n not divisible by 4.
 
-    Those divisors are d and 2d for d | m, where n = 2^a m with m odd, so
-    d*(n) = sigma(m), times 3 when n is even."""
+    This is multiplicative: at an odd p^e it is 1 + p + ... + p^e, and at
+    2^a (a >= 1) the divisors 1 and 2 give 3."""
     if n < 1:
         raise ValueError("d_star is defined for n >= 1")
-    a, odd = _split_two(n)
-    return _sigma(odd, 1) * (3 if a else 1)
+    total = 1
+    for p, e in _factorize(n):
+        total *= 3 if p == 2 else (p ** (e + 1) - 1) // (p - 1)
+    return total
 
 
 def sigma3_minus(n: int) -> int:
     """Signed cube divisor sum: sum over d | n of (-1)^d d^3.
 
     The odd divisors of n = 2^a m are those of m, so this is
-    sigma_3(n) - 2 sigma_3(m) = sigma_3(m) (sigma_3(2^a) - 2)."""
+    sigma_3(n) - 2 sigma_3(m) = -sigma_3(m) (2 - sigma_3(2^a)), where
+    sigma_3 at p^e is 1 + p^3 + ... + p^(3e)."""
     if n < 1:
         raise ValueError("sigma3_minus is defined for n >= 1")
-    a, odd = _split_two(n)
-    return _sigma(odd, 3) * ((8 ** (a + 1) - 1) // 7 - 2)
+    total = -1
+    for p, e in _factorize(n):
+        s = (p ** (3 * e + 3) - 1) // (p**3 - 1)
+        total *= 2 - s if p == 2 else s
+    return total
 
 
 def chi(n: int) -> int:
@@ -109,15 +118,12 @@ def chi(n: int) -> int:
 
 def r6_factors(p: int, e: int) -> tuple[int, int]:
     """The factors at p^e of r_6's two multiplicative divisor sums,
-    sum chi(n/d) d^2 and sum chi(d) d^2: sum_i chi(p)^(e-i) p^(2i) and
-    sum_i chi(p)^i p^(2i) (i = 0..e) for odd p, and 2^(2e) and 1 for p = 2."""
-    if p == 2:
-        return 4**e, 1
-    c = chi(p)
-    return (
-        sum(c ** (e - i) * p ** (2 * i) for i in range(e + 1)),
-        sum(c**i * p ** (2 * i) for i in range(e + 1)),
-    )
+    sum chi(n/d) d^2 and sum chi(d) d^2: sum_i c^(e-i) s^i and
+    sum_i (c s)^i (i = 0..e), with s = p^2 and c = chi(p), in closed form.
+    s - c and c s - 1 are never 0, and at p = 2 (c = 0) the sums are
+    2^(2e) and 1."""
+    s, c = p * p, chi(p)
+    return (s ** (e + 1) - c ** (e + 1)) // (s - c), ((c * s) ** (e + 1) - 1) // (c * s - 1)
 
 
 def r_formula(k: int, n: int) -> int:
@@ -127,9 +133,10 @@ def r_formula(k: int, n: int) -> int:
     r_6 = 16 sum chi(n/d) d^2 - 4 sum chi(d) d^2;  r_8 = 16 (-1)^n sigma3_minus(n),
 
     each sum over the divisors d of n.  Every sum is multiplicative, so it
-    is evaluated as a product over the prime powers p^e of n: for odd p,
-    sum chi(d) gives sum_i chi(p)^i (i = 0..e), and 1 for p = 2; the r_6
-    sums give r6_factors(p, e).
+    is evaluated as a product over the prime powers p^e of n: sum chi(d)
+    gives sum_i chi(p)^i (i = 0..e), which is e + 1 for p = 1 (mod 4), 1 or
+    0 as e is even or odd for p = 3 (mod 4), and 1 for p = 2; the r_6 sums
+    give r6_factors(p, e).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -139,10 +146,10 @@ def r_formula(k: int, n: int) -> int:
         return 1
     if k == 2:
         reps = 4
-        for p, e in _split_two(n)[1]:
+        for p, e in _factorize(n):
             if p % 4 == 1:
                 reps *= e + 1
-            elif e % 2:
+            elif p % 4 == 3 and e % 2:
                 return 0
         return reps
     if k == 4:

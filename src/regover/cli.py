@@ -57,11 +57,20 @@ _NONNEGATIVE = (
 )
 
 
-def _check_nonnegative(args):
+def _check_sizes(args):
     for attr, flag in _NONNEGATIVE:
         value = getattr(args, attr, None)
-        if value is not None and value < 0:
-            raise _UsageError(f"{flag} must be >= 0, got {value}")
+        if value is None:
+            continue
+        least, where = 0, ""
+        if attr == "order" and args.command in ("verify", "identities"):
+            # an identity is checked on at least one coefficient; expand
+            # --order 0 is the constant term alone
+            least = 1
+        elif attr == "n" and args.seq in ("dstar", "sigma3m"):
+            least, where = 1, f" for sequence {args.seq!r}"
+        if value < least:
+            raise _UsageError(f"{flag} must be >= {least}{where}, got {value}")
 
 
 def _emit_rows(rows, header, fmt):
@@ -244,7 +253,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_nonnegative(args)
+        _check_sizes(args)
         code = args.func(args)
         sys.stdout.flush()  # a closed reader shows here, not at exit
         return code

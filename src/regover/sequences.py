@@ -161,8 +161,11 @@ def _pointwise_table(ref: SequenceRef, m: int, order: int) -> list[int]:
             "r(2)": (lambda p, e: arith.r_formula(2, p**e) // 4, 4, 4),
         }[name]
         t = sieve(seed)
-        t[1::2] = [odd * v % m for v in t[1::2]]
-        t[::2] = [even * v % m for v in t[::2]]
+        if odd == even:
+            t = [odd * v % m for v in t]
+        else:
+            t[1::2] = [odd * v % m for v in t[1::2]]
+            t[::2] = [even * v % m for v in t[::2]]
     if ref.name == "r":
         t[0] = 1
     return t

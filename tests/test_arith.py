@@ -95,6 +95,44 @@ def test_factorize_gives_increasing_prime_powers():
         assert all(len(ref_divisors(p)) == 2 for p, _ in factors), n
 
 
+def test_factorize_matches_a_smallest_prime_factor_sieve():
+    top = 2 * 10**5
+    spf = list(range(top + 1))
+    for p in range(2, isqrt(top) + 1):
+        if spf[p] == p:
+            for m in range(p * p, top + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    for n in range(1, top + 1):
+        expected, m = [], n
+        while m > 1:
+            p, e = spf[m], 0
+            while m % p == 0:
+                m, e = m // p, e + 1
+            expected.append((p, e))
+        assert arith._factorize(n) == expected, n
+
+
+def test_factorize_at_the_edges_of_the_small_prime_gcd():
+    # 997 is the last prime below 1000 and 1009, 1013 the first above it:
+    # a cofactor below 1009^2 is taken as a prime, one at or above it is
+    # divided out
+    small = [(p, 1) for p in arith._SMALL_PRIMES]
+    cases = {
+        997**2: [(997, 2)],
+        997 * 1009: [(997, 1), (1009, 1)],
+        1009**2: [(1009, 2)],
+        1009 * 1013: [(1009, 1), (1013, 1)],
+        10**6 + 3: [(10**6 + 3, 1)],
+        2 * 999983: [(2, 1), (999983, 1)],
+        arith._PRIMORIAL: small,
+        arith._PRIMORIAL * 1009: small + [(1009, 1)],
+        2**40 * 997**3: [(2, 40), (997, 3)],
+    }
+    for n, factors in cases.items():
+        assert arith._factorize(n) == factors, n
+
+
 def test_d_star():
     assert d_star(1) == 1
     assert d_star(4) == 3
@@ -123,6 +161,22 @@ def test_chi():
 def test_primes_helpers():
     assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
     assert primes_up_to(1) == []
+
+
+def test_primes_up_to_matches_trial_division():
+    primes = [q for q in range(2, 3001) if all(q % d for d in range(2, isqrt(q) + 1))]
+    for n in range(3001):
+        assert primes_up_to(n) == [q for q in primes if q <= n], n
+
+
+def test_r6_factors_are_the_defining_sums():
+    for p in primes_up_to(1000):
+        c = chi(p)
+        for e in range(9):
+            assert arith.r6_factors(p, e) == (
+                sum(c ** (e - i) * p ** (2 * i) for i in range(e + 1)),
+                sum(c**i * p ** (2 * i) for i in range(e + 1)),
+            ), (p, e)
 
 
 def test_r_formula_examples():

@@ -227,6 +227,23 @@ def test_negative_size_is_one_line_usage_error(capsys, argv, flag):
     assert err.count("\n") == 1 and err.startswith("error: ") and flag in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("identities", "--order", "-2"), "--order must be >= 1, got -2"),
+        (("identities", "I-QP", "--order", "0"), "--order must be >= 1, got 0"),
+        (("verify", "I-QP", "--order", "-2"), "--order must be >= 1, got -2"),
+        (("verify", "C-T1", "--order", "0"), "--order must be >= 1, got 0"),
+        (("value", "dstar", "--n", "0"), "--n must be >= 1 for sequence 'dstar', got 0"),
+        (("value", "sigma3m", "--n", "0"), "--n must be >= 1 for sequence 'sigma3m', got 0"),
+        (("value", "sigma3m", "--n", "-3"), "--n must be >= 1 for sequence 'sigma3m', got -3"),
+    ],
+)
+def test_size_errors_name_the_flag_and_its_least_value(capsys, argv, message):
+    # one message per flag and command, whether the value is 0 or negative
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 # (argv, expected exit code).  Verify and identities rows use --json so the
 # test can read each report's status.
 EXIT_CODE_GRID = [

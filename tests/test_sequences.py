@@ -296,23 +296,36 @@ def test_r_tables_match_the_lattice_count(k):
 
 
 def test_a_table_seeds_each_prime_power_once(monkeypatch):
-    # the closed forms are read through sequences.arith, once per p^e
+    # every sieve reads its closed form through sequences.arith once per p^e
+    # (r_6 has two sieves); the bench tracer counts the arith work of a
+    # sieved table through these calls
     seen = []
     proxy = types.SimpleNamespace(**vars(arith))
     for name in ("r_formula", "d_star", "sigma3_minus", "chi", "r6_factors"):
-        def spy(*args, fn=getattr(arith, name)):
-            seen.append(args)
+        def spy(*args, fn=getattr(arith, name), name=name):
+            seen.append(args[0] ** args[1] if name == "r6_factors" else args[-1])
             return fn(*args)
 
         setattr(proxy, name, spy)
     monkeypatch.setattr(sequences, "arith", proxy)
     order = 20000
-    table = sequences._build_series(SequenceRef("r", 4), Zmod(5), order)
-    prime_powers = [
+    prime_powers = sorted(
         p**e for p in arith.primes_up_to(order) for e in range(1, 15) if p**e <= order
-    ]
-    assert sorted(n for (n,) in seen) == sorted(prime_powers)
-    assert table[order] == arith.r_formula(4, order) % 5
+    )
+    for ref, sieves in (
+        (SequenceRef("r", 2), 1),
+        (SequenceRef("r", 4), 1),
+        (SequenceRef("r", 8), 1),
+        (SequenceRef("sigma3m"), 1),
+        (SequenceRef("r", 6), 2),
+    ):
+        seen.clear()
+        table = sequences._build_series(ref, Zmod(5), order)
+        n = len(prime_powers)
+        assert len(seen) == sieves * n, ref.label()
+        for i in range(sieves):
+            assert sorted(seen[i * n : (i + 1) * n]) == prime_powers, (ref.label(), i)
+        assert table[order] == sequence_value(ref, order) % 5, ref.label()
 
 
 def test_pointwise_tables_are_residue_tables():
