@@ -47,29 +47,26 @@ class _UsageError(Exception):
     pass
 
 
-# (attribute, flag) pairs that no subcommand accepts below zero
-_NONNEGATIVE = (
-    ("order", "--order"),
-    ("n", "--n"),
-    ("bound", "--bound"),
-    ("prime_cap", "--prime-cap"),
-    ("k_cap", "--k-cap"),
+# (attribute, flag, least value by subcommand or sequence where it is not
+# 0, what the message adds).  An identity is checked on at least one
+# coefficient, while expand --order 0 is the constant term alone; d* and
+# sigma3m start at n = 1.
+_LEAST = (
+    ("order", "--order", {"verify": 1, "identities": 1}, ""),
+    ("n", "--n", {"dstar": 1, "sigma3m": 1}, " for sequence {seq!r}"),
+    ("bound", "--bound", {}, ""),
+    ("prime_cap", "--prime-cap", {}, ""),
+    ("k_cap", "--k-cap", {}, ""),
 )
 
 
 def _check_sizes(args):
-    for attr, flag in _NONNEGATIVE:
+    seq = getattr(args, "seq", None)
+    for attr, flag, least_by, where in _LEAST:
         value = getattr(args, attr, None)
-        if value is None:
-            continue
-        least, where = 0, ""
-        if attr == "order" and args.command in ("verify", "identities"):
-            # an identity is checked on at least one coefficient; expand
-            # --order 0 is the constant term alone
-            least = 1
-        elif attr == "n" and args.seq in ("dstar", "sigma3m"):
-            least, where = 1, f" for sequence {args.seq!r}"
-        if value < least:
+        least = least_by.get(args.command, least_by.get(seq, 0))
+        if value is not None and value < least:
+            where = where.format(seq=seq)
             raise _UsageError(f"{flag} must be >= {least}{where}, got {value}")
 
 

@@ -138,7 +138,8 @@ def _pointwise_table(ref: SequenceRef, m: int, order: int) -> list[int]:
     """ref(0..order) mod m, with r_k(0) = 1 and 0 at 0 for the others, from
     multiplicative sieves.  d* and chi are multiplicative, and so are
     -sigma3m (as sigma3m(1) = -1), r_2 / 4 and the two divisor sums T and
-    P of r_6; r_4 = 8 d*, r_6 = 16 T - 4 P and r_8 = 16 (-1)^n sigma3m."""
+    P of r_6; r_4 = 8 d*, r_6 = 16 T - 4 P and r_8 = 16 (-1)^n sigma3m,
+    where -(-1)^n sigma3m is multiplicative."""
 
     def sieve(seed):
         return _multiplicative(seed, m, order)
@@ -150,22 +151,20 @@ def _pointwise_table(ref: SequenceRef, m: int, order: int) -> list[int]:
         plain = sieve(lambda p, e: arith.r6_factors(p, e)[1])
         t = [(16 * a - 4 * b) % m for a, b in zip(twisted, plain)]
     else:
-        # ref(n) = scale f(n), for the multiplicative f seed gives, where
-        # scale is odd at odd n and even at even n
-        seed, odd, even = {
-            "chi": (lambda p, e: arith.chi(p**e), 1, 1),
-            "dstar": (lambda p, e: arith.d_star(p**e), 1, 1),
-            "r(4)": (lambda p, e: arith.d_star(p**e), 8, 8),
-            "sigma3m": (lambda p, e: -arith.sigma3_minus(p**e), -1, -1),
-            "r(8)": (lambda p, e: -arith.sigma3_minus(p**e), 16, -16),
-            "r(2)": (lambda p, e: arith.r_formula(2, p**e) // 4, 4, 4),
+        # ref(n) = scale f(n), for the multiplicative f seed gives
+        seed, scale = {
+            "chi": (lambda p, e: arith.chi(p**e), 1),
+            "dstar": (lambda p, e: arith.d_star(p**e), 1),
+            "r(4)": (lambda p, e: arith.d_star(p**e), 8),
+            "sigma3m": (lambda p, e: -arith.sigma3_minus(p**e), -1),
+            # f = -(-1)^n * -sigma3m(n): -(-1)^n is -1 at 2^a, 1 at odd p^e
+            "r(8)": (
+                lambda p, e: arith.sigma3_minus(p**e) if p == 2 else -arith.sigma3_minus(p**e),
+                16,
+            ),
+            "r(2)": (lambda p, e: arith.r_formula(2, p**e) // 4, 4),
         }[name]
-        t = sieve(seed)
-        if odd == even:
-            t = [odd * v % m for v in t]
-        else:
-            t[1::2] = [odd * v % m for v in t[1::2]]
-            t[::2] = [even * v % m for v in t[::2]]
+        t = [scale * v % m for v in sieve(seed)]
     if ref.name == "r":
         t[0] = 1
     return t

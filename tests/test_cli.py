@@ -237,6 +237,8 @@ def test_negative_size_is_one_line_usage_error(capsys, argv, flag):
         (("value", "dstar", "--n", "0"), "--n must be >= 1 for sequence 'dstar', got 0"),
         (("value", "sigma3m", "--n", "0"), "--n must be >= 1 for sequence 'sigma3m', got 0"),
         (("value", "sigma3m", "--n", "-3"), "--n must be >= 1 for sequence 'sigma3m', got -3"),
+        (("value", "p", "--n", "-1"), "--n must be >= 0 for sequence 'p', got -1"),
+        (("expand", "1^-1", "--order", "-1"), "--order must be >= 0, got -1"),
     ],
 )
 def test_size_errors_name_the_flag_and_its_least_value(capsys, argv, message):
