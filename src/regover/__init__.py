@@ -17,6 +17,7 @@ from .claims import (
     ZERO,
     hunt,
     verify_claim,
+    verify_claims,
     verify_congruence,
     verify_identity,
 )
@@ -33,7 +34,7 @@ from .products import (
     theta_f_product,
     theta_f_series,
 )
-from .registry import builtin_registry, regular_overpartition_quotient, verify_all
+from .registry import builtin_registry, regular_overpartition_quotient
 from .sequences import (
     SequenceRef,
     oracle_partition,
@@ -82,8 +83,8 @@ __all__ = [
     "sigma3_minus",
     "theta_f_product",
     "theta_f_series",
-    "verify_all",
     "verify_claim",
+    "verify_claims",
     "verify_congruence",
     "verify_identity",
 ]

@@ -24,9 +24,13 @@ run, because a table over a larger modulus costs more to build.  For the
 same reason congruence and identity claims read separate tables: their
 moduli of pbar (lcm 840 and 625) have the lcm 105,000, whose residues need
 twice the kernel field width.  A table is dropped after its last consumer.
-A lone verify_congruence or verify_identity is a plan of one claim, and a
-hunt one of the single claim ref(n) = 0 mod m, so each builds its tables
-over exactly the moduli it reads.
+
+The plan also holds the run's knobs: the caps of its congruence claims and
+the order of its identity claims.  verify_claim(claim, plan) reads them from
+the plan, and verify_claims runs a batch from one plan.  A lone
+verify_congruence or verify_identity is a plan of one claim, and a hunt one
+of the single claim ref(n) = 0 mod m, so each builds its tables over exactly
+the moduli it reads.
 """
 
 from __future__ import annotations
@@ -240,12 +244,6 @@ def _needs(checks: list[_Check]) -> dict:
     return needs
 
 
-def _effective_order(claim: IdentityClaim, order: int) -> int:
-    """The order an identity claim is evaluated at: order, capped by its
-    order_cap."""
-    return order if claim.order_cap is None else min(order, claim.order_cap)
-
-
 def _inputs(source: SequenceRef | Callable) -> tuple[SequenceRef, ...]:
     """The tables source's table is built from."""
     return series_inputs(source) if isinstance(source, SequenceRef) else ()
@@ -278,6 +276,8 @@ class TablePlan:
     """
 
     def __init__(self, claims: Iterable, caps: Caps = Caps(), order: int | None = None):
+        if order is not None and order < 1:
+            raise ValueError("order must be >= 1")
         self.caps = caps
         self.order = order
         self._claims = list(claims)
@@ -291,8 +291,10 @@ class TablePlan:
         self._built_progressions = False
 
     def order_of(self, claim: IdentityClaim) -> int:
-        """The order the run checks an identity claim at."""
-        return claim.default_order if self.order is None else self.order
+        """The order the run checks an identity claim at: the plan's order,
+        or else the claim's default_order, capped by its order_cap."""
+        order = claim.default_order if self.order is None else self.order
+        return order if claim.order_cap is None else min(order, claim.order_cap)
 
     def _require(self, claim):
         """Declare every claim's reads, on the first call; then check that
@@ -307,7 +309,7 @@ class TablePlan:
                         for (ref, modulus), top in _needs(checks).items()
                     ]
                 else:
-                    eff = _effective_order(c, self.order_of(c))
+                    eff = self.order_of(c)
                     reads = [
                         ((r.table, _IDENTITY), r.modulus, r.step * eff, r.step)
                         for r in c.lhs_reads + c.rhs_reads
@@ -335,7 +337,7 @@ class TablePlan:
             kept = [key for key, step in self._step.items() if step > 1]
             for key in sorted(kept, key=self._step.get, reverse=True):
                 self._table(key)
-        eff = _effective_order(claim, self.order_of(claim))
+        eff = self.order_of(claim)
         return tuple(
             [self._read(r, eff) for r in reads] for reads in (claim.lhs_reads, claim.rhs_reads)
         )
@@ -416,50 +418,31 @@ def _side(t: Term, check: _Check, plan: TablePlan) -> list[int]:
     return values
 
 
-def verify_congruence(
-    claim: CongruenceClaim,
-    bound: int,
-    prime_cap: int = DEFAULT_PRIME_CAP,
-    k_cap: int = DEFAULT_K_CAP,
-    plan: TablePlan | None = None,
-) -> VerificationReport:
-    """Check every quantifier instantiation of the claim for all n with all
-    indices in [1, bound].  Each side is one sign-twisted residue list over
-    its progression; the two lists are compared whole, and the first
-    mismatch is located only when they differ.
-
-    Tables come from plan, which must hold the claim and have been made
-    with these caps.  With no plan, the claim is a plan of its own: the
-    call builds its tables and frees them when it returns, so a loop over
-    claims should pass one plan over all of them to build each table once."""
-    caps = Caps(prime_cap, k_cap, bound)
-    if plan is None:
-        plan = TablePlan([claim], caps)
-    elif plan.caps != caps:
-        raise ValueError(f"plan made for {plan.caps}, not {caps}")
+def _check_congruence(claim: CongruenceClaim, plan: TablePlan) -> VerificationReport:
+    """Each instance's two sides are sign-twisted residue lists over its
+    progression, compared whole; the first mismatch is located only when
+    they differ."""
+    bound = plan.caps.bound
     total = 0
-    try:
-        for check in plan.checks(claim):
-            v1 = _side(check.lhs, check, plan)
-            v2 = _side(check.rhs, check, plan)
-            if v1 != v2:
-                j = next(j for j, (x, y) in enumerate(zip(v1, v2)) if x != y)
-                n = check.lo + j
-                return VerificationReport(
-                    claim.id,
-                    bound,
-                    total + j + 1,
-                    "fail",
-                    {
-                        "params": {**check.env, "n": n},
-                        "index": check.lhs.a * n + check.lhs.b,
-                        "lhs": v1[j],
-                        "rhs": v2[j],
-                    },
-                )
-            total += check.hi - check.lo + 1
-    finally:
-        plan.done(claim)
+    for check in plan.checks(claim):
+        v1 = _side(check.lhs, check, plan)
+        v2 = _side(check.rhs, check, plan)
+        if v1 != v2:
+            j = next(j for j, (x, y) in enumerate(zip(v1, v2)) if x != y)
+            n = check.lo + j
+            return VerificationReport(
+                claim.id,
+                bound,
+                total + j + 1,
+                "fail",
+                {
+                    "params": {**check.env, "n": n},
+                    "index": check.lhs.a * n + check.lhs.b,
+                    "lhs": v1[j],
+                    "rhs": v2[j],
+                },
+            )
+        total += check.hi - check.lo + 1
     if total == 0:
         return VerificationReport(
             claim.id, bound, 0, "skipped(no checkable instance within bound)"
@@ -467,74 +450,82 @@ def verify_congruence(
     return VerificationReport(claim.id, bound, total, "pass")
 
 
-def verify_identity(
-    claim: IdentityClaim, order: int, plan: TablePlan | None = None
-) -> VerificationReport:
-    """Evaluate both series expressions of every case at the given order
-    (capped by the claim's order_cap); the coefficient lists are compared
-    whole, and the first mismatch is located only when they differ.  A side
-    that stops short of that order raises ValueError, so it cannot shrink
-    the check.
-
-    The sides' tables come from plan, which must hold the claim and check
-    it at this order.  With no plan, the claim is a plan of its own, as in
-    verify_congruence."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if plan is None:
-        plan = TablePlan([claim], order=order)
-    elif plan.order_of(claim) != order:
-        raise ValueError(f"plan checks {claim.id} at order {plan.order_of(claim)}, not {order}")
-    eff = _effective_order(claim, order)
+def _check_identity(claim: IdentityClaim, plan: TablePlan) -> VerificationReport:
+    """Each case's two sides are coefficient lists, compared whole; the first
+    mismatch is located only when they differ.  A side that stops short of
+    the order raises ValueError, so it cannot shrink the check."""
+    eff = plan.order_of(claim)
     total = 0
-    try:
-        lhs_tables, rhs_tables = plan.identity_tables(claim)
-        for case in claim.cases:
-            ring = _resolve(claim.ring, case)
-            sides = []
-            for name, side, tables in (
-                ("lhs", claim.lhs, lhs_tables),
-                ("rhs", claim.rhs, rhs_tables),
-            ):
-                series = side(ring, eff, *tables, **case)
-                if series.order < eff:
-                    raise ValueError(
-                        f"{claim.id}: {name} of case {case} stops at order"
-                        f" {series.order}, not {eff}"
-                    )
-                sides.append(series[: eff + 1])
-            la, ra = sides
-            if la != ra:
-                n = next(n for n, (x, y) in enumerate(zip(la, ra)) if x != y)
-                return VerificationReport(
-                    claim.id,
-                    eff,
-                    total + n + 1,
-                    "fail",
-                    {"params": dict(case), "index": n, "lhs": la[n], "rhs": ra[n]},
+    lhs_tables, rhs_tables = plan.identity_tables(claim)
+    for case in claim.cases:
+        ring = _resolve(claim.ring, case)
+        sides = []
+        for name, side, tables in (
+            ("lhs", claim.lhs, lhs_tables),
+            ("rhs", claim.rhs, rhs_tables),
+        ):
+            series = side(ring, eff, *tables, **case)
+            if series.order < eff:
+                raise ValueError(
+                    f"{claim.id}: {name} of case {case} stops at order"
+                    f" {series.order}, not {eff}"
                 )
-            total += eff + 1
-    finally:
-        plan.done(claim)
+            sides.append(series[: eff + 1])
+        la, ra = sides
+        if la != ra:
+            n = next(n for n, (x, y) in enumerate(zip(la, ra)) if x != y)
+            return VerificationReport(
+                claim.id,
+                eff,
+                total + n + 1,
+                "fail",
+                {"params": dict(case), "index": n, "lhs": la[n], "rhs": ra[n]},
+            )
+        total += eff + 1
     return VerificationReport(claim.id, eff, total, "pass")
 
 
-def verify_claim(
-    claim,
-    bound: int = DEFAULT_BOUND,
+def verify_claim(claim, plan: TablePlan) -> VerificationReport:
+    """Check the claim with the tables and knobs of plan, which must hold it:
+    a congruence claim at every quantifier instance for all n with all
+    indices in [1, plan.caps.bound], an identity claim in every case at
+    plan.order_of(claim).  The claim's tables are released on return."""
+    try:
+        if isinstance(claim, CongruenceClaim):
+            return _check_congruence(claim, plan)
+        return _check_identity(claim, plan)
+    finally:
+        plan.done(claim)
+
+
+def verify_claims(
+    claims: Iterable, caps: Caps = Caps(), order: int | None = None
+) -> Iterator[VerificationReport]:
+    """Yield each claim's report in order, all from one TablePlan, so each
+    table is built once.  Identity claims are checked at order, or else at
+    their default order.  Every table is built inside a verify_claim call."""
+    claims = list(claims)
+    plan = TablePlan(claims, caps, order)
+    for claim in claims:
+        yield verify_claim(claim, plan)
+
+
+def verify_congruence(
+    claim: CongruenceClaim,
+    bound: int,
     prime_cap: int = DEFAULT_PRIME_CAP,
     k_cap: int = DEFAULT_K_CAP,
-    order: int | None = None,
-    plan: TablePlan | None = None,
 ) -> VerificationReport:
-    """Dispatch on claim kind; identity claims use their default order
-    unless one is given.  The claim reads its tables from plan (see
-    verify_congruence and verify_identity)."""
-    if isinstance(claim, CongruenceClaim):
-        return verify_congruence(claim, bound, prime_cap, k_cap, plan)
-    return verify_identity(
-        claim, order if order is not None else claim.default_order, plan
-    )
+    """Check the claim for all n with all indices in [1, bound], as a plan of
+    its own: the call builds its tables and frees them when it returns, so a
+    loop over claims should use verify_claims to build each table once."""
+    return verify_claim(claim, TablePlan([claim], Caps(prime_cap, k_cap, bound)))
+
+
+def verify_identity(claim: IdentityClaim, order: int) -> VerificationReport:
+    """Check the claim at order (capped by its order_cap) as a plan of its
+    own, as verify_congruence does."""
+    return verify_claim(claim, TablePlan([claim], order=order))
 
 
 def hunt(

@@ -14,20 +14,7 @@ from __future__ import annotations
 from itertools import takewhile
 
 from .arith import primes_up_to
-from .claims import (
-    DEFAULT_K_CAP,
-    DEFAULT_PRIME_CAP,
-    ZERO,
-    Caps,
-    CongruenceClaim,
-    IdentityClaim,
-    Quantifier,
-    Read,
-    TablePlan,
-    Term,
-    VerificationReport,
-    verify_claim,
-)
+from .claims import ZERO, CongruenceClaim, IdentityClaim, Quantifier, Read, Term
 from .products import (
     EtaQuotientSpec,
     ThetaSpec,
@@ -500,16 +487,3 @@ def claims_by_id(ids) -> list:
     if missing:
         raise KeyError(f"unknown claim: {', '.join(missing)}")
     return [table[i] for i in ids]
-
-
-def verify_all(
-    bound: int, prime_cap: int = DEFAULT_PRIME_CAP, k_cap: int = DEFAULT_K_CAP
-) -> list[VerificationReport]:
-    """Verify every registry entry in order, the congruences from one table
-    plan; identity claims run at their default order."""
-    claims = builtin_registry()
-    plan = TablePlan(claims, Caps(prime_cap=prime_cap, k_cap=k_cap, bound=bound))
-    return [
-        verify_claim(claim, bound=bound, prime_cap=prime_cap, k_cap=k_cap, plan=plan)
-        for claim in claims
-    ]

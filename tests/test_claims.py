@@ -10,11 +10,10 @@ from regover.claims import (
     CongruenceClaim,
     IdentityClaim,
     Quantifier,
-    TablePlan,
     Term,
     _expand_quantifiers,
     hunt,
-    verify_claim,
+    verify_claims,
     verify_congruence,
     verify_identity,
 )
@@ -194,8 +193,7 @@ def test_mutants_fail_alike_under_one_plan_with_the_registry():
     mutants = mutated_registry_claims()
     registered = [c for c in claims_by_id(registry_ids()) if isinstance(c, CongruenceClaim)]
     selected = registered + [claim for _, claim in mutants]
-    plan = TablePlan(selected, Caps(bound=200))
-    reports = [verify_claim(c, 200, plan=plan) for c in selected]
+    reports = list(verify_claims(selected, Caps(bound=200)))
     for (label, _), report in zip(mutants, reports[len(registered) :]):
         assert report.failed and first_failure(report) == MUTANT_FAILURES[label]
     assert reports[: len(registered)] == [verify_congruence(c, 200) for c in registered]

@@ -168,6 +168,15 @@ def test_identities_run_at_the_smallest_orders(capsys, order):
     assert statuses == ["pass"] * 11
 
 
+@pytest.mark.parametrize("flag", ["--bound", "--prime-cap", "--k-cap"])
+def test_identities_takes_no_congruence_flag(capsys, flag):
+    # no identity claim reads the congruence caps
+    with pytest.raises(SystemExit) as exc:
+        main(["identities", "I-QP", flag, "5"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+
 def test_identities_rejects_congruence_id(capsys):
     code, _, err = run(capsys, "identities", "C-T1")
     assert code == 2
@@ -239,6 +248,11 @@ def test_negative_size_is_one_line_usage_error(capsys, argv, flag):
         (("value", "sigma3m", "--n", "-3"), "--n must be >= 1 for sequence 'sigma3m', got -3"),
         (("value", "p", "--n", "-1"), "--n must be >= 0 for sequence 'p', got -1"),
         (("expand", "1^-1", "--order", "-1"), "--order must be >= 0, got -1"),
+        (("expand", "1^-1", "--order", "5", "--mod", "1"), "--mod must be >= 2, got 1"),
+        (("hunt", "pbar", "--mod", "1", "--max-step", "3"), "--mod must be >= 2, got 1"),
+        (("hunt", "pbar", "--mod", "5", "--max-step", "0"), "--max-step must be >= 1, got 0"),
+        (("hunt", "pbar", "--mod", "5", "--max-step", "3", "--min-instances", "0"),
+         "--min-instances must be >= 1, got 0"),
     ],
 )
 def test_size_errors_name_the_flag_and_its_least_value(capsys, argv, message):

@@ -14,7 +14,7 @@ the plan's tables between claims hides no mutation.
 import pytest
 
 from regover import products, registry, sequences
-from regover.claims import IdentityClaim, TablePlan, verify_identity
+from regover.claims import IdentityClaim, verify_claims, verify_identity
 from regover.registry import claims_by_id
 from regover.sequences import SequenceRef
 from regover.series import Series
@@ -80,8 +80,7 @@ def check_fails(claim_id, order, params, index):
     identity; each run builds its tables afresh under the mutation."""
     (claim,) = claims_by_id([claim_id])
     selected = [c for c in registry.builtin_registry() if isinstance(c, IdentityClaim)]
-    plan = TablePlan(selected, order=order)
-    shared = {c.id: verify_identity(c, order, plan) for c in selected}
+    shared = {r.claim_id: r for r in verify_claims(selected, order=order)}
     for report in (verify_identity(claim, order), shared[claim_id]):
         assert report.status == "fail", report
         assert report.counterexample is not None

@@ -4,14 +4,17 @@ from pathlib import Path
 
 from regover import kernels, registry
 from regover.claims import (
+    Caps,
     CongruenceClaim,
     IdentityClaim,
     TablePlan,
+    verify_claim,
+    verify_claims,
     verify_congruence,
     verify_identity,
 )
 from regover.products import eta_quotient
-from regover.registry import builtin_registry, claims_by_id, registry_ids, verify_all
+from regover.registry import builtin_registry, claims_by_id, registry_ids
 from regover.sequences import SequenceRef
 from regover.series import ZZ, Zmod
 
@@ -58,7 +61,7 @@ def test_claims_by_id_unknown():
 
 
 def test_verify_all_small_bound_never_fails():
-    reports = verify_all(625, prime_cap=3, k_cap=0)
+    reports = list(verify_claims(builtin_registry(), Caps(prime_cap=3, k_cap=0, bound=625)))
     assert len(reports) == len(builtin_registry())
     assert [r.claim_id for r in reports] == registry_ids()
     for r in reports:
@@ -67,7 +70,7 @@ def test_verify_all_small_bound_never_fails():
 
 
 def test_verify_all_default_scale_passes():
-    reports = verify_all(2000, prime_cap=20, k_cap=1)
+    reports = list(verify_claims(builtin_registry(), Caps(prime_cap=20, k_cap=1, bound=2000)))
     assert all(r.passed for r in reports), [
         (r.claim_id, r.status) for r in reports if not r.passed
     ]
@@ -187,7 +190,7 @@ def test_i_alpha_builds_the_extracted_quotient_once(monkeypatch):
     monkeypatch.setattr(registry, "jacobi_cube", spy_cube)
     (claim,) = claims_by_id(["I-ALPHA"])
     plan = TablePlan([claim], order=40)
-    assert verify_identity(claim, 40, plan).passed
+    assert verify_claim(claim, plan).passed
     assert cubes == [(2, 625, 25 * 40)]
     # the outer factors are the only eta quotients, one per case at order
     assert len(built) == len({spec for spec, _ in built}) == 3

@@ -28,7 +28,7 @@ def test_tracer_installs_and_uninstalls_against_the_package():
         tracer_mod.install_layers(tracer)
         assert claims.sequence_value is not sequence_value
         (t6,) = registry.claims_by_id(["C-T6"])
-        assert claims.verify_claim(t6, 50).passed
+        assert claims.verify_congruence(t6, 50).passed
     finally:
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
@@ -50,8 +50,7 @@ def test_one_plan_over_the_congruences_builds_each_table_once():
     tracer = tracer_mod.Tracer()
     try:
         tracer_mod.install_layers(tracer)
-        plan = claims.TablePlan(selected, claims.Caps(bound=2000))
-        assert all(claims.verify_claim(c, 2000, plan=plan).passed for c in selected)
+        assert all(r.passed for r in claims.verify_claims(selected, claims.Caps(bound=2000)))
     finally:
         tracer.uninstall()
     names = [span[0] for span in tracer.spans]
@@ -83,7 +82,7 @@ def test_one_plan_over_the_identities_builds_each_table_once(monkeypatch):
     try:
         tracer_mod.install_layers(tracer)
         plan = claims.TablePlan(selected, order=order)
-        assert all(claims.verify_claim(c, order=order, plan=plan).passed for c in selected)
+        assert all(claims.verify_claim(c, plan).passed for c in selected)
     finally:
         tracer.uninstall()
     names = [span[0] for span in tracer.spans]
