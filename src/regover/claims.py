@@ -8,29 +8,36 @@ expressed while staying plain mutable-by-replace dataclasses.
 
 An instance is checked iff every index of both sides lies in [1, bound];
 a claim with no checkable instance reports skipped, never pass.  Values
-reach verify and hunt by one path: a progression's residues are a slice of
-a residue table, a series table for a series-backed sequence and a sieved
-one for a pointwise sequence (see ``regover.sequences``).
+reach verify and hunt from one table source, sequences._build_series: a
+series table for a series-backed sequence and a sieved one for a pointwise
+sequence (see ``regover.sequences``).
 
 Tables come from a TablePlan, which holds its own tables.  Before the
 first table is built, the plan expands every congruence claim's
-quantifiers once and declares what each claim reads: (table, modulus, top
-index).  An identity claim declares its reads as data (table, modulus,
-step), read at the indices step*n up to the order the run checks it at.
-Each table is then built once per run, over the lcm of its own moduli
-(pbar's include those of every A_l built from it), and a read mod m reduces
-the part it reads of that table.  The lcm is taken per table, not over the
-run, because a table over a larger modulus costs more to build.  For the
-same reason congruence and identity claims read separate tables: their
-moduli of pbar (lcm 840 and 625) have the lcm 105,000, whose residues need
-twice the kernel field width.  A table is dropped after its last consumer.
+quantifiers once and declares what each claim reads.  Every read is of one
+kind, (table, modulus, indices), the indices a progression: start, step
+and count.  A congruence side a n + b reads from a lo + b with step a, for
+its instance's n in [lo, hi]; an identity claim's Read (table, modulus,
+step) reads from 0 with its step, up to step times the order the run
+checks it at.  TablePlan.read serves both.  Each table is then built once
+per run, over the lcm of its own moduli (pbar's include those of every A_l
+built from it), to its largest read index, and kept as the progression
+whose step is the gcd of its reads' starts and steps; a read mod m reduces
+the part it reads of that table.  Each family of tables builds its
+progression tables at its first read, largest step first.  The lcm is
+taken per table, not over the run, because a table over a larger modulus
+costs more to build.  For the same reason congruence and identity claims
+read separate tables, the two families: their moduli of pbar (lcm 840 and
+625) have the lcm 105,000, whose residues need twice the kernel field
+width.  A table is dropped after its last consumer.
 
 The plan also holds the run's knobs: the caps of its congruence claims and
 the order of its identity claims.  verify_claim(claim, plan) reads them from
-the plan, and verify_claims runs a batch from one plan.  A lone
-verify_congruence or verify_identity is a plan of one claim, and a hunt one
-of the single claim ref(n) = 0 mod m, so each builds its tables over exactly
-the moduli it reads.
+the plan and compares every instance or case of either kind in one loop,
+and verify_claims runs a batch from one plan.  A lone verify_congruence or
+verify_identity is a plan of one claim, so it builds its tables over
+exactly the moduli it reads.  A hunt builds no plan: it scans the one
+table sequences.sequence_series gives over Zmod(m).
 """
 
 from __future__ import annotations
@@ -233,15 +240,9 @@ def _declare(claim: CongruenceClaim, caps: Caps) -> list[_Check]:
     return checks
 
 
-def _needs(checks: list[_Check]) -> dict:
-    """{(ref, modulus): top index} over the sides of checks."""
-    needs: dict = {}
-    for c in checks:
-        for t in (c.lhs, c.rhs):
-            if t.seq is not None:
-                key = (t.seq, c.modulus)
-                needs[key] = max(needs.get(key, 0), t.a * c.hi + t.b)
-    return needs
+def _indices(t: Term, check: _Check) -> range:
+    """The indices a n + b that side t reads for n in [lo, hi]."""
+    return range(t.a * check.lo + t.b, t.a * check.hi + t.b + 1, t.a)
 
 
 def _inputs(source: SequenceRef | Callable) -> tuple[SequenceRef, ...]:
@@ -259,20 +260,20 @@ class TablePlan:
     docstring).
 
     The plan holds its own tables, one per (source, family), over the
-    planned lcm and to the planned top index.  The first ``checks`` or
-    ``identity_tables`` call declares every claim's reads.  A table is built
-    when a claim first reads it, from the tables it is built from, reduced
-    into its ring: a sequence through sequences._build_series, any other
-    table through its own function.  Identity claims read at the order
-    given, or else at each claim's default_order.  A table whose reads all
-    use steps that share the divisor g is kept as its g-progression
-    (congruence reads use step 1).  Such a table holds about 1/g of its
-    build, so the first identity claim that reads a table builds them
-    before any other, largest g first: a whole table, such as pbar to
-    125*order, is then never held while the core is expanded to the same
-    length.  Every other table is built at its first read.  A table's
-    consumers are the claims that read it and the tables built from it;
-    after the last one, the plan drops it.
+    planned lcm and to the planned top index.  The first ``checks`` call
+    declares every claim's reads.  Each is (table, modulus, indices), the
+    indices a range: a congruence side a n + b reads from a lo + b with
+    step a, an identity claim's Read from 0 with its step.  A table is
+    built from the tables it is built from, reduced into its ring: a
+    sequence through sequences._build_series, any other table through its
+    own function.  It is kept as its g-progression, where g is the gcd of
+    its reads' starts and steps, and so holds about 1/g of its build.  The
+    first read of a family builds that family's progression tables before
+    any other, largest g first: a whole table, such as pbar to 125*order,
+    is then never held while the core is expanded to the same length.
+    Every other table is built at its first read.  A table's consumers are
+    the claims that read it and the tables built from it; after the last
+    one, the plan drops it.
     """
 
     def __init__(self, claims: Iterable, caps: Caps = Caps(), order: int | None = None):
@@ -281,14 +282,14 @@ class TablePlan:
         self.caps = caps
         self.order = order
         self._claims = list(claims)
-        self._checks: dict | None = None  # id(congruence claim) -> its checks
+        self._checks: dict | None = None  # id(claim) -> its checks
         self._reads: dict = {}  # id(claim) -> the tables it reads
         self._modulus: dict = {}  # table -> lcm of its moduli
-        self._top: dict = {}  # table -> largest top index
-        self._step: dict = {}  # table -> gcd of its read steps
+        self._top: dict = {}  # table -> largest index read
+        self._step: dict = {}  # table -> gcd of its reads' starts and steps
         self._consumers: Counter = Counter()  # table -> readers and builds left
         self._tables: dict = {}  # table -> its table, until its last consumer
-        self._built_progressions = False
+        self._unread = {_CONGRUENCE, _IDENTITY}  # families not read yet
 
     def order_of(self, claim: IdentityClaim) -> int:
         """The order the run checks an identity claim at: the plan's order,
@@ -296,55 +297,58 @@ class TablePlan:
         order = claim.default_order if self.order is None else self.order
         return order if claim.order_cap is None else min(order, claim.order_cap)
 
-    def _require(self, claim):
-        """Declare every claim's reads, on the first call; then check that
-        the claim is in the plan."""
+    def checks(self, claim) -> list[_Check]:
+        """The claim's checks: its quantifier instances with a checkable n
+        for a congruence claim, none for an identity claim.  The first call
+        declares every claim's reads; a claim not in the plan raises
+        ValueError."""
         if self._checks is None:
             self._checks = {}
             for c in self._claims:
                 if isinstance(c, CongruenceClaim):
-                    checks = self._checks[id(c)] = _declare(c, self.caps)
+                    checks = _declare(c, self.caps)
                     reads = [
-                        ((ref, _CONGRUENCE), modulus, top, 1)
-                        for (ref, modulus), top in _needs(checks).items()
+                        ((t.seq, _CONGRUENCE), check.modulus, _indices(t, check))
+                        for check in checks
+                        for t in (check.lhs, check.rhs)
+                        if t.seq is not None
                     ]
                 else:
-                    eff = self.order_of(c)
+                    checks, order = [], self.order_of(c)
                     reads = [
-                        ((r.table, _IDENTITY), r.modulus, r.step * eff, r.step)
+                        ((r.table, _IDENTITY), r.modulus, range(0, r.step * order + 1, r.step))
                         for r in c.lhs_reads + c.rhs_reads
                     ]
-                for key, modulus, top, step in reads:
-                    self._add(key, modulus, top, step)
+                self._checks[id(c)] = checks
+                for read in reads:
+                    self._add(*read)
                 keys = self._reads[id(c)] = {key for key, *_ in reads}
-                for key in keys:
-                    self._consumers[key] += 1
-        if id(claim) not in self._reads:
+                self._consumers.update(keys)
+        if id(claim) not in self._checks:
             raise ValueError(f"claim {claim.id} is not in the plan")
-
-    def checks(self, claim: CongruenceClaim) -> list[_Check]:
-        """The congruence claim's checks."""
-        self._require(claim)
         return self._checks[id(claim)]
 
-    def identity_tables(self, claim: IdentityClaim) -> tuple[list[Series], list[Series]]:
-        """The series the identity claim's lhs and rhs read, each to the
-        claim's effective order.  The first claim that reads a table builds
-        every table kept as a progression first, largest step first."""
-        self._require(claim)
-        if not self._built_progressions and claim.lhs_reads + claim.rhs_reads:
-            self._built_progressions = True
-            kept = [key for key, step in self._step.items() if step > 1]
-            for key in sorted(kept, key=self._step.get, reverse=True):
-                self._table(key)
-        eff = self.order_of(claim)
-        return tuple(
-            [self._read(r, eff) for r in reads] for reads in (claim.lhs_reads, claim.rhs_reads)
-        )
+    def read(self, key: tuple, modulus: int, indices: range) -> list[int]:
+        """key's table at indices, mod modulus, a declared read; shorter
+        when the table is.  The first read of key's family builds the
+        family's progression tables, largest step first."""
+        family = key[1]
+        if family in self._unread:
+            self._unread.remove(family)
+            kept = [k for k, g in self._step.items() if g > 1 and k[1] == family]
+            for k in sorted(kept, key=self._step.get, reverse=True):
+                self._table(k)
+        table, g = self._table(key), self._step[key]
+        end = indices.start + indices.step * len(indices)
+        values = table[indices.start // g : end // g : indices.step // g]
+        if table.ring.modulus != modulus:
+            values = [v % modulus for v in values]
+        return values
 
-    def _add(self, key: tuple, modulus: int, top: int, step: int):
+    def _add(self, key: tuple, modulus: int, indices: range):
         """Add the read, and a whole read of every table key's is built from."""
         source, family = key
+        top, step = indices[-1], gcd(indices.start, indices.step)
         if key in self._modulus:
             self._modulus[key] = lcm(self._modulus[key], modulus)
             self._top[key] = max(self._top[key], top)
@@ -354,7 +358,7 @@ class TablePlan:
             for dep in _inputs(source):
                 self._consumers[(dep, family)] += 1  # key's build reads dep's table
         for dep in _inputs(source):
-            self._add((dep, family), modulus, top, 1)
+            self._add((dep, family), modulus, range(top + 1))
 
     def _table(self, key: tuple) -> Series:
         """key's table over the planned modulus, built on its first read from
@@ -379,17 +383,6 @@ class TablePlan:
             self._tables[key] = table
         return table
 
-    def _read(self, read: Read, order: int) -> Series:
-        """The read's coefficients at step*n for n <= order, mod its modulus;
-        shorter when the table is."""
-        key = (read.table, _IDENTITY)
-        table = self._table(key)
-        stride = read.step // self._step[key]
-        values = table[: stride * order + 1 : stride]
-        if table.ring.modulus != read.modulus:
-            values = [v % read.modulus for v in values]
-        return Series._raw(Zmod(read.modulus), values)
-
     def done(self, claim):
         """Release the tables the claim read."""
         for key in self._reads.get(id(claim), ()):
@@ -402,100 +395,78 @@ class TablePlan:
 
 
 def _side(t: Term, check: _Check, plan: TablePlan) -> list[int]:
-    """Residues of one side over its progression for n in [lo, hi]: a slice
-    of the planned table, reduced mod the check's modulus when that properly
-    divides the table's."""
+    """Residues of one side over its progression for n in [lo, hi], read
+    from the plan and sign-twisted."""
     m = check.modulus
     if t.seq is None:
         return [0] * (check.hi - check.lo + 1)
-    indices = range(t.a * check.lo + t.b, t.a * check.hi + t.b + 1, t.a)
-    table = plan._table((t.seq, _CONGRUENCE))
-    values = table[indices.start : indices.stop : indices.step]
-    if table.ring.modulus != m:
-        values = [v % m for v in values]
+    indices = _indices(t, check)
+    values = plan.read((t.seq, _CONGRUENCE), m, indices)
     if t.sign_twist:
         values = [-v % m if i & 1 else v for i, v in zip(indices, values)]
     return values
 
 
-def _check_congruence(claim: CongruenceClaim, plan: TablePlan) -> VerificationReport:
-    """Each instance's two sides are sign-twisted residue lists over its
-    progression, compared whole; the first mismatch is located only when
-    they differ."""
-    bound = plan.caps.bound
-    total = 0
-    for check in plan.checks(claim):
-        v1 = _side(check.lhs, check, plan)
-        v2 = _side(check.rhs, check, plan)
-        if v1 != v2:
-            j = next(j for j, (x, y) in enumerate(zip(v1, v2)) if x != y)
-            n = check.lo + j
-            return VerificationReport(
-                claim.id,
-                bound,
-                total + j + 1,
-                "fail",
-                {
-                    "params": {**check.env, "n": n},
-                    "index": check.lhs.a * n + check.lhs.b,
-                    "lhs": v1[j],
-                    "rhs": v2[j],
-                },
-            )
-        total += check.hi - check.lo + 1
-    if total == 0:
-        return VerificationReport(
-            claim.id, bound, 0, "skipped(no checkable instance within bound)"
+def _cases(claim, plan: TablePlan) -> Iterator[tuple[list, list, Callable]]:
+    """What the claim compares, as (lhs, rhs, where): two residue lists
+    over the same positions, and where(j), the params and index of
+    position j.  A congruence claim gives one per check, an identity claim
+    one per case, where a side that stops short of the order raises
+    ValueError, so it cannot shrink the check."""
+    for c in plan.checks(claim):
+        yield (
+            _side(c.lhs, c, plan),
+            _side(c.rhs, c, plan),
+            lambda j, c=c: ({**c.env, "n": c.lo + j}, c.lhs.a * (c.lo + j) + c.lhs.b),
         )
-    return VerificationReport(claim.id, bound, total, "pass")
-
-
-def _check_identity(claim: IdentityClaim, plan: TablePlan) -> VerificationReport:
-    """Each case's two sides are coefficient lists, compared whole; the first
-    mismatch is located only when they differ.  A side that stops short of
-    the order raises ValueError, so it cannot shrink the check."""
-    eff = plan.order_of(claim)
-    total = 0
-    lhs_tables, rhs_tables = plan.identity_tables(claim)
+    if isinstance(claim, CongruenceClaim):
+        return
+    order = plan.order_of(claim)
+    tables = [
+        [
+            Series._raw(
+                Zmod(r.modulus),
+                plan.read((r.table, _IDENTITY), r.modulus, range(0, r.step * order + 1, r.step)),
+            )
+            for r in reads
+        ]
+        for reads in (claim.lhs_reads, claim.rhs_reads)
+    ]
     for case in claim.cases:
         ring = _resolve(claim.ring, case)
         sides = []
-        for name, side, tables in (
-            ("lhs", claim.lhs, lhs_tables),
-            ("rhs", claim.rhs, rhs_tables),
-        ):
-            series = side(ring, eff, *tables, **case)
-            if series.order < eff:
+        for name, side, side_tables in zip(("lhs", "rhs"), (claim.lhs, claim.rhs), tables):
+            series = side(ring, order, *side_tables, **case)
+            if series.order < order:
                 raise ValueError(
                     f"{claim.id}: {name} of case {case} stops at order"
-                    f" {series.order}, not {eff}"
+                    f" {series.order}, not {order}"
                 )
-            sides.append(series[: eff + 1])
-        la, ra = sides
-        if la != ra:
-            n = next(n for n, (x, y) in enumerate(zip(la, ra)) if x != y)
-            return VerificationReport(
-                claim.id,
-                eff,
-                total + n + 1,
-                "fail",
-                {"params": dict(case), "index": n, "lhs": la[n], "rhs": ra[n]},
-            )
-        total += eff + 1
-    return VerificationReport(claim.id, eff, total, "pass")
+            sides.append(series[: order + 1])
+        yield (*sides, lambda j, case=case: (dict(case), j))
 
 
 def verify_claim(claim, plan: TablePlan) -> VerificationReport:
     """Check the claim with the tables and knobs of plan, which must hold it:
     a congruence claim at every quantifier instance for all n with all
     indices in [1, plan.caps.bound], an identity claim in every case at
-    plan.order_of(claim).  The claim's tables are released on return."""
+    plan.order_of(claim).  Each check's two sides are compared whole; the
+    first mismatch is located only when they differ.  The claim's tables
+    are released on return."""
+    bound = plan.caps.bound if isinstance(claim, CongruenceClaim) else plan.order_of(claim)
+    total = 0
     try:
-        if isinstance(claim, CongruenceClaim):
-            return _check_congruence(claim, plan)
-        return _check_identity(claim, plan)
+        for lhs, rhs, where in _cases(claim, plan):
+            if lhs != rhs:
+                j = next(j for j, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+                params, index = where(j)
+                counterexample = {"params": params, "index": index, "lhs": lhs[j], "rhs": rhs[j]}
+                return VerificationReport(claim.id, bound, total + j + 1, "fail", counterexample)
+            total += len(lhs)
     finally:
         plan.done(claim)
+    status = "pass" if total else "skipped(no checkable instance within bound)"
+    return VerificationReport(claim.id, bound, total, status)
 
 
 def verify_claims(
@@ -538,7 +509,8 @@ def hunt(
     """Scan progressions a n + b (a <= max_step, b < a) where the sequence
     vanishes mod modulus at every index in [1, bound], reporting (a, b, count)
     for those with count >= min_instances.  Indices follow verify's instance
-    rule and come from the same residue table, so count is what
+    rule, and the residues are sequences.sequence_series over Zmod(modulus),
+    built by the _build_series that builds verify's tables, so count is what
     ``verify_congruence`` reports for the progression.  Subsumed progressions
     are kept."""
     if modulus < 2:
@@ -549,13 +521,7 @@ def hunt(
         raise ValueError("min_instances must be >= 1")
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    # table[i] is the residue at index i + 1: the left side that verify reads
-    # for the claim ref(n) = 0 mod modulus, whose one check has n = 1..bound
-    whole = CongruenceClaim("hunt", Term(ref), ZERO, modulus)
-    plan = TablePlan([whole], Caps(bound=bound))
-    checks = plan.checks(whole)
-    table = _side(whole.lhs, checks[0], plan) if checks else []
-    plan.done(whole)  # the scan reads only the slice: free the table first
+    table = sequences.sequence_series(ref, Zmod(modulus), bound)[1:]  # table[i] is at i + 1
     results = []
     for a in range(1, max_step + 1):
         if (bound - 1) // a + 1 < min_instances:

@@ -8,8 +8,10 @@ phi(-q^l)/phi(-q)).
 Table route for the pointwise sequences (r_k, d*, sigma3m, chi): a
 multiplicative sieve over the primes up to the top index, seeded at the
 prime powers by the closed forms of ``regover.arith``; r_k is built from
-its divisor sums, never as a power of theta.  Claim runs read these tables
-from their plan; ``sequence_value`` evaluates the closed forms at one n.
+its divisor sums, never as a power of theta.  ``sequence_series`` builds
+either route's table, a pointwise one over Zmod(m) only; claim runs read
+these tables from their plan, and ``sequence_value`` evaluates the closed
+forms at one n.
 
 Oracle route: direct descending-part recursion, deliberately memo-free and
 structurally unrelated to the series pipeline, weighting each partition by
@@ -81,11 +83,10 @@ def clear_caches():
 
 
 def sequence_series(ref: SequenceRef, ring: Ring, order: int) -> Series:
-    """The sequence's generating function as a Series (series-backed refs
-    only), built afresh by each call, with the tables of series_inputs(ref)
-    built first."""
-    if not ref.is_series_backed:
-        raise ValueError(f"sequence {ref.label()} has no generating function route")
+    """The sequence's table as a Series, built afresh by each call by
+    _build_series, with the tables of series_inputs(ref) built first: a
+    series-backed sequence's generating function over any ring, a pointwise
+    sequence's residues over Zmod(m)."""
     inputs = [sequence_series(dep, ring, order) for dep in series_inputs(ref)]
     return _build_series(ref, ring, order, *inputs)
 
@@ -171,8 +172,8 @@ def _pointwise_table(ref: SequenceRef, m: int, order: int) -> list[int]:
 
 
 def sequence_table(ref: SequenceRef, modulus: int | None, upto: int) -> list[int]:
-    """Values 0..upto, as residues when modulus is given (series-backed refs),
-    in a list built afresh by each call."""
+    """Values 0..upto, as residues when modulus is given (which a pointwise
+    ref needs), in a list built afresh by each call."""
     ring = ZZ if modulus is None else Zmod(modulus)
     return sequence_series(ref, ring, upto).coeffs
 

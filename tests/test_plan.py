@@ -108,6 +108,9 @@ def test_hunt_and_a_lone_claim_build_at_the_requested_modulus(builds):
     hunt(_a(3), 6, 10, BOUND, 1)
     assert builds == [("pbar", 6, BOUND), ("A(3)", 6, BOUND)]
     builds.clear()
+    hunt(SequenceRef("r", 6), 7, 10, BOUND, 1)
+    assert builds == [("r(6)", 7, BOUND)]
+    builds.clear()
     (shen2,) = claims_by_id(["C-SHEN-2"])
     assert verify_congruence(shen2, BOUND).passed
     assert [(label, m) for label, m, _ in builds] == [("pbar", 6), ("A(3)", 6)]
@@ -128,6 +131,25 @@ def test_a_claim_outside_the_plan_is_refused():
     plan = TablePlan([shen1], Caps(bound=BOUND))
     with pytest.raises(ValueError, match="not in the plan"):
         verify_claim(shen2, plan)
+
+
+def test_a_congruence_table_is_kept_as_the_progression_its_reads_share():
+    # A_625 is read at 625 n + 125, 625 n + 500 and 625 n (C-T10 to C-T12),
+    # A_25 only at multiples of 5 (C-T6 to C-T8, C-T11)
+    selected = congruences()
+    plan = TablePlan(selected, Caps(bound=BOUND))
+    assert verify_claim(selected[0], plan).passed
+    refs = (_a(625), _a(25), SequenceRef("pbar"))
+    a625, a25, pbar = ((ref, claims._CONGRUENCE) for ref in refs)
+    assert plan._step[a625] == 125
+    assert len(plan._tables[a625]) == BOUND // 125 + 1 == 17
+    assert plan._step[a25] == 5
+    assert len(plan._tables[a25]) == BOUND // 5 + 1
+    # pbar stays whole: every A_l is built from all of it
+    assert plan._step[pbar] == 1
+    assert len(plan._tables[pbar]) == BOUND + 1
+    whole = sequences.sequence_table(_a(625), 5, BOUND)
+    assert plan.read(a625, 5, range(125, BOUND + 1, 625)) == whole[125::625]
 
 
 def test_hunt_rejects_a_negative_bound():
@@ -203,7 +225,9 @@ def test_the_core_is_kept_as_the_progression_its_reads_share():
     gf125, alpha = claims_by_id(["I-GF125", "I-ALPHA"])
     plan = TablePlan([gf125, alpha], order=40)
     key = (registry._build_core, claims._IDENTITY)
-    plan.identity_tables(gf125)
+    plan.checks(gf125)
+    core = registry._build_core(Zmod(5**4), 125 * 40)
+    assert plan.read(key, 5**4, range(0, 125 * 40 + 1, 125)) == core[::125]
     assert len(plan._tables[key]) == 125 * 40 // 25 + 1
     assert verify_claim(gf125, plan).passed
     assert verify_claim(alpha, plan).passed

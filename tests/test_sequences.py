@@ -201,6 +201,19 @@ def test_series_backed_only():
         sequence_series(SequenceRef("dstar"), ZZ, 10)
 
 
+POINTWISE = [SequenceRef("r", k) for k in (2, 4, 6, 8)] + [
+    SequenceRef(name) for name in ("dstar", "sigma3m", "chi")
+]
+
+
+@pytest.mark.parametrize("ref", POINTWISE, ids=SequenceRef.label)
+@pytest.mark.parametrize("m", [5, 7, 24])
+def test_a_pointwise_series_is_its_sieved_table(ref, m):
+    series = sequence_series(ref, Zmod(m), 60)
+    assert series == sequences._build_series(ref, Zmod(m), 60)
+    assert series.coeffs[1:] == [sequence_value(ref, n) % m for n in range(1, 61)]
+
+
 def test_sequence_value():
     assert sequence_value(SequenceRef("A", 5), 3) == 8
     assert sequence_value(SequenceRef("r", 8), 4) == 1136
