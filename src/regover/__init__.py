@@ -9,6 +9,7 @@ from .arith import (
     sigma3_minus,
 )
 from .claims import (
+    Caps,
     CongruenceClaim,
     IdentityClaim,
     Quantifier,
@@ -16,10 +17,7 @@ from .claims import (
     VerificationReport,
     ZERO,
     hunt,
-    verify_claim,
     verify_claims,
-    verify_congruence,
-    verify_identity,
 )
 from .kernels import backend_name
 from .products import (
@@ -40,7 +38,6 @@ from .sequences import (
     oracle_partition,
     oracle_regular_overpartition,
     sequence_series,
-    sequence_table,
     sequence_value,
 )
 from .series import Ring, Series, ZZ, Zmod
@@ -48,6 +45,7 @@ from .series import Ring, Series, ZZ, Zmod
 __version__ = "0.1.0"
 
 __all__ = [
+    "Caps",
     "CongruenceClaim",
     "EtaQuotientSpec",
     "EtaSpecParseError",
@@ -78,13 +76,9 @@ __all__ = [
     "r_oracle",
     "regular_overpartition_quotient",
     "sequence_series",
-    "sequence_table",
     "sequence_value",
     "sigma3_minus",
     "theta_f_product",
     "theta_f_series",
-    "verify_claim",
     "verify_claims",
-    "verify_congruence",
-    "verify_identity",
 ]

@@ -34,10 +34,9 @@ width.  A table is dropped after its last consumer.
 The plan also holds the run's knobs: the caps of its congruence claims and
 the order of its identity claims.  verify_claim(claim, plan) reads them from
 the plan and compares every instance or case of either kind in one loop,
-and verify_claims runs a batch from one plan.  A lone verify_congruence or
-verify_identity is a plan of one claim, so it builds its tables over
-exactly the moduli it reads.  A hunt builds no plan: it scans the one
-table sequences.sequence_series gives over Zmod(m).
+and verify_claims runs a batch from one plan.  A batch of one claim builds
+its tables over exactly the moduli that claim reads.  A hunt builds no
+plan: it scans the one table sequences.sequence_series gives over Zmod(m).
 """
 
 from __future__ import annotations
@@ -481,24 +480,6 @@ def verify_claims(
         yield verify_claim(claim, plan)
 
 
-def verify_congruence(
-    claim: CongruenceClaim,
-    bound: int,
-    prime_cap: int = DEFAULT_PRIME_CAP,
-    k_cap: int = DEFAULT_K_CAP,
-) -> VerificationReport:
-    """Check the claim for all n with all indices in [1, bound], as a plan of
-    its own: the call builds its tables and frees them when it returns, so a
-    loop over claims should use verify_claims to build each table once."""
-    return verify_claim(claim, TablePlan([claim], Caps(prime_cap, k_cap, bound)))
-
-
-def verify_identity(claim: IdentityClaim, order: int) -> VerificationReport:
-    """Check the claim at order (capped by its order_cap) as a plan of its
-    own, as verify_congruence does."""
-    return verify_claim(claim, TablePlan([claim], order=order))
-
-
 def hunt(
     ref: SequenceRef,
     modulus: int,
@@ -511,8 +492,8 @@ def hunt(
     for those with count >= min_instances.  Indices follow verify's instance
     rule, and the residues are sequences.sequence_series over Zmod(modulus),
     built by the _build_series that builds verify's tables, so count is what
-    ``verify_congruence`` reports for the progression.  Subsumed progressions
-    are kept."""
+    ``verify_claims`` reports for the progression's claim.  Subsumed
+    progressions are kept."""
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
     if max_step < 1:

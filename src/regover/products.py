@@ -118,11 +118,6 @@ class EtaQuotientSpec:
         )
         object.__setattr__(self, "factors", canonical)
 
-    def inverse(self) -> EtaQuotientSpec:
-        return EtaQuotientSpec(
-            self.prefactor_exponent, tuple((s, -e) for s, e in self.factors)
-        )
-
     def __str__(self):
         parts = []
         if self.prefactor_exponent:

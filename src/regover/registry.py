@@ -477,10 +477,6 @@ def builtin_registry() -> list:
     return _congruence_claims() + _identity_claims()
 
 
-def registry_ids() -> list[str]:
-    return [c.id for c in builtin_registry()]
-
-
 def claims_by_id(ids) -> list:
     table = {c.id: c for c in builtin_registry()}
     missing = [i for i in ids if i not in table]

@@ -29,7 +29,7 @@ from operator import mul
 
 from . import arith
 from .products import euler_product, phi
-from .series import Ring, Series, ZZ, Zmod, check_order
+from .series import Ring, Series, ZZ, check_order
 
 ORACLE_CAP = 60
 
@@ -171,17 +171,10 @@ def _pointwise_table(ref: SequenceRef, m: int, order: int) -> list[int]:
     return t
 
 
-def sequence_table(ref: SequenceRef, modulus: int | None, upto: int) -> list[int]:
-    """Values 0..upto, as residues when modulus is given (which a pointwise
-    ref needs), in a list built afresh by each call."""
-    ring = ZZ if modulus is None else Zmod(modulus)
-    return sequence_series(ref, ring, upto).coeffs
-
-
 def sequence_value(ref: SequenceRef, n: int) -> int:
     """Exact value at n, series-backed or pointwise.  A series-backed value
     is read from a table built to n by this call, so a loop over n should
-    read one sequence_table instead."""
+    read the coefficients of one sequence_series instead."""
     if ref.is_series_backed:
         if n < 0:
             raise ValueError("n must be >= 0")

@@ -218,12 +218,6 @@ class Series:
 
     # -- structural operations --------------------------------------------
 
-    def truncate(self, order: int) -> Series:
-        check_order(order)
-        if order >= self.order:
-            return self
-        return Series._raw(self.ring, self._coeffs[: order + 1])
-
     def shift(self, t: int) -> Series:
         """Multiply by q^t, keeping the truncation order."""
         if t < 0:
@@ -266,11 +260,6 @@ class Series:
     def to_json_obj(self) -> dict:
         ring = "Z" if self.ring.is_exact else {"mod": self.ring.modulus}
         return {"ring": ring, "order": self.order, "coeffs": list(self._coeffs)}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> Series:
-        ring = ZZ if obj["ring"] == "Z" else Zmod(obj["ring"]["mod"])
-        return cls(ring, obj["coeffs"], obj["order"])
 
 
 def _div(num: list, den: list, out_len: int, ring: Ring) -> list:

@@ -10,12 +10,12 @@ import time
 
 from regover import backend_name
 from regover.arith import d_star, r_formula, r_oracle_table
-from regover.claims import Term, verify_congruence, verify_identity
+from regover.claims import Caps, Term, verify_claims
 from regover.products import eta_quotient
 from regover.registry import claims_by_id, regular_overpartition_quotient
 from regover.claims import hunt
-from regover.sequences import SequenceRef, oracle_regular_overpartition, sequence_table
-from regover.series import ZZ
+from regover.sequences import SequenceRef, oracle_regular_overpartition, sequence_series
+from regover.series import ZZ, Zmod
 
 
 class _Criterion:
@@ -56,12 +56,12 @@ def test_criterion_01_oracle_equivalence():
 
 def test_criterion_02_t1_via_dstar():
     with _Criterion(2, "A_5(n) = (-1)^n 8 d*(n) mod 5 for 1 <= n <= 2000", 5) as c:
-        table = sequence_table(SequenceRef("A", 5), 5, 2000)
+        table = sequence_series(SequenceRef("A", 5), Zmod(5), 2000)
         for n in range(1, 2001):
             rhs = (-1) ** n * 8 * d_star(n)
             assert (table[n] - rhs) % 5 == 0, n
         (t1,) = claims_by_id(["C-T1"])
-        report = verify_congruence(t1, 2000)
+        (report,) = verify_claims([t1], Caps(bound=2000))
         assert report.passed and report.instances == 2000
         c.ok = True
 
@@ -78,7 +78,7 @@ def test_criterion_03_r_formula_vs_lattice():
 def test_criterion_04_t6():
     with _Criterion(4, "A_25(5n) = sigma3m(n) mod 5 for n <= 2000 (bound 10000)", 10) as c:
         (t6,) = claims_by_id(["C-T6"])
-        report = verify_congruence(t6, 10000)
+        (report,) = verify_claims([t6], Caps(bound=10000))
         assert report.passed
         assert report.instances == 2000
         c.ok = True
@@ -87,7 +87,7 @@ def test_criterion_04_t6():
 def test_criterion_05_t9():
     with _Criterion(5, "A_125(25n) = A_125(625n) mod 5 for 625n <= 20000 (32 instances)", 60) as c:
         (t9,) = claims_by_id(["C-T9"])
-        report = verify_congruence(t9, 20000)
+        (report,) = verify_claims([t9], Caps(bound=20000))
         assert report.passed
         assert report.instances == 32
         c.ok = True
@@ -95,10 +95,8 @@ def test_criterion_05_t9():
 
 def test_criterion_06_t10_t12():
     with _Criterion(6, "C-T10/C-T12 (alpha in 4,5,6), indices <= 20000", 60) as c:
-        for cid in ("C-T10", "C-T12"):
-            (claim,) = claims_by_id([cid])
-            report = verify_congruence(claim, 20000)
-            assert report.status == "pass", (cid, report.status)
+        for report in verify_claims(claims_by_id(["C-T10", "C-T12"]), Caps(bound=20000)):
+            assert report.status == "pass", (report.claim_id, report.status)
             assert report.instances > 0
         c.ok = True
 
@@ -107,20 +105,17 @@ def test_criterion_07_identity_suite():
     exact_ids = ("I-PHI", "I-DISSECT", "I-TRIPLE", "I-GF125", "I-ALPHA")
     modular_ids = ("I-QP", "I-GF5", "I-R25", "I-TRENEER")
     with _Criterion(7, "identity suite exact+modular at order 2000", 60) as c:
-        for cid in exact_ids + modular_ids:
-            (claim,) = claims_by_id([cid])
-            report = verify_identity(claim, 2000)
-            assert report.passed, (cid, report.status, report.counterexample)
+        for report in verify_claims(claims_by_id(exact_ids + modular_ids), order=2000):
+            assert report.passed, (report.claim_id, report.status, report.counterexample)
             assert report.bound == 2000
         c.ok = True
 
 
 def test_criterion_08_prime_families():
     with _Criterion(8, "family claims C-T2/T3/T5/T7/T8 (p<=20, k<=1, indices<=20000)", 180) as c:
-        for cid in ("C-T2", "C-T3", "C-T5a", "C-T5b", "C-T5c", "C-T7", "C-T8"):
-            (claim,) = claims_by_id([cid])
-            report = verify_congruence(claim, 20000, prime_cap=20, k_cap=1)
-            assert report.status == "pass", (cid, report.status, report.counterexample)
+        families = claims_by_id(["C-T2", "C-T3", "C-T5a", "C-T5b", "C-T5c", "C-T7", "C-T8"])
+        for report in verify_claims(families, Caps(prime_cap=20, k_cap=1, bound=20000)):
+            assert report.status == "pass", (report.claim_id, report.status, report.counterexample)
         c.ok = True
 
 
@@ -134,8 +129,7 @@ def test_criterion_09_mutation_sensitivity():
             dataclasses.replace(t6, rhs=Term(SequenceRef("dstar"))),
             dataclasses.replace(ex1, lhs=dataclasses.replace(ex1.lhs, a=82)),
         ]
-        for mutant in mutations:
-            report = verify_congruence(mutant, 200)
+        for mutant, report in zip(mutations, verify_claims(mutations, Caps(bound=200))):
             assert report.failed, mutant
             assert report.counterexample is not None
         c.ok = True

@@ -14,12 +14,16 @@ from regover.claims import (
     _expand_quantifiers,
     hunt,
     verify_claims,
-    verify_congruence,
-    verify_identity,
 )
-from regover.registry import _a, _prime_family, claims_by_id, registry_ids
+from regover.registry import _a, _prime_family, builtin_registry, claims_by_id
 from regover.sequences import SequenceRef
 from regover.series import Series, ZZ
+
+
+def verify_one(claim, bound=2000, order=None, **caps):
+    """The claim's report from a batch of its own."""
+    (report,) = verify_claims([claim], Caps(bound=bound, **caps), order)
+    return report
 
 
 def linear_claim(seq, a, b, modulus, rhs=ZERO, claim_id="test"):
@@ -28,14 +32,14 @@ def linear_claim(seq, a, b, modulus, rhs=ZERO, claim_id="test"):
 
 def test_theorem1_style_claim():
     (t1,) = claims_by_id(["C-T1"])
-    report = verify_congruence(t1, 2000)
+    report = verify_one(t1, 2000)
     assert report.passed
     assert report.instances == 2000  # n = 1..2000
 
 
 def test_example1_instances():
     (ex1,) = claims_by_id(["C-EX1"])
-    report = verify_congruence(ex1, 2000)
+    report = verify_one(ex1, 2000)
     assert report.passed
     assert report.instances == 25  # n = 0..24, indices 27..1971
 
@@ -45,7 +49,7 @@ def test_falsified_claim_counterexample():
     bogus = CongruenceClaim(
         "bogus", Term(_a(5)), Term(SequenceRef("r", 4)), 5
     )
-    report = verify_congruence(bogus, 50)
+    report = verify_one(bogus, 50)
     assert report.failed
     ce = report.counterexample
     assert ce["params"]["n"] == 1
@@ -64,7 +68,7 @@ def test_failure_in_second_environment_counts_every_earlier_instance():
         lambda env: env["m"],
         (Quantifier("m", (5, 20)),),
     )
-    report = verify_congruence(claim, 60)
+    report = verify_one(claim, 60)
     assert report.to_json_obj() == {
         "id": "two-env",
         "bound": 60,
@@ -77,7 +81,7 @@ def test_failure_in_second_environment_counts_every_earlier_instance():
 def test_zero_instances_is_skipped_not_pass():
     # C-T9 needs 625n >= 625 on the rhs, so bound 100 has no instance
     (t9,) = claims_by_id(["C-T9"])
-    report = verify_congruence(t9, 100)
+    report = verify_one(t9, 100)
     assert report.status.startswith("skipped")
     assert not report.passed and not report.failed
     assert report.instances == 0
@@ -85,14 +89,14 @@ def test_zero_instances_is_skipped_not_pass():
 
 def test_deterministic_reports():
     (t6,) = claims_by_id(["C-T6"])
-    assert verify_congruence(t6, 600) == verify_congruence(t6, 600)
+    assert verify_one(t6, 600) == verify_one(t6, 600)
 
 
 def test_index_zero_never_checked():
     # constant-zero sequence comparison at index 0 would be vacuous; the
     # engine starts each progression at index >= 1
     (t1,) = claims_by_id(["C-T1"])
-    report = verify_congruence(t1, 5)
+    report = verify_one(t1, 5)
     assert report.instances == 5
 
 
@@ -101,7 +105,7 @@ def test_prime_family_dependent_quantifiers():
         "fam", _a(5), 5, prefactor=1, e_base=3, e_step=4,
         p_filter=lambda p: p == 3, source="",
     )
-    report = verify_congruence(claim, 2000, prime_cap=20, k_cap=0)
+    report = verify_one(claim, 2000, prime_cap=20, k_cap=0)
     # p=3, k=0: indices 27(3n+i), i in {1,2}: n = 0..24 each minus overshoot
     assert report.passed
     assert report.instances == sum(1 for i in (1, 2) for n in range(25) if 27 * (3 * n + i) <= 2000)
@@ -112,7 +116,7 @@ def test_literal_t2_hypothesis_fails_at_p_11():
         "T2-literal", _a(5), 5, prefactor=1, e_base=3, e_step=4,
         p_filter=lambda p: p % 2 and p != 5, source="",
     )
-    report = verify_congruence(literal, 20000, prime_cap=20, k_cap=1)
+    report = verify_one(literal, 20000, prime_cap=20, k_cap=1)
     assert report.failed
     ce = report.counterexample
     assert ce["params"]["p"] == 11
@@ -124,7 +128,7 @@ def test_literal_t7_hypothesis_fails_at_p_11():
         "T7-literal", _a(25), 5, prefactor=5, e_base=3, e_step=4,
         p_filter=lambda p: p % 2 and p != 5, source="",
     )
-    report = verify_congruence(literal, 20000, prime_cap=20, k_cap=1)
+    report = verify_one(literal, 20000, prime_cap=20, k_cap=1)
     assert report.failed
     assert report.counterexample["index"] == 5 * 1331
 
@@ -133,9 +137,9 @@ def test_prime_families_pruned_by_bound():
     # (p, k, i) whose least index prefactor * p^e * i exceeds the bound has
     # no instance, so the prime cap beyond the bound changes no report
     (t2,) = claims_by_id(["C-T2"])
-    report = verify_congruence(t2, 200, prime_cap=300)
+    report = verify_one(t2, 200, prime_cap=300)
     assert report.instances == 5
-    assert verify_congruence(t2, 200, prime_cap=5000) == report
+    assert verify_one(t2, 200, prime_cap=5000) == report
     envs = list(_expand_quantifiers(t2.quantifiers, Caps(prime_cap=5000, k_cap=1, bound=200)))
     assert envs == [{"p": 3, "k": 0, "i": 1}, {"p": 3, "k": 0, "i": 2}]
     # each quantifier stops exactly where the least index passes the bound
@@ -145,7 +149,7 @@ def test_prime_families_pruned_by_bound():
     assert list(k_q.enumerate(caps, {"p": 3})) == [0, 1]
     assert list(i_q.enumerate(caps, {"p": 3, "k": 1})) == [1]
     (t3,) = claims_by_id(["C-T3"])
-    assert verify_congruence(t3, 190).instances == 10  # 19 i for i = 1..10
+    assert verify_one(t3, 190).instances == 10  # 19 i for i = 1..10
     caps = Caps(prime_cap=5000, k_cap=3, bound=200)
     for claim in claims_by_id(["C-T2", "C-T3", "C-T5a", "C-T5b", "C-T5c", "C-T7", "C-T8"]):
         for env in _expand_quantifiers(claim.quantifiers, caps):
@@ -183,7 +187,7 @@ def first_failure(report):
 
 @pytest.mark.parametrize("label,claim", mutated_registry_claims())
 def test_mutation_sensitivity(label, claim):
-    report = verify_congruence(claim, 200)
+    report = verify_one(claim, 200)
     assert report.failed, label
     assert first_failure(report) == MUTANT_FAILURES[label]
 
@@ -191,12 +195,12 @@ def test_mutation_sensitivity(label, claim):
 def test_mutants_fail_alike_under_one_plan_with_the_registry():
     # C-T1 at modulus 6 puts A_5 at lcm(5, 6) = 30 and pbar at lcm(840, 6)
     mutants = mutated_registry_claims()
-    registered = [c for c in claims_by_id(registry_ids()) if isinstance(c, CongruenceClaim)]
+    registered = [c for c in builtin_registry() if isinstance(c, CongruenceClaim)]
     selected = registered + [claim for _, claim in mutants]
     reports = list(verify_claims(selected, Caps(bound=200)))
     for (label, _), report in zip(mutants, reports[len(registered) :]):
         assert report.failed and first_failure(report) == MUTANT_FAILURES[label]
-    assert reports[: len(registered)] == [verify_congruence(c, 200) for c in registered]
+    assert reports[: len(registered)] == [verify_one(c, 200) for c in registered]
 
 
 # -- identity verification -----------------------------------------------------
@@ -204,7 +208,7 @@ def test_mutants_fail_alike_under_one_plan_with_the_registry():
 
 def test_identity_pass_and_order_cap():
     (gf,) = claims_by_id(["I-GF"])
-    report = verify_identity(gf, 100)
+    report = verify_one(gf, order=100)
     assert report.passed
     assert report.bound == 40  # capped at the oracle range
 
@@ -217,11 +221,11 @@ def test_identity_counterexample():
         ZZ,
         default_order=5,
     )
-    report = verify_identity(wrong, 5)
+    report = verify_one(wrong, order=5)
     assert report.failed
     assert report.counterexample == {"params": {}, "index": 1, "lhs": 1, "rhs": 2}
     with pytest.raises(ValueError):
-        verify_identity(wrong, 0)
+        verify_one(wrong, order=0)
 
 
 @pytest.mark.parametrize("short_side", ["lhs", "rhs"])
@@ -236,10 +240,10 @@ def test_a_short_side_is_an_error_not_a_smaller_check(short_side):
 
     claim = IdentityClaim("stub", side("lhs"), side("rhs"), ZZ, cases=({"k": 1},))
     with pytest.raises(ValueError) as err:
-        verify_identity(claim, 10)
+        verify_one(claim, order=10)
     message = str(err.value)
     assert "stub" in message and short_side in message and "{'k': 1}" in message
-    assert verify_identity(claim, 3).passed
+    assert verify_one(claim, order=3).passed
 
 
 def test_claims_reject_malformed_shapes():
@@ -247,7 +251,7 @@ def test_claims_reject_malformed_shapes():
         IdentityClaim("no-cases", Series.one, Series.one, ZZ, cases=())
     zero_step = linear_claim(SequenceRef("p"), 0, 1, 5)
     with pytest.raises(ValueError, match="index multiplier must be >= 1"):
-        verify_congruence(zero_step, 10)
+        verify_one(zero_step, 10)
 
 
 def test_identity_failure_in_second_case_counts_every_earlier_instance():
@@ -263,7 +267,7 @@ def test_identity_failure_in_second_case_counts_every_earlier_instance():
         ZZ,
         cases=({"k": 2}, {"k": 4}),
     )
-    report = verify_identity(claim, 6)
+    report = verify_one(claim, order=6)
     assert report.to_json_obj() == {
         "id": "two-case",
         "bound": 6,
@@ -275,7 +279,7 @@ def test_identity_failure_in_second_case_counts_every_earlier_instance():
 
 def test_report_json_shape():
     (t6,) = claims_by_id(["C-T6"])
-    report = verify_congruence(t6, 600)
+    report = verify_one(t6, 600)
     obj = report.to_json_obj()
     assert list(obj) == ["id", "bound", "instances", "status", "counterexample"]
     line = json.dumps(obj)
@@ -309,7 +313,7 @@ def test_hunt_results_reverify():
     found = hunt(_a(5), 5, 100, 5000, 20)
     assert (79, 0, 63) in found  # b = 0 rows start at index a, as in verify
     for a, b, count in found:
-        report = verify_congruence(linear_claim(_a(5), a, b, 5), 5000)
+        report = verify_one(linear_claim(_a(5), a, b, 5), 5000)
         assert report.passed
         assert report.instances == count
 
@@ -381,6 +385,6 @@ def test_quantifier_expansion_env_isolation():
             Quantifier("y", lambda caps, env: [env["x"] // 3]),
         ),
     )
-    report = verify_congruence(claim, 2000)
+    report = verify_one(claim, 2000)
     assert report.instances == sum(1 for n in range(25) if 81 * n + 27 <= 2000)
     assert report.passed

@@ -13,7 +13,6 @@ import regover
 from regover import claims, registry, sequences
 from regover.cli import main
 from regover.claims import Term
-from regover.series import Series
 
 
 def run(capsys, *argv):
@@ -52,7 +51,7 @@ def test_expand_json_is_series_object(capsys):
     code, out, _ = run(capsys, "expand", "2^1 1^-2", "--order", "4", "--json")
     assert code == 0
     obj = json.loads(out)
-    assert Series.from_json_obj(obj).coeffs == [1, 2, 4, 8, 14]
+    assert obj == {"ring": "Z", "order": 4, "coeffs": [1, 2, 4, 8, 14]}
 
 
 def test_expand_huge_exponent_is_fast_and_binomial(capsys):

@@ -14,7 +14,7 @@ the plan's tables between claims hides no mutation.
 import pytest
 
 from regover import products, registry, sequences
-from regover.claims import IdentityClaim, verify_claims, verify_identity
+from regover.claims import IdentityClaim, verify_claims
 from regover.registry import claims_by_id
 from regover.sequences import SequenceRef
 from regover.series import Series
@@ -81,7 +81,8 @@ def check_fails(claim_id, order, params, index):
     (claim,) = claims_by_id([claim_id])
     selected = [c for c in registry.builtin_registry() if isinstance(c, IdentityClaim)]
     shared = {r.claim_id: r for r in verify_claims(selected, order=order)}
-    for report in (verify_identity(claim, order), shared[claim_id]):
+    (alone,) = verify_claims([claim], order=order)
+    for report in (alone, shared[claim_id]):
         assert report.status == "fail", report
         assert report.counterexample is not None
         assert report.counterexample["params"] == params
@@ -197,5 +198,5 @@ def test_every_identity_has_a_mutation_test():
         for name in globals()
         if name.startswith("test_i_")
     }
-    identities = {cid for cid in registry.registry_ids() if cid.startswith("I-")}
+    identities = {c.id for c in registry.builtin_registry() if c.id.startswith("I-")}
     assert tested == identities

@@ -15,8 +15,6 @@ from regover.claims import (
     hunt,
     verify_claim,
     verify_claims,
-    verify_congruence,
-    verify_identity,
 )
 from regover.cli import main
 from regover.registry import _a, claims_by_id
@@ -64,7 +62,7 @@ def run_plan(selected):
 def test_reports_do_not_depend_on_the_plan():
     selected = congruences()
     assert len(selected) == 24
-    alone = {c.id: verify_congruence(c, BOUND) for c in selected}
+    alone = {c.id: run_plan([c])[c.id] for c in selected}
     assert run_plan(selected) == alone
     assert run_plan(selected[::-1]) == alone
     assert all(r.passed for r in alone.values())
@@ -112,7 +110,7 @@ def test_hunt_and_a_lone_claim_build_at_the_requested_modulus(builds):
     assert builds == [("r(6)", 7, BOUND)]
     builds.clear()
     (shen2,) = claims_by_id(["C-SHEN-2"])
-    assert verify_congruence(shen2, BOUND).passed
+    assert run_plan([shen2])["C-SHEN-2"].passed
     assert [(label, m) for label, m, _ in builds] == [("pbar", 6), ("A(3)", 6)]
 
 
@@ -148,7 +146,7 @@ def test_a_congruence_table_is_kept_as_the_progression_its_reads_share():
     # pbar stays whole: every A_l is built from all of it
     assert plan._step[pbar] == 1
     assert len(plan._tables[pbar]) == BOUND + 1
-    whole = sequences.sequence_table(_a(625), 5, BOUND)
+    whole = sequences.sequence_series(_a(625), Zmod(5), BOUND).coeffs
     assert plan.read(a625, 5, range(125, BOUND + 1, 625)) == whole[125::625]
 
 
@@ -174,7 +172,7 @@ def run_identities(selected, order):
 def test_identity_reports_do_not_depend_on_the_plan(order):
     selected = identities()
     assert len(selected) == 11
-    alone = {c.id: verify_identity(c, order) for c in selected}
+    alone = {c.id: run_identities([c], order)[c.id] for c in selected}
     assert run_identities(selected, order) == alone
     assert run_identities(selected[::-1], order) == alone
     assert all(r.passed for r in alone.values())
@@ -250,7 +248,7 @@ def test_an_identity_outside_the_plan_is_refused():
     with pytest.raises(ValueError, match="order must be >= 1"):
         TablePlan([gf125], order=0)
     default = TablePlan([gf125])
-    assert verify_claim(gf125, default) == verify_identity(gf125, gf125.default_order)
+    assert verify_claim(gf125, default) == run_identities([gf125], gf125.default_order)["I-GF125"]
 
 
 def test_a_batch_calls_verify_claim_once_per_claim_from_one_plan(monkeypatch):

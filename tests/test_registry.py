@@ -10,11 +10,9 @@ from regover.claims import (
     TablePlan,
     verify_claim,
     verify_claims,
-    verify_congruence,
-    verify_identity,
 )
 from regover.products import eta_quotient
-from regover.registry import builtin_registry, claims_by_id, registry_ids
+from regover.registry import builtin_registry, claims_by_id
 from regover.sequences import SequenceRef
 from regover.series import ZZ, Zmod
 
@@ -29,13 +27,13 @@ def test_registry_counts():
     assert len(identities) >= 10
 
 
-def test_registry_ids_unique():
-    ids = registry_ids()
+def test_claim_ids_unique():
+    ids = [c.id for c in builtin_registry()]
     assert len(ids) == len(set(ids))
 
 
 def test_expected_ids_present():
-    ids = set(registry_ids())
+    ids = {c.id for c in builtin_registry()}
     expected = {
         "C-SHEN-1", "C-SHEN-2", "C-SHEN-3", "C-SHEN-4",
         "C-T1", "C-T2", "C-EX1", "C-T3", "C-EX2", "C-GEN",
@@ -63,7 +61,7 @@ def test_claims_by_id_unknown():
 def test_verify_all_small_bound_never_fails():
     reports = list(verify_claims(builtin_registry(), Caps(prime_cap=3, k_cap=0, bound=625)))
     assert len(reports) == len(builtin_registry())
-    assert [r.claim_id for r in reports] == registry_ids()
+    assert [r.claim_id for r in reports] == [c.id for c in builtin_registry()]
     for r in reports:
         assert not r.failed, r
         assert r.passed or r.status.startswith("skipped")
@@ -86,14 +84,13 @@ def test_identity_reports_match_the_benchmark_expectations():
     expected = json.loads(BENCH_EXPECTED.read_text())["identities"]
     identities = [c for c in builtin_registry() if isinstance(c, IdentityClaim)]
     assert sorted(expected) == sorted(c.id for c in identities)
-    for claim in identities:
-        report = verify_identity(claim, 1000)
-        want = expected[claim.id]
+    for report in verify_claims(identities, order=1000):
+        want = expected[report.claim_id]
         assert (report.status, report.bound, report.instances) == (
             want["status"],
             want["bound"],
             want["instances"],
-        ), claim.id
+        ), report.claim_id
 
 
 def test_congruence_reports_match_the_benchmark_expectations():
@@ -103,14 +100,13 @@ def test_congruence_reports_match_the_benchmark_expectations():
     expected = json.loads(BENCH_EXPECTED.read_text())["congruences"]
     congruences = [c for c in builtin_registry() if isinstance(c, CongruenceClaim)]
     assert sorted(expected) == sorted(c.id for c in congruences)
-    for claim in congruences:
-        report = verify_congruence(claim, 20000, prime_cap=20, k_cap=1)
-        want = expected[claim.id]
+    for report in verify_claims(congruences, Caps(prime_cap=20, k_cap=1, bound=20000)):
+        want = expected[report.claim_id]
         assert (report.status, report.bound, report.instances) == (
             want["status"],
             want["bound"],
             want["instances"],
-        ), claim.id
+        ), report.claim_id
 
 
 @pytest.mark.parametrize("ell, step", [(125, 125), (25, 25), (125, 25), (625, 25)])

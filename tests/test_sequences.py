@@ -11,7 +11,6 @@ from regover.sequences import (
     oracle_regular_overpartition,
     oracle_regular_overpartition_table,
     sequence_series,
-    sequence_table,
     sequence_value,
 )
 from regover.series import Series, ZZ, Zmod
@@ -153,15 +152,15 @@ def test_oracle_cap():
 
 @pytest.mark.parametrize("ell", [2, 3, 4, 5, 7, 9, 25])
 def test_series_matches_oracle(ell):
-    table = sequence_table(SequenceRef("A", ell), None, 40)
+    table = sequence_series(SequenceRef("A", ell), ZZ, 40).coeffs
     for n in range(41):
         assert table[n] == oracle_regular_overpartition(ell, n), (ell, n)
 
 
 def test_plain_sequences_match_oracles():
-    pbar = sequence_table(SequenceRef("pbar"), None, 40)
-    p = sequence_table(SequenceRef("p"), None, 40)
-    b3 = sequence_table(SequenceRef("b", 3), None, 40)
+    pbar = sequence_series(SequenceRef("pbar"), ZZ, 40).coeffs
+    p = sequence_series(SequenceRef("p"), ZZ, 40).coeffs
+    b3 = sequence_series(SequenceRef("b", 3), ZZ, 40).coeffs
     for n in range(41):
         assert pbar[n] == oracle_regular_overpartition(None, n)
         assert p[n] == oracle_partition(None, n)
@@ -170,13 +169,13 @@ def test_plain_sequences_match_oracles():
 
 @pytest.mark.parametrize("ell", [3, 5, 9, 25])
 def test_agrees_with_overpartitions_below_ell(ell):
-    a = sequence_table(SequenceRef("A", ell), None, min(ell - 1, 40))
-    pbar = sequence_table(SequenceRef("pbar"), None, min(ell - 1, 40))
+    a = sequence_series(SequenceRef("A", ell), ZZ, min(ell - 1, 40)).coeffs
+    pbar = sequence_series(SequenceRef("pbar"), ZZ, min(ell - 1, 40)).coeffs
     assert a == pbar
 
 
 def test_monotone_growth():
-    table = sequence_table(SequenceRef("A", 5), None, 300)
+    table = sequence_series(SequenceRef("A", 5), ZZ, 300).coeffs
     assert all(table[n + 1] >= table[n] for n in range(1, 300))
 
 
@@ -224,23 +223,23 @@ def test_sequence_value():
 
 def test_sequence_value_agrees_with_one_table():
     pbar, a5 = SequenceRef("pbar"), SequenceRef("A", 5)
-    table = sequence_table(pbar, None, 2000)
+    table = sequence_series(pbar, ZZ, 2000).coeffs
     for n in (0, 1, 999, 2000):
         assert sequence_value(pbar, n) == table[n]
-    assert sequence_value(a5, 50) == sequence_table(a5, None, 50)[50]
+    assert sequence_value(a5, 50) == sequence_series(a5, ZZ, 50).coeffs[50]
     with pytest.raises(ValueError, match="n must be >= 0"):
         sequence_value(pbar, -1)
 
 
-def test_sequence_table_hands_out_a_copy():
+def test_series_coeffs_hand_out_a_copy():
     # writing into a returned table must not change any later value
-    table = sequence_table(SequenceRef("p"), None, 10)
+    table = sequence_series(SequenceRef("p"), ZZ, 10).coeffs
     table[5] = 999
     assert sequence_value(SequenceRef("p"), 5) == 7
-    assert sequence_table(SequenceRef("p"), None, 10)[5] == 7
-    residues = sequence_table(SequenceRef("A", 5), 5, 20)
+    assert sequence_series(SequenceRef("p"), ZZ, 10).coeffs[5] == 7
+    residues = sequence_series(SequenceRef("A", 5), Zmod(5), 20).coeffs
     residues[:] = [1] * len(residues)
-    assert sequence_table(SequenceRef("A", 5), 5, 20)[3] == 3  # A_5(3) = 8
+    assert sequence_series(SequenceRef("A", 5), Zmod(5), 20).coeffs[3] == 3  # A_5(3) = 8
 
 
 def test_sequence_series_coeffs_cannot_corrupt_the_cache():

@@ -28,7 +28,8 @@ def test_tracer_installs_and_uninstalls_against_the_package():
         tracer_mod.install_layers(tracer)
         assert claims.sequence_value is not sequence_value
         (t6,) = registry.claims_by_id(["C-T6"])
-        assert claims.verify_congruence(t6, 50).passed
+        (report,) = claims.verify_claims([t6], claims.Caps(bound=50))
+        assert report.passed
     finally:
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
