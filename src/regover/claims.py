@@ -19,11 +19,15 @@ kind, (table, modulus, indices), the indices a progression: start, step
 and count.  A congruence side a n + b reads from a lo + b with step a, for
 its instance's n in [lo, hi]; an identity claim's Read (table, modulus,
 step) reads from 0 with its step, up to step times the order the run
-checks it at.  TablePlan.read serves both.  Each table is then built once
-per run, over the lcm of its own moduli (pbar's include those of every A_l
-built from it), to its largest read index, and kept as the progression
-whose step is the gcd of its reads' starts and steps; a read mod m reduces
-the part it reads of that table.  Each family of tables builds its
+checks it at.  TablePlan.read serves both.
+
+The build rule: each table is built once per run, over the lcm of its
+moduli (pbar's include those of every A_l built from it), to its largest
+read index, as the progression whose step is the gcd of its reads' starts
+and steps.  The plan only plans: the builder (sequences._build_series, or
+a Read's function) gets that ring, index and step and the whole tables it
+is built from (an A_l reads all of pbar), and returns that progression.
+A read mod m reduces the part it reads.  Each family of tables builds its
 progression tables at its first read, largest step first.  The lcm is
 taken per table, not over the run, because a table over a larger modulus
 costs more to build.  For the same reason congruence and identity claims
@@ -108,10 +112,10 @@ class CongruenceClaim:
 
 class Read(NamedTuple):
     """An identity side's read of a table: its coefficients at the indices
-    step*n, mod modulus.  The table is a series-backed sequence, or a
-    function (ring, order) -> Series that builds a table that is none."""
+    step*n, mod modulus.  The table is a series-backed sequence, or else a
+    function (ring, order, step) -> Series built by the module's build rule."""
 
-    table: SequenceRef | Callable[[Ring, int], Series]
+    table: SequenceRef | Callable[[Ring, int, int], Series]
     modulus: int
     step: int = 1
 
@@ -255,24 +259,20 @@ _CONGRUENCE, _IDENTITY = "congruence", "identity"
 
 
 class TablePlan:
-    """The tables that a run of claims reads (see the module
-    docstring).
+    """The tables that a run of claims reads, built by the module
+    docstring's build rule.
 
-    The plan holds its own tables, one per (source, family), over the
-    planned lcm and to the planned top index.  The first ``checks`` call
-    declares every claim's reads.  Each is (table, modulus, indices), the
-    indices a range: a congruence side a n + b reads from a lo + b with
-    step a, an identity claim's Read from 0 with its step.  A table is
-    built from the tables it is built from, reduced into its ring: a
-    sequence through sequences._build_series, any other table through its
-    own function.  It is kept as its g-progression, where g is the gcd of
-    its reads' starts and steps, and so holds about 1/g of its build.  The
-    first read of a family builds that family's progression tables before
-    any other, largest g first: a whole table, such as pbar to 125*order,
-    is then never held while the core is expanded to the same length.
-    Every other table is built at its first read.  A table's consumers are
-    the claims that read it and the tables built from it; after the last
-    one, the plan drops it.
+    The plan holds its own tables, one per (source, family).  The first
+    ``checks`` call declares every claim's reads.  Each is (table, modulus,
+    indices), the indices a range: a congruence side a n + b reads from
+    a lo + b with step a, an identity claim's Read from 0 with its step.
+    The first read of a family builds that family's progression tables
+    before any other, largest step first, and tables of one step in the
+    order they were first declared, a claim's lhs reads before its rhs
+    reads: a whole table, such as pbar to 125*order, is then never held
+    while the core is expanded to the same length.  Every other table is
+    built at its first read.  A table's consumers are the claims that read
+    it and the tables built from it; after the last one, the plan drops it.
     """
 
     def __init__(self, claims: Iterable, caps: Caps = Caps(), order: int | None = None):
@@ -360,25 +360,19 @@ class TablePlan:
             self._add((dep, family), modulus, range(top + 1))
 
     def _table(self, key: tuple) -> Series:
-        """key's table over the planned modulus, built on its first read from
-        the tables it is built from, each reduced into its ring, and kept as
-        its planned progression."""
+        """key's planned progression, built on its first read from the
+        whole tables it is built from."""
         table = self._tables.get(key)
         if table is None:
-            (source, family), m, top = key, self._modulus[key], self._top[key]
-            inputs = []
+            (source, family), ring = key, Zmod(self._modulus[key])
+            top, step = self._top[key], self._step[key]
+            inputs = [self._table((dep, family)) for dep in _inputs(source)]
             for dep in _inputs(source):
-                dep_table = self._table((dep, family))
                 self._release((dep, family))
-                if dep_table.ring.modulus != m:
-                    dep_table = Series._raw(Zmod(m), [c % m for c in dep_table[: top + 1]])
-                inputs.append(dep_table)
             if isinstance(source, SequenceRef):
-                table = sequences._build_series(source, Zmod(m), top, *inputs)
+                table = sequences._build_series(source, ring, top, *inputs, step=step)
             else:
-                table = source(Zmod(m), top)
-            if self._step[key] > 1:
-                table = table.extract_progression(self._step[key], 0)
+                table = source(ring, top, step)
             self._tables[key] = table
         return table
 

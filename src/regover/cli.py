@@ -20,7 +20,7 @@ import sys
 
 from . import claims as claims_mod
 from . import registry
-from .products import EtaSpecParseError, eta_quotient, parse_eta_spec
+from .products import eta_quotient, parse_eta_spec
 from .sequences import SequenceRef, sequence_value
 from .series import ZZ, Zmod
 
@@ -250,9 +250,6 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except EtaSpecParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (_UsageError, KeyError, ValueError) as exc:
         msg = exc.args[0] if exc.args else exc
         print(f"error: {msg}", file=sys.stderr)

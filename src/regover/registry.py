@@ -291,9 +291,9 @@ _OVERPARTITION_QUOTIENT = EtaQuotientSpec(0, ((2, 1), (1, -2)))
 _PSI = ThetaSpec(1, 1, 1, 3)
 
 
-def _build_core(ring, order):
-    """The overpartition quotient (q^2;q^2)/(q;q)^2 as psi(q)^2 / (q^2;q^2)^3:
-    the eta core that I-GF125 and I-ALPHA read extracted.
+def _build_core(ring, order, step=1):
+    """The eta core that I-GF125 and I-ALPHA read: the step-progression of
+    (q^2;q^2)/(q;q)^2 to order, built whole as psi(q)^2 / (q^2;q^2)^3.
 
     Gauss gives psi(q) = (q^2;q^2)^2/(q;q), so one division by Jacobi's
     sparse cube replaces two by (q;q).  psi is squared over ZZ, where the
@@ -303,10 +303,7 @@ def _build_core(ring, order):
     psi = theta_f_series(_PSI, ZZ, order)
     square = Series(ring, (psi * psi)[:])
     del psi
-    return square / jacobi_cube(2, ring, order)
-
-
-_PBAR = SequenceRef("pbar")
+    return (square / jacobi_cube(2, ring, order)).extract_progression(step, 0)
 
 
 def _gf_extracted(ell, step, ring, order, core):
@@ -316,8 +313,8 @@ def _gf_extracted(ell, step, ring, order, core):
 
     step must divide ell.  Then the factor (q^ell;q^ell)^2/(q^2ell;q^2ell)
     is a series in q^step, so it commutes with the extraction and is
-    evaluated at order instead of step*order.  Only the core is expanded to
-    step*order, once per run by the claims' table plan."""
+    evaluated at order instead of step*order.  Of the two factors only the
+    core is expanded to step*order, by _build_core once per run."""
     r = ell // step
     outer = eta_quotient(EtaQuotientSpec(0, ((r, 2), (2 * r, -1))), ring, order)
     return outer * core
@@ -394,12 +391,12 @@ def _identity_claims() -> list[IdentityClaim]:
             lhs_text="5n-extraction of the overpartition table 1/phi(-q), mod 5",
             rhs_text="phi(-q) theta sum cubed by binary powering, mod 5",
             source="Treneer (2006)",
-            lhs_reads=(Read(_PBAR, 5, 5),),
+            lhs_reads=(Read(SequenceRef("pbar"), 5, 5),),
         ),
         IdentityClaim(
             "I-GF125",
             lambda ring, order, core: _gf_extracted(125, 125, ring, order, core),
-            lambda ring, order, pbar: phi(-1, ring, order) * pbar,
+            lambda ring, order, a125: a125,
             Zmod(5**4),
             default_order=200,
             lhs_text="125n-extraction of the eta quotient"
@@ -407,10 +404,10 @@ def _identity_claims() -> list[IdentityClaim]:
             " (q;q)^2/(q^2;q^2) from pentagonal Euler products times the"
             " 125n-extraction of (q^2;q^2)/(q;q)^2, built as psi(q)^2 / (q^2;q^2)^3"
             " from the triangular theta sum and Jacobi's cube, mod 5^4",
-            rhs_text="phi(-q) theta sum * 125n-extraction of 1/phi(-q), mod 5^4",
+            rhs_text="125n-extraction of the A_125 table phi(-q^125) * 1/phi(-q), mod 5^4",
             source="generating function of A_125(125n); the paper states it mod 5",
             lhs_reads=(Read(_build_core, 5**4, 125),),
-            rhs_reads=(Read(_PBAR, 5**4, 125),),
+            rhs_reads=(Read(_a(125), 5**4, 125),),
         ),
         IdentityClaim(
             "I-DISSECT",
@@ -442,8 +439,7 @@ def _identity_claims() -> list[IdentityClaim]:
         IdentityClaim(
             "I-ALPHA",
             lambda ring, order, core, alpha: _gf_extracted(5**alpha, 25, ring, order, core),
-            lambda ring, order, pbar, alpha: phi(-1, ring, order, scale=5 ** (alpha - 2))
-            * pbar,
+            lambda ring, order, a25, a125, a625, alpha: (a25, a125, a625)[alpha - 2],
             Zmod(5**4),
             cases=({"alpha": 2}, {"alpha": 3}, {"alpha": 4}),
             default_order=200,
@@ -453,10 +449,10 @@ def _identity_claims() -> list[IdentityClaim]:
             " times the 25n-extraction of (q^2;q^2)/(q;q)^2, built as"
             " psi(q)^2 / (q^2;q^2)^3 from the triangular theta sum and Jacobi's cube,"
             " mod 5^4",
-            rhs_text="phi(-q^(5^(a-2))) theta sum * 25n-extraction of 1/phi(-q), mod 5^4",
+            rhs_text="25n-extraction of the A_(5^a) table phi(-q^(5^a)) * 1/phi(-q), mod 5^4",
             source="generating function of A_(5^a)(25n); the paper states it mod 5",
             lhs_reads=(Read(_build_core, 5**4, 25),),
-            rhs_reads=(Read(_PBAR, 5**4, 25),),
+            rhs_reads=tuple(Read(_a(5**alpha), 5**4, 25) for alpha in (2, 3, 4)),
         ),
         IdentityClaim(
             "I-PBAR",

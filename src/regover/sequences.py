@@ -25,6 +25,7 @@ returns the whole table; its value at one n is read from that table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from operator import mul
 
 from . import arith
@@ -97,25 +98,35 @@ def series_inputs(ref: SequenceRef) -> tuple[SequenceRef, ...]:
     return (_PBAR,) if ref.name == "A" else ()
 
 
-def _build_series(ref: SequenceRef, ring: Ring, order: int, *inputs: Series) -> Series:
-    """ref's series over ring to order, from the tables of series_inputs(ref),
-    in that order, over ring and reaching order.  A pointwise ref's series
-    holds its residues, over a ring Zmod(m)."""
-    if not ref.is_series_backed:
+def _build_series(ref: SequenceRef, ring: Ring, order: int, *inputs: Series, step=1) -> Series:
+    """ref's step-progression over ring to order, from the whole tables of
+    series_inputs(ref), each over ring or a Zmod(k) whose k is a multiple of
+    ring's modulus.  A pointwise ref's series holds residues, over a Zmod(m).
+    phi(-q^l) is a series in q^g for g = gcd(step, l), so an A_l is built at
+    g, as phi(-q^(l/g)) times pbar's g-progression; any other ref is whole."""
+    if ref.name == "A":
+        # regular overpartitions: phi(-q^l) * pbar, the grouped form of
+        # (q^l;q^l)^2 (q^2;q^2) / (q;q)^2 (q^2l;q^2l)
+        (pbar,) = inputs
+        g = gcd(step, ref.param)
+        if pbar.ring != ring:
+            pbar = Series._raw(ring, [c % ring.modulus for c in pbar[: order + 1 : g]])
+        elif g > 1:
+            pbar = Series._raw(ring, pbar[: order + 1 : g])
+        table = phi(-1, ring, order // g, scale=ref.param // g) * pbar
+        step //= g
+    elif not ref.is_series_backed:
         check_order(order)
         if ring.is_exact:
             raise ValueError(f"sequence {ref.label()} is tabled mod m only")
-        return Series._raw(ring, _pointwise_table(ref, ring.modulus, order))
-    if ref.name == "p":
-        return Series.one(ring, order) / euler_product(1, ring, order)
-    if ref.name == "pbar":
-        return Series.one(ring, order) / phi(-1, ring, order)
-    if ref.name == "b":
-        return euler_product(ref.param, ring, order) / euler_product(1, ring, order)
-    # regular overpartitions: phi(-q^l) * pbar, the grouped form of
-    # (q^l;q^l)^2 (q^2;q^2) / (q;q)^2 (q^2l;q^2l)
-    (pbar,) = inputs
-    return phi(-1, ring, order, scale=ref.param) * pbar
+        table = Series._raw(ring, _pointwise_table(ref, ring.modulus, order))
+    elif ref.name == "p":
+        table = Series.one(ring, order) / euler_product(1, ring, order)
+    elif ref.name == "pbar":
+        table = Series.one(ring, order) / phi(-1, ring, order)
+    else:
+        table = euler_product(ref.param, ring, order) / euler_product(1, ring, order)
+    return table if step == 1 else table.extract_progression(step, 0)
 
 
 def _multiplicative(seed, m: int, order: int) -> list[int]:

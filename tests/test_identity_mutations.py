@@ -29,12 +29,14 @@ def bump(series, index):
 
 
 def bump_pbar(monkeypatch, index):
-    """Perturb the overpartition table 1/phi(-q) every sequence is built from."""
+    """Perturb the overpartition table 1/phi(-q) every sequence is built from,
+    before it is extracted at the step the plan keeps."""
     build = sequences._build_series
 
-    def mutated(ref, ring, order, *inputs):
-        series = build(ref, ring, order, *inputs)
-        return bump(series, index) if ref == SequenceRef("pbar") else series
+    def mutated(ref, ring, order, *inputs, step=1):
+        if ref != SequenceRef("pbar"):
+            return build(ref, ring, order, *inputs, step=step)
+        return bump(build(ref, ring, order, *inputs), index).extract_progression(step, 0)
 
     monkeypatch.setattr(sequences, "_build_series", mutated)
 

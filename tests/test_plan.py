@@ -5,10 +5,11 @@ or a library call's caller, is the only holder of a table: the package
 keeps no table or claim list at module level."""
 
 import sys
+from itertools import permutations
 
 import pytest
 
-from regover import claims, registry, sequences
+from regover import claims, kernels, registry, sequences
 from regover.claims import (
     Caps,
     TablePlan,
@@ -17,6 +18,7 @@ from regover.claims import (
     verify_claims,
 )
 from regover.cli import main
+from regover.products import phi
 from regover.registry import _a, claims_by_id
 from regover.sequences import SequenceRef
 from regover.series import Zmod
@@ -26,13 +28,13 @@ BOUND = 2000
 
 @pytest.fixture
 def builds(monkeypatch):
-    """(label, modulus, order) of every table built, in order."""
+    """(label, modulus, order, step) of every table built, in order."""
     seen = []
     build = sequences._build_series
 
-    def spy(ref, ring, order, *inputs):
-        seen.append((ref.label(), ring.modulus, order))
-        return build(ref, ring, order, *inputs)
+    def spy(ref, ring, order, *inputs, step=1):
+        seen.append((ref.label(), ring.modulus, order, step))
+        return build(ref, ring, order, *inputs, step=step)
 
     monkeypatch.setattr(sequences, "_build_series", spy)
     return seen
@@ -70,17 +72,26 @@ def test_reports_do_not_depend_on_the_plan():
 
 def test_each_sequence_is_built_once_over_the_lcm_of_its_moduli(builds):
     run_plan(congruences())
-    labels = [label for label, _, _ in builds]
+    labels = [label for label, *_ in builds]
     # ten series tables and five sieved ones
     assert len(labels) == len(set(labels)) == 15
-    assert ("pbar", 840, BOUND) in builds  # lcm(2, 3, 5, 6, 7, 24)
-    assert ("A(3)", 24, BOUND) in builds  # lcm(2, 3, 6, 24)
+    assert ("pbar", 840, BOUND, 1) in builds  # lcm(2, 3, 5, 6, 7, 24)
+    assert ("A(3)", 24, BOUND, 1) in builds  # lcm(2, 3, 6, 24)
     assert set(builds) > {
-        ("r(2)", 3, BOUND),
-        ("r(4)", 5, BOUND),
-        ("r(6)", 7, BOUND),
-        ("r(8)", 3, BOUND),
-        ("sigma3m", 5, BOUND // 5),  # C-T6 reads it at n for A_25(5n)
+        ("r(2)", 3, BOUND, 1),
+        ("r(4)", 5, BOUND, 1),
+        ("r(6)", 7, BOUND, 1),
+        ("r(8)", 3, BOUND, 1),
+        ("sigma3m", 5, BOUND // 5, 1),  # C-T6 reads it at n for A_25(5n)
+    }
+    # each A_(5^a) read only on a progression is built at it
+    assert set(builds) > {
+        ("A(5)", 5, BOUND, 1),
+        ("A(25)", 5, BOUND, 5),
+        ("A(125)", 5, 3 * 625, 25),  # C-T9 reads 625 n up to 1875
+        ("A(625)", 5, BOUND, 125),
+        ("A(3125)", 5, BOUND, 125),
+        ("A(15625)", 5, BOUND, 125),
     }
     # pbar is built before the first A_l that is built from it
     assert labels[0] == "pbar"
@@ -104,14 +115,14 @@ def test_a_run_leaves_no_table_it_built(capsys):
 
 def test_hunt_and_a_lone_claim_build_at_the_requested_modulus(builds):
     hunt(_a(3), 6, 10, BOUND, 1)
-    assert builds == [("pbar", 6, BOUND), ("A(3)", 6, BOUND)]
+    assert builds == [("pbar", 6, BOUND, 1), ("A(3)", 6, BOUND, 1)]
     builds.clear()
     hunt(SequenceRef("r", 6), 7, 10, BOUND, 1)
-    assert builds == [("r(6)", 7, BOUND)]
+    assert builds == [("r(6)", 7, BOUND, 1)]
     builds.clear()
     (shen2,) = claims_by_id(["C-SHEN-2"])
     assert run_plan([shen2])["C-SHEN-2"].passed
-    assert [(label, m) for label, m, _ in builds] == [("pbar", 6), ("A(3)", 6)]
+    assert [(label, m, step) for label, m, _, step in builds] == [("pbar", 6, 1), ("A(3)", 6, 1)]
 
 
 def test_a_plan_that_verifies_a_claim_twice_keeps_no_table():
@@ -148,6 +159,31 @@ def test_a_congruence_table_is_kept_as_the_progression_its_reads_share():
     assert len(plan._tables[pbar]) == BOUND + 1
     whole = sequences.sequence_series(_a(625), Zmod(5), BOUND).coeffs
     assert plan.read(a625, 5, range(125, BOUND + 1, 625)) == whole[125::625]
+
+
+def test_a_625_is_one_product_of_phi_and_pbars_125_progression(monkeypatch):
+    # phi(-q^625) is a series in q^125, so the 125-progression of A_625 that
+    # C-T10 to C-T12 read is phi(-q^5) times pbar's 125-progression: one
+    # product of 17 entries at bound 2000, not one of the whole table
+    whole = sequences.sequence_series(_a(625), Zmod(5), BOUND)
+    pbar = sequences.sequence_series(SequenceRef("pbar"), Zmod(5), BOUND)
+    products = []
+    mul = kernels.mul_mod
+
+    def spy(a, b, n, m):
+        products.append((a[:n], b[:n], m))
+        return mul(a, b, n, m)
+
+    monkeypatch.setattr(kernels, "mul_mod", spy)
+    selected = congruences()
+    plan = TablePlan(selected, Caps(bound=BOUND))
+    plan.checks(selected[0])
+    table = plan._table((_a(625), claims._CONGRUENCE))  # builds pbar by division first
+    ((theta, progression, m),) = products
+    assert m == 5
+    assert theta == phi(-1, Zmod(5), BOUND // 125, scale=5).coeffs
+    assert progression == pbar[::125] and len(progression) == 17
+    assert table == whole.extract_progression(125, 0)
 
 
 def test_hunt_rejects_a_negative_bound():
@@ -189,11 +225,15 @@ def test_each_identity_table_is_built_once_to_its_largest_read(builds, monkeypat
     monkeypatch.setattr(registry, "jacobi_cube", spy)
     order = 20
     run_identities(identities(), order)
-    # pbar serves the mod-5 reads of I-TRENEER, A_5 and A_25 by reduction
+    # pbar is built whole for the A tables and serves I-TRENEER's mod-5
+    # read by reduction; I-R25 reads A_25 mod 5 from the table that I-ALPHA
+    # reads mod 5^4
     assert sorted(builds) == [
-        ("A(25)", 5, 5 * order),
-        ("A(5)", 5, order),
-        ("pbar", 625, 125 * order),
+        ("A(125)", 625, 125 * order, 25),  # I-GF125 at 125, I-ALPHA at 25
+        ("A(25)", 625, 25 * order, 5),  # I-R25 at 5, I-ALPHA at 25
+        ("A(5)", 5, order, 1),
+        ("A(625)", 625, 25 * order, 25),
+        ("pbar", 625, 125 * order, 1),
     ]
     # one core for I-GF125 (step 125) and the three cases of I-ALPHA (25)
     assert core == [(625, 125 * order)]
@@ -213,10 +253,39 @@ def test_progression_tables_are_built_before_whole_ones(builds, monkeypatch):
     assert all(r.passed for r in run_identities(selected, 20).values())
     assert builds == [
         ("core", 625, 2500),  # kept as its 125-progression
-        ("pbar", 625, 2500),  # built for A_25, kept whole for I-GF5 and I-GF125
-        ("A(25)", 5, 100),  # kept as its 5-progression
-        ("A(5)", 5, 20),
+        ("pbar", 625, 2500, 1),  # built for A_125, kept whole for A_25 and A_5
+        ("A(125)", 625, 2500, 125),
+        ("A(25)", 5, 100, 5),
+        ("A(5)", 5, 20, 1),
     ]
+
+
+def test_the_core_is_built_before_pbar_in_every_claim_order(monkeypatch):
+    # pbar is built whole, to 125*order, for the first A table; the core is
+    # built before it, whatever the claim order, because a claim declares
+    # its lhs reads (the core) before its rhs reads (the A tables of the
+    # core's step), and the plan builds tables of one step in that order
+    events = []
+    build, cube = sequences._build_series, registry.jacobi_cube
+
+    def spy_build(ref, ring, order, *inputs, step=1):
+        events.append(ref.label())
+        return build(ref, ring, order, *inputs, step=step)
+
+    def spy_cube(scale, ring, order):
+        events.append("core")  # one cube per core build
+        return cube(scale, ring, order)
+
+    monkeypatch.setattr(sequences, "_build_series", spy_build)
+    monkeypatch.setattr(registry, "jacobi_cube", spy_cube)
+    selected = claims_by_id(["I-GF5", "I-R25", "I-TRENEER", "I-ALPHA", "I-GF125"])
+    orders = list(permutations(selected))
+    assert len(orders) == 120
+    for claim_order in orders:
+        events.clear()
+        assert all(r.passed for r in run_identities(claim_order, 20).values())
+        assert events.count("core") == events.count("pbar") == 1
+        assert events.index("core") < events.index("pbar"), [c.id for c in claim_order]
 
 
 def test_the_core_is_kept_as_the_progression_its_reads_share():
@@ -262,9 +331,9 @@ def test_a_batch_calls_verify_claim_once_per_claim_from_one_plan(monkeypatch):
         events.append(("verify", claim.id, plan))
         return verify(claim, plan)
 
-    def spy_build(ref, ring, order, *inputs):
-        events.append(("build", ref.label(), ring.modulus))
-        return build(ref, ring, order, *inputs)
+    def spy_build(ref, ring, order, *inputs, step=1):
+        events.append(("build", ref.label(), ring.modulus, step))
+        return build(ref, ring, order, *inputs, step=step)
 
     monkeypatch.setattr(claims, "verify_claim", spy_verify)
     monkeypatch.setattr(sequences, "_build_series", spy_build)
@@ -276,4 +345,4 @@ def test_a_batch_calls_verify_claim_once_per_claim_from_one_plan(monkeypatch):
     assert [claim_id for _, claim_id, _ in calls] == ids
     assert len({id(plan) for _, _, plan in calls}) == 1
     assert events[0] == calls[0]
-    assert ("build", "pbar", 24 * 5) in events  # C-SHEN-4's 24 and C-T1's 5
+    assert ("build", "pbar", 24 * 5, 1) in events  # C-SHEN-4's 24 and C-T1's 5

@@ -133,7 +133,7 @@ def test_no_identity_side_reads_the_other_sides_table():
             assert not lhs & {read.table for read in claim.rhs_reads}, claim.id
     (gf125,) = claims_by_id(["I-GF125"])
     assert [r.table for r in gf125.lhs_reads] == [registry._build_core]
-    assert [r.table for r in gf125.rhs_reads] == [SequenceRef("pbar")]
+    assert [r.table for r in gf125.rhs_reads] == [SequenceRef("A", 125)]
 
 
 @pytest.mark.parametrize(

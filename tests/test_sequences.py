@@ -270,6 +270,29 @@ def test_build_series_reads_no_cache():
     assert sequences._build_series(a5, ring, 50, one) == phi(-1, ring, 50, scale=5)
 
 
+@pytest.mark.parametrize("step", [1, 2, 3, 5, 25, 125])
+@pytest.mark.parametrize("ell", [3, 5, 25, 125, 625])
+def test_an_a_table_is_built_at_the_step_it_is_asked_for(ell, step):
+    # at g = gcd(step, ell) the builder multiplies phi(-q^(ell/g)) by pbar's
+    # g-progression alone; the result is the step-progression of the whole
+    # product phi(-q^ell) * pbar, from a pbar over the ring or over a
+    # multiple of its modulus, and reaching at least the order
+    a = SequenceRef("A", ell)
+    rings = [(Zmod(840), Zmod(5)), (Zmod(625), Zmod(5)), (Zmod(625), Zmod(625)), (ZZ, ZZ)]
+    for pbar_ring, ring in rings:
+        pbar = sequence_series(SequenceRef("pbar"), pbar_ring, 2000)
+        for order in (0, 7, 1999, 2000):
+            whole = phi(-1, ring, order, scale=ell) * Series(ring, pbar[: order + 1])
+            got = sequences._build_series(a, ring, order, pbar, step=step)
+            assert got == whole.extract_progression(step, 0), (pbar_ring, ring, order)
+
+
+def test_every_other_table_is_built_whole_and_extracted():
+    for ref in (SequenceRef("p"), SequenceRef("pbar"), SequenceRef("b", 5), SequenceRef("r", 4)):
+        whole = sequences._build_series(ref, Zmod(5), 100)
+        assert sequences._build_series(ref, Zmod(5), 100, step=5) == whole.extract_progression(5, 0)
+
+
 def test_sequence_series_rejects_a_negative_order():
     with pytest.raises(ValueError, match="order must be >= 0"):
         sequence_series(SequenceRef("A", 5), Zmod(5), -1)

@@ -66,9 +66,9 @@ def test_one_plan_over_the_identities_builds_each_table_once(monkeypatch):
     builds, cores = [], []
     build, cube = sequences._build_series, registry.jacobi_cube
 
-    def spy_build(ref, ring, order, *inputs):
-        builds.append((ref.label(), ring.modulus, order))
-        return build(ref, ring, order, *inputs)
+    def spy_build(ref, ring, order, *inputs, step=1):
+        builds.append((ref.label(), ring.modulus, order, step))
+        return build(ref, ring, order, *inputs, step=step)
 
     def spy_cube(scale, ring, order):
         cores.append((ring.modulus, order))  # one cube per core build
@@ -87,11 +87,13 @@ def test_one_plan_over_the_identities_builds_each_table_once(monkeypatch):
     finally:
         tracer.uninstall()
     names = [span[0] for span in tracer.spans]
-    assert names.count("sequences.build") == 3
+    assert names.count("sequences.build") == 5
     assert sorted(builds) == [
-        ("A(25)", 5, 5 * order),
-        ("A(5)", 5, order),
-        ("pbar", 625, 125 * order),
+        ("A(125)", 625, 125 * order, 25),
+        ("A(25)", 625, 25 * order, 5),
+        ("A(5)", 5, order, 1),
+        ("A(625)", 625, 25 * order, 25),
+        ("pbar", 625, 125 * order, 1),
     ]
     assert cores == [(625, 125 * order)]
     # pbar 1, the core 1 (by (q^2;q^2)^3), the outer factors of I-GF125 and
