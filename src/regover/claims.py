@@ -4,7 +4,8 @@ A CongruenceClaim asserts lhs(index) = rhs(index) mod m for every n in
 range, optionally quantified over small primes, exponents and residues.
 Quantifier values and term fields may be callables of the quantifier
 environment, which is how families like index = c p^(4k+3) (p n + i) are
-expressed while staying plain mutable-by-replace dataclasses.
+expressed while staying immutable named tuples: ``_replace`` gives a
+changed copy.
 
 An instance is checked iff every index of both sides lies in [1, bound];
 a claim with no checkable instance reports skipped, never pass.  Values
@@ -46,7 +47,6 @@ plan: it scans the one table sequences.sequence_series gives over Zmod(m).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -60,8 +60,7 @@ DEFAULT_PRIME_CAP = 20
 DEFAULT_K_CAP = 1
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(NamedTuple):
     """Finite instantiation budget for quantified claims.  bound is the
     verification bound, so a quantifier can drop values that leave no
     index in [1, bound]."""
@@ -71,8 +70,7 @@ class Caps:
     bound: int = DEFAULT_BOUND
 
 
-@dataclass(frozen=True)
-class Quantifier:
+class Quantifier(NamedTuple):
     """A named finite range; values may depend on caps and on quantifiers
     bound earlier (e.g. i ranges over 1..p-1)."""
 
@@ -83,8 +81,7 @@ class Quantifier:
         return self.values(caps, env) if callable(self.values) else self.values
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     """One side of a congruence: seq(a n + b), optionally times (-1)^index.
 
     seq None denotes the literal constant 0.  seq/a/b may be callables of
@@ -100,8 +97,7 @@ class Term:
 ZERO = Term(seq=None)
 
 
-@dataclass(frozen=True)
-class CongruenceClaim:
+class CongruenceClaim(NamedTuple):
     id: str
     lhs: Term
     rhs: Term
@@ -120,17 +116,7 @@ class Read(NamedTuple):
     step: int = 1
 
 
-@dataclass(frozen=True)
-class IdentityClaim:
-    """Exact or modular series identity, evaluated case by case.
-
-    lhs/rhs are callables (ring, order, *tables, **case) -> Series, where
-    tables holds one Series over Zmod(read.modulus) to order for each of the
-    side's reads (lhs_reads or rhs_reads), in that order, from the run's
-    TablePlan.  ring may be a callable of the case for per-case moduli.
-    order_cap bounds evaluation for sides backed by the enumeration oracle.
-    """
-
+class _IdentityClaimFields(NamedTuple):
     id: str
     lhs: Callable[..., Series]
     rhs: Callable[..., Series]
@@ -144,13 +130,31 @@ class IdentityClaim:
     lhs_reads: tuple[Read, ...] = ()
     rhs_reads: tuple[Read, ...] = ()
 
-    def __post_init__(self):
-        if not self.cases:
+
+class IdentityClaim(_IdentityClaimFields):
+    """Exact or modular series identity, evaluated case by case.
+
+    lhs/rhs are callables (ring, order, *tables, **case) -> Series, where
+    tables holds one Series over Zmod(read.modulus) to order for each of the
+    side's reads (lhs_reads or rhs_reads), in that order, from the run's
+    TablePlan.  ring may be a callable of the case for per-case moduli.
+    order_cap bounds evaluation for sides backed by the enumeration oracle.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *fields, **named):
+        claim = super().__new__(cls, *fields, **named)
+        if not claim.cases:
             raise ValueError("identity claim needs at least one case")
+        return claim
+
+    @classmethod
+    def _make(cls, fields):  # so _replace validates too
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     claim_id: str
     bound: int
     instances: int
@@ -216,8 +220,7 @@ def _instance_range(sides: list[Term], bound: int) -> tuple[int, int]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class _Check:
+class _Check(NamedTuple):
     """One quantifier instance with a checkable n: lhs(index) = rhs(index)
     mod modulus for n in [lo, hi], with env the quantifier values."""
 
@@ -328,9 +331,9 @@ class TablePlan:
         return self._checks[id(claim)]
 
     def read(self, key: tuple, modulus: int, indices: range) -> list[int]:
-        """key's table at indices, mod modulus, a declared read; shorter
-        when the table is.  The first read of key's family builds the
-        family's progression tables, largest step first."""
+        """key's table at indices, mod modulus, a declared read, as a fresh
+        list; shorter when the table is.  The first read of key's family
+        builds the family's progression tables, largest step first."""
         family = key[1]
         if family in self._unread:
             self._unread.remove(family)
@@ -396,7 +399,14 @@ def _side(t: Term, check: _Check, plan: TablePlan) -> list[int]:
     indices = _indices(t, check)
     values = plan.read((t.seq, _CONGRUENCE), m, indices)
     if t.sign_twist:
-        values = [-v % m if i & 1 else v for i, v in zip(indices, values)]
+        # negate at the odd indices: every other value from the first odd
+        # index when a is odd, else every value or none
+        start = indices.start
+        if indices.step & 1:
+            odd = slice((start + 1) & 1, None, 2)
+        else:
+            odd = slice(None if start & 1 else 0)
+        values[odd] = [-v % m for v in values[odd]]
     return values
 
 

@@ -11,8 +11,8 @@ confirm itself.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .series import Ring, Series, check_order
 
@@ -94,29 +94,36 @@ def one_plus_q_product(exponents, ring: Ring, order: int) -> Series:
 # -- eta quotients ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EtaQuotientSpec:
+class _EtaQuotientFields(NamedTuple):
+    prefactor_exponent: int = 0
+    factors: tuple[tuple[int, int], ...] = ()
+
+
+class EtaQuotientSpec(_EtaQuotientFields):
     """Formal product q^t * prod (q^s; q^s)_inf^e, described as data.
 
     Duplicate scales are merged (exponents summed) and zero exponents
     dropped, giving each quotient a canonical form.
     """
 
-    prefactor_exponent: int = 0
-    factors: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.prefactor_exponent < 0:
+    def __new__(cls, prefactor_exponent: int = 0, factors: tuple[tuple[int, int], ...] = ()):
+        if prefactor_exponent < 0:
             raise ValueError("prefactor exponent must be >= 0")
         merged: dict[int, int] = {}
-        for scale, exponent in self.factors:
+        for scale, exponent in factors:
             if scale < 1:
                 raise ValueError(f"scale {scale} must be >= 1")
             merged[scale] = merged.get(scale, 0) + exponent
         canonical = tuple(
             (s, e) for s, e in sorted(merged.items()) if e != 0
         )
-        object.__setattr__(self, "factors", canonical)
+        return super().__new__(cls, prefactor_exponent, canonical)
+
+    @classmethod
+    def _make(cls, fields):  # so _replace validates too
+        return cls(*fields)
 
     def __str__(self):
         parts = []
@@ -212,22 +219,30 @@ def _power_is_cheaper(count: int, factor: Series) -> bool:
 # -- Ramanujan theta function f(a, b) ---------------------------------------
 
 
-@dataclass(frozen=True)
-class ThetaSpec:
-    """f(a_sign q^a_power, b_sign q^b_power) in Ramanujan's notation."""
-
+class _ThetaFields(NamedTuple):
     a_sign: int = 1
     a_power: int = 1
     b_sign: int = 1
     b_power: int = 1
 
-    def __post_init__(self):
-        if self.a_sign not in (1, -1) or self.b_sign not in (1, -1):
+
+class ThetaSpec(_ThetaFields):
+    """f(a_sign q^a_power, b_sign q^b_power) in Ramanujan's notation."""
+
+    __slots__ = ()
+
+    def __new__(cls, a_sign: int = 1, a_power: int = 1, b_sign: int = 1, b_power: int = 1):
+        if a_sign not in (1, -1) or b_sign not in (1, -1):
             raise ValueError("signs must be +1 or -1")
-        if self.a_power < 0 or self.b_power < 0:
+        if a_power < 0 or b_power < 0:
             raise ValueError("powers must be >= 0")
-        if self.a_power + self.b_power < 1:
+        if a_power + b_power < 1:
             raise ValueError("a_power + b_power must be >= 1")
+        return super().__new__(cls, a_sign, a_power, b_sign, b_power)
+
+    @classmethod
+    def _make(cls, fields):  # so _replace validates too
+        return cls(*fields)
 
 
 def theta_f_series(spec: ThetaSpec, ring: Ring, order: int) -> Series:

@@ -24,9 +24,9 @@ returns the whole table; its value at one n is read from that table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from . import arith
 from .products import euler_product, phi
@@ -39,8 +39,12 @@ POINTWISE_NAMES = frozenset({"r", "dstar", "sigma3m", "chi"})
 _PARAM_NAMES = frozenset({"b", "A", "r"})
 
 
-@dataclass(frozen=True)
-class SequenceRef:
+class _SequenceRefFields(NamedTuple):
+    name: str
+    param: int | None = None
+
+
+class SequenceRef(_SequenceRefFields):
     """A named coefficient sequence, with its parameter where one applies.
 
     Names: p (partitions), pbar (overpartitions), b (regular partitions,
@@ -48,21 +52,25 @@ class SequenceRef:
     param squares), dstar, sigma3m, chi.
     """
 
-    name: str
-    param: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.name not in SERIES_NAMES | POINTWISE_NAMES:
-            raise ValueError(f"unknown sequence {self.name!r}")
-        if self.name in _PARAM_NAMES:
-            if self.param is None:
-                raise ValueError(f"sequence {self.name!r} requires a parameter")
-            if self.name in ("b", "A") and self.param < 2:
+    def __new__(cls, name: str, param: int | None = None):
+        if name not in SERIES_NAMES | POINTWISE_NAMES:
+            raise ValueError(f"unknown sequence {name!r}")
+        if name in _PARAM_NAMES:
+            if param is None:
+                raise ValueError(f"sequence {name!r} requires a parameter")
+            if name in ("b", "A") and param < 2:
                 raise ValueError("regularity parameter must be >= 2")
-            if self.name == "r" and self.param not in (2, 4, 6, 8):
+            if name == "r" and param not in (2, 4, 6, 8):
                 raise ValueError("squares count k must be one of 2, 4, 6, 8")
-        elif self.param is not None:
-            raise ValueError(f"sequence {self.name!r} takes no parameter")
+        elif param is not None:
+            raise ValueError(f"sequence {name!r} takes no parameter")
+        return super().__new__(cls, name, param)
+
+    @classmethod
+    def _make(cls, fields):  # so _replace validates too
+        return cls(*fields)
 
     @property
     def is_series_backed(self) -> bool:

@@ -8,21 +8,29 @@ is immutable after construction and every operation returns a new one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from . import kernels
 
 
-@dataclass(frozen=True)
-class Ring:
-    """Coefficient ring: exact integers (modulus None) or integers mod m."""
-
+class _RingFields(NamedTuple):
     modulus: int | None = None
 
-    def __post_init__(self):
-        if self.modulus is not None and self.modulus < 2:
+
+class Ring(_RingFields):
+    """Coefficient ring: exact integers (modulus None) or integers mod m."""
+
+    __slots__ = ()
+
+    def __new__(cls, modulus: int | None = None):
+        if modulus is not None and modulus < 2:
             raise ValueError("modulus must be >= 2")
+        return super().__new__(cls, modulus)
+
+    @classmethod
+    def _make(cls, fields):  # so _replace validates too
+        return cls(*fields)
 
     @property
     def is_exact(self) -> bool:
@@ -62,7 +70,9 @@ class Series:
             raise ValueError(
                 f"{len(coeffs)} coefficients exceed order {order} (max {order + 1})"
             )
-        coeffs = [ring.reduce(c) for c in coeffs]
+        m = ring.modulus
+        if m is not None:
+            coeffs = [c % m for c in coeffs]
         coeffs.extend([0] * (order + 1 - len(coeffs)))
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_coeffs", coeffs)

@@ -5,7 +5,6 @@ Budgets hold on the pure-Python kernels of `regover.kernels`;
 `regover.backend_name()` is printed alongside the first criterion.
 """
 
-import dataclasses
 import time
 
 from regover import backend_name
@@ -123,11 +122,11 @@ def test_criterion_09_mutation_sensitivity():
     with _Criterion(9, "five seeded registry mutations each fail at bound 200", 10) as c:
         t1, ex1, t6 = claims_by_id(["C-T1", "C-EX1", "C-T6"])
         mutations = [
-            dataclasses.replace(t1, rhs=dataclasses.replace(t1.rhs, sign_twist=False)),
-            dataclasses.replace(t1, modulus=6),
-            dataclasses.replace(ex1, lhs=dataclasses.replace(ex1.lhs, b=28)),
-            dataclasses.replace(t6, rhs=Term(SequenceRef("dstar"))),
-            dataclasses.replace(ex1, lhs=dataclasses.replace(ex1.lhs, a=82)),
+            t1._replace(rhs=t1.rhs._replace(sign_twist=False)),
+            t1._replace(modulus=6),
+            ex1._replace(lhs=ex1.lhs._replace(b=28)),
+            t6._replace(rhs=Term(SequenceRef("dstar"))),
+            ex1._replace(lhs=ex1.lhs._replace(a=82)),
         ]
         for mutant, report in zip(mutations, verify_claims(mutations, Caps(bound=200))):
             assert report.failed, mutant

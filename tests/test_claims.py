@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -162,11 +161,11 @@ def test_prime_families_pruned_by_bound():
 def mutated_registry_claims():
     t1, ex1, t6 = claims_by_id(["C-T1", "C-EX1", "C-T6"])
     return [
-        ("sign flip", dataclasses.replace(t1, rhs=dataclasses.replace(t1.rhs, sign_twist=False))),
-        ("modulus +1", dataclasses.replace(t1, modulus=6)),
-        ("offset +1", dataclasses.replace(ex1, lhs=dataclasses.replace(ex1.lhs, b=28))),
-        ("wrong rhs", dataclasses.replace(t6, rhs=Term(SequenceRef("dstar")))),
-        ("multiplier +1", dataclasses.replace(ex1, lhs=dataclasses.replace(ex1.lhs, a=82))),
+        ("sign flip", t1._replace(rhs=t1.rhs._replace(sign_twist=False))),
+        ("modulus +1", t1._replace(modulus=6)),
+        ("offset +1", ex1._replace(lhs=ex1.lhs._replace(b=28))),
+        ("wrong rhs", t6._replace(rhs=Term(SequenceRef("dstar")))),
+        ("multiplier +1", ex1._replace(lhs=ex1.lhs._replace(a=82))),
     ]
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -138,9 +137,7 @@ def test_verify_json_roundtrip(capsys):
 def broken_claim(monkeypatch):
     """Adds C-BROKEN, C-EX1 with a wrong offset, to the registry."""
     (ex1,) = registry.claims_by_id(["C-EX1"])
-    broken = dataclasses.replace(
-        ex1, id="C-BROKEN", lhs=dataclasses.replace(ex1.lhs, b=28)
-    )
+    broken = ex1._replace(id="C-BROKEN", lhs=ex1.lhs._replace(b=28))
     claims_with_broken = registry.builtin_registry() + [broken]
     monkeypatch.setattr(registry, "builtin_registry", lambda: list(claims_with_broken))
 
@@ -380,6 +377,19 @@ def test_closed_stdout_exits_141_without_a_traceback(argv):
     assert done.returncode == 141
     assert "Traceback" not in done.stderr
     assert done.stderr == ""
+
+
+def test_cold_start_imports_no_dataclasses_inspect_or_ast():
+    # every launch pays its imports before the first claim: the record types
+    # are named tuples, so importing the CLI leaves these modules out
+    src = str(Path(regover.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, regover.cli; print(*sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 def test_verify_builds_tables_only_inside_verify_claim(monkeypatch, capsys):

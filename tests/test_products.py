@@ -305,12 +305,25 @@ def test_product_builders_reject_bad_parameters(build, message):
 
 
 def test_theta_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^a_power \+ b_power must be >= 1$"):
         ThetaSpec(1, 0, 1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^signs must be \+1 or -1$"):
         ThetaSpec(2, 1, 1, 1)
-    with pytest.raises(ValueError, match="powers must be >= 0"):
+    with pytest.raises(ValueError, match=r"^signs must be \+1 or -1$"):
+        ThetaSpec(1, 1, -2, 1)
+    with pytest.raises(ValueError, match="^powers must be >= 0$"):
         ThetaSpec(1, -1, 1, 2)
+
+
+def test_eta_quotient_spec_is_kept_in_canonical_form():
+    # duplicate scales merged, zero exponents dropped, sorted by scale
+    spec = EtaQuotientSpec(2, [(5, 1), (1, -2), (5, 1), (3, 4), (3, -4), (2, 0)])
+    assert spec.factors == ((1, -2), (5, 2))
+    assert spec == EtaQuotientSpec(2, ((5, 2), (1, -2)))
+    assert hash(spec) == hash(EtaQuotientSpec(2, ((1, -2), (5, 2))))
+    assert EtaQuotientSpec(0, ((1, 1), (1, -1))).factors == ()
+    assert spec._replace(factors=((2, 1), (1, 1), (2, 1))).factors == ((1, 1), (2, 2))
+    assert str(spec) == "q^2 1^-2 5^2"
 
 
 def test_dissection_residual_zero():

@@ -19,15 +19,15 @@ from regover.series import Series, ZZ, Zmod
 def test_sequence_ref_validation():
     assert SequenceRef("p").param is None
     assert SequenceRef("A", 5).label() == "A(5)"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown sequence 'nope'$"):
         SequenceRef("nope")
-    with pytest.raises(ValueError):
-        SequenceRef("A")  # parameter required
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sequence 'A' requires a parameter$"):
+        SequenceRef("A")
+    with pytest.raises(ValueError, match="^regularity parameter must be >= 2$"):
         SequenceRef("A", 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^squares count k must be one of 2, 4, 6, 8$"):
         SequenceRef("r", 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sequence 'p' takes no parameter$"):
         SequenceRef("p", 2)
 
 

@@ -22,7 +22,7 @@ def squares_series(sign, order):
 def test_ring_validation():
     assert ZZ.is_exact
     assert Zmod(5).modulus == 5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^modulus must be >= 2$"):
         Ring(1)
 
 
