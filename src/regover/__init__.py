@@ -22,7 +22,6 @@ from .claims import (
 from .kernels import backend_name
 from .products import (
     EtaQuotientSpec,
-    EtaSpecParseError,
     ThetaSpec,
     eta_quotient,
     euler_product,
@@ -48,7 +47,6 @@ __all__ = [
     "Caps",
     "CongruenceClaim",
     "EtaQuotientSpec",
-    "EtaSpecParseError",
     "IdentityClaim",
     "Quantifier",
     "Ring",

@@ -1,6 +1,7 @@
 """Named q-products: Euler products (q^s;q^s)_inf and their cubes, eta
 quotients, the theta functions phi(+-q) and f(a,b), and the 5-dissection
-residual of phi(-q).
+residual of phi(-q), whose M_i(-q^5) are theta sums f(a,b) straight from
+their ThetaSpec.
 
 Each construction has an independent second route used by the tests
 (finite-product expansion, bilateral sum vs. triple product, Jacobi's cube
@@ -136,11 +137,8 @@ class EtaQuotientSpec(_EtaQuotientFields):
 _ETA_TOKEN = re.compile(r"^(q|[0-9]+)\^(-?[0-9]+)$")
 
 
-class EtaSpecParseError(ValueError):
-    def __init__(self, token: str, position: int, reason: str):
-        self.token = token
-        self.position = position
-        super().__init__(f"bad eta-quotient token {token!r} at position {position}: {reason}")
+def _bad_token(token: str, position: int, reason: str) -> ValueError:
+    return ValueError(f"bad eta-quotient token {token!r} at position {position}: {reason}")
 
 
 def parse_eta_spec(text: str) -> EtaQuotientSpec:
@@ -150,24 +148,24 @@ def parse_eta_spec(text: str) -> EtaQuotientSpec:
     factors = []
     tokens = text.split()
     if not tokens:
-        raise EtaSpecParseError(text, 0, "empty spec")
+        raise _bad_token(text, 0, "empty spec")
     for pos, tok in enumerate(tokens):
         m = _ETA_TOKEN.match(tok)
         if m is None:
-            raise EtaSpecParseError(tok, pos, "expected scale^exponent")
+            raise _bad_token(tok, pos, "expected scale^exponent")
         base, exponent = m.group(1), int(m.group(2))
         if base == "q":
             if pos != 0:
-                raise EtaSpecParseError(tok, pos, "q^t must come first")
+                raise _bad_token(tok, pos, "q^t must come first")
             if exponent < 0:
-                raise EtaSpecParseError(tok, pos, "prefactor exponent must be >= 0")
+                raise _bad_token(tok, pos, "prefactor exponent must be >= 0")
             prefactor = exponent
         else:
             scale = int(base)
             if scale < 1:
-                raise EtaSpecParseError(tok, pos, "scale must be >= 1")
+                raise _bad_token(tok, pos, "scale must be >= 1")
             if exponent == 0:
-                raise EtaSpecParseError(tok, pos, "exponent must be nonzero")
+                raise _bad_token(tok, pos, "exponent must be nonzero")
             factors.append((scale, exponent))
     return EtaQuotientSpec(prefactor, tuple(factors))
 
@@ -189,7 +187,7 @@ def eta_quotient(spec: EtaQuotientSpec, ring: Ring, order: int) -> Series:
     numerator factor.  The arithmetic is exact in either order, so the
     output does not depend on it.
     """
-    result = Series.monomial(ring, spec.prefactor_exponent, order)
+    result = Series.one(ring, order).shift(spec.prefactor_exponent)
     for scale, exponent in sorted(spec.factors, key=lambda f: f[1] < 0):
         factor = euler_product(scale, ring, order)
         count = abs(exponent)
@@ -285,19 +283,21 @@ def theta_f_product(spec: ThetaSpec, ring: Ring, order: int) -> Series:
 
 # -- 5-dissection of phi(-q) -------------------------------------------------
 
-_M1 = ThetaSpec(1, 3, 1, 7)
-_M2 = ThetaSpec(1, 1, 1, 9)
+# M1(q) = f(q^3, q^7) and M2(q) = f(q, q^9): q -> -q^5 multiplies each power
+# by 5 and, the powers being odd, negates each argument
+_M1_AT_MINUS_Q5 = ThetaSpec(-1, 15, -1, 35)
+_M2_AT_MINUS_Q5 = ThetaSpec(-1, 5, -1, 45)
 
 
 def phi_five_dissection_residual(ring: Ring, order: int) -> Series:
     """phi(-q) - [phi(-q^25) - 2q M1(-q^5) + 2q^4 M2(-q^5)]; identically zero.
 
-    M_i(-q^5) is built by sign-folding the M_i series (q -> -q) and then
-    substituting q -> q^5.
+    M_i(-q^5) is the bilateral theta sum of its ThetaSpec, whose signs and
+    powers already carry q -> -q^5.
     """
     lhs = phi(-1, ring, order)
     part25 = phi(-1, ring, order, scale=25)
-    m1 = theta_f_series(_M1, ring, order).negate_variable().substitute_power(5)
-    m2 = theta_f_series(_M2, ring, order).negate_variable().substitute_power(5)
+    m1 = theta_f_series(_M1_AT_MINUS_Q5, ring, order)
+    m2 = theta_f_series(_M2_AT_MINUS_Q5, ring, order)
     rhs = part25 - (m1 * 2).shift(1) + (m2 * 2).shift(4)
     return lhs - rhs

@@ -210,15 +210,15 @@ def sequence_value(ref: SequenceRef, n: int) -> int:
 # -- enumeration-oracle route -------------------------------------------------
 
 
-def oracle_partition(restriction: int | None, n: int, cap: int = ORACLE_CAP) -> int:
+def oracle_partition(restriction: int | None, n: int) -> int:
     """Partitions of n (weight 1), optionally into parts not divisible by
     the restriction; plain recursion over the largest part, down to part 3.
 
     A remainder r > 0 left for parts 1 and 2 has floor(r/2) + 1 partitions
     when both are allowed, 1 (all ones) when 2 is barred, and none when
     the restriction is 1."""
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the enumeration cap {cap}")
+    if n > ORACLE_CAP:
+        raise ValueError(f"n={n} exceeds the enumeration cap {ORACLE_CAP}")
     if n < 0:
         raise ValueError("n must be >= 0")
     if restriction is not None and restriction < 1:
@@ -246,9 +246,7 @@ def oracle_partition(restriction: int | None, n: int, cap: int = ORACLE_CAP) -> 
     return count(n, n)
 
 
-def oracle_regular_overpartition_table(
-    restriction: int | None, upto: int, cap: int = ORACLE_CAP
-) -> list[int]:
+def oracle_regular_overpartition_table(restriction: int | None, upto: int) -> list[int]:
     """Overpartitions of 0..upto into parts not divisible by the restriction
     (None = plain overpartitions): each partition counts with weight
     2^(number of distinct part sizes).
@@ -260,8 +258,8 @@ def oracle_regular_overpartition_table(
     even, 4 for each mix), 2 when 2 is barred, and 0 when the restriction
     is 1; the empty remainder weighs 1.  The table is the convolution of
     the two."""
-    if upto > cap:
-        raise ValueError(f"n={upto} exceeds the enumeration cap {cap}")
+    if upto > ORACLE_CAP:
+        raise ValueError(f"n={upto} exceeds the enumeration cap {ORACLE_CAP}")
     if upto < 0:
         raise ValueError("n must be >= 0")
     if restriction is not None and restriction < 1:
@@ -286,7 +284,7 @@ def oracle_regular_overpartition_table(
     return [sum(large[j] * small[n - j] for j in range(n + 1)) for n in range(upto + 1)]
 
 
-def oracle_regular_overpartition(restriction: int | None, n: int, cap: int = ORACLE_CAP) -> int:
+def oracle_regular_overpartition(restriction: int | None, n: int) -> int:
     """The weighted overpartition count of n; see
     oracle_regular_overpartition_table."""
-    return oracle_regular_overpartition_table(restriction, n, cap)[n]
+    return oracle_regular_overpartition_table(restriction, n)[n]

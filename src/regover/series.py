@@ -61,19 +61,12 @@ class Series:
 
     __slots__ = ("ring", "_coeffs")
 
-    def __init__(self, ring: Ring, coeffs=(), order: int | None = None):
+    def __init__(self, ring: Ring, coeffs):
         coeffs = list(coeffs)
-        if order is None:
-            order = len(coeffs) - 1 if coeffs else 0
-        check_order(order)
-        if len(coeffs) > order + 1:
-            raise ValueError(
-                f"{len(coeffs)} coefficients exceed order {order} (max {order + 1})"
-            )
+        check_order(len(coeffs) - 1)
         m = ring.modulus
         if m is not None:
             coeffs = [c % m for c in coeffs]
-        coeffs.extend([0] * (order + 1 - len(coeffs)))
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_coeffs", coeffs)
 
@@ -140,14 +133,6 @@ class Series:
         check_order(order)
         c = [0] * (order + 1)
         c[0] = ring.reduce(1)
-        return cls._raw(ring, c)
-
-    @classmethod
-    def monomial(cls, ring: Ring, exponent: int, order: int, coefficient: int = 1) -> Series:
-        check_order(order)
-        c = [0] * (order + 1)
-        if 0 <= exponent <= order:
-            c[exponent] = ring.reduce(coefficient)
         return cls._raw(ring, c)
 
     # -- ring operations -------------------------------------------------
@@ -235,18 +220,6 @@ class Series:
         n = len(self._coeffs)
         return Series._raw(self.ring, [0] * min(t, n) + self._coeffs[: max(n - t, 0)])
 
-    def substitute_power(self, k: int) -> Series:
-        """q -> q^k: returns sum a(n) q^(k n), truncated at the same order."""
-        if k < 1:
-            raise ValueError("power substitution requires k >= 1")
-        if k == 1:
-            return self
-        n = len(self._coeffs)
-        out = [0] * n
-        for i in range((n - 1) // k + 1):
-            out[i * k] = self._coeffs[i]
-        return Series._raw(self.ring, out)
-
     def extract_progression(self, k: int, r: int) -> Series:
         """Returns sum a(k n + r) q^n with order floor((order - r) / k)."""
         if k < 1:
@@ -256,14 +229,6 @@ class Series:
         if r > self.order:
             raise ValueError(f"residue {r} exceeds truncation order {self.order}")
         return Series._raw(self.ring, self._coeffs[r :: k])
-
-    def negate_variable(self) -> Series:
-        """q -> -q: flips the sign of every odd-index coefficient."""
-        red = self.ring.reduce
-        return Series._raw(
-            self.ring,
-            [red(-c) if n & 1 else c for n, c in enumerate(self._coeffs)],
-        )
 
     # -- serialization ----------------------------------------------------
 

@@ -2,7 +2,8 @@
 in regover.__all__, and each public module-level def or class in
 src/regover, is used by another package module or by a file under bench/,
 the benchmark's harness and its tests.  A name that only tests/ calls is
-deleted instead."""
+deleted instead.  So is a parameter with a default that no call outside
+tests/ passes."""
 
 import ast
 from pathlib import Path
@@ -65,6 +66,79 @@ def test_every_exported_name_has_a_caller():
 def test_every_public_definition_has_a_caller():
     unused = [q for q in public_definitions() if q.split(".")[1] not in USED | ALLOWED]
     assert unused == []
+
+
+def defaulted_parameters() -> list[tuple[str, str, int | None, str]]:
+    """(qualified name, callee name, position or None, parameter) of each
+    parameter with a default of a public function, or of a public class's
+    __init__, __new__ or public method (the package has no staticmethod).
+    A class's constructor is called by the class name; a method's position
+    leaves out self or cls."""
+    found = []
+
+    def add(qualname, callee, fn, skip):
+        args = fn.args
+        positional = (args.posonlyargs + args.args)[skip:]
+        first_default = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first_default:], first_default):
+            found.append((qualname, callee, i, arg.arg))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found.append((qualname, callee, None, arg.arg))
+
+    for path, tree in MODULES.items():
+        if path.parent != PACKAGE:
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                add(f"{path.stem}.{node.name}", node.name, node, 0)
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            for fn in node.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                if fn.name in ("__init__", "__new__"):
+                    callee = node.name
+                elif fn.name.startswith("_"):
+                    continue
+                else:
+                    callee = fn.name
+                add(f"{path.stem}.{node.name}.{fn.name}", callee, fn, 1)
+    return found
+
+
+def passed_parameters(tree: ast.Module) -> set[tuple[str, int | str]]:
+    """(callee name, position or keyword) of each argument the module's calls
+    pass; a call with *args or **kwargs passes every position or keyword,
+    written (callee, "*") or (callee, "**")."""
+    passed = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            callee = func.id
+        elif isinstance(func, ast.Attribute):
+            callee = func.attr
+        else:
+            continue
+        for i, arg in enumerate(node.args):
+            passed.add((callee, "*" if isinstance(arg, ast.Starred) else i))
+        for kw in node.keywords:
+            passed.add((callee, "**" if kw.arg is None else kw.arg))
+    return passed
+
+
+PASSED = set().union(*map(passed_parameters, MODULES.values()))
+
+
+def test_every_defaulted_parameter_is_passed_outside_tests():
+    unpassed = [
+        f"{qualname}({name})"
+        for qualname, callee, position, name in defaulted_parameters()
+        if not {(callee, "*"), (callee, "**"), (callee, position), (callee, name)} & PASSED
+    ]
+    assert unpassed == []
 
 
 def test_all_is_sorted_without_duplicates():

@@ -56,6 +56,31 @@ def test_falsified_claim_counterexample():
     assert ce["lhs"] == 2 and ce["rhs"] == 3
 
 
+@pytest.mark.parametrize(
+    "b,twist,counterexample",
+    [
+        (0, True, None),
+        (1, True, None),
+        (0, False, None),
+        # A_5(1) = 2 but r_4(1) = 8 = 3 mod 5: only the twist mends it
+        (1, False, {"params": {"n": 0}, "index": 1, "lhs": 2, "rhs": 3}),
+    ],
+)
+def test_even_step_sign_twist(b, twist, counterexample):
+    # A_5(2n + b) = (-1)^b r_4(2n + b) mod 5: at an even step the twist
+    # negates every value of the odd progression and none of the even one
+    claim = CongruenceClaim(
+        "even-step",
+        Term(_a(5), 2, b),
+        Term(SequenceRef("r", 4), 2, b, sign_twist=twist),
+        5,
+    )
+    report = verify_one(claim, 200)
+    assert report.counterexample == counterexample
+    if counterexample is None:
+        assert report.passed and report.instances == 100
+
+
 def test_failure_in_second_environment_counts_every_earlier_instance():
     # A_5(3n) = (-1)^(3n) r_4(3n) holds mod 5 (n = 1..20) but not mod 20,
     # where it first breaks at n = 3: index 9 is odd, so the twisted rhs is
@@ -215,8 +240,8 @@ def test_identity_pass_and_order_cap():
 def test_identity_counterexample():
     wrong = IdentityClaim(
         "wrong",
-        lambda ring, order: Series(ring, [1, 1], order),
-        lambda ring, order: Series(ring, [1, 2], order),
+        lambda ring, order: Series(ring, [1, 1] + [0] * (order - 1)),
+        lambda ring, order: Series(ring, [1, 2] + [0] * (order - 1)),
         ZZ,
         default_order=5,
     )
@@ -257,7 +282,8 @@ def test_identity_failure_in_second_case_counts_every_earlier_instance():
     # 1/(1 - q^k) against 1/(1 - q^2): case k = 2 passes (7 coefficients),
     # case k = 4 breaks at q^2
     def geometric(ring, order, k):
-        return Series.one(ring, order) / Series(ring, [1] + [0] * (k - 1) + [-1], order)
+        one = Series.one(ring, order)
+        return one / (one - one.shift(k))
 
     claim = IdentityClaim(
         "two-case",

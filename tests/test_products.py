@@ -7,7 +7,6 @@ from regover import kernels, products
 from regover.claims import IdentityClaim, verify_claims
 from regover.products import (
     EtaQuotientSpec,
-    EtaSpecParseError,
     ThetaSpec,
     eta_quotient,
     euler_product,
@@ -131,7 +130,7 @@ def test_eta_quotient_of_the_negated_spec_is_the_inverse():
 
 def repeated_eta(spec, ring, order):
     """The sparse route alone: one product or quotient per unit of |e|."""
-    result = Series.monomial(ring, spec.prefactor_exponent, order)
+    result = Series.one(ring, order).shift(spec.prefactor_exponent)
     for scale, exponent in spec.factors:
         factor = euler_product(scale, ring, order)
         for _ in range(abs(exponent)):
@@ -360,7 +359,6 @@ def test_parse_eta_spec_roundtrip():
     ],
 )
 def test_parse_eta_spec_errors(bad, token, pos):
-    with pytest.raises(EtaSpecParseError) as err:
+    with pytest.raises(ValueError) as err:
         parse_eta_spec(bad)
-    assert err.value.token == token
-    assert err.value.position == pos
+    assert str(err.value).startswith(f"bad eta-quotient token {token!r} at position {pos}: ")
