@@ -7,7 +7,12 @@ this module and none of them calls another, so wrapping the four attributes
 (as ``bench/tracer.py`` does) sees every kernel call exactly once.
 Coefficient lists may be shorter or longer than ``out_len`` (missing entries
 are zero, extra ones are ignored); outputs have exactly ``out_len`` entries.
-Modular results are least nonnegative residues.
+Modular results are least nonnegative residues.  When m is past CPython's
+small-int cache (m > 256) and out_len >= m, a modular output holds one
+shared int object per residue, from one list(range(m)) per call, in place
+of a fresh 32-byte int per entry above 256.  Otherwise entries are
+reduced one by one: residues up to 256 are cached ints already, and a list
+of m ints would outweigh an output shorter than m.
 
 ``mul_exact`` and ``div_exact`` are plain loops over the nonzero terms:
 the schoolbook product, and the recurrence
@@ -27,7 +32,12 @@ low fields unpack exactly.
 ``mul_mod`` packs the denser operand; t is the nonzero count of the other.
 When that one is sparse (see ``_SPARSE_RATIO``) it shift-adds a scaled copy
 of the packed operand per nonzero term; otherwise it packs it too and does
-one big-int multiply.
+one big-int multiply.  The shift-add packs the dense operand padded to
+out_len fields and reversed (big-endian), so coefficient n sits in field
+out_len - 1 - n.  A term d q**j then adds (d * packed) >> (j * width): the
+right shift drops exactly the products that land at n >= out_len, and the
+accumulator never grows past out_len fields.  Unpacking it big-endian
+undoes the reversal.
 
 ``div_mod`` solves the quotient in blocks of ``_BLOCK`` coefficients.  The
 inverse of the divisor mod q**_BLOCK comes once from the sparse recurrence.
@@ -53,10 +63,8 @@ from array import array
 _BLOCK = 512
 _SPARSE_RATIO = 30
 
-# array typecode per field width; arrays hold native-order items, packed
-# ints are little-endian
+# array typecode per field width; arrays hold native-order items
 _ARRAY_CODES = {array(code).itemsize: code for code in "QLIHB"}
-_SWAP = sys.byteorder == "big"
 
 
 def backend_name():
@@ -70,29 +78,44 @@ def _field_bytes(terms, m):
     return 1 << (nbytes - 1).bit_length() if nbytes <= 8 else nbytes
 
 
-def _pack(residues, nbytes):
+def _shared_residues(m, out_len):
+    """One int object per residue mod m, shared by every entry of an output,
+    when m is past CPython's small-int cache and the output has at least m
+    entries; otherwise None, and entries are reduced one by one."""
+    return list(range(m)) if 256 < m <= out_len else None
+
+
+def _pack(residues, nbytes, byteorder="little"):
+    """One int with residues[i] in field i; with byteorder "big" the list
+    packs reversed, residues[0] in the top field."""
     code = _ARRAY_CODES.get(nbytes)
     if code is None:
-        data = b"".join([c.to_bytes(nbytes, "little") for c in residues])
-        return int.from_bytes(data, "little")
+        data = b"".join([c.to_bytes(nbytes, byteorder) for c in residues])
+        return int.from_bytes(data, byteorder)
     fields = array(code, residues)
-    if _SWAP:
+    if byteorder != sys.byteorder:
         fields.byteswap()
-    return int.from_bytes(fields, "little")
+    return int.from_bytes(fields, byteorder)
 
 
-def _unpack(x, n, nbytes, m):
-    """The low n fields of x, reduced mod m."""
+def _unpack(x, n, nbytes, m, shared=None, byteorder="little"):
+    """The low n fields of x, reduced mod m (entries of `shared` when
+    given); with byteorder "big" they come out reversed, field n - 1 first."""
     size = n * nbytes
-    data = memoryview(x.to_bytes(max(size, (x.bit_length() + 7) >> 3), "little"))[:size]
+    length = max(size, (x.bit_length() + 7) >> 3)
+    data = memoryview(x.to_bytes(length, byteorder))
+    data = data[:size] if byteorder == "little" else data[length - size :]
     code = _ARRAY_CODES.get(nbytes)
     if code is None:
-        return [int.from_bytes(data[i : i + nbytes], "little") % m for i in range(0, size, nbytes)]
-    fields = array(code)
-    fields.frombytes(data)
-    if _SWAP:
-        fields.byteswap()
-    return [f % m for f in fields]
+        fields = [int.from_bytes(data[i : i + nbytes], byteorder) for i in range(0, size, nbytes)]
+    else:
+        fields = array(code)
+        fields.frombytes(data)
+        if byteorder != sys.byteorder:
+            fields.byteswap()
+    if shared is None:
+        return [f % m for f in fields]
+    return [shared[f % m] for f in fields]
 
 
 def _nonzero(coeffs, limit):
@@ -112,20 +135,23 @@ def mul_mod(a, b, out_len, m):
     if not nzb:
         return [0] * out_len
     nbytes = _field_bytes(nzb, m)
-    packed = _pack(ra, nbytes)
-    if nzb * nzb <= _SPARSE_RATIO * len(ra):
-        width = 8 * nbytes
-        scaled = {}
-        acc = 0
-        for j, d in enumerate(rb):
-            if d:
-                term = scaled.get(d)
-                if term is None:
-                    term = scaled[d] = packed * d
-                acc += term << (j * width)
-    else:
-        acc = packed * _pack(rb, nbytes)
-    return _unpack(acc, out_len, nbytes, m)
+    shared = _shared_residues(m, out_len)
+    if nzb * nzb > _SPARSE_RATIO * len(ra):
+        acc = _pack(ra, nbytes) * _pack(rb, nbytes)
+        return _unpack(acc, out_len, nbytes, m, shared)
+    terms = [(j, d) for j, d in enumerate(rb) if d]
+    ra += [0] * (out_len - len(ra))
+    packed = _pack(ra, nbytes, "big")
+    del ra, rb  # free the reduced lists before the shift-adds
+    width = 8 * nbytes
+    scaled = {}
+    acc = 0
+    for j, d in terms:
+        term = scaled.get(d)
+        if term is None:
+            term = scaled[d] = packed * d
+        acc += term >> (j * width)
+    return _unpack(acc, out_len, nbytes, m, shared, "big")
 
 
 def mul_exact(a, b, out_len):
@@ -152,6 +178,7 @@ def div_mod(num, den, out_len, m):
     tail = [k for k in range(1, min(len(den), out_len)) if den[k] % m]
     vals = [den[k] % m for k in tail]
     block = min(_BLOCK, out_len)
+    shared = _shared_residues(m, out_len)
     # den**-1 mod q**block by the sparse recurrence
     head = [(k, v) for k, v in zip(tail, vals) if k < block]
     inv = [inv0]
@@ -181,7 +208,7 @@ def div_mod(num, den, out_len, m):
         rhs = num[start : start + size]
         rhs += [0] * (size - len(rhs))
         rhs = [(c - p) % m for c, p in zip(rhs, _unpack(carried, size, nbytes, m))]
-        solved = _unpack(_pack(rhs, nbytes) * packed_inv, size, nbytes, m)
+        solved = _unpack(_pack(rhs, nbytes) * packed_inv, size, nbytes, m, shared)
         q += solved
         if t + 1 == nblocks:
             break

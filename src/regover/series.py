@@ -62,11 +62,9 @@ class Series:
     __slots__ = ("ring", "_coeffs")
 
     def __init__(self, ring: Ring, coeffs):
-        coeffs = list(coeffs)
-        check_order(len(coeffs) - 1)
         m = ring.modulus
-        if m is not None:
-            coeffs = [c % m for c in coeffs]
+        coeffs = list(coeffs) if m is None else [c % m for c in coeffs]
+        check_order(len(coeffs) - 1)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_coeffs", coeffs)
 

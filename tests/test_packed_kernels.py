@@ -6,6 +6,7 @@ kernels replaced; they are kept here only as the oracle.
 """
 
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,9 @@ from regover.claims import hunt
 from regover.sequences import SequenceRef
 
 B = kernels._BLOCK
-MODULI = [2, 5, 24, 2**31 - 1, 2**40, 2**61 - 1]
+# 625 and 840 lie past CPython's small-int cache, so outputs of at least
+# m entries share one object per residue
+MODULI = [2, 5, 24, 625, 840, 2**31 - 1, 2**40, 2**61 - 1]
 OUT_LENS = [1, B - 1, B, B + 1, 2 * B + 1]
 
 
@@ -140,6 +143,58 @@ def test_div_mod_rejects_non_unit_constant_term(m, head, out_len):
         kernels.div_mod([1, 2, 3], [head, 1], out_len, m)
     with pytest.raises(ValueError):
         ref_div_mod([1, 2, 3], [head, 1], out_len, m)
+
+
+SPARSE_CASES = {
+    # (dense, sparse, out_len), each at a boundary of the shift-add branch,
+    # which packs the dense operand reversed and padded to out_len
+    "term at out_len - 1": ([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8], [2] + [0] * 10 + [7], 12),
+    "lone term at out_len - 1": (list(range(1, 13)), [0] * 11 + [7], 12),
+    "sparse longer than out_len": (list(range(2, 14)), [1, 0, 0, 4] + [0] * 10 + [5, 6], 12),
+    "dense shorter than out_len": ([3, 1, 4, 1, 5], [1, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3], 12),
+    "dense shorter, sparse empty": ([3, 1, 4], [], 7),
+    "empty dense": ([], [1, 2], 4),
+    "both empty": ([], [], 3),
+    "length one, out_len 1": ([3], [2], 1),
+    "length one, out_len 5": ([3], [2], 5),
+    "length one times sparse": ([-4], [0, 0, 6], 6),
+    "negative inputs": ([-1, -2, -3, -4, -5, -6, -7, -8], [0, -3, 0, 0, -7], 10),
+    "negative and huge": ([-(10**20) + k for k in range(9)], [-(10**19), 0, 0, 0, 0, 0, 0, 0, 1], 9),
+}
+
+
+@pytest.mark.parametrize("m", MODULI)
+@pytest.mark.parametrize("case", SPARSE_CASES)
+def test_sparse_product_boundaries(case, m):
+    dense, sparse, out_len = SPARSE_CASES[case]
+    # t * t <= _SPARSE_RATIO * len(dense) for t sparse terms, so mul_mod shift-adds
+    assert len(_nonzero_mod(sparse, out_len, m)) ** 2 <= kernels._SPARSE_RATIO
+    expected = ref_mul_mod(dense, sparse, out_len, m)
+    assert kernels.mul_mod(dense, sparse, out_len, m) == expected
+    assert kernels.mul_mod(sparse, dense, out_len, m) == expected
+
+
+@pytest.mark.parametrize("m, n", [(625, 3 * 625), (840, 3 * 840), (2**31 - 1, 60)])
+def test_outputs_share_one_object_per_residue(m, n):
+    # past the small-int cache, an output of n >= m entries holds at most m
+    # objects; with n < m every entry is reduced on its own, as before
+    rng = random.Random(m)
+    dense = [rng.randrange(-(m**2), m**2) for _ in range(n)]
+    sparse = [dense[k] if k % 41 == 0 else 0 for k in range(n)]
+    head = dense[: 2 * isqrt(kernels._SPARSE_RATIO * n)]
+    # times dense, sparse takes mul_mod's shift-add branch and head its
+    # big-int multiply
+    t_sparse, t_head = (len(_nonzero_mod(x, n, m)) for x in (sparse, head))
+    assert t_sparse**2 <= kernels._SPARSE_RATIO * n < t_head**2
+    den = [1] + sparse[1:]
+    outputs = [
+        (kernels.div_mod(dense, den, n, m), ref_div_mod(dense, den, n, m)),
+        (kernels.mul_mod(dense, sparse, n, m), ref_mul_mod(dense, sparse, n, m)),
+        (kernels.mul_mod(dense, head, n, m), ref_mul_mod(dense, head, n, m)),
+    ]
+    for out, expected in outputs:
+        assert out == expected
+        assert len({id(v) for v in out}) <= m
 
 
 def test_empty_output():
