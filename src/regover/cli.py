@@ -7,8 +7,9 @@ default; --json emits one JSON object per line, --csv comma-separated rows
 (the two exclude each other).
 
 Exit codes: 0 success / all pass, 1 verification failure, 2 usage or parse
-error, 141 (128 + SIGPIPE) when the reader of standard output closed it
-before the output was written, as ``regover ... | head`` can.
+error, or a size flag too large for the memory there is, 141 (128 +
+SIGPIPE) when the reader of standard output closed it before the output
+was written, as ``regover ... | head`` can.
 """
 
 from __future__ import annotations
@@ -62,6 +63,10 @@ _LEAST = (
     ("min_instances", "--min-instances", {"hunt": 1}, ""),
     ("mod", "--mod", {"hunt": 2, "expand": 2}, ""),
 )
+
+
+# the flags that size the tables a subcommand builds
+_SIZE_FLAGS = (("order", "--order"), ("n", "--n"), ("bound", "--bound"))
 
 
 def _check_sizes(args):
@@ -250,6 +255,14 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    except MemoryError:
+        sizes = " ".join(
+            f"{flag} {getattr(args, attr)}"
+            for attr, flag in _SIZE_FLAGS
+            if getattr(args, attr, None) is not None
+        )
+        print(f"error: not enough memory for {sizes or 'this run'}", file=sys.stderr)
+        return 2
     except (_UsageError, KeyError, ValueError) as exc:
         msg = exc.args[0] if exc.args else exc
         print(f"error: {msg}", file=sys.stderr)

@@ -7,12 +7,24 @@ this module and none of them calls another, so wrapping the four attributes
 (as ``bench/tracer.py`` does) sees every kernel call exactly once.
 Coefficient lists may be shorter or longer than ``out_len`` (missing entries
 are zero, extra ones are ignored); outputs have exactly ``out_len`` entries.
-Modular results are least nonnegative residues.  When m is past CPython's
-small-int cache (m > 256) and out_len >= m, a modular output holds one
-shared int object per residue, from one list(range(m)) per call, in place
-of a fresh 32-byte int per entry above 256.  Otherwise entries are
-reduced one by one: residues up to 256 are cached ints already, and a list
-of m ints would outweigh an output shorter than m.
+Modular results are least nonnegative residues.
+
+``mul_mod`` and ``div_mod`` take two keywords that only ``Series`` passes.
+An operand's terms (``a_terms``, ``b_terms``, ``den_terms``) are its
+nonzero (index, residue) pairs in increasing index, which the sparse
+constructors in ``products`` record as they build a series; with them a
+kernel does not scan the operand for its nonzeros.  ``residues=True``
+promises that the lists already hold least residues mod m, so a kernel
+reads them as they are and makes no reduced copy.  Without the keywords,
+as from any other caller, every input is reduced first, so negative and
+unreduced entries are fine.
+
+When m is past CPython's small-int cache (m > 256) and out_len >= m, a
+modular output holds one shared int object per residue, from one
+list(range(m)) per call, in place of a fresh 32-byte int per entry above
+256.  Otherwise entries are reduced one by one: residues up to 256 are
+cached ints already, and a list of m ints would outweigh an output shorter
+than m.
 
 ``mul_exact`` and ``div_exact`` are plain loops over the nonzero terms:
 the schoolbook product, and the recurrence
@@ -29,10 +41,13 @@ bytes, or else the smallest whole number of bytes, with
 t * (m - 1)**2 < 2**width.  Then no field carries into the next one, and the
 low fields unpack exactly.
 
-``mul_mod`` packs the denser operand; t is the nonzero count of the other.
-When that one is sparse (see ``_SPARSE_RATIO``) it shift-adds a scaled copy
-of the packed operand per nonzero term; otherwise it packs it too and does
-one big-int multiply.  The shift-add packs the dense operand padded to
+``mul_mod`` packs the denser operand; t is the nonzero count of the other:
+the length of its terms when they are known, or else a count of its
+zeros.  A known count of t also bounds the scan of an operand without
+terms, which stops at its t-th nonzero entry.  When the sparser operand is
+sparse (see ``_SPARSE_RATIO``) it shift-adds a scaled copy of the packed
+operand per nonzero term; otherwise it packs it too and does one big-int
+multiply.  The shift-add packs the dense operand padded to
 out_len fields and reversed (big-endian), so coefficient n sits in field
 out_len - 1 - n.  A term d q**j then adds (d * packed) >> (j * width): the
 right shift drops exactly the products that land at n >= out_len, and the
@@ -43,7 +58,8 @@ undoes the reversal.
 inverse of the divisor mod q**_BLOCK comes once from the sparse recurrence.
 Each block is (numerator - carried) times that inverse, one packed
 multiply, where "carried" is what earlier blocks contribute through the
-divisor's tail.  The finished block is then pushed forward: for each
+divisor's tail; its fields are unpacked as they are and reduced once, in
+the difference.  The finished block is then pushed forward: for each
 nonzero tail term v q**k, v times the packed block, shifted by k mod
 _BLOCK fields, is added to a packed accumulator that spans the two blocks
 from k // _BLOCK blocks ahead.  The part of a push that lands in the block
@@ -53,6 +69,8 @@ Here t is the larger of _BLOCK and the divisor's nonzero tail count.
 
 import sys
 from array import array
+from bisect import bisect_left
+from itertools import compress, count, islice
 
 # Both set by measurement on divisions by phi(-q) and (q;q) and on random
 # sparse-by-dense products, N = 2e3 to 1e5.  div_mod's block lengths 256 to
@@ -98,9 +116,10 @@ def _pack(residues, nbytes, byteorder="little"):
     return int.from_bytes(fields, byteorder)
 
 
-def _unpack(x, n, nbytes, m, shared=None, byteorder="little"):
+def _unpack(x, n, nbytes, m=None, shared=None, byteorder="little"):
     """The low n fields of x, reduced mod m (entries of `shared` when
-    given); with byteorder "big" they come out reversed, field n - 1 first."""
+    given) or as they are without m; with byteorder "big" they come out
+    reversed, field n - 1 first."""
     size = n * nbytes
     length = max(size, (x.bit_length() + 7) >> 3)
     data = memoryview(x.to_bytes(length, byteorder))
@@ -113,6 +132,8 @@ def _unpack(x, n, nbytes, m, shared=None, byteorder="little"):
         fields.frombytes(data)
         if byteorder != sys.byteorder:
             fields.byteswap()
+    if m is None:
+        return list(fields)
     if shared is None:
         return [f % m for f in fields]
     return [shared[f % m] for f in fields]
@@ -122,28 +143,60 @@ def _nonzero(coeffs, limit):
     return [(i, c) for i, c in enumerate(coeffs[:limit]) if c]
 
 
-def mul_mod(a, b, out_len, m):
-    """Cauchy product of a and b mod m, truncated to out_len coefficients."""
+def _residue_terms(residues, most=None):
+    """The nonzero (index, residue) terms of a list of least residues, or
+    None when it has more than `most` of them."""
+    found = list(islice(compress(count(), residues), None if most is None else most + 1))
+    if most is not None and len(found) > most:
+        return None
+    return [(j, residues[j]) for j in found]
+
+
+def _below(terms, out_len):
+    return None if terms is None else terms[: bisect_left(terms, (out_len,))]
+
+
+def mul_mod(a, b, out_len, m, a_terms=None, b_terms=None, residues=False):
+    """Cauchy product of a and b mod m, truncated to out_len coefficients.
+
+    a_terms and b_terms, when given, are the nonzero (index, residue) terms
+    of a and b mod m in increasing index; residues=True promises that a and
+    b hold least residues mod m, so they are read without a reduced copy."""
     if out_len <= 0:
         return []
-    ra = [c % m for c in a[:out_len]]
-    rb = [c % m for c in b[:out_len]]
-    nza = len(ra) - ra.count(0)
-    nzb = len(rb) - rb.count(0)
-    if nza < nzb:
-        ra, rb, nzb = rb, ra, nza
-    if not nzb:
+    if residues:
+        a = a[:out_len] if len(a) > out_len else a
+        b = b[:out_len] if len(b) > out_len else b
+    else:
+        a = [c % m for c in a[:out_len]]
+        b = [c % m for c in b[:out_len]]
+    a_terms, b_terms = _below(a_terms, out_len), _below(b_terms, out_len)
+    # b becomes the operand with the fewest nonzero terms, t of them
+    if b_terms is None:
+        a, b, a_terms, b_terms = b, a, b_terms, a_terms
+    if b_terms is None:  # neither operand's terms are known: count them
+        na, nb = len(a) - a.count(0), len(b) - b.count(0)
+        if na < nb:
+            a, b, nb = b, a, na
+        t = nb
+    else:
+        if a_terms is None:  # a known term count bounds the scan of a
+            a_terms = _residue_terms(a, len(b_terms) - 1)
+        if a_terms is not None and len(a_terms) < len(b_terms):
+            a, b, b_terms = b, a, a_terms
+        t = len(b_terms)
+    if not t:
         return [0] * out_len
-    nbytes = _field_bytes(nzb, m)
+    nbytes = _field_bytes(t, m)
     shared = _shared_residues(m, out_len)
-    if nzb * nzb > _SPARSE_RATIO * len(ra):
-        acc = _pack(ra, nbytes) * _pack(rb, nbytes)
+    if t * t > _SPARSE_RATIO * len(a):
+        acc = _pack(a, nbytes) * _pack(b, nbytes)
         return _unpack(acc, out_len, nbytes, m, shared)
-    terms = [(j, d) for j, d in enumerate(rb) if d]
-    ra += [0] * (out_len - len(ra))
-    packed = _pack(ra, nbytes, "big")
-    del ra, rb  # free the reduced lists before the shift-adds
+    terms = _residue_terms(b) if b_terms is None else b_terms
     width = 8 * nbytes
+    # a, padded to out_len fields by the shift
+    packed = _pack(a, nbytes, "big") << (out_len - len(a)) * width
+    del a, b  # free any reduced copies before the shift-adds
     scaled = {}
     acc = 0
     for j, d in terms:
@@ -170,13 +223,24 @@ def mul_exact(a, b, out_len):
     return out
 
 
-def div_mod(num, den, out_len, m):
-    """Truncated quotient num/den mod m; den[0] must be invertible mod m."""
+def div_mod(num, den, out_len, m, den_terms=None, residues=False):
+    """Truncated quotient num/den mod m; den[0] must be invertible mod m.
+
+    den_terms and residues say of den what they say of a product's
+    operands in mul_mod; num is reduced as the quotient is solved."""
     inv0 = pow((den[0] if den else 0) % m, -1, m)  # raises ValueError when not a unit
     if out_len <= 0:
         return []
-    tail = [k for k in range(1, min(len(den), out_len)) if den[k] % m]
-    vals = [den[k] % m for k in tail]
+    end = min(len(den), out_len)
+    if den_terms is not None:
+        tail = [k for k, _ in den_terms if 0 < k < end]
+        vals = [v for k, v in den_terms if 0 < k < end]
+    elif residues:
+        tail = list(compress(range(1, end), islice(den, 1, end)))
+        vals = [den[k] for k in tail]
+    else:
+        tail = [k for k in range(1, end) if den[k] % m]
+        vals = [den[k] % m for k in tail]
     block = min(_BLOCK, out_len)
     shared = _shared_residues(m, out_len)
     # den**-1 mod q**block by the sparse recurrence
@@ -207,7 +271,7 @@ def div_mod(num, den, out_len, m):
             window[t - 1] = 0
         rhs = num[start : start + size]
         rhs += [0] * (size - len(rhs))
-        rhs = [(c - p) % m for c, p in zip(rhs, _unpack(carried, size, nbytes, m))]
+        rhs = [(c - p) % m for c, p in zip(rhs, _unpack(carried, size, nbytes))]
         solved = _unpack(_pack(rhs, nbytes) * packed_inv, size, nbytes, m, shared)
         q += solved
         if t + 1 == nblocks:

@@ -27,8 +27,7 @@ def euler_product(scale: int, ring: Ring, order: int) -> Series:
     if scale < 1:
         raise ValueError("scale must be >= 1")
     check_order(order)
-    c = [0] * (order + 1)
-    c[0] = ring.reduce(1)
+    terms = [(0, 1)]
     sign = -1
     j = 1
     while True:
@@ -36,12 +35,12 @@ def euler_product(scale: int, ring: Ring, order: int) -> Series:
         e2 = scale * j * (3 * j + 1) // 2
         if e1 > order:
             break
-        c[e1] = ring.reduce(sign)
+        terms.append((e1, sign))
         if e2 <= order:
-            c[e2] = ring.reduce(sign)
+            terms.append((e2, sign))
         sign = -sign
         j += 1
-    return Series._raw(ring, c)
+    return _sparse(ring, order, terms)
 
 
 def jacobi_cube(scale: int, ring: Ring, order: int) -> Series:
@@ -53,12 +52,12 @@ def jacobi_cube(scale: int, ring: Ring, order: int) -> Series:
     if scale < 1:
         raise ValueError("scale must be >= 1")
     check_order(order)
-    c = [0] * (order + 1)
+    terms = []
     n = 0
     while scale * n * (n + 1) // 2 <= order:
-        c[scale * n * (n + 1) // 2] = ring.reduce((-1) ** n * (2 * n + 1))
+        terms.append((scale * n * (n + 1) // 2, (-1) ** n * (2 * n + 1)))
         n += 1
-    return Series._raw(ring, c)
+    return _sparse(ring, order, terms)
 
 
 def phi(sign: int, ring: Ring, order: int, scale: int = 1) -> Series:
@@ -68,13 +67,26 @@ def phi(sign: int, ring: Ring, order: int, scale: int = 1) -> Series:
     if scale < 1:
         raise ValueError("scale must be >= 1")
     check_order(order)
-    c = [0] * (order + 1)
-    c[0] = ring.reduce(1)
+    terms = [(0, 1)]
     n = 1
     while scale * n * n <= order:
-        c[scale * n * n] = ring.reduce(2 * (sign ** (n * n)))
+        terms.append((scale * n * n, 2 * (sign ** (n * n))))
         n += 1
-    return Series._raw(ring, c)
+    return _sparse(ring, order, terms)
+
+
+def _sparse(ring: Ring, order: int, terms: list) -> Series:
+    """The Series to order with the given (exponent, coefficient) terms,
+    at increasing exponents up to order; those nonzero in ring are recorded
+    as the Series' terms."""
+    c = [0] * (order + 1)
+    kept = []
+    for e, v in terms:
+        v = ring.reduce(v)
+        if v:
+            c[e] = v
+            kept.append((e, v))
+    return Series._raw(ring, c, tuple(kept))
 
 
 def one_plus_q_product(exponents, ring: Ring, order: int) -> Series:
@@ -209,7 +221,8 @@ def _power_is_cheaper(count: int, factor: Series) -> bool:
     modular one, so small exponents keep the sparse loop: at the orders the
     registry uses (>= 40) every |e| <= 8 does."""
     n = len(factor)
-    nnz = n - factor[:].count(0)
+    terms = factor._terms  # None for a factor not built by euler_product
+    nnz = n - factor[:].count(0) if terms is None else len(terms)
     products = count.bit_length() + bin(count).count("1")
     return count * nnz * n > products * n * n
 
@@ -246,7 +259,7 @@ class ThetaSpec(_ThetaFields):
 def theta_f_series(spec: ThetaSpec, ring: Ring, order: int) -> Series:
     """Bilateral sum: f(a,b) = sum_{n in Z} a^(n(n+1)/2) b^(n(n-1)/2)."""
     check_order(order)
-    c = [0] * (order + 1)
+    sums = {}  # an exponent may come twice, as when a_power == b_power
 
     def add_term(n: int) -> bool:
         ta = n * (n + 1) // 2
@@ -255,7 +268,7 @@ def theta_f_series(spec: ThetaSpec, ring: Ring, order: int) -> Series:
         if e > order:
             return False
         sign = (spec.a_sign ** (ta & 1)) * (spec.b_sign ** (tb & 1))
-        c[e] = ring.reduce(c[e] + sign)
+        sums[e] = sums.get(e, 0) + sign
         return True
 
     add_term(0)
@@ -267,7 +280,7 @@ def theta_f_series(spec: ThetaSpec, ring: Ring, order: int) -> Series:
         if not alive:
             break
         n += 1
-    return Series._raw(ring, c)
+    return _sparse(ring, order, sorted(sums.items()))
 
 
 def theta_f_product(spec: ThetaSpec, ring: Ring, order: int) -> Series:

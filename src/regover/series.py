@@ -4,6 +4,15 @@ A Series stores the dense coefficient list of sum a(n) q^n for n = 0..order
 (truncation order inclusive).  Exact coefficients are arbitrary-precision
 ints; modular coefficients are kept as least nonnegative residues.  A Series
 is immutable after construction and every operation returns a new one.
+
+A Series built by one of the sparse constructors in ``products`` (phi,
+euler_product, jacobi_cube, theta_f_series) also holds its nonzero
+(index, coefficient) terms in increasing index; every other Series,
+shifts, progressions and results of arithmetic included, holds none.
+Products and quotients over Zmod(m) hand those terms to
+``kernels.mul_mod`` and ``kernels.div_mod``, together with the promise
+that both operands hold least residues, so the kernels neither scan a
+sparse factor for its terms nor reduce an operand again.
 """
 
 from __future__ import annotations
@@ -59,7 +68,7 @@ def check_order(order: int) -> None:
 class Series:
     """Immutable truncated power series over a Ring."""
 
-    __slots__ = ("ring", "_coeffs")
+    __slots__ = ("ring", "_coeffs", "_terms")
 
     def __init__(self, ring: Ring, coeffs):
         m = ring.modulus
@@ -67,13 +76,17 @@ class Series:
         check_order(len(coeffs) - 1)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_coeffs", coeffs)
+        object.__setattr__(self, "_terms", None)
 
     @classmethod
-    def _raw(cls, ring: Ring, coeffs: list) -> Series:
-        """Internal fast path: coeffs already reduced, ownership transferred."""
+    def _raw(cls, ring: Ring, coeffs: list, terms: tuple | None = None) -> Series:
+        """Internal fast path: coeffs already reduced, ownership transferred.
+        terms, given by the sparse constructors in ``products`` only, are
+        the nonzero (index, coefficient) pairs of coeffs in increasing index."""
         s = object.__new__(cls)
         object.__setattr__(s, "ring", ring)
         object.__setattr__(s, "_coeffs", coeffs)
+        object.__setattr__(s, "_terms", terms)
         return s
 
     def __setattr__(self, name, value):
@@ -175,7 +188,15 @@ class Series:
         if m is None:
             out = kernels.mul_exact(self._coeffs, other._coeffs, n)
         else:
-            out = kernels.mul_mod(self._coeffs, other._coeffs, n, m)
+            out = kernels.mul_mod(
+                self._coeffs,
+                other._coeffs,
+                n,
+                m,
+                a_terms=self._terms,
+                b_terms=other._terms,
+                residues=True,
+            )
         return Series._raw(self.ring, out)
 
     __rmul__ = __mul__
@@ -185,14 +206,12 @@ class Series:
             return NotImplemented
         self._check_ring(other)
         n = min(len(self._coeffs), len(other._coeffs))
-        return Series._raw(self.ring, _div(self._coeffs, other._coeffs, n, self.ring))
+        return Series._raw(self.ring, _div(self._coeffs, other, n))
 
     def inverse(self) -> Series:
         """Multiplicative inverse up to the truncation order."""
         one = [self.ring.reduce(1)]
-        return Series._raw(
-            self.ring, _div(one, self._coeffs, len(self._coeffs), self.ring)
-        )
+        return Series._raw(self.ring, _div(one, self, len(self._coeffs)))
 
     def __pow__(self, e: int) -> Series:
         if not isinstance(e, int):
@@ -235,13 +254,13 @@ class Series:
         return {"ring": ring, "order": self.order, "coeffs": list(self._coeffs)}
 
 
-def _div(num: list, den: list, out_len: int, ring: Ring) -> list:
-    d0 = den[0] if den else 0
-    if ring.modulus is None:
+def _div(num: list, den: Series, out_len: int) -> list:
+    d0, m = den[0] if den else 0, den.ring.modulus
+    if m is None:
         if d0 not in (1, -1):
             raise ValueError(f"constant term {d0} is not a unit in ZZ")
-        return kernels.div_exact(num, den, out_len)
-    if gcd(d0, ring.modulus) != 1:
-        raise ValueError(f"constant term {d0} is not a unit mod {ring.modulus}")
-    return kernels.div_mod(num, den, out_len, ring.modulus)
+        return kernels.div_exact(num, den._coeffs, out_len)
+    if gcd(d0, m) != 1:
+        raise ValueError(f"constant term {d0} is not a unit mod {m}")
+    return kernels.div_mod(num, den._coeffs, out_len, m, den_terms=den._terms, residues=True)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import regover
-from regover import claims, registry, sequences
+from regover import claims, cli, registry, sequences
 from regover.cli import main
 from regover.claims import Term
 
@@ -416,3 +416,33 @@ def test_verify_builds_tables_only_inside_verify_claim(monkeypatch, capsys):
     assert [e[1] for e in events if e[0] == "verify"] == ids
     assert events[0] == ("verify", ids[0])
     assert ("build", "pbar", 1) in events  # whole, for the A tables
+
+
+def _exhausted(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize(
+    "argv, sizes",
+    [
+        (("expand", "1^1", "--order", "99999999999"), "--order 99999999999"),
+        (("identities", "I-GF125", "--order", "100000000"), "--order 100000000"),
+        (("verify", "C-T1", "--bound", "2000", "--json"), "--bound 2000"),
+        (("verify", "I-GF125", "--bound", "2000", "--order", "30"), "--order 30 --bound 2000"),
+        (("hunt", "A", "--ell", "5", "--mod", "5", "--max-step", "9", "--bound", "2000"),
+         "--bound 2000"),
+        (("value", "p", "--n", "2000"), "--n 2000"),
+    ],
+)
+def test_running_out_of_memory_exits_2_naming_the_size(monkeypatch, capsys, argv, sizes):
+    # a size too large for memory makes a table builder raise MemoryError;
+    # here the builders raise it themselves, so nothing is allocated
+    for owner, name in (
+        (cli, "eta_quotient"),
+        (registry, "eta_quotient"),
+        (registry, "theta_f_series"),
+        (sequences, "_build_series"),
+    ):
+        monkeypatch.setattr(owner, name, _exhausted)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: not enough memory for {sizes}\n")

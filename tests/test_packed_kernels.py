@@ -6,6 +6,7 @@ kernels replaced; they are kept here only as the oracle.
 """
 
 import random
+from itertools import product
 from math import isqrt
 
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from regover import kernels
 from regover.claims import hunt
-from regover.sequences import SequenceRef
+from regover.sequences import SequenceRef, sequence_series
+from regover.series import Zmod
 
 B = kernels._BLOCK
 # 625 and 840 lie past CPython's small-int cache, so outputs of at least
@@ -50,6 +52,37 @@ def ref_div_mod(num, den, out_len, m):
             acc -= v * q[n - k]
         q[n] = acc * inv0 % m
     return q
+
+
+def _terms(coeffs, m):
+    """The nonzero (index, residue) terms of coeffs mod m, as a sparse
+    constructor records them; past out_len too."""
+    return [(i, v) for i, c in enumerate(coeffs) if (v := c % m)]
+
+
+def keyword_mul_mods(a, b, out_len, m):
+    """mul_mod's outputs with the keywords a Series passes: each operand's
+    terms or none, on the lists as they are and, with the residue promise,
+    on their least residues."""
+    outs = []
+    for residues in (False, True):
+        x, y = ([c % m for c in a], [c % m for c in b]) if residues else (a, b)
+        for a_terms, b_terms in product((None, _terms(a, m)), (None, _terms(b, m))):
+            outs.append(
+                kernels.mul_mod(x, y, out_len, m, a_terms=a_terms, b_terms=b_terms, residues=residues)
+            )
+    return outs
+
+
+def keyword_div_mods(num, den, out_len, m):
+    """div_mod's outputs with the divisor's terms or none, on the lists as
+    they are and, with the residue promise, on their least residues."""
+    outs = []
+    for residues in (False, True):
+        x, y = ([c % m for c in num], [c % m for c in den]) if residues else (num, den)
+        for den_terms in (None, _terms(den, m)):
+            outs.append(kernels.div_mod(x, y, out_len, m, den_terms=den_terms, residues=residues))
+    return outs
 
 
 @st.composite
@@ -100,7 +133,9 @@ def _is_unit(c, m):
 def test_mul_mod_matches_schoolbook(data, m, out_len):
     a = data.draw(coeff_lists(out_len + 5))
     b = data.draw(coeff_lists(out_len + 5))
-    assert kernels.mul_mod(a, b, out_len, m) == ref_mul_mod(a, b, out_len, m)
+    expected = ref_mul_mod(a, b, out_len, m)
+    assert kernels.mul_mod(a, b, out_len, m) == expected
+    assert all(out == expected for out in keyword_mul_mods(a, b, out_len, m))
 
 
 @given(
@@ -113,7 +148,9 @@ def test_div_mod_matches_schoolbook(data, m, out_len):
     num = data.draw(coeff_lists(out_len + 5))
     den = data.draw(coeff_lists(out_len + 5))
     den[:1] = [data.draw(st.integers(-10**9, 10**9).filter(lambda h: _is_unit(h, m)))]
-    assert kernels.div_mod(num, den, out_len, m) == ref_div_mod(num, den, out_len, m)
+    expected = ref_div_mod(num, den, out_len, m)
+    assert kernels.div_mod(num, den, out_len, m) == expected
+    assert all(out == expected for out in keyword_div_mods(num, den, out_len, m))
 
 
 @given(st.data(), st.sampled_from(MODULI), st.sampled_from(OUT_LENS + [3 * B + 1, 4 * B + 1]))
@@ -121,7 +158,9 @@ def test_div_mod_matches_schoolbook(data, m, out_len):
 def test_div_mod_lacunary_divisor_matches_schoolbook(data, m, out_len):
     num = data.draw(coeff_lists(out_len))
     den = data.draw(lacunary_divisors(m))
-    assert kernels.div_mod(num, den, out_len, m) == ref_div_mod(num, den, out_len, m)
+    expected = ref_div_mod(num, den, out_len, m)
+    assert kernels.div_mod(num, den, out_len, m) == expected
+    assert all(out == expected for out in keyword_div_mods(num, den, out_len, m))
 
 
 @pytest.mark.parametrize("m", MODULI)
@@ -134,6 +173,11 @@ def test_largest_field_sums_do_not_carry(m):
     assert kernels.mul_mod(full, sparse, n, m) == ref_mul_mod(full, sparse, n, m)
     den = [1] + [-1] * (n - 1)
     assert kernels.div_mod(full, den, n, m) == ref_div_mod(full, den, n, m)
+    for a, b in ((full, full), (full, sparse), (sparse, full)):
+        expected = ref_mul_mod(a, b, n, m)
+        assert all(out == expected for out in keyword_mul_mods(a, b, n, m))
+    expected = ref_div_mod(full, den, n, m)
+    assert all(out == expected for out in keyword_div_mods(full, den, n, m))
 
 
 @pytest.mark.parametrize("m, head", [(2, 0), (2, 4), (5, 10), (24, 6), (24, 9), (2**40, 2**20)])
@@ -172,6 +216,29 @@ def test_sparse_product_boundaries(case, m):
     expected = ref_mul_mod(dense, sparse, out_len, m)
     assert kernels.mul_mod(dense, sparse, out_len, m) == expected
     assert kernels.mul_mod(sparse, dense, out_len, m) == expected
+    assert all(out == expected for out in keyword_mul_mods(dense, sparse, out_len, m))
+    assert all(out == expected for out in keyword_mul_mods(sparse, dense, out_len, m))
+
+
+DIVISOR_CASES = {
+    # (num, den, out_len): a divisor of length 1, one with a term at
+    # out_len - 1, and one whose terms run past out_len
+    "length one, out_len 1": ([4, 1, 5], [3], 1),
+    "length one, out_len 7": ([4, 1, 5], [3], 7),
+    "length one, past a block": (list(range(-3, B)), [-7], B + 2),
+    "term at out_len - 1": (list(range(1, 13)), [1] + [0] * 10 + [6], 12),
+    "terms past out_len": (list(range(1, 13)), [-1, 0, 2] + [0] * 12 + [5, 9], 12),
+    "terms past a block": ([1] * (B + 3), [1] + [0] * (B + 1) + [3, 0, 0, 8], B + 3),
+}
+
+
+@pytest.mark.parametrize("m", [m for m in MODULI if m % 2 and m % 3])
+@pytest.mark.parametrize("case", DIVISOR_CASES)
+def test_divisor_boundaries(case, m):
+    num, den, out_len = DIVISOR_CASES[case]
+    expected = ref_div_mod(num, den, out_len, m)
+    assert kernels.div_mod(num, den, out_len, m) == expected
+    assert all(out == expected for out in keyword_div_mods(num, den, out_len, m))
 
 
 @pytest.mark.parametrize("m, n", [(625, 3 * 625), (840, 3 * 840), (2**31 - 1, 60)])
@@ -192,6 +259,10 @@ def test_outputs_share_one_object_per_residue(m, n):
         (kernels.mul_mod(dense, sparse, n, m), ref_mul_mod(dense, sparse, n, m)),
         (kernels.mul_mod(dense, head, n, m), ref_mul_mod(dense, head, n, m)),
     ]
+    (_, div), (_, by_sparse), (_, by_head) = outputs
+    outputs += [(out, div) for out in keyword_div_mods(dense, den, n, m)]
+    outputs += [(out, by_sparse) for out in keyword_mul_mods(dense, sparse, n, m)]
+    outputs += [(out, by_head) for out in keyword_mul_mods(dense, head, n, m)]
     for out, expected in outputs:
         assert out == expected
         assert len({id(v) for v in out}) <= m
@@ -205,3 +276,27 @@ def test_empty_output():
 def test_hunt_at_bench_scale():
     # the rows bench/expected.json pins for the hunt workload
     assert hunt(SequenceRef("A", 5), 5, 100, 100000) == [(81, 27, 1235), (81, 54, 1234)]
+
+
+def test_hunts_table_hands_each_kernel_its_sparse_terms(monkeypatch):
+    # a cost guard by count: hunt's A_5 table at 10**5 divides by phi(-q)
+    # and multiplies by phi(-q^5), and each kernel is handed the O(sqrt(N))
+    # terms of its sparse operand with the residue promise, so it neither
+    # scans nor reduces an operand
+    N = 10**5
+    calls = []
+    for name in ("mul_mod", "div_mod"):
+        real = getattr(kernels, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls.append((_name, kwargs))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, name, spy)
+    sequence_series(SequenceRef("A", 5), Zmod(5), N)
+    assert [name for name, _ in calls] == ["div_mod", "mul_mod"]
+    (_, div), (_, mul) = calls
+    assert div["residues"] and mul["residues"]
+    assert 0 < len(div["den_terms"]) <= isqrt(N) + 1
+    (terms,) = [t for t in (mul["a_terms"], mul["b_terms"]) if t is not None]
+    assert 0 < len(terms) <= isqrt(N) + 1

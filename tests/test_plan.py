@@ -170,9 +170,9 @@ def test_a_625_is_one_product_of_phi_and_pbars_125_progression(monkeypatch):
     products = []
     mul = kernels.mul_mod
 
-    def spy(a, b, n, m):
+    def spy(a, b, n, m, **kwargs):
         products.append((a[:n], b[:n], m))
-        return mul(a, b, n, m)
+        return mul(a, b, n, m, **kwargs)
 
     monkeypatch.setattr(kernels, "mul_mod", spy)
     selected = congruences()

@@ -153,9 +153,9 @@ def test_eta_quotient_multiplies_before_dividing(monkeypatch, ell, ring, order, 
     for name in kernel_names:
         real = getattr(kernels, name)
 
-        def spy(*args, _real=real, _name=name):
+        def spy(*args, _real=real, _name=name, **kwargs):
             calls.append(_name)
-            return _real(*args)
+            return _real(*args, **kwargs)
 
         monkeypatch.setattr(kernels, name, spy)
     assert eta_quotient(spec, ring, order).coeffs == expected.coeffs
@@ -362,3 +362,62 @@ def test_parse_eta_spec_errors(bad, token, pos):
     with pytest.raises(ValueError) as err:
         parse_eta_spec(bad)
     assert str(err.value).startswith(f"bad eta-quotient token {token!r} at position {pos}: ")
+
+
+TERM_RINGS = [ZZ, Zmod(2), Zmod(5), Zmod(625), Zmod(840)]
+SPARSE_BUILDS = {
+    "phi(q)": lambda ring, order: phi(1, ring, order),
+    "phi(-q^3)": lambda ring, order: phi(-1, ring, order, scale=3),
+    "(q;q)": lambda ring, order: euler_product(1, ring, order),
+    "(q^4;q^4)": lambda ring, order: euler_product(4, ring, order),
+    "(q;q)^3": lambda ring, order: jacobi_cube(1, ring, order),
+    "(q^2;q^2)^3": lambda ring, order: jacobi_cube(2, ring, order),
+    # f(q, q) = phi(q) meets each exponent n^2 twice, and f(q, -q) =
+    # phi(-q^4), where the two meetings cancel at odd n
+    "f(q,q)": lambda ring, order: theta_f_series(ThetaSpec(1, 1, 1, 1), ring, order),
+    "f(q,-q)": lambda ring, order: theta_f_series(ThetaSpec(1, 1, -1, 1), ring, order),
+    "f(-q^15,-q^35)": lambda ring, order: theta_f_series(ThetaSpec(-1, 15, -1, 35), ring, order),
+    "f(1,q)": lambda ring, order: theta_f_series(ThetaSpec(1, 0, 1, 1), ring, order),
+}
+
+
+@pytest.mark.parametrize("ring", TERM_RINGS, ids=repr)
+@pytest.mark.parametrize("build", SPARSE_BUILDS)
+def test_sparse_constructors_record_their_nonzero_terms(build, ring):
+    for order in (0, 1, 2, 3, 24, 25, 300):
+        s = SPARSE_BUILDS[build](ring, order)
+        assert list(s._terms) == [(n, c) for n, c in enumerate(s) if c], order
+
+
+def test_terms_leave_out_what_vanishes_in_the_ring():
+    # phi's 2s vanish mod 2, Jacobi's 2n + 1 mod 5 at n = 2 (index 3), and
+    # the sums that cancel in f(q, -q) at the odd squares
+    assert phi(-1, Zmod(2), 50)._terms == ((0, 1),)
+    assert jacobi_cube(1, ZZ, 50)[3] == 5
+    assert 3 not in dict(jacobi_cube(1, Zmod(5), 50)._terms)
+    f = theta_f_series(ThetaSpec(1, 1, -1, 1), ZZ, 50)
+    assert f._terms == ((0, 1), (4, -2), (16, 2), (36, -2))
+
+
+def schoolbook(a, b):
+    """The truncated product of two series over one ring, by the double loop."""
+    n = min(len(a), len(b))
+    out = [0] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += a[i] * b[j]
+    return [a.ring.reduce(c) for c in out]
+
+
+@pytest.mark.parametrize("ring", TERM_RINGS, ids=repr)
+def test_derived_series_hold_no_terms(ring):
+    # only the sparse constructors record terms; whatever is derived from
+    # them is multiplied as a plain list, and still correctly
+    order = 90
+    f = phi(-1, ring, order, scale=2)
+    dense = Series(ring, [random.Random(order).randint(-50, 50) for _ in range(order + 1)])
+    derived = [f.shift(3), f.extract_progression(2, 0), -f, f * 3, 3 * f, f + f, f - f, f * f]
+    for d in derived:
+        assert d._terms is None
+        for x, y in ((d, dense), (dense, d), (d, f), (f, d)):
+            assert (x * y).coeffs == schoolbook(x, y)

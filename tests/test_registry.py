@@ -156,9 +156,9 @@ def test_one_core_build_divides_once_by_a_sparse_divisor(monkeypatch):
     for name in ("mul_exact", "mul_mod", "div_exact", "div_mod"):
         real = getattr(kernels, name)
 
-        def spy(*args, _real=real, _name=name):
+        def spy(*args, _real=real, _name=name, **kwargs):
             calls.append((_name, args))
-            return _real(*args)
+            return _real(*args, **kwargs)
 
         monkeypatch.setattr(kernels, name, spy)
     registry._build_core(Zmod(625), N)
