@@ -189,13 +189,8 @@ class Series:
             out = kernels.mul_exact(self._coeffs, other._coeffs, n)
         else:
             out = kernels.mul_mod(
-                self._coeffs,
-                other._coeffs,
-                n,
-                m,
-                a_terms=self._terms,
-                b_terms=other._terms,
-                residues=True,
+                self._coeffs, other._coeffs, n, m,
+                a_terms=self._terms, b_terms=other._terms, residues=True,
             )
         return Series._raw(self.ring, out)
 
