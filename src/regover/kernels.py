@@ -9,15 +9,16 @@ Coefficient lists may be shorter or longer than ``out_len`` (missing entries
 are zero, extra ones are ignored); outputs have exactly ``out_len`` entries.
 Modular results are least nonnegative residues.
 
-``mul_mod`` and ``div_mod`` take two keywords that only ``Series`` passes.
+``mul_mod`` and ``div_mod`` take keywords that only ``Series`` passes.
 An operand's terms (``a_terms``, ``b_terms``, ``den_terms``) are its
 nonzero (index, residue) pairs in increasing index, which the sparse
 constructors in ``products`` record as they build a series; with them a
-kernel does not scan the operand for its nonzeros.  ``residues=True``
-promises that the lists already hold least residues mod m, so a kernel
-reads them as they are and makes no reduced copy.  Without the keywords,
-as from any other caller, every input is reduced first, so negative and
-unreduced entries are fine.
+kernel does not scan the operand for its nonzeros.  ``mul_mod``'s
+``residues=True`` promises that both lists already hold least residues
+mod m, so it reads them as they are and makes no reduced copy.  Without
+the keywords, as from any other caller, every input is reduced first, so
+negative and unreduced entries are fine; ``div_mod`` reduces its divisor's
+tail as it scans it whenever no terms are given.
 
 When m is past CPython's small-int cache (m > 256) and out_len >= m, a
 modular output holds one shared int object per residue, from one
@@ -223,11 +224,11 @@ def mul_exact(a, b, out_len):
     return out
 
 
-def div_mod(num, den, out_len, m, den_terms=None, residues=False):
+def div_mod(num, den, out_len, m, den_terms=None):
     """Truncated quotient num/den mod m; den[0] must be invertible mod m.
 
-    den_terms and residues say of den what they say of a product's
-    operands in mul_mod; num is reduced as the quotient is solved."""
+    den_terms, when given, are den's nonzero (index, residue) terms mod m
+    in increasing index; num is reduced as the quotient is solved."""
     inv0 = pow((den[0] if den else 0) % m, -1, m)  # raises ValueError when not a unit
     if out_len <= 0:
         return []
@@ -235,9 +236,6 @@ def div_mod(num, den, out_len, m, den_terms=None, residues=False):
     if den_terms is not None:
         tail = [k for k, _ in den_terms if 0 < k < end]
         vals = [v for k, v in den_terms if 0 < k < end]
-    elif residues:
-        tail = list(compress(range(1, end), islice(den, 1, end)))
-        vals = [den[k] for k in tail]
     else:
         tail = [k for k in range(1, end) if den[k] % m]
         vals = [den[k] % m for k in tail]

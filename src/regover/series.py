@@ -10,7 +10,7 @@ euler_product, jacobi_cube, theta_f_series) also holds its nonzero
 (index, coefficient) terms in increasing index; every other Series,
 shifts, progressions and results of arithmetic included, holds none.
 Products and quotients over Zmod(m) hand those terms to
-``kernels.mul_mod`` and ``kernels.div_mod``, together with the promise
+``kernels.mul_mod`` and ``kernels.div_mod``, and products add the promise
 that both operands hold least residues, so the kernels neither scan a
 sparse factor for its terms nor reduce an operand again.
 """
@@ -257,5 +257,5 @@ def _div(num: list, den: Series, out_len: int) -> list:
         return kernels.div_exact(num, den._coeffs, out_len)
     if gcd(d0, m) != 1:
         raise ValueError(f"constant term {d0} is not a unit mod {m}")
-    return kernels.div_mod(num, den._coeffs, out_len, m, den_terms=den._terms, residues=True)
+    return kernels.div_mod(num, den._coeffs, out_len, m, den_terms=den._terms)
 

@@ -76,12 +76,12 @@ def keyword_mul_mods(a, b, out_len, m):
 
 def keyword_div_mods(num, den, out_len, m):
     """div_mod's outputs with the divisor's terms or none, on the lists as
-    they are and, with the residue promise, on their least residues."""
+    they are and on their least residues."""
     outs = []
-    for residues in (False, True):
-        x, y = ([c % m for c in num], [c % m for c in den]) if residues else (num, den)
+    for reduced in (False, True):
+        x, y = ([c % m for c in num], [c % m for c in den]) if reduced else (num, den)
         for den_terms in (None, _terms(den, m)):
-            outs.append(kernels.div_mod(x, y, out_len, m, den_terms=den_terms, residues=residues))
+            outs.append(kernels.div_mod(x, y, out_len, m, den_terms=den_terms))
     return outs
 
 
@@ -281,8 +281,8 @@ def test_hunt_at_bench_scale():
 def test_hunts_table_hands_each_kernel_its_sparse_terms(monkeypatch):
     # a cost guard by count: hunt's A_5 table at 10**5 divides by phi(-q)
     # and multiplies by phi(-q^5), and each kernel is handed the O(sqrt(N))
-    # terms of its sparse operand with the residue promise, so it neither
-    # scans nor reduces an operand
+    # terms of its sparse operand, and mul_mod the residue promise, so
+    # neither kernel scans a sparse operand and mul_mod reduces none
     N = 10**5
     calls = []
     for name in ("mul_mod", "div_mod"):
@@ -296,7 +296,7 @@ def test_hunts_table_hands_each_kernel_its_sparse_terms(monkeypatch):
     sequence_series(SequenceRef("A", 5), Zmod(5), N)
     assert [name for name, _ in calls] == ["div_mod", "mul_mod"]
     (_, div), (_, mul) = calls
-    assert div["residues"] and mul["residues"]
+    assert mul["residues"]
     assert 0 < len(div["den_terms"]) <= isqrt(N) + 1
     (terms,) = [t for t in (mul["a_terms"], mul["b_terms"]) if t is not None]
     assert 0 < len(terms) <= isqrt(N) + 1
