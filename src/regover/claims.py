@@ -27,7 +27,8 @@ moduli (pbar's include those of every A_l built from it), to its largest
 read index, as the progression whose step is the gcd of its reads' starts
 and steps.  The plan only plans: the builder (sequences._build_series, or
 a Read's function) gets that ring, index and step and the whole tables it
-is built from (an A_l reads all of pbar), and returns that progression.
+is built from (an A_l in a plan reads all of pbar, which the plan builds
+once for every A_l of the family), and returns that progression.
 A read mod m reduces the part it reads.  Each family of tables builds its
 progression tables at its first read, largest step first.  The lcm is
 taken per table, not over the run, because a table over a larger modulus
@@ -41,7 +42,8 @@ the order of its identity claims.  verify_claim(claim, plan) reads them from
 the plan and compares every instance or case of either kind in one loop,
 and verify_claims runs a batch from one plan.  A batch of one claim builds
 its tables over exactly the moduli that claim reads.  A hunt builds no
-plan: it scans the one table sequences.sequence_series gives over Zmod(m).
+plan: it scans the one table sequences.sequence_series gives over Zmod(m),
+which for an A_l is the quotient phi(-q^l) / phi(-q), with no pbar built.
 """
 
 from __future__ import annotations
@@ -491,13 +493,16 @@ def hunt(
     bound: int,
     min_instances: int = 1,
 ) -> list[tuple[int, int, int]]:
-    """Scan progressions a n + b (a <= max_step, b < a) where the sequence
-    vanishes mod modulus at every index in [1, bound], reporting (a, b, count)
-    for those with count >= min_instances.  Indices follow verify's instance
-    rule, and the residues are sequences.sequence_series over Zmod(modulus),
-    built by the _build_series that builds verify's tables, so count is what
-    ``verify_claims`` reports for the progression's claim.  Subsumed
-    progressions are kept."""
+    """Scan progressions a n + b (a <= min(max_step, bound), b < a) where the
+    sequence vanishes mod modulus at every index in [1, bound], reporting
+    (a, b, count) for those with count >= min_instances.  A step past bound
+    gives only single-index rows, each at an index that the rows at step
+    bound cover already, so the scan stops there.  Indices follow verify's
+    instance rule, and the residues are sequences.sequence_series over
+    Zmod(modulus), built by the _build_series that builds verify's tables
+    (for an A_l, one quotient phi(-q^l) / phi(-q), as no plan shares a
+    pbar), so count is what ``verify_claims`` reports for the progression's
+    claim.  Subsumed progressions are kept."""
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
     if max_step < 1:
@@ -508,10 +513,10 @@ def hunt(
         raise ValueError("bound must be >= 0")
     table = sequences.sequence_series(ref, Zmod(modulus), bound)[1:]  # table[i] is at i + 1
     results = []
-    for a in range(1, max_step + 1):
+    for a in range(1, min(max_step, bound) + 1):
         if (bound - 1) // a + 1 < min_instances:
             break  # no progression with this or a larger step has enough indices
-        for b in range(min(a, bound + 1)):
+        for b in range(a):
             pos = (b or a) - 1
             count = 0
             while pos < bound:

@@ -93,28 +93,33 @@ def clear_caches():
 
 def sequence_series(ref: SequenceRef, ring: Ring, order: int) -> Series:
     """The sequence's table as a Series, built afresh by each call by
-    _build_series, with the tables of series_inputs(ref) built first: a
-    series-backed sequence's generating function over any ring, a pointwise
-    sequence's residues over Zmod(m)."""
-    inputs = [sequence_series(dep, ring, order) for dep in series_inputs(ref)]
-    return _build_series(ref, ring, order, *inputs)
+    _build_series with no input table: a series-backed sequence's generating
+    function over any ring (an A_l as one quotient phi(-q^l) / phi(-q)), a
+    pointwise sequence's residues over Zmod(m)."""
+    return _build_series(ref, ring, order)
 
 
 def series_inputs(ref: SequenceRef) -> tuple[SequenceRef, ...]:
-    """The series-backed sequences whose tables _build_series is given to
-    build ref's: pbar for every A_l, none for the others."""
+    """The series-backed sequences whose tables a plan builds once and hands
+    _build_series to build ref's from: pbar for every A_l, none for the
+    others.  A table built alone needs none of them."""
     return (_PBAR,) if ref.name == "A" else ()
 
 
 def _build_series(ref: SequenceRef, ring: Ring, order: int, *inputs: Series, step=1) -> Series:
     """ref's step-progression over ring to order, from the whole tables of
-    series_inputs(ref), each over ring or a Zmod(k) whose k is a multiple of
-    ring's modulus.  A pointwise ref's series holds residues, over a Zmod(m).
-    phi(-q^l) is a series in q^g for g = gcd(step, l), so an A_l is built at
-    g, as phi(-q^(l/g)) times pbar's g-progression; any other ref is whole."""
-    if ref.name == "A":
-        # regular overpartitions: phi(-q^l) * pbar, the grouped form of
-        # (q^l;q^l)^2 (q^2;q^2) / (q;q)^2 (q^2l;q^2l)
+    series_inputs(ref) when given, each over ring or a Zmod(k) whose k is a
+    multiple of ring's modulus.  A pointwise ref's series holds residues,
+    over a Zmod(m).  Given no pbar, an A_l is one quotient phi(-q^l) /
+    phi(-q), built whole.  Given pbar, as a plan that shares it among several
+    A_l does, an A_l is a product: phi(-q^l) is a series in q^g for g =
+    gcd(step, l), so it is built at g, as phi(-q^(l/g)) times pbar's
+    g-progression.  Any other ref is whole."""
+    if ref.name == "A" and not inputs:
+        # regular overpartitions: (q^l;q^l)^2 (q^2;q^2) / (q;q)^2 (q^2l;q^2l)
+        table = phi(-1, ring, order, scale=ref.param) / phi(-1, ring, order)
+    elif ref.name == "A":
+        # the same grouped as phi(-q^l) * pbar
         (pbar,) = inputs
         g = gcd(step, ref.param)
         if pbar.ring != ring:

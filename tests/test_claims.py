@@ -353,6 +353,11 @@ def test_hunt_stops_when_steps_outgrow_min_instances():
     assert (24, 3, 9) in hunt(_a(3), 6, 10**5, 200, 9)
 
 
+def test_hunt_stops_at_step_bound():
+    # a step past the bound reaches one index, already a row at step bound
+    assert hunt(_a(3), 2, 10**6, 50, 1) == hunt(_a(3), 2, 50, 50, 1)
+
+
 def test_hunt_validation():
     with pytest.raises(ValueError):
         hunt(_a(5), 1, 10, 100)

@@ -211,6 +211,20 @@ def test_hunt_json_rows(capsys):
     assert all(list(row) == ["a", "b", "instances"] for row in rows)
 
 
+def test_bench_hunt_at_full_size_gives_the_expected_rows(capsys):
+    # the benchmark's hunt command line at its own bound, 10**5, against the
+    # rows its expected.json pins
+    expected_json = Path(__file__).resolve().parent.parent / "bench" / "expected.json"
+    expected = json.loads(expected_json.read_text())
+    code, out, err = run(
+        capsys, "hunt", "A", "--ell", "5", "--mod", "5", "--max-step", "100",
+        "--bound", "100000", "--json",
+    )
+    assert (code, err) == (0, "")
+    rows = [[r["a"], r["b"], r["instances"]] for r in map(json.loads, out.splitlines())]
+    assert rows == expected["hunt"]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["expand"])  # missing required --order

@@ -279,10 +279,9 @@ def test_hunt_at_bench_scale():
 
 
 def test_hunts_table_hands_each_kernel_its_sparse_terms(monkeypatch):
-    # a cost guard by count: hunt's A_5 table at 10**5 divides by phi(-q)
-    # and multiplies by phi(-q^5), and each kernel is handed the O(sqrt(N))
-    # terms of its sparse operand, and mul_mod the residue promise, so
-    # neither kernel scans a sparse operand and mul_mod reduces none
+    # a cost guard by count: hunt's A_5 table at 10**5 is one quotient
+    # phi(-q^5) / phi(-q), with no pbar and no product built, and div_mod is
+    # handed the O(sqrt(N)) terms of phi(-q), so it scans no sparse operand
     N = 10**5
     calls = []
     for name in ("mul_mod", "div_mod"):
@@ -294,9 +293,6 @@ def test_hunts_table_hands_each_kernel_its_sparse_terms(monkeypatch):
 
         monkeypatch.setattr(kernels, name, spy)
     sequence_series(SequenceRef("A", 5), Zmod(5), N)
-    assert [name for name, _ in calls] == ["div_mod", "mul_mod"]
-    (_, div), (_, mul) = calls
-    assert mul["residues"]
+    assert [name for name, _ in calls] == ["div_mod"]
+    ((_, div),) = calls
     assert 0 < len(div["den_terms"]) <= isqrt(N) + 1
-    (terms,) = [t for t in (mul["a_terms"], mul["b_terms"]) if t is not None]
-    assert 0 < len(terms) <= isqrt(N) + 1

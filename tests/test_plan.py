@@ -115,7 +115,7 @@ def test_a_run_leaves_no_table_it_built(capsys):
 
 def test_hunt_and_a_lone_claim_build_at_the_requested_modulus(builds):
     hunt(_a(3), 6, 10, BOUND, 1)
-    assert builds == [("pbar", 6, BOUND, 1), ("A(3)", 6, BOUND, 1)]
+    assert builds == [("A(3)", 6, BOUND, 1)]
     builds.clear()
     hunt(SequenceRef("r", 6), 7, 10, BOUND, 1)
     assert builds == [("r(6)", 7, BOUND, 1)]

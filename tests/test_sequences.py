@@ -286,6 +286,22 @@ def test_an_a_table_is_built_at_the_step_it_is_asked_for(ell, step):
             assert got == whole.extract_progression(step, 0), (pbar_ring, ring, order)
 
 
+@pytest.mark.parametrize("ring", [ZZ, Zmod(5), Zmod(24), Zmod(625), Zmod(840)], ids=str)
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 25, 125])
+def test_a_lone_a_table_is_the_quotient_a_plan_builds_as_a_product(ell, ring):
+    # given no pbar, an A_l is phi(-q^ell) / phi(-q) in one division; a plan
+    # hands it pbar and gets the product phi(-q^ell) * pbar, whole or at
+    # step ell, where phi(-q^ell) is a series in q^ell; the two routes agree
+    a = SequenceRef("A", ell)
+    for order in sorted({0, 1, ell - 1, ell, 600}):
+        pbar = sequences._build_series(SequenceRef("pbar"), ring, order)
+        lone = sequences._build_series(a, ring, order)
+        assert lone == sequences._build_series(a, ring, order, pbar), order
+        planned = sequences._build_series(a, ring, order, pbar, step=ell)
+        assert planned == lone.extract_progression(ell, 0), order
+        assert sequences._build_series(a, ring, order, step=ell) == planned, order
+
+
 def test_every_other_table_is_built_whole_and_extracted():
     for ref in (SequenceRef("p"), SequenceRef("pbar"), SequenceRef("b", 5), SequenceRef("r", 4)):
         whole = sequences._build_series(ref, Zmod(5), 100)
