@@ -126,8 +126,6 @@ class _IdentityClaimFields(NamedTuple):
     cases: tuple[dict, ...] = ({},)
     default_order: int = 500
     order_cap: int | None = None
-    lhs_text: str = ""
-    rhs_text: str = ""
     source: str = ""
     lhs_reads: tuple[Read, ...] = ()
     rhs_reads: tuple[Read, ...] = ()

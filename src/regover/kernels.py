@@ -9,16 +9,13 @@ Coefficient lists may be shorter or longer than ``out_len`` (missing entries
 are zero, extra ones are ignored); outputs have exactly ``out_len`` entries.
 Modular results are least nonnegative residues.
 
-``mul_mod`` and ``div_mod`` take keywords that only ``Series`` passes.
-An operand's terms (``a_terms``, ``b_terms``, ``den_terms``) are its
-nonzero (index, residue) pairs in increasing index, which the sparse
-constructors in ``products`` record as they build a series; with them a
-kernel does not scan the operand for its nonzeros.  ``mul_mod``'s
-``residues=True`` promises that both lists already hold least residues
-mod m, so it reads them as they are and makes no reduced copy.  Without
-the keywords, as from any other caller, every input is reduced first, so
-negative and unreduced entries are fine; ``div_mod`` reduces its divisor's
-tail as it scans it whenever no terms are given.
+``mul_mod`` and ``div_mod`` take lists of least residues mod m, as every
+``Series`` over Zmod(m) holds them, and read them as they are: they make no
+reduced copy of an operand.  An operand's terms (``a_terms``, ``b_terms``,
+``den_terms``), when given, are its nonzero (index, residue) pairs in
+increasing index, which the sparse constructors in ``products`` record as
+they build a series; with them a kernel does not scan the operand for its
+nonzeros.
 
 When m is past CPython's small-int cache (m > 256) and out_len >= m, a
 modular output holds one shared int object per residue, from one
@@ -157,20 +154,15 @@ def _below(terms, out_len):
     return None if terms is None else terms[: bisect_left(terms, (out_len,))]
 
 
-def mul_mod(a, b, out_len, m, a_terms=None, b_terms=None, residues=False):
+def mul_mod(a, b, out_len, m, a_terms=None, b_terms=None):
     """Cauchy product of a and b mod m, truncated to out_len coefficients.
 
-    a_terms and b_terms, when given, are the nonzero (index, residue) terms
-    of a and b mod m in increasing index; residues=True promises that a and
-    b hold least residues mod m, so they are read without a reduced copy."""
+    a and b hold least residues mod m.  a_terms and b_terms, when given, are
+    their nonzero (index, residue) terms in increasing index."""
     if out_len <= 0:
         return []
-    if residues:
-        a = a[:out_len] if len(a) > out_len else a
-        b = b[:out_len] if len(b) > out_len else b
-    else:
-        a = [c % m for c in a[:out_len]]
-        b = [c % m for c in b[:out_len]]
+    a = a[:out_len] if len(a) > out_len else a
+    b = b[:out_len] if len(b) > out_len else b
     a_terms, b_terms = _below(a_terms, out_len), _below(b_terms, out_len)
     # b becomes the operand with the fewest nonzero terms, t of them
     if b_terms is None:
@@ -197,7 +189,7 @@ def mul_mod(a, b, out_len, m, a_terms=None, b_terms=None, residues=False):
     width = 8 * nbytes
     # a, padded to out_len fields by the shift
     packed = _pack(a, nbytes, "big") << (out_len - len(a)) * width
-    del a, b  # free any reduced copies before the shift-adds
+    del a, b  # free any truncated copies before the shift-adds
     scaled = {}
     acc = 0
     for j, d in terms:
@@ -227,18 +219,15 @@ def mul_exact(a, b, out_len):
 def div_mod(num, den, out_len, m, den_terms=None):
     """Truncated quotient num/den mod m; den[0] must be invertible mod m.
 
-    den_terms, when given, are den's nonzero (index, residue) terms mod m
-    in increasing index; num is reduced as the quotient is solved."""
-    inv0 = pow((den[0] if den else 0) % m, -1, m)  # raises ValueError when not a unit
+    num and den hold least residues mod m.  den_terms, when given, are den's
+    nonzero (index, residue) terms in increasing index."""
+    inv0 = pow(den[0] if den else 0, -1, m)  # raises ValueError when not a unit
     if out_len <= 0:
         return []
     end = min(len(den), out_len)
-    if den_terms is not None:
-        tail = [k for k, _ in den_terms if 0 < k < end]
-        vals = [v for k, v in den_terms if 0 < k < end]
-    else:
-        tail = [k for k in range(1, end) if den[k] % m]
-        vals = [den[k] % m for k in tail]
+    terms = _residue_terms(den[:end]) if den_terms is None else den_terms
+    tail = [k for k, _ in terms if 0 < k < end]
+    vals = [v for k, v in terms if 0 < k < end]
     block = min(_BLOCK, out_len)
     shared = _shared_residues(m, out_len)
     # den**-1 mod q**block by the sparse recurrence

@@ -215,16 +215,15 @@ def eta_quotient(spec: EtaQuotientSpec, ring: Ring, order: int) -> Series:
 
 def _power_is_cheaper(count: int, factor: Series) -> bool:
     """Cost model for ``eta_quotient``: count sparse passes cost
-    count * nnz * N coefficient steps against (squarings + multiplies + 1)
+    count * nnz * N coefficient steps, nnz being the terms ``euler_product``
+    recorded for the factor, against (squarings + multiplies + 1)
     dense products for binary powering, each priced at the schoolbook N^2.
     That price is exact for the exact kernel and high for the packed
     modular one, so small exponents keep the sparse loop: at the orders the
     registry uses (>= 40) every |e| <= 8 does."""
     n = len(factor)
-    terms = factor._terms  # None for a factor not built by euler_product
-    nnz = n - factor[:].count(0) if terms is None else len(terms)
     products = count.bit_length() + bin(count).count("1")
-    return count * nnz * n > products * n * n
+    return count * len(factor._terms) * n > products * n * n
 
 
 # -- Ramanujan theta function f(a, b) ---------------------------------------

@@ -330,9 +330,6 @@ def _identity_claims() -> list[IdentityClaim]:
             cases=tuple({"ell": ell} for ell in (3, 4, 5, 9, 25)),
             default_order=40,
             order_cap=40,
-            lhs_text="eta quotient (q^l;q^l)^2 (q^2;q^2) / (q;q)^2 (q^2l;q^2l)"
-            " from pentagonal Euler products",
-            rhs_text="regular-overpartition enumeration oracle (descending-part recursion)",
             source="Shen (2016) generating function",
         ),
         IdentityClaim(
@@ -342,8 +339,6 @@ def _identity_claims() -> list[IdentityClaim]:
             lambda case: Zmod(case["p"]),
             cases=({"p": 3}, {"p": 5}, {"p": 7}),
             default_order=500,
-            lhs_text="pentagonal series (q;q) raised to p by binary powering, mod p",
-            rhs_text="pentagonal series (q^p;q^p), mod p",
             source="binomial theorem (freshman's dream)",
         ),
         IdentityClaim(
@@ -354,8 +349,6 @@ def _identity_claims() -> list[IdentityClaim]:
             ),
             ZZ,
             default_order=1000,
-            lhs_text="phi(-q) theta sum 1 + 2 sum (-1)^n q^(n^2)",
-            rhs_text="eta quotient (q;q)^2 / (q^2;q^2) from pentagonal Euler products",
             source="Berndt, Ramanujan's Notebooks III, p. 37",
         ),
         IdentityClaim(
@@ -366,8 +359,6 @@ def _identity_claims() -> list[IdentityClaim]:
             ),
             Zmod(5),
             default_order=1000,
-            lhs_text="A_5 table phi(-q^5) * 1/phi(-q), mod 5",
-            rhs_text="eta quotient (q;q)^8 / (q^2;q^2)^4 from pentagonal Euler products, mod 5",
             source="generating function reduced mod 5",
             lhs_reads=(Read(_a(5), 5),),
         ),
@@ -377,8 +368,6 @@ def _identity_claims() -> list[IdentityClaim]:
             lambda ring, order: phi(-1, ring, order) ** 8,
             Zmod(5),
             default_order=1000,
-            lhs_text="5n-extraction of the A_25 table phi(-q^25) * 1/phi(-q), mod 5",
-            rhs_text="phi(-q) theta sum raised to 8 by binary powering, mod 5",
             source="via Treneer's overpartition congruence",
             lhs_reads=(Read(_a(25), 5, 5),),
         ),
@@ -388,8 +377,6 @@ def _identity_claims() -> list[IdentityClaim]:
             lambda ring, order: phi(-1, ring, order) ** 3,
             Zmod(5),
             default_order=1000,
-            lhs_text="5n-extraction of the overpartition table 1/phi(-q), mod 5",
-            rhs_text="phi(-q) theta sum cubed by binary powering, mod 5",
             source="Treneer (2006)",
             lhs_reads=(Read(SequenceRef("pbar"), 5, 5),),
         ),
@@ -399,12 +386,6 @@ def _identity_claims() -> list[IdentityClaim]:
             lambda ring, order, a125: a125,
             Zmod(5**4),
             default_order=200,
-            lhs_text="125n-extraction of the eta quotient"
-            " (q^125;q^125)^2 (q^2;q^2)/(q;q)^2 (q^250;q^250), evaluated as"
-            " (q;q)^2/(q^2;q^2) from pentagonal Euler products times the"
-            " 125n-extraction of (q^2;q^2)/(q;q)^2, built as psi(q)^2 / (q^2;q^2)^3"
-            " from the triangular theta sum and Jacobi's cube, mod 5^4",
-            rhs_text="125n-extraction of the A_125 table phi(-q^125) * 1/phi(-q), mod 5^4",
             source="generating function of A_125(125n); the paper states it mod 5",
             lhs_reads=(Read(_build_core, 5**4, 125),),
             rhs_reads=(Read(_a(125), 5**4, 125),),
@@ -415,9 +396,6 @@ def _identity_claims() -> list[IdentityClaim]:
             lambda ring, order: Series.zero(ring, order),
             ZZ,
             default_order=1000,
-            lhs_text="phi(-q) theta sum minus its 5-dissection"
-            " phi(-q^25) - 2q M1(-q^5) + 2q^4 M2(-q^5) from bilateral sums",
-            rhs_text="0",
             source="Berndt, Ramanujan's Notebooks III, p. 49",
         ),
         IdentityClaim(
@@ -431,9 +409,6 @@ def _identity_claims() -> list[IdentityClaim]:
             ZZ,
             cases=({"a": 3, "b": 7}, {"a": 1, "b": 9}),
             default_order=300,
-            lhs_text="f(q^a, q^b) bilateral sum",
-            rhs_text="Jacobi triple product (-q^a;q^(a+b)) (-q^b;q^(a+b)) (q^(a+b);q^(a+b))"
-            " by shift-adds and a pentagonal series",
             source="Jacobi triple product identity",
         ),
         IdentityClaim(
@@ -443,13 +418,6 @@ def _identity_claims() -> list[IdentityClaim]:
             Zmod(5**4),
             cases=({"alpha": 2}, {"alpha": 3}, {"alpha": 4}),
             default_order=200,
-            lhs_text="25n-extraction of the eta quotient"
-            " (q^l;q^l)^2 (q^2;q^2)/(q;q)^2 (q^2l;q^2l), l = 5^a, evaluated as"
-            " (q^r;q^r)^2/(q^2r;q^2r), r = 5^(a-2), from pentagonal Euler products"
-            " times the 25n-extraction of (q^2;q^2)/(q;q)^2, built as"
-            " psi(q)^2 / (q^2;q^2)^3 from the triangular theta sum and Jacobi's cube,"
-            " mod 5^4",
-            rhs_text="25n-extraction of the A_(5^a) table phi(-q^(5^a)) * 1/phi(-q), mod 5^4",
             source="generating function of A_(5^a)(25n); the paper states it mod 5",
             lhs_reads=(Read(_build_core, 5**4, 25),),
             rhs_reads=tuple(Read(_a(5**alpha), 5**4, 25) for alpha in (2, 3, 4)),
@@ -461,8 +429,6 @@ def _identity_claims() -> list[IdentityClaim]:
             lambda ring, order: eta_quotient(_OVERPARTITION_QUOTIENT, ring, order),
             ZZ,
             default_order=500,
-            lhs_text="(-q;q) by shift-adds, divided by the pentagonal series (q;q)",
-            rhs_text="eta quotient (q^2;q^2) / (q;q)^2 from pentagonal Euler products",
             source="overpartition generating function",
         ),
     ]

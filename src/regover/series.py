@@ -10,9 +10,9 @@ euler_product, jacobi_cube, theta_f_series) also holds its nonzero
 (index, coefficient) terms in increasing index; every other Series,
 shifts, progressions and results of arithmetic included, holds none.
 Products and quotients over Zmod(m) hand those terms to
-``kernels.mul_mod`` and ``kernels.div_mod``, and products add the promise
-that both operands hold least residues, so the kernels neither scan a
-sparse factor for its terms nor reduce an operand again.
+``kernels.mul_mod`` and ``kernels.div_mod``, whose one input contract is
+least residues, so the kernels neither scan a sparse factor for its terms
+nor reduce an operand again.
 """
 
 from __future__ import annotations
@@ -189,8 +189,7 @@ class Series:
             out = kernels.mul_exact(self._coeffs, other._coeffs, n)
         else:
             out = kernels.mul_mod(
-                self._coeffs, other._coeffs, n, m,
-                a_terms=self._terms, b_terms=other._terms, residues=True,
+                self._coeffs, other._coeffs, n, m, a_terms=self._terms, b_terms=other._terms
             )
         return Series._raw(self.ring, out)
 

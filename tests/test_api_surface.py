@@ -3,9 +3,11 @@ in regover.__all__, and each public module-level def or class in
 src/regover, is used by another package module or by a file under bench/,
 the benchmark's harness and its tests.  A name that only tests/ calls is
 deleted instead.  So is a parameter with a default that no call outside
-tests/ passes."""
+tests/ passes, or that every such call sets to one and the same literal
+(passed, or the default where a call leaves it out): a knob with one value."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import regover
@@ -68,9 +70,9 @@ def test_every_public_definition_has_a_caller():
     assert unused == []
 
 
-def defaulted_parameters() -> list[tuple[str, str, int | None, str]]:
-    """(qualified name, callee name, position or None, parameter) of each
-    parameter with a default of a public function, or of a public class's
+def defaulted_parameters() -> list[tuple[str, str, int | None, str, ast.expr]]:
+    """(qualified name, callee name, position or None, parameter, default)
+    of each parameter with a default of a public function, or of a public class's
     __init__, __new__ or public method (the package has no staticmethod).
     A class's constructor is called by the class name; a method's position
     leaves out self or cls."""
@@ -80,11 +82,11 @@ def defaulted_parameters() -> list[tuple[str, str, int | None, str]]:
         args = fn.args
         positional = (args.posonlyargs + args.args)[skip:]
         first_default = len(positional) - len(args.defaults)
-        for i, arg in enumerate(positional[first_default:], first_default):
-            found.append((qualname, callee, i, arg.arg))
+        for i, (arg, default) in enumerate(zip(positional[first_default:], args.defaults), first_default):
+            found.append((qualname, callee, i, arg.arg, default))
         for arg, default in zip(args.kwonlyargs, args.kw_defaults):
             if default is not None:
-                found.append((qualname, callee, None, arg.arg))
+                found.append((qualname, callee, None, arg.arg, default))
 
     for path, tree in MODULES.items():
         if path.parent != PACKAGE:
@@ -107,38 +109,81 @@ def defaulted_parameters() -> list[tuple[str, str, int | None, str]]:
     return found
 
 
-def passed_parameters(tree: ast.Module) -> set[tuple[str, int | str]]:
-    """(callee name, position or keyword) of each argument the module's calls
-    pass; a call with *args or **kwargs passes every position or keyword,
-    written (callee, "*") or (callee, "**")."""
+def calls_by_callee() -> dict[str, list[ast.Call]]:
+    """The calls each module makes, by callee name (a Name or an Attribute)."""
+    found = defaultdict(list)
+    for tree in MODULES.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                found[node.func.id].append(node)
+            elif isinstance(node.func, ast.Attribute):
+                found[node.func.attr].append(node)
+    return found
+
+
+CALLS = calls_by_callee()
+
+
+def passed_parameters(callee: str, call: ast.Call) -> set[tuple[str, int | str]]:
+    """(callee name, position or keyword) of each argument the call passes;
+    a call with *args or **kwargs passes every position or keyword, written
+    (callee, "*") or (callee, "**")."""
     passed = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Name):
-            callee = func.id
-        elif isinstance(func, ast.Attribute):
-            callee = func.attr
-        else:
-            continue
-        for i, arg in enumerate(node.args):
-            passed.add((callee, "*" if isinstance(arg, ast.Starred) else i))
-        for kw in node.keywords:
-            passed.add((callee, "**" if kw.arg is None else kw.arg))
+    for i, arg in enumerate(call.args):
+        passed.add((callee, "*" if isinstance(arg, ast.Starred) else i))
+    for kw in call.keywords:
+        passed.add((callee, "**" if kw.arg is None else kw.arg))
     return passed
 
 
-PASSED = set().union(*map(passed_parameters, MODULES.values()))
+PASSED = set().union(
+    *(passed_parameters(callee, call) for callee, found in CALLS.items() for call in found)
+)
 
 
 def test_every_defaulted_parameter_is_passed_outside_tests():
     unpassed = [
         f"{qualname}({name})"
-        for qualname, callee, position, name in defaulted_parameters()
+        for qualname, callee, position, name, _ in defaulted_parameters()
         if not {(callee, "*"), (callee, "**"), (callee, position), (callee, name)} & PASSED
     ]
     assert unpassed == []
+
+
+def literal_value(node: ast.expr) -> tuple[str, str] | None:
+    """(type name, repr) of a literal expression, so True and 1 differ; None
+    for anything else."""
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return None
+    return type(value).__name__, repr(value)
+
+
+def given_value(call: ast.Call, position: int | None, name: str, default: ast.expr):
+    """The literal a call sets a parameter to: the argument it passes, or the
+    default when it passes none; None when that is no literal or a *args or
+    **kwargs argument hides it."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return None
+    keywords = {kw.arg: kw.value for kw in call.keywords}
+    if None in keywords:
+        return None
+    if position is not None and position < len(call.args):
+        return literal_value(call.args[position])
+    return literal_value(keywords.get(name, default))
+
+
+def test_no_defaulted_parameter_is_a_knob_with_one_value():
+    knobs = [
+        f"{qualname}({name})"
+        for qualname, callee, position, name, default in defaulted_parameters()
+        if len(values := {given_value(c, position, name, default) for c in CALLS[callee]}) == 1
+        and None not in values
+    ]
+    assert knobs == []
 
 
 def test_all_is_sorted_without_duplicates():

@@ -21,11 +21,15 @@ from regover.series import Series
 
 
 def bump(series, index):
-    """The series with the coefficient of q^index raised by one."""
+    """The series with the coefficient of q^index raised by one.  The output
+    of a sparse constructor keeps a record of its nonzero terms, as the
+    constructor would have made it, so the mutant takes the same kernel
+    route as the real series."""
     coeffs = series.coeffs
     if index < len(coeffs):
-        coeffs[index] += 1
-    return Series(series.ring, coeffs)
+        coeffs[index] = series.ring.reduce(coeffs[index] + 1)
+    terms = None if series._terms is None else tuple((n, c) for n, c in enumerate(coeffs) if c)
+    return Series._raw(series.ring, coeffs, terms)
 
 
 def bump_pbar(monkeypatch, index):

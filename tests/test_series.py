@@ -1,11 +1,19 @@
 import json
 import operator
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from regover.series import Ring, Series, ZZ, Zmod
-from regover.products import ThetaSpec, euler_product, phi, theta_f_product, theta_f_series
+from regover.products import (
+    ThetaSpec,
+    euler_product,
+    jacobi_cube,
+    phi,
+    theta_f_product,
+    theta_f_series,
+)
 
 
 def squares_series(sign, order):
@@ -250,8 +258,6 @@ def unit_series(draw):
     if ring.is_exact:
         coeffs[0] = draw(st.sampled_from([1, -1]))
     else:
-        from math import gcd
-
         units = [
             u for u in range(1, min(ring.modulus, 300)) if gcd(u, ring.modulus) == 1
         ]
@@ -312,3 +318,46 @@ def test_reduce_mod_is_homomorphism(pair, m):
     assert red(a * b) == red(a) * red(b)
     assert red(a + b) == red(a) + red(b)
     assert red(a**3) == red(a) ** 3
+
+
+@pytest.mark.parametrize("m", [2, 5, 24, 625, 840, 2**61 - 1])
+@given(st.data())
+@settings(max_examples=15, deadline=None)
+def test_every_modular_series_holds_least_residues(m, data):
+    # the modular kernels take least residues and never reduce an operand,
+    # so every Series over Zmod(m) the package builds must hold them
+    ring = Zmod(m)
+    order = data.draw(st.integers(0, 120))
+    big = st.integers(-(10**20), 10**20)
+    a, b = (Series(ring, pad(data.draw(st.lists(big, max_size=order + 1)), order)) for _ in "ab")
+    head = data.draw(big.filter(lambda c: gcd(c, m) == 1))
+    unit = Series(ring, [head] + a[1:])
+    scale = data.draw(st.integers(1, 5))
+    powers = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda p: sum(p) >= 1)
+    a_power, b_power = data.draw(powers)
+    k = data.draw(st.integers(-(10**20), -1))
+    step = data.draw(st.integers(1, 7))
+    r = data.draw(st.integers(0, min(step - 1, order)))
+    built = {
+        "Series": a,
+        "phi": phi(-1, ring, order, scale),
+        "euler_product": euler_product(scale, ring, order),
+        "jacobi_cube": jacobi_cube(scale, ring, order),
+        "theta_f_series": theta_f_series(ThetaSpec(-1, a_power, -1, b_power), ring, order),
+        "+": a + b,
+        "-": a - b,
+        "unary -": -a,
+        "k * s": k * a,
+        "s * k": a * k,
+        "*": a * b,
+        "* sparse": a * phi(-1, ring, order, scale),
+        "/": a / unit,
+        "/ sparse": a / euler_product(scale, ring, order),
+        "inverse": unit.inverse(),
+        "**": unit ** data.draw(st.integers(-3, 3)),
+        "shift": a.shift(data.draw(st.integers(0, order + 2))),
+        "extract_progression": a.extract_progression(step, r),
+    }
+    for name, series in built.items():
+        assert series.ring == ring, name
+        assert all(0 <= c < m for c in series[:]), name
