@@ -22,28 +22,30 @@ its instance's n in [lo, hi]; an identity claim's Read (table, modulus,
 step) reads from 0 with its step, up to step times the order the run
 checks it at.  TablePlan.read serves both.
 
-The build rule: each table is built once per run, over the lcm of its
+The build rule: each table is built once per plan, over the lcm of its
 moduli (pbar's include those of every A_l built from it), to its largest
 read index, as the progression whose step is the gcd of its reads' starts
 and steps.  The plan only plans: the builder (sequences._build_series, or
 a Read's function) gets that ring, index and step and the whole tables it
-is built from (an A_l in a plan reads all of pbar, which the plan builds
-once for every A_l of the family), and returns that progression.
-A read mod m reduces the part it reads.  Each family of tables builds its
-progression tables at its first read, largest step first.  The lcm is
-taken per table, not over the run, because a table over a larger modulus
-costs more to build.  For the same reason congruence and identity claims
-read separate tables, the two families: their moduli of pbar (lcm 840 and
-625) have the lcm 105,000, whose residues need twice the kernel field
-width.  A table is dropped after its last consumer.
+is built from, and returns that progression.  An A_l in a plan reads all
+of pbar, which the plan builds once for every A_l that shares it, unless
+the A_l is pbar's only reader: that A_l is one quotient phi(-q^l) /
+phi(-q), and pbar is not built.  A read mod m reduces the part it reads.
+The plan's first read builds its progression tables, largest step first.
+The lcm is taken per table, not over the run, because a table over a
+larger modulus costs more to build.  A table is dropped after its last
+consumer.
 
 The plan also holds the run's knobs: the caps of its congruence claims and
 the order of its identity claims.  verify_claim(claim, plan) reads them from
-the plan and compares every instance or case of either kind in one loop,
-and verify_claims runs a batch from one plan.  A batch of one claim builds
-its tables over exactly the moduli that claim reads.  A hunt builds no
-plan: it scans the one table sequences.sequence_series gives over Zmod(m),
-which for an A_l is the quotient phi(-q^l) / phi(-q), with no pbar built.
+the plan and compares every instance or case of either kind in one loop.
+verify_claims runs a batch from one plan per claim kind: congruence and
+identity claims read separate tables, because their moduli of pbar (lcm
+840 and 625) have the lcm 105,000, whose residues need twice the kernel
+field width.  A batch of one claim builds its tables over exactly the
+moduli that claim reads.  A hunt builds no plan: it scans the one table
+sequences.sequence_series gives over Zmod(m), which for an A_l is the
+quotient phi(-q^l) / phi(-q), with no pbar built.
 """
 
 from __future__ import annotations
@@ -162,10 +164,6 @@ class VerificationReport(NamedTuple):
     counterexample: dict | None = None
 
     @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-    @property
     def failed(self) -> bool:
         return self.status == "fail"
 
@@ -256,26 +254,22 @@ def _inputs(source: SequenceRef | Callable) -> tuple[SequenceRef, ...]:
     return series_inputs(source) if isinstance(source, SequenceRef) else ()
 
 
-# A plan's tables are keyed (source, family): congruence and identity claims
-# read separate tables (see the module docstring).
-_CONGRUENCE, _IDENTITY = "congruence", "identity"
-
-
 class TablePlan:
     """The tables that a run of claims reads, built by the module
     docstring's build rule.
 
-    The plan holds its own tables, one per (source, family).  The first
-    ``checks`` call declares every claim's reads.  Each is (table, modulus,
-    indices), the indices a range: a congruence side a n + b reads from
-    a lo + b with step a, an identity claim's Read from 0 with its step.
-    The first read of a family builds that family's progression tables
-    before any other, largest step first, and tables of one step in the
-    order they were first declared, a claim's lhs reads before its rhs
-    reads: a whole table, such as pbar to 125*order, is then never held
-    while the core is expanded to the same length.  Every other table is
-    built at its first read.  A table's consumers are the claims that read
-    it and the tables built from it; after the last one, the plan drops it.
+    The plan holds its own tables, one per source: a SequenceRef or a
+    Read's function.  The first ``checks`` call declares every claim's
+    reads.  Each is (table, modulus, indices), the indices a range: a
+    congruence side a n + b reads from a lo + b with step a, an identity
+    claim's Read from 0 with its step.  The plan's first read builds its
+    progression tables before any other, largest step first, and tables of
+    one step in the order they were first declared, a claim's lhs reads
+    before its rhs reads: a whole table, such as pbar to 125*order, is then
+    never held while the core is expanded to the same length.  Every other
+    table is built at its first read.  A table's consumers are the claims
+    that read it and the tables built from it; after the last one, the plan
+    drops it.  verify_claims gives each claim kind its own plan.
     """
 
     def __init__(self, claims: Iterable, caps: Caps = Caps(), order: int | None = None):
@@ -291,7 +285,7 @@ class TablePlan:
         self._step: dict = {}  # table -> gcd of its reads' starts and steps
         self._consumers: Counter = Counter()  # table -> readers and builds left
         self._tables: dict = {}  # table -> its table, until its last consumer
-        self._unread = {_CONGRUENCE, _IDENTITY}  # families not read yet
+        self._started = False  # set by the first read, which builds the progression tables
 
     def order_of(self, claim: IdentityClaim) -> int:
         """The order the run checks an identity claim at: the plan's order,
@@ -310,7 +304,7 @@ class TablePlan:
                 if isinstance(c, CongruenceClaim):
                     checks = _declare(c, self.caps)
                     reads = [
-                        ((t.seq, _CONGRUENCE), check.modulus, _indices(t, check))
+                        (t.seq, check.modulus, _indices(t, check))
                         for check in checks
                         for t in (check.lhs, check.rhs)
                         if t.seq is not None
@@ -318,76 +312,76 @@ class TablePlan:
                 else:
                     checks, order = [], self.order_of(c)
                     reads = [
-                        ((r.table, _IDENTITY), r.modulus, range(0, r.step * order + 1, r.step))
+                        (r.table, r.modulus, range(0, r.step * order + 1, r.step))
                         for r in c.lhs_reads + c.rhs_reads
                     ]
                 self._checks[id(c)] = checks
                 for read in reads:
                     self._add(*read)
-                keys = self._reads[id(c)] = {key for key, *_ in reads}
-                self._consumers.update(keys)
+                sources = self._reads[id(c)] = {source for source, *_ in reads}
+                self._consumers.update(sources)
         if id(claim) not in self._checks:
             raise ValueError(f"claim {claim.id} is not in the plan")
         return self._checks[id(claim)]
 
-    def read(self, key: tuple, modulus: int, indices: range) -> list[int]:
-        """key's table at indices, mod modulus, a declared read, as a fresh
-        list; shorter when the table is.  The first read of key's family
-        builds the family's progression tables, largest step first."""
-        family = key[1]
-        if family in self._unread:
-            self._unread.remove(family)
-            kept = [k for k, g in self._step.items() if g > 1 and k[1] == family]
-            for k in sorted(kept, key=self._step.get, reverse=True):
-                self._table(k)
-        table, g = self._table(key), self._step[key]
+    def read(self, source, modulus: int, indices: range) -> list[int]:
+        """source's table at indices, mod modulus, a declared read, as a
+        fresh list; shorter when the table is.  The plan's first read builds
+        its progression tables, largest step first."""
+        if not self._started:
+            self._started = True
+            kept = [s for s, g in self._step.items() if g > 1]
+            for s in sorted(kept, key=self._step.get, reverse=True):
+                self._table(s)
+        table, g = self._table(source), self._step[source]
         end = indices.start + indices.step * len(indices)
         values = table[indices.start // g : end // g : indices.step // g]
         if table.ring.modulus != modulus:
             values = [v % modulus for v in values]
         return values
 
-    def _add(self, key: tuple, modulus: int, indices: range):
-        """Add the read, and a whole read of every table key's is built from."""
-        source, family = key
+    def _add(self, source, modulus: int, indices: range):
+        """Add the read, and a whole read of every table source's is built
+        from."""
         top, step = indices[-1], gcd(indices.start, indices.step)
-        if key in self._modulus:
-            self._modulus[key] = lcm(self._modulus[key], modulus)
-            self._top[key] = max(self._top[key], top)
-            self._step[key] = gcd(self._step[key], step)
+        if source in self._modulus:
+            self._modulus[source] = lcm(self._modulus[source], modulus)
+            self._top[source] = max(self._top[source], top)
+            self._step[source] = gcd(self._step[source], step)
         else:
-            self._modulus[key], self._top[key], self._step[key] = modulus, top, step
+            self._modulus[source], self._top[source], self._step[source] = modulus, top, step
             for dep in _inputs(source):
-                self._consumers[(dep, family)] += 1  # key's build reads dep's table
+                self._consumers[dep] += 1  # source's build reads dep's table
         for dep in _inputs(source):
-            self._add((dep, family), modulus, range(top + 1))
+            self._add(dep, modulus, range(top + 1))
 
-    def _table(self, key: tuple) -> Series:
-        """key's planned progression, built on its first read from the
-        whole tables it is built from."""
-        table = self._tables.get(key)
+    def _table(self, source) -> Series:
+        """source's planned progression, built on its first read from the
+        whole tables it is built from.  An input that is not built yet and
+        has no other consumer is left out, so the builder goes without it."""
+        table = self._tables.get(source)
         if table is None:
-            (source, family), ring = key, Zmod(self._modulus[key])
-            top, step = self._top[key], self._step[key]
-            inputs = [self._table((dep, family)) for dep in _inputs(source)]
-            for dep in _inputs(source):
-                self._release((dep, family))
+            ring, top, step = Zmod(self._modulus[source]), self._top[source], self._step[source]
+            deps = _inputs(source)
+            inputs = [self._table(d) for d in deps if d in self._tables or self._consumers[d] > 1]
+            for d in deps:
+                self._release(d)
             if isinstance(source, SequenceRef):
                 table = sequences._build_series(source, ring, top, *inputs, step=step)
             else:
                 table = source(ring, top, step)
-            self._tables[key] = table
+            self._tables[source] = table
         return table
 
     def done(self, claim):
         """Release the tables the claim read."""
-        for key in self._reads.get(id(claim), ()):
-            self._release(key)
+        for source in self._reads.get(id(claim), ()):
+            self._release(source)
 
-    def _release(self, key: tuple):
-        self._consumers[key] -= 1
-        if self._consumers[key] <= 0:
-            self._tables.pop(key, None)
+    def _release(self, source):
+        self._consumers[source] -= 1
+        if self._consumers[source] <= 0:
+            self._tables.pop(source, None)
 
 
 def _side(t: Term, check: _Check, plan: TablePlan) -> list[int]:
@@ -397,7 +391,7 @@ def _side(t: Term, check: _Check, plan: TablePlan) -> list[int]:
     if t.seq is None:
         return [0] * (check.hi - check.lo + 1)
     indices = _indices(t, check)
-    values = plan.read((t.seq, _CONGRUENCE), m, indices)
+    values = plan.read(t.seq, m, indices)
     if t.sign_twist:
         # negate at the odd indices: every other value from the first odd
         # index when a is odd, else every value or none
@@ -429,7 +423,7 @@ def _cases(claim, plan: TablePlan) -> Iterator[tuple[list, list, Callable]]:
         [
             Series._raw(
                 Zmod(r.modulus),
-                plan.read((r.table, _IDENTITY), r.modulus, range(0, r.step * order + 1, r.step)),
+                plan.read(r.table, r.modulus, range(0, r.step * order + 1, r.step)),
             )
             for r in reads
         ]
@@ -475,13 +469,17 @@ def verify_claim(claim, plan: TablePlan) -> VerificationReport:
 def verify_claims(
     claims: Iterable, caps: Caps = Caps(), order: int | None = None
 ) -> Iterator[VerificationReport]:
-    """Yield each claim's report in order, all from one TablePlan, so each
-    table is built once.  Identity claims are checked at order, or else at
-    their default order.  Every table is built inside a verify_claim call."""
+    """Yield each claim's report in order.  The claims of each kind share
+    one TablePlan, so each table a kind reads is built once (see the module
+    docstring).  Identity claims are checked at order, or else at their
+    default order.  Every table is built inside a verify_claim call."""
     claims = list(claims)
-    plan = TablePlan(claims, caps, order)
+    plans = {
+        kind: TablePlan([c for c in claims if isinstance(c, CongruenceClaim) == kind], caps, order)
+        for kind in (True, False)
+    }
     for claim in claims:
-        yield verify_claim(claim, plan)
+        yield verify_claim(claim, plans[isinstance(claim, CongruenceClaim)])
 
 
 def hunt(

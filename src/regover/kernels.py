@@ -137,17 +137,13 @@ def _unpack(x, n, nbytes, m=None, shared=None, byteorder="little"):
     return [shared[f % m] for f in fields]
 
 
-def _nonzero(coeffs, limit):
-    return [(i, c) for i, c in enumerate(coeffs[:limit]) if c]
-
-
-def _residue_terms(residues, most=None):
-    """The nonzero (index, residue) terms of a list of least residues, or
-    None when it has more than `most` of them."""
-    found = list(islice(compress(count(), residues), None if most is None else most + 1))
+def _nonzero_terms(coeffs, most=None):
+    """The nonzero (index, coefficient) terms of a list of ints, or None
+    when it has more than `most` of them."""
+    found = list(islice(compress(count(), coeffs), None if most is None else most + 1))
     if most is not None and len(found) > most:
         return None
-    return [(j, residues[j]) for j in found]
+    return [(j, coeffs[j]) for j in found]
 
 
 def _below(terms, out_len):
@@ -174,7 +170,7 @@ def mul_mod(a, b, out_len, m, a_terms=None, b_terms=None):
         t = nb
     else:
         if a_terms is None:  # a known term count bounds the scan of a
-            a_terms = _residue_terms(a, len(b_terms) - 1)
+            a_terms = _nonzero_terms(a, len(b_terms) - 1)
         if a_terms is not None and len(a_terms) < len(b_terms):
             a, b, b_terms = b, a, a_terms
         t = len(b_terms)
@@ -185,7 +181,7 @@ def mul_mod(a, b, out_len, m, a_terms=None, b_terms=None):
     if t * t > _SPARSE_RATIO * len(a):
         acc = _pack(a, nbytes) * _pack(b, nbytes)
         return _unpack(acc, out_len, nbytes, m, shared)
-    terms = _residue_terms(b) if b_terms is None else b_terms
+    terms = _nonzero_terms(b) if b_terms is None else b_terms
     width = 8 * nbytes
     # a, padded to out_len fields by the shift
     packed = _pack(a, nbytes, "big") << (out_len - len(a)) * width
@@ -202,8 +198,8 @@ def mul_mod(a, b, out_len, m, a_terms=None, b_terms=None):
 
 def mul_exact(a, b, out_len):
     """Cauchy product over exact integers, truncated to out_len coefficients."""
-    nza = _nonzero(a, out_len)
-    nzb = _nonzero(b, out_len)
+    nza = _nonzero_terms(a[:out_len])
+    nzb = _nonzero_terms(b[:out_len])
     if len(nza) < len(nzb):
         nza, nzb = nzb, nza
     out = [0] * out_len
@@ -225,7 +221,7 @@ def div_mod(num, den, out_len, m, den_terms=None):
     if out_len <= 0:
         return []
     end = min(len(den), out_len)
-    terms = _residue_terms(den[:end]) if den_terms is None else den_terms
+    terms = _nonzero_terms(den[:end]) if den_terms is None else den_terms
     tail = [k for k, _ in terms if 0 < k < end]
     vals = [v for k, v in terms if 0 < k < end]
     block = min(_BLOCK, out_len)
@@ -281,7 +277,7 @@ def div_exact(num, den, out_len):
     d0 = den[0] if den else 0
     if d0 not in (1, -1):
         raise ValueError("constant term of divisor must be 1 or -1")
-    tail = _nonzero(den, out_len)[1:]
+    tail = _nonzero_terms(den[:out_len])[1:]
     q = []
     for n in range(out_len):
         acc = num[n] if n < len(num) else 0

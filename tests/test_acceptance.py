@@ -61,7 +61,7 @@ def test_criterion_02_t1_via_dstar():
             assert (table[n] - rhs) % 5 == 0, n
         (t1,) = claims_by_id(["C-T1"])
         (report,) = verify_claims([t1], Caps(bound=2000))
-        assert report.passed and report.instances == 2000
+        assert report.status == "pass" and report.instances == 2000
         c.ok = True
 
 
@@ -78,7 +78,7 @@ def test_criterion_04_t6():
     with _Criterion(4, "A_25(5n) = sigma3m(n) mod 5 for n <= 2000 (bound 10000)", 10) as c:
         (t6,) = claims_by_id(["C-T6"])
         (report,) = verify_claims([t6], Caps(bound=10000))
-        assert report.passed
+        assert report.status == "pass"
         assert report.instances == 2000
         c.ok = True
 
@@ -87,7 +87,7 @@ def test_criterion_05_t9():
     with _Criterion(5, "A_125(25n) = A_125(625n) mod 5 for 625n <= 20000 (32 instances)", 60) as c:
         (t9,) = claims_by_id(["C-T9"])
         (report,) = verify_claims([t9], Caps(bound=20000))
-        assert report.passed
+        assert report.status == "pass"
         assert report.instances == 32
         c.ok = True
 
@@ -105,7 +105,7 @@ def test_criterion_07_identity_suite():
     modular_ids = ("I-QP", "I-GF5", "I-R25", "I-TRENEER")
     with _Criterion(7, "identity suite exact+modular at order 2000", 60) as c:
         for report in verify_claims(claims_by_id(exact_ids + modular_ids), order=2000):
-            assert report.passed, (report.claim_id, report.status, report.counterexample)
+            assert report.status == "pass", (report.claim_id, report.status, report.counterexample)
             assert report.bound == 2000
         c.ok = True
 

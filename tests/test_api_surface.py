@@ -1,8 +1,8 @@
 """Every public name of the package has a caller outside tests/: each name
-in regover.__all__, and each public module-level def or class in
-src/regover, is used by another package module or by a file under bench/,
-the benchmark's harness and its tests.  A name that only tests/ calls is
-deleted instead.  So is a parameter with a default that no call outside
+in regover.__all__, each public module-level def or class in src/regover,
+and each public method or property of such a class, is used by another
+package module or by a file under bench/, the benchmark's harness and its
+tests.  A name that only tests/ calls is deleted instead.  So is a parameter with a default that no call outside
 tests/ passes, or that every such call sets to one and the same literal
 (passed, or the default where a call leaves it out): a knob with one value."""
 
@@ -68,6 +68,25 @@ def test_every_exported_name_has_a_caller():
 def test_every_public_definition_has_a_caller():
     unused = [q for q in public_definitions() if q.split(".")[1] not in USED | ALLOWED]
     assert unused == []
+
+
+def public_members() -> list[str]:
+    """module.class.name of each public method or property of a public
+    class in the package; dunders are not public."""
+    return [
+        f"{path.stem}.{node.name}.{fn.name}"
+        for path, tree in MODULES.items()
+        if path.parent == PACKAGE
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        for fn in node.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+    ]
+
+
+def test_every_public_method_and_property_has_a_reader():
+    unread = [q for q in public_members() if q.rsplit(".", 1)[1] not in USED]
+    assert unread == []
 
 
 def defaulted_parameters() -> list[tuple[str, str, int | None, str, ast.expr]]:

@@ -32,14 +32,14 @@ def linear_claim(seq, a, b, modulus, rhs=ZERO, claim_id="test"):
 def test_theorem1_style_claim():
     (t1,) = claims_by_id(["C-T1"])
     report = verify_one(t1, 2000)
-    assert report.passed
+    assert report.status == "pass"
     assert report.instances == 2000  # n = 1..2000
 
 
 def test_example1_instances():
     (ex1,) = claims_by_id(["C-EX1"])
     report = verify_one(ex1, 2000)
-    assert report.passed
+    assert report.status == "pass"
     assert report.instances == 25  # n = 0..24, indices 27..1971
 
 
@@ -78,7 +78,7 @@ def test_even_step_sign_twist(b, twist, counterexample):
     report = verify_one(claim, 200)
     assert report.counterexample == counterexample
     if counterexample is None:
-        assert report.passed and report.instances == 100
+        assert report.status == "pass" and report.instances == 100
 
 
 def test_failure_in_second_environment_counts_every_earlier_instance():
@@ -107,7 +107,7 @@ def test_zero_instances_is_skipped_not_pass():
     (t9,) = claims_by_id(["C-T9"])
     report = verify_one(t9, 100)
     assert report.status.startswith("skipped")
-    assert not report.passed and not report.failed
+    assert report.status != "pass" and not report.failed
     assert report.instances == 0
 
 
@@ -131,7 +131,7 @@ def test_prime_family_dependent_quantifiers():
     )
     report = verify_one(claim, 2000, prime_cap=20, k_cap=0)
     # p=3, k=0: indices 27(3n+i), i in {1,2}: n = 0..24 each minus overshoot
-    assert report.passed
+    assert report.status == "pass"
     assert report.instances == sum(1 for i in (1, 2) for n in range(25) if 27 * (3 * n + i) <= 2000)
 
 
@@ -233,7 +233,7 @@ def test_mutants_fail_alike_under_one_plan_with_the_registry():
 def test_identity_pass_and_order_cap():
     (gf,) = claims_by_id(["I-GF"])
     report = verify_one(gf, order=100)
-    assert report.passed
+    assert report.status == "pass"
     assert report.bound == 40  # capped at the oracle range
 
 
@@ -267,7 +267,7 @@ def test_a_short_side_is_an_error_not_a_smaller_check(short_side):
         verify_one(claim, order=10)
     message = str(err.value)
     assert "stub" in message and short_side in message and "{'k': 1}" in message
-    assert verify_one(claim, order=3).passed
+    assert verify_one(claim, order=3).status == "pass"
 
 
 def test_claims_reject_malformed_shapes():
@@ -339,7 +339,7 @@ def test_hunt_results_reverify():
     assert (79, 0, 63) in found  # b = 0 rows start at index a, as in verify
     for a, b, count in found:
         report = verify_one(linear_claim(_a(5), a, b, 5), 5000)
-        assert report.passed
+        assert report.status == "pass"
         assert report.instances == count
 
 
@@ -417,4 +417,4 @@ def test_quantifier_expansion_env_isolation():
     )
     report = verify_one(claim, 2000)
     assert report.instances == sum(1 for n in range(25) if 81 * n + 27 <= 2000)
-    assert report.passed
+    assert report.status == "pass"

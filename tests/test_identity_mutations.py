@@ -34,11 +34,13 @@ def bump(series, index):
 
 def bump_pbar(monkeypatch, index):
     """Perturb the overpartition table 1/phi(-q) every sequence is built from,
-    before it is extracted at the step the plan keeps."""
+    before it is extracted at the step the plan keeps.  An A_l built with no
+    pbar, as the quotient phi(-q^l) / phi(-q), is perturbed whole at the
+    same index: phi(-q^l) * pbar first differs from it there."""
     build = sequences._build_series
 
     def mutated(ref, ring, order, *inputs, step=1):
-        if ref != SequenceRef("pbar"):
+        if ref != SequenceRef("pbar") and (ref.name != "A" or inputs):
             return build(ref, ring, order, *inputs, step=step)
         return bump(build(ref, ring, order, *inputs), index).extract_progression(step, 0)
 

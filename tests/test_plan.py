@@ -67,7 +67,7 @@ def test_reports_do_not_depend_on_the_plan():
     alone = {c.id: run_plan([c])[c.id] for c in selected}
     assert run_plan(selected) == alone
     assert run_plan(selected[::-1]) == alone
-    assert all(r.passed for r in alone.values())
+    assert all(r.status == "pass" for r in alone.values())
 
 
 def test_each_sequence_is_built_once_over_the_lcm_of_its_moduli(builds):
@@ -121,17 +121,40 @@ def test_hunt_and_a_lone_claim_build_at_the_requested_modulus(builds):
     assert builds == [("r(6)", 7, BOUND, 1)]
     builds.clear()
     (shen2,) = claims_by_id(["C-SHEN-2"])
-    assert run_plan([shen2])["C-SHEN-2"].passed
-    assert [(label, m, step) for label, m, _, step in builds] == [("pbar", 6, 1), ("A(3)", 6, 1)]
+    assert run_plan([shen2])["C-SHEN-2"].status == "pass"
+    # pbar has no reader but A_3, so A_3 is one quotient, as in hunt
+    assert [(label, m, step) for label, m, _, step in builds] == [("A(3)", 6, 1)]
+
+
+@pytest.mark.parametrize(
+    "ids,calls",
+    [
+        # pbar has no reader but A_5: A_5 is one quotient phi(-q^5) / phi(-q)
+        (["C-T1"], [("div_mod", 5)]),
+        # A_5 and A_3 share pbar, one division over lcm(5, 2), then a product each
+        (["C-T1", "C-SHEN-1"], [("div_mod", 10), ("mul_mod", 5), ("mul_mod", 2)]),
+    ],
+)
+def test_pbar_is_built_only_for_a_tables_that_share_it(monkeypatch, ids, calls):
+    seen = []
+    for name in ("mul_mod", "div_mod"):
+
+        def spy(a, b, n, m, _name=name, _kernel=getattr(kernels, name), **kwargs):
+            seen.append((_name, m))
+            return _kernel(a, b, n, m, **kwargs)
+
+        monkeypatch.setattr(kernels, name, spy)
+    assert all(r.status == "pass" for r in run_plan(claims_by_id(ids)).values())
+    assert seen == calls
 
 
 def test_a_plan_that_verifies_a_claim_twice_keeps_no_table():
     shen1, shen4 = claims_by_id(["C-SHEN-1", "C-SHEN-4"])
     plan = TablePlan([shen1, shen4], Caps(bound=BOUND))
     first = verify_claim(shen1, plan)
-    assert verify_claim(shen4, plan).passed
+    assert verify_claim(shen4, plan).status == "pass"
     assert verify_claim(shen1, plan) == first
-    assert first.passed
+    assert first.status == "pass"
     assert plan._tables == {}
 
 
@@ -147,9 +170,8 @@ def test_a_congruence_table_is_kept_as_the_progression_its_reads_share():
     # A_25 only at multiples of 5 (C-T6 to C-T8, C-T11)
     selected = congruences()
     plan = TablePlan(selected, Caps(bound=BOUND))
-    assert verify_claim(selected[0], plan).passed
-    refs = (_a(625), _a(25), SequenceRef("pbar"))
-    a625, a25, pbar = ((ref, claims._CONGRUENCE) for ref in refs)
+    assert verify_claim(selected[0], plan).status == "pass"
+    a625, a25, pbar = _a(625), _a(25), SequenceRef("pbar")
     assert plan._step[a625] == 125
     assert len(plan._tables[a625]) == BOUND // 125 + 1 == 17
     assert plan._step[a25] == 5
@@ -178,7 +200,7 @@ def test_a_625_is_one_product_of_phi_and_pbars_125_progression(monkeypatch):
     selected = congruences()
     plan = TablePlan(selected, Caps(bound=BOUND))
     plan.checks(selected[0])
-    table = plan._table((_a(625), claims._CONGRUENCE))  # builds pbar by division first
+    table = plan._table(_a(625))  # builds pbar by division first
     ((theta, progression, m),) = products
     assert m == 5
     assert theta == phi(-1, Zmod(5), BOUND // 125, scale=5).coeffs
@@ -211,7 +233,7 @@ def test_identity_reports_do_not_depend_on_the_plan(order):
     alone = {c.id: run_identities([c], order)[c.id] for c in selected}
     assert run_identities(selected, order) == alone
     assert run_identities(selected[::-1], order) == alone
-    assert all(r.passed for r in alone.values())
+    assert all(r.status == "pass" for r in alone.values())
 
 
 def test_each_identity_table_is_built_once_to_its_largest_read(builds, monkeypatch):
@@ -250,7 +272,7 @@ def test_progression_tables_are_built_before_whole_ones(builds, monkeypatch):
 
     monkeypatch.setattr(registry, "jacobi_cube", spy)
     selected = claims_by_id(["I-GF5", "I-R25", "I-GF125"])
-    assert all(r.passed for r in run_identities(selected, 20).values())
+    assert all(r.status == "pass" for r in run_identities(selected, 20).values())
     assert builds == [
         ("core", 625, 2500),  # kept as its 125-progression
         ("pbar", 625, 2500, 1),  # built for A_125, kept whole for A_25 and A_5
@@ -283,7 +305,7 @@ def test_the_core_is_built_before_pbar_in_every_claim_order(monkeypatch):
     assert len(orders) == 120
     for claim_order in orders:
         events.clear()
-        assert all(r.passed for r in run_identities(claim_order, 20).values())
+        assert all(r.status == "pass" for r in run_identities(claim_order, 20).values())
         assert events.count("core") == events.count("pbar") == 1
         assert events.index("core") < events.index("pbar"), [c.id for c in claim_order]
 
@@ -291,13 +313,12 @@ def test_the_core_is_built_before_pbar_in_every_claim_order(monkeypatch):
 def test_the_core_is_kept_as_the_progression_its_reads_share():
     gf125, alpha = claims_by_id(["I-GF125", "I-ALPHA"])
     plan = TablePlan([gf125, alpha], order=40)
-    key = (registry._build_core, claims._IDENTITY)
     plan.checks(gf125)
     core = registry._build_core(Zmod(5**4), 125 * 40)
-    assert plan.read(key, 5**4, range(0, 125 * 40 + 1, 125)) == core[::125]
-    assert len(plan._tables[key]) == 125 * 40 // 25 + 1
-    assert verify_claim(gf125, plan).passed
-    assert verify_claim(alpha, plan).passed
+    assert plan.read(registry._build_core, 5**4, range(0, 125 * 40 + 1, 125)) == core[::125]
+    assert len(plan._tables[registry._build_core]) == 125 * 40 // 25 + 1
+    assert verify_claim(gf125, plan).status == "pass"
+    assert verify_claim(alpha, plan).status == "pass"
     assert plan._tables == {}
 
 
@@ -320,10 +341,12 @@ def test_an_identity_outside_the_plan_is_refused():
     assert verify_claim(gf125, default) == run_identities([gf125], gf125.default_order)["I-GF125"]
 
 
-def test_a_batch_calls_verify_claim_once_per_claim_from_one_plan(monkeypatch):
+def test_a_batch_gives_each_claim_kind_one_plan(monkeypatch):
     # the benchmark stamps its wall time at the first claims.verify_claim
     # call and wraps that attribute with the claim as first argument:
-    # verify_claims looks it up per claim, and builds no table before it
+    # verify_claims looks it up per claim, and builds no table before it.
+    # The claims of each kind share one plan, and the two plans share no
+    # table.
     events = []
     verify, build = claims.verify_claim, sequences._build_series
 
@@ -340,9 +363,13 @@ def test_a_batch_calls_verify_claim_once_per_claim_from_one_plan(monkeypatch):
     ids = ["C-SHEN-4", "I-TRENEER", "C-T1", "I-PHI", "C-SHEN-1"]
     reports = list(verify_claims(claims_by_id(ids), Caps(bound=200), order=20))
     assert [r.claim_id for r in reports] == ids
-    assert all(r.passed for r in reports)
+    assert all(r.status == "pass" for r in reports)
     calls = [e for e in events if e[0] == "verify"]
     assert [claim_id for _, claim_id, _ in calls] == ids
-    assert len({id(plan) for _, _, plan in calls}) == 1
+    plans = {kind: {id(plan) for _, claim_id, plan in calls if claim_id[0] == kind} for kind in "CI"}
+    assert len(plans["C"]) == len(plans["I"]) == 1
+    assert plans["C"] != plans["I"]
     assert events[0] == calls[0]
-    assert ("build", "pbar", 24 * 5, 1) in events  # C-SHEN-4's 24 and C-T1's 5
+    assert ("build", "pbar", 5, 5) in events  # I-TRENEER's, in the identity plan
+    # C-SHEN-4's 24 and C-T1's 5, once, in the congruence plan only
+    assert events.count(("build", "pbar", 24 * 5, 1)) == 1

@@ -201,7 +201,7 @@ def test_registry_eta_quotients_keep_the_sparse_route(monkeypatch):
 
     monkeypatch.setattr(products, "_power_is_cheaper", spy)
     identities = [c for c in builtin_registry() if isinstance(c, IdentityClaim)]
-    assert all(r.passed for r in verify_claims(identities))
+    assert all(r.status == "pass" for r in verify_claims(identities))
 
 
 def test_eta_spec_merges_duplicate_scales():

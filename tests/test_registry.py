@@ -64,13 +64,13 @@ def test_verify_all_small_bound_never_fails():
     assert [r.claim_id for r in reports] == [c.id for c in builtin_registry()]
     for r in reports:
         assert not r.failed, r
-        assert r.passed or r.status.startswith("skipped")
+        assert r.status == "pass" or r.status.startswith("skipped")
 
 
 def test_verify_all_default_scale_passes():
     reports = list(verify_claims(builtin_registry(), Caps(prime_cap=20, k_cap=1, bound=2000)))
-    assert all(r.passed for r in reports), [
-        (r.claim_id, r.status) for r in reports if not r.passed
+    assert all(r.status == "pass" for r in reports), [
+        (r.claim_id, r.status) for r in reports if r.status != "pass"
     ]
 
 
@@ -186,7 +186,7 @@ def test_i_alpha_builds_the_extracted_quotient_once(monkeypatch):
     monkeypatch.setattr(registry, "jacobi_cube", spy_cube)
     (claim,) = claims_by_id(["I-ALPHA"])
     plan = TablePlan([claim], order=40)
-    assert verify_claim(claim, plan).passed
+    assert verify_claim(claim, plan).status == "pass"
     assert cubes == [(2, 625, 25 * 40)]
     # the outer factors are the only eta quotients, one per case at order
     assert len(built) == len({spec for spec, _ in built}) == 3

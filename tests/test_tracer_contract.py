@@ -29,7 +29,7 @@ def test_tracer_installs_and_uninstalls_against_the_package():
         assert claims.sequence_value is not sequence_value
         (t6,) = registry.claims_by_id(["C-T6"])
         (report,) = claims.verify_claims([t6], claims.Caps(bound=50))
-        assert report.passed
+        assert report.status == "pass"
     finally:
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
@@ -51,7 +51,7 @@ def test_one_plan_over_the_congruences_builds_each_table_once():
     tracer = tracer_mod.Tracer()
     try:
         tracer_mod.install_layers(tracer)
-        assert all(r.passed for r in claims.verify_claims(selected, claims.Caps(bound=2000)))
+        assert all(r.status == "pass" for r in claims.verify_claims(selected, claims.Caps(bound=2000)))
     finally:
         tracer.uninstall()
     names = [span[0] for span in tracer.spans]
@@ -83,7 +83,7 @@ def test_one_plan_over_the_identities_builds_each_table_once(monkeypatch):
     try:
         tracer_mod.install_layers(tracer)
         plan = claims.TablePlan(selected, order=order)
-        assert all(claims.verify_claim(c, plan).passed for c in selected)
+        assert all(claims.verify_claim(c, plan).status == "pass" for c in selected)
     finally:
         tracer.uninstall()
     names = [span[0] for span in tracer.spans]
