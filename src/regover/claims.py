@@ -18,9 +18,9 @@ first table is built, the plan expands every congruence claim's
 quantifiers once and declares what each claim reads.  Every read is of one
 kind, (table, modulus, indices), the indices a progression: start, step
 and count.  A congruence side a n + b reads from a lo + b with step a, for
-its instance's n in [lo, hi]; an identity claim's Read (table, modulus,
-step) reads from 0 with its step, up to step times the order the run
-checks it at.  TablePlan.read serves both.
+its instance's n in [lo, hi]; an identity claim's Read (table, step)
+reads from 0 with its step, up to step times the order the run checks it
+at, modulo the claim's ring.  TablePlan.read serves both.
 
 The build rule: each table is built once per plan, over the lcm of its
 moduli (pbar's include those of every A_l built from it), to its largest
@@ -112,11 +112,11 @@ class CongruenceClaim(NamedTuple):
 
 class Read(NamedTuple):
     """An identity side's read of a table: its coefficients at the indices
-    step*n, mod modulus.  The table is a series-backed sequence, or else a
-    function (ring, order, step) -> Series built by the module's build rule."""
+    step*n, over the claim's ring.  The table is a series-backed sequence,
+    or else a function (ring, order, step) -> Series built by the module's
+    build rule."""
 
     table: SequenceRef | Callable[[Ring, int, int], Series]
-    modulus: int
     step: int = 1
 
 
@@ -137,9 +137,10 @@ class IdentityClaim(_IdentityClaimFields):
     """Exact or modular series identity, evaluated case by case.
 
     lhs/rhs are callables (ring, order, *tables, **case) -> Series, where
-    tables holds one Series over Zmod(read.modulus) to order for each of the
-    side's reads (lhs_reads or rhs_reads), in that order, from the run's
-    TablePlan.  ring may be a callable of the case for per-case moduli.
+    tables holds one Series over ring to order for each of the side's reads
+    (lhs_reads or rhs_reads), in that order, from the run's TablePlan.  ring
+    may be a callable of the case for per-case moduli, but a claim with
+    reads needs one Zmod(m) ring: the plan builds its tables mod m.
     order_cap bounds evaluation for sides backed by the enumeration oracle.
     """
 
@@ -149,6 +150,8 @@ class IdentityClaim(_IdentityClaimFields):
         claim = super().__new__(cls, *fields, **named)
         if not claim.cases:
             raise ValueError("identity claim needs at least one case")
+        if (claim.lhs_reads or claim.rhs_reads) and (callable(claim.ring) or claim.ring.is_exact):
+            raise ValueError("identity claim with reads needs one Zmod(m) ring")
         return claim
 
     @classmethod
@@ -312,7 +315,7 @@ class TablePlan:
                 else:
                     checks, order = [], self.order_of(c)
                     reads = [
-                        (r.table, r.modulus, range(0, r.step * order + 1, r.step))
+                        (r.table, c.ring.modulus, range(0, r.step * order + 1, r.step))
                         for r in c.lhs_reads + c.rhs_reads
                     ]
                 self._checks[id(c)] = checks
@@ -422,8 +425,8 @@ def _cases(claim, plan: TablePlan) -> Iterator[tuple[list, list, Callable]]:
     tables = [
         [
             Series._raw(
-                Zmod(r.modulus),
-                plan.read(r.table, r.modulus, range(0, r.step * order + 1, r.step)),
+                claim.ring,
+                plan.read(r.table, claim.ring.modulus, range(0, r.step * order + 1, r.step)),
             )
             for r in reads
         ]

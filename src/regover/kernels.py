@@ -12,10 +12,11 @@ Modular results are least nonnegative residues.
 ``mul_mod`` and ``div_mod`` take lists of least residues mod m, as every
 ``Series`` over Zmod(m) holds them, and read them as they are: they make no
 reduced copy of an operand.  An operand's terms (``a_terms``, ``b_terms``,
-``den_terms``), when given, are its nonzero (index, residue) pairs in
-increasing index, which the sparse constructors in ``products`` record as
-they build a series; with them a kernel does not scan the operand for its
-nonzeros.
+``den_terms``), when given, are exactly its nonzero (index, residue) pairs
+in increasing index, which the sparse constructors in ``products`` record as
+they build a series.  A kernel reads them only for the operand it steps
+through term by term, cut at out_len, and then does not scan that operand
+for its nonzeros.
 
 When m is past CPython's small-int cache (m > 256) and out_len >= m, a
 modular output holds one shared int object per residue, from one
@@ -39,18 +40,18 @@ bytes, or else the smallest whole number of bytes, with
 t * (m - 1)**2 < 2**width.  Then no field carries into the next one, and the
 low fields unpack exactly.
 
-``mul_mod`` packs the denser operand; t is the nonzero count of the other:
-the length of its terms when they are known, or else a count of its
-zeros.  A known count of t also bounds the scan of an operand without
-terms, which stops at its t-th nonzero entry.  When the sparser operand is
-sparse (see ``_SPARSE_RATIO``) it shift-adds a scaled copy of the packed
-operand per nonzero term; otherwise it packs it too and does one big-int
-multiply.  The shift-add packs the dense operand padded to
-out_len fields and reversed (big-endian), so coefficient n sits in field
-out_len - 1 - n.  A term d q**j then adds (d * packed) >> (j * width): the
-right shift drops exactly the products that land at n >= out_len, and the
-accumulator never grows past out_len fields.  Unpacking it big-endian
-undoes the reversal.
+``mul_mod`` counts the zeros of both operands, truncated to out_len, and
+packs the denser one; t is the nonzero count of the other, and on a tie the
+other is the one whose terms are recorded.  The rule needs no terms, since
+recorded terms are exactly an operand's nonzeros.  When the sparser operand
+is sparse (see ``_SPARSE_RATIO``) it shift-adds a scaled copy of the packed
+operand per nonzero term, from its recorded terms or else a scan;
+otherwise it packs it too and does one big-int multiply.  The shift-add
+packs the dense operand padded to out_len fields and reversed (big-endian),
+so coefficient n sits in field out_len - 1 - n.  A term d q**j then adds
+(d * packed) >> (j * width): the right shift drops exactly the products
+that land at n >= out_len, and the accumulator never grows past out_len
+fields.  Unpacking it big-endian undoes the reversal.
 
 ``div_mod`` solves the quotient in blocks of ``_BLOCK`` coefficients.  The
 inverse of the divisor mod q**_BLOCK comes once from the sparse recurrence.
@@ -68,7 +69,7 @@ Here t is the larger of _BLOCK and the divisor's nonzero tail count.
 import sys
 from array import array
 from bisect import bisect_left
-from itertools import compress, count, islice
+from itertools import compress, count
 
 # Both set by measurement on divisions by phi(-q) and (q;q) and on random
 # sparse-by-dense products, N = 2e3 to 1e5.  div_mod's block lengths 256 to
@@ -137,17 +138,10 @@ def _unpack(x, n, nbytes, m=None, shared=None, byteorder="little"):
     return [shared[f % m] for f in fields]
 
 
-def _nonzero_terms(coeffs, most=None):
-    """The nonzero (index, coefficient) terms of a list of ints, or None
-    when it has more than `most` of them."""
-    found = list(islice(compress(count(), coeffs), None if most is None else most + 1))
-    if most is not None and len(found) > most:
-        return None
-    return [(j, coeffs[j]) for j in found]
-
-
-def _below(terms, out_len):
-    return None if terms is None else terms[: bisect_left(terms, (out_len,))]
+def _nonzero_terms(coeffs):
+    """The nonzero (index, coefficient) terms of a list of ints, in
+    increasing index."""
+    return [(j, coeffs[j]) for j in compress(count(), coeffs)]
 
 
 def mul_mod(a, b, out_len, m, a_terms=None, b_terms=None):
@@ -159,29 +153,19 @@ def mul_mod(a, b, out_len, m, a_terms=None, b_terms=None):
         return []
     a = a[:out_len] if len(a) > out_len else a
     b = b[:out_len] if len(b) > out_len else b
-    a_terms, b_terms = _below(a_terms, out_len), _below(b_terms, out_len)
-    # b becomes the operand with the fewest nonzero terms, t of them
-    if b_terms is None:
-        a, b, a_terms, b_terms = b, a, b_terms, a_terms
-    if b_terms is None:  # neither operand's terms are known: count them
-        na, nb = len(a) - a.count(0), len(b) - b.count(0)
-        if na < nb:
-            a, b, nb = b, a, na
-        t = nb
-    else:
-        if a_terms is None:  # a known term count bounds the scan of a
-            a_terms = _nonzero_terms(a, len(b_terms) - 1)
-        if a_terms is not None and len(a_terms) < len(b_terms):
-            a, b, b_terms = b, a, a_terms
-        t = len(b_terms)
-    if not t:
+    na, nb = len(a) - a.count(0), len(b) - b.count(0)
+    # b becomes the operand with the fewest nonzero terms, nb of them; a
+    # tie prefers the operand whose terms are recorded
+    if (na, a_terms is None) < (nb, b_terms is None):
+        a, b, nb, b_terms = b, a, na, a_terms
+    if not nb:
         return [0] * out_len
-    nbytes = _field_bytes(t, m)
+    nbytes = _field_bytes(nb, m)
     shared = _shared_residues(m, out_len)
-    if t * t > _SPARSE_RATIO * len(a):
+    if nb * nb > _SPARSE_RATIO * len(a):
         acc = _pack(a, nbytes) * _pack(b, nbytes)
         return _unpack(acc, out_len, nbytes, m, shared)
-    terms = _nonzero_terms(b) if b_terms is None else b_terms
+    terms = _nonzero_terms(b) if b_terms is None else b_terms[: bisect_left(b_terms, (out_len,))]
     width = 8 * nbytes
     # a, padded to out_len fields by the shift
     packed = _pack(a, nbytes, "big") << (out_len - len(a)) * width

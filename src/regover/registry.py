@@ -360,25 +360,27 @@ def _identity_claims() -> list[IdentityClaim]:
             Zmod(5),
             default_order=1000,
             source="generating function reduced mod 5",
-            lhs_reads=(Read(_a(5), 5),),
+            lhs_reads=(Read(_a(5)),),
         ),
         IdentityClaim(
             "I-R25",
             lambda ring, order, a25: a25,
-            lambda ring, order: phi(-1, ring, order) ** 8,
+            # phi(-q) as f(-q, -q), since the table side is built from products.phi
+            lambda ring, order: theta_f_series(ThetaSpec(-1, 1, -1, 1), ring, order) ** 8,
             Zmod(5),
             default_order=1000,
             source="via Treneer's overpartition congruence",
-            lhs_reads=(Read(_a(25), 5, 5),),
+            lhs_reads=(Read(_a(25), 5),),
         ),
         IdentityClaim(
             "I-TRENEER",
             lambda ring, order, pbar: pbar,
-            lambda ring, order: phi(-1, ring, order) ** 3,
+            # phi(-q) as f(-q, -q), since the table side is built from products.phi
+            lambda ring, order: theta_f_series(ThetaSpec(-1, 1, -1, 1), ring, order) ** 3,
             Zmod(5),
             default_order=1000,
             source="Treneer (2006)",
-            lhs_reads=(Read(SequenceRef("pbar"), 5, 5),),
+            lhs_reads=(Read(SequenceRef("pbar"), 5),),
         ),
         IdentityClaim(
             "I-GF125",
@@ -387,8 +389,8 @@ def _identity_claims() -> list[IdentityClaim]:
             Zmod(5**4),
             default_order=200,
             source="generating function of A_125(125n); the paper states it mod 5",
-            lhs_reads=(Read(_build_core, 5**4, 125),),
-            rhs_reads=(Read(_a(125), 5**4, 125),),
+            lhs_reads=(Read(_build_core, 125),),
+            rhs_reads=(Read(_a(125), 125),),
         ),
         IdentityClaim(
             "I-DISSECT",
@@ -419,8 +421,8 @@ def _identity_claims() -> list[IdentityClaim]:
             cases=({"alpha": 2}, {"alpha": 3}, {"alpha": 4}),
             default_order=200,
             source="generating function of A_(5^a)(25n); the paper states it mod 5",
-            lhs_reads=(Read(_build_core, 5**4, 25),),
-            rhs_reads=tuple(Read(_a(5**alpha), 5**4, 25) for alpha in (2, 3, 4)),
+            lhs_reads=(Read(_build_core, 25),),
+            rhs_reads=tuple(Read(_a(5**alpha), 25) for alpha in (2, 3, 4)),
         ),
         IdentityClaim(
             "I-PBAR",

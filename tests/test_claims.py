@@ -9,6 +9,7 @@ from regover.claims import (
     CongruenceClaim,
     IdentityClaim,
     Quantifier,
+    Read,
     Term,
     _expand_quantifiers,
     hunt,
@@ -16,7 +17,7 @@ from regover.claims import (
 )
 from regover.registry import _a, _prime_family, builtin_registry, claims_by_id
 from regover.sequences import SequenceRef
-from regover.series import Series, ZZ
+from regover.series import Series, ZZ, Zmod
 
 
 def verify_one(claim, bound=2000, order=None, **caps):
@@ -273,6 +274,15 @@ def test_a_short_side_is_an_error_not_a_smaller_check(short_side):
 def test_claims_reject_malformed_shapes():
     with pytest.raises(ValueError, match="at least one case"):
         IdentityClaim("no-cases", Series.one, Series.one, ZZ, cases=())
+    # a read is built mod the claim's ring, so that ring is one Zmod(m)
+    reads = (Read(SequenceRef("pbar")),)
+    claim = IdentityClaim("reads", Series.one, Series.one, Zmod(5), rhs_reads=reads)
+    for ring in (ZZ, lambda case: Zmod(5)):
+        for fields in ({"lhs_reads": reads}, {"rhs_reads": reads}):
+            with pytest.raises(ValueError, match="needs one Zmod"):
+                IdentityClaim("reads", Series.one, Series.one, ring, **fields)
+        with pytest.raises(ValueError, match="needs one Zmod"):
+            claim._replace(ring=ring)
     zero_step = linear_claim(SequenceRef("p"), 0, 1, 5)
     with pytest.raises(ValueError, match="index multiplier must be >= 1"):
         verify_one(zero_step, 10)

@@ -1,10 +1,10 @@
 """Mutation sensitivity of every identity claim.
 
 Each test perturbs one side's construction, below the registry, by one
-coefficient, and requires the claim to fail with a counterexample.  A claim
-whose two sides were built from one shared table would pass any such
-mutation of that table, so these tests pin that the two sides of every
-identity are independent routes.  Where both sides share a builder (the
+coefficient or, for phi, by dropping its sign, and requires the claim to
+fail with a counterexample.  A claim whose two sides were built from one
+shared table or constructor would pass any such mutation of it, so these
+tests pin that the two sides of every identity are independent routes.  Where both sides share a builder (the
 Euler product in I-QP and I-PBAR), the builder is perturbed at a scale only
 one side uses.  Every mutant fails at the same place in a run of one table
 plan over all eleven identities as in a run of its claim alone, so sharing
@@ -67,6 +67,18 @@ def bump_phi(monkeypatch, target, index):
         return bump(series, index) if scale == target else series
 
     monkeypatch.setattr(products, "phi", mutated)
+
+
+def signless_phi(monkeypatch):
+    """Make phi ignore its sign, at every module that builds with it: the
+    overpartition table becomes 1/phi(q) and each A_l phi(q^l)/phi(q)."""
+    build = products.phi
+
+    def mutated(sign, ring, order, scale=1):
+        return build(1, ring, order, scale=scale)
+
+    for owner in (products, sequences, registry):
+        monkeypatch.setattr(owner, "phi", mutated)
 
 
 def bump_core_factor(monkeypatch, name, index):
@@ -136,6 +148,18 @@ def test_i_r25_fails_on_a_wrong_overpartition_table(monkeypatch):
 def test_i_treneer_fails_on_a_wrong_overpartition_table(monkeypatch):
     bump_pbar(monkeypatch, 10)
     check_fails("I-TRENEER", 30, {}, 2)
+
+
+def test_i_r25_fails_on_a_signless_phi(monkeypatch):
+    # the power of phi(-q) is the bilateral sum f(-q, -q), not phi, so a
+    # wrong phi changes the table side alone
+    signless_phi(monkeypatch)
+    check_fails("I-R25", 30, {}, 1)
+
+
+def test_i_treneer_fails_on_a_signless_phi(monkeypatch):
+    signless_phi(monkeypatch)
+    check_fails("I-TRENEER", 30, {}, 1)
 
 
 def test_i_gf125_fails_on_a_wrong_overpartition_table(monkeypatch):

@@ -9,10 +9,13 @@ magnitudes and with one magnitude under random signs.  The block-edge cases
 put tail terms, output lengths and numerator lengths around multiples of
 ``kernels._BLOCK`` (512, the block length of ``div_mod``); they exercise the
 plain loop at those lengths with long big-int quotients.  The packed modular
-kernels are tested in ``test_packed_kernels.py``.
+kernels are tested in ``test_packed_kernels.py``.  The last test checks
+that no kernel reaches another, which the kernels docstring promises.
 """
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,3 +178,27 @@ def test_div_exact_rejects_non_unit_constant_term(den, out_len):
 
 def test_backend_name():
     assert kernels.backend_name() == "pure-python"
+
+
+KERNELS = {"mul_mod", "div_mod", "mul_exact", "div_exact"}
+
+
+def test_no_kernel_reaches_another():
+    # series and arith call the four kernels as module attributes, and
+    # bench/tracer.py counts one span per kernel call: a kernel that used
+    # another, directly or through a helper, would be counted twice
+    tree = ast.parse(Path(kernels.__file__).read_text())
+    defs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    uses = {
+        name: {n.id for n in ast.walk(f) if isinstance(n, ast.Name) and n.id in defs}
+        for name, f in defs.items()
+    }
+    assert KERNELS <= set(defs)
+    for kernel in KERNELS:
+        reached, todo = set(), list(uses[kernel])
+        while todo:
+            name = todo.pop()
+            if name not in reached:
+                reached.add(name)
+                todo += uses[name]
+        assert not reached & KERNELS, kernel

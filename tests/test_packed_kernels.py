@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from regover import kernels
 from regover.claims import hunt
+from regover.products import phi
 from regover.sequences import SequenceRef, sequence_series
 from regover.series import Zmod
 
@@ -228,6 +229,38 @@ def test_divisor_boundaries(case, m):
     num, den, out_len = DIVISOR_CASES[case]
     expected = ref_div_mod(num, den, out_len, m)
     assert all(out == expected for out in keyword_div_mods(num, den, out_len, m))
+
+
+N = 40
+# phi(-q) and phi(q) mod 5 past q**N: seven nonzero terms below N each, on
+# one support with different residues; ONE is Series.one's single term
+PHI_MINUS, PHI_PLUS = (phi(sign, Zmod(5), N + 10)[:] for sign in (-1, 1))
+ONE = [1] + [0] * (N + 10)
+OPERANDS = {"a": (ONE, PHI_MINUS), "b": (PHI_MINUS, ONE), "tie": (PHI_MINUS, PHI_PLUS)}
+
+
+@pytest.mark.parametrize("recorded", ["a", "b", "both", "neither"])
+@pytest.mark.parametrize("sparser", OPERANDS)
+def test_mul_mod_shift_adds_the_sparser_operand(monkeypatch, sparser, recorded):
+    # mul_mod packs the operand with more nonzero terms below out_len and
+    # shift-adds the other, whichever operand's terms are recorded; on a tie
+    # it shift-adds the one with recorded terms, or b.  sparser "a" with
+    # recorded "b" is Series.one(...) * phi, the first product of a power.
+    a, b = OPERANDS[sparser]
+    a_terms = _terms(a) if recorded in ("a", "both") else None
+    b_terms = _terms(b) if recorded in ("b", "both") else None
+    packs = []
+    pack = kernels._pack
+
+    def spy(residues, nbytes, byteorder="little"):
+        packs.append((list(residues), byteorder))
+        return pack(residues, nbytes, byteorder)
+
+    monkeypatch.setattr(kernels, "_pack", spy)
+    out = kernels.mul_mod(a, b, N, 5, a_terms=a_terms, b_terms=b_terms)
+    assert out == ref_mul_mod(a, b, N, 5)
+    denser = b if sparser == "a" or (sparser == "tie" and recorded == "a") else a
+    assert packs == [(denser[:N], "big")]
 
 
 @pytest.mark.parametrize("m, n", [(625, 3 * 625), (840, 3 * 840), (2**31 - 1, 60)])

@@ -1,8 +1,9 @@
+import inspect
 import json
 from math import isqrt
 from pathlib import Path
 
-from regover import kernels, registry
+from regover import kernels, products, registry, sequences
 from regover.claims import (
     Caps,
     CongruenceClaim,
@@ -13,7 +14,7 @@ from regover.claims import (
 )
 from regover.products import eta_quotient
 from regover.registry import builtin_registry, claims_by_id
-from regover.sequences import SequenceRef
+from regover.sequences import SequenceRef, sequence_series
 from regover.series import ZZ, Zmod
 
 import pytest
@@ -124,13 +125,61 @@ def test_gf_extracted_equals_the_extraction_of_the_whole_quotient(ell, step, rin
     assert got == whole.extract_progression(step, 0)
 
 
-def test_no_identity_side_reads_the_other_sides_table():
+# the series constructors of products, spied wherever a module imports them
+BUILDERS = [
+    name
+    for name, f in vars(products).items()
+    if inspect.isfunction(f) and f.__module__ == products.__name__ and not name.startswith("_")
+]
+
+
+def _side_builders(side, reads, ring, case, order, called):
+    """The constructors one side calls, with each of its reads built alone
+    over ring."""
+    called.clear()
+    tables = [
+        sequence_series(r.table, ring, r.step * order).extract_progression(r.step, 0)
+        if isinstance(r.table, SequenceRef)
+        else r.table(ring, r.step * order, r.step)
+        for r in reads
+    ]
+    side(ring, order, *tables, **case)
+    return set(called)
+
+
+def test_no_identity_side_reads_the_other_sides_table(monkeypatch):
     # the eta core and pbar are two routes to one series: a side that read
-    # the other route's table would let a wrong table confirm itself
+    # the other route's table, or that built with a constructor the other
+    # side also calls, would let a wrong table or constructor confirm
+    # itself.  The Euler product is the one declared exception: the mutation
+    # tests perturb it at a scale only one side of I-QP or I-PBAR uses.
+    called = []
+    for owner in (products, sequences, registry):
+        for name in BUILDERS:
+            if hasattr(owner, name):
+                real = getattr(owner, name)
+
+                def spy(*args, _real=real, _name=name, **kwargs):
+                    called.append(_name)
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(owner, name, spy)
+    builders, shared = {}, {}
     for claim in builtin_registry():
-        if isinstance(claim, IdentityClaim):
-            lhs = {read.table for read in claim.lhs_reads}
-            assert not lhs & {read.table for read in claim.rhs_reads}, claim.id
+        if not isinstance(claim, IdentityClaim):
+            continue
+        lhs = {read.table for read in claim.lhs_reads}
+        assert not lhs & {read.table for read in claim.rhs_reads}, claim.id
+        for case in claim.cases:
+            ring = claim.ring(case) if callable(claim.ring) else claim.ring
+            sides = builders[claim.id] = [
+                _side_builders(side, reads, ring, case, 20, called)
+                for side, reads in ((claim.lhs, claim.lhs_reads), (claim.rhs, claim.rhs_reads))
+            ]
+            if sides[0] & sides[1]:
+                shared.setdefault(claim.id, set()).update(sides[0] & sides[1])
+    assert shared == {"I-QP": {"euler_product"}, "I-PBAR": {"euler_product"}}
+    assert builders["I-R25"] == builders["I-TRENEER"] == [{"phi"}, {"theta_f_series"}]
     (gf125,) = claims_by_id(["I-GF125"])
     assert [r.table for r in gf125.lhs_reads] == [registry._build_core]
     assert [r.table for r in gf125.rhs_reads] == [SequenceRef("A", 125)]
