@@ -12,7 +12,8 @@ from .claims import (
     Caps,
     CongruenceClaim,
     IdentityClaim,
-    Quantifier,
+    Instance,
+    PrimeFamily,
     Term,
     VerificationReport,
     ZERO,
@@ -48,7 +49,8 @@ __all__ = [
     "CongruenceClaim",
     "EtaQuotientSpec",
     "IdentityClaim",
-    "Quantifier",
+    "Instance",
+    "PrimeFamily",
     "Ring",
     "SequenceRef",
     "Series",

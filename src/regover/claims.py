@@ -1,11 +1,11 @@
 """Congruence/identity claim model and the finite-range verifier.
 
-A CongruenceClaim asserts lhs(index) = rhs(index) mod m for every n in
-range, optionally quantified over small primes, exponents and residues.
-Quantifier values and term fields may be callables of the quantifier
-environment, which is how families like index = c p^(4k+3) (p n + i) are
-expressed while staying immutable named tuples: ``_replace`` gives a
-changed copy.
+A CongruenceClaim is plain data: the Instances it asserts, each lhs = rhs
+mod m for every n in range, where a side is a sequence at a n + b for
+integers a and b.  The instances are a fixed tuple, or a PrimeFamily,
+index = c p^(s k + e) (p n + i) over the primes p in given residue
+classes, whose integer fields list its instances under the run's caps.
+Claims are immutable named tuples: ``_replace`` gives a changed copy.
 
 An instance is checked iff every index of both sides lies in [1, bound];
 a claim with no checkable instance reports skipped, never pass.  Values
@@ -14,8 +14,8 @@ series table for a series-backed sequence and a sieved one for a pointwise
 sequence (see ``regover.sequences``).
 
 Tables come from a TablePlan, which holds its own tables.  Before the
-first table is built, the plan expands every congruence claim's
-quantifiers once and declares what each claim reads.  Every read is of one
+first table is built, the plan lists every congruence claim's instances
+once and declares what each claim reads.  Every read is of one
 kind, (table, modulus, indices), the indices a progression: start, step
 and count.  A congruence side a n + b reads from a lo + b with step a, for
 its instance's n in [lo, hi]; an identity claim's Read (table, step)
@@ -55,6 +55,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import sequences
+from .arith import primes_up_to
 # bench/tracer.py wraps claims.sequence_value, so the name is kept here
 from .sequences import SequenceRef, sequence_value, series_inputs  # noqa: F401
 from .series import Ring, Series, Zmod
@@ -65,48 +66,77 @@ DEFAULT_K_CAP = 1
 
 
 class Caps(NamedTuple):
-    """Finite instantiation budget for quantified claims.  bound is the
-    verification bound, so a quantifier can drop values that leave no
-    index in [1, bound]."""
+    """Finite instantiation budget: a PrimeFamily takes its primes p <=
+    prime_cap and exponents k <= k_cap.  bound is the verification bound,
+    so a family drops the (p, k, i) that leave no index in [1, bound]."""
 
     prime_cap: int = DEFAULT_PRIME_CAP
     k_cap: int = DEFAULT_K_CAP
     bound: int = DEFAULT_BOUND
 
 
-class Quantifier(NamedTuple):
-    """A named finite range; values may depend on caps and on quantifiers
-    bound earlier (e.g. i ranges over 1..p-1)."""
-
-    name: str
-    values: tuple | Callable[[Caps, dict], Iterable[int]]
-
-    def enumerate(self, caps: Caps, env: dict) -> Iterable[int]:
-        return self.values(caps, env) if callable(self.values) else self.values
-
-
 class Term(NamedTuple):
     """One side of a congruence: seq(a n + b), optionally times (-1)^index.
+    seq None denotes the literal constant 0."""
 
-    seq None denotes the literal constant 0.  seq/a/b may be callables of
-    the quantifier environment.
-    """
-
-    seq: SequenceRef | Callable | None = None
-    a: int | Callable = 1
-    b: int | Callable = 0
+    seq: SequenceRef | None = None
+    a: int = 1
+    b: int = 0
     sign_twist: bool = False
 
 
 ZERO = Term(seq=None)
 
 
-class CongruenceClaim(NamedTuple):
-    id: str
+class Instance(NamedTuple):
+    """One concrete congruence, lhs = rhs mod modulus at every checkable n.
+    params are the (name, value) pairs the instance fixes, such as
+    (("p", 11), ("k", 0), ("i", 1)); a counterexample reports them with n."""
+
+    params: tuple[tuple[str, int], ...]
+    modulus: int
     lhs: Term
     rhs: Term
-    modulus: int | Callable
-    quantifiers: tuple[Quantifier, ...] = ()
+
+
+class PrimeFamily(NamedTuple):
+    """seq(c p^(s k + e) (p n + i)) = 0 mod modulus for every prime p whose
+    residue mod classes[0] is in classes[1], every k >= 0 and 0 < i < p.
+    s = 0 fixes the exponent at e, and the family has no k."""
+
+    seq: SequenceRef
+    modulus: int
+    c: int
+    e: int
+    s: int
+    classes: tuple[int, tuple[int, ...]]
+
+    def instances(self, caps: Caps) -> Iterator[Instance]:
+        """The instances for p <= prime_cap and k <= k_cap, by p, then k,
+        then i.  The least index of (p, k, i) is c p^(s k + e) i, at n = 0,
+        so the values that put it above caps.bound are dropped: they have
+        no checkable instance, and listing them would cost time quadratic
+        in the prime cap."""
+        m, allowed = self.classes
+        for p in primes_up_to(min(caps.prime_cap, caps.bound)):
+            if p % m not in allowed:
+                continue
+            for k in range(caps.k_cap + 1 if self.s else 1):
+                scale = self.c * p ** (self.s * k + self.e)
+                if scale > caps.bound:
+                    break
+                head = (("p", p), ("k", k)) if self.s else (("p", p),)
+                for i in range(1, min(p, caps.bound // scale + 1)):
+                    lhs = Term(self.seq, scale * p, scale * i)
+                    yield Instance((*head, ("i", i)), self.modulus, lhs, ZERO)
+
+
+class CongruenceClaim(NamedTuple):
+    """A congruence at each of its instances: a fixed tuple of them, or a
+    PrimeFamily's under the run's caps."""
+
+    id: str
+    instances: tuple[Instance, ...] | PrimeFamily
     source: str = ""
 
 
@@ -180,36 +210,6 @@ class VerificationReport(NamedTuple):
         }
 
 
-def _resolve(value, env: dict):
-    return value(env) if callable(value) else value
-
-
-def _expand_quantifiers(
-    quantifiers: tuple[Quantifier, ...], caps: Caps
-) -> Iterator[dict]:
-    def rec(i: int, env: dict) -> Iterator[dict]:
-        if i == len(quantifiers):
-            yield dict(env)
-            return
-        q = quantifiers[i]
-        for v in q.enumerate(caps, env):
-            env[q.name] = v
-            yield from rec(i + 1, env)
-        env.pop(q.name, None)
-
-    return rec(0, {})
-
-
-def _concretize(term: Term, env: dict) -> Term:
-    """The term with seq, a and b resolved in the quantifier environment."""
-    seq = _resolve(term.seq, env)
-    a = _resolve(term.a, env)
-    b = _resolve(term.b, env)
-    if seq is not None and a < 1:
-        raise ValueError("index multiplier must be >= 1")
-    return Term(seq, a, b, term.sign_twist)
-
-
 def _instance_range(sides: list[Term], bound: int) -> tuple[int, int]:
     """Largest n-interval where every sequence index lies in [1, bound]."""
     lo, hi = 0, bound
@@ -222,10 +222,10 @@ def _instance_range(sides: list[Term], bound: int) -> tuple[int, int]:
 
 
 class _Check(NamedTuple):
-    """One quantifier instance with a checkable n: lhs(index) = rhs(index)
-    mod modulus for n in [lo, hi], with env the quantifier values."""
+    """One instance with a checkable n: lhs(index) = rhs(index) mod modulus
+    for n in [lo, hi]."""
 
-    env: dict
+    params: tuple[tuple[str, int], ...]
     modulus: int
     lhs: Term
     rhs: Term
@@ -234,16 +234,18 @@ class _Check(NamedTuple):
 
 
 def _declare(claim: CongruenceClaim, caps: Caps) -> list[_Check]:
-    """The claim's instances that have a checkable n, in quantifier order,
-    from one expansion of its quantifiers."""
+    """The claim's instances that have a checkable n, in order."""
+    instances = claim.instances
+    if isinstance(instances, PrimeFamily):
+        instances = instances.instances(caps)
     checks = []
-    for env in _expand_quantifiers(claim.quantifiers, caps):
-        modulus = _resolve(claim.modulus, env)
-        lhs = _concretize(claim.lhs, env)
-        rhs = _concretize(claim.rhs, env)
-        lo, hi = _instance_range([lhs, rhs], caps.bound)
+    for instance in instances:
+        sides = [instance.lhs, instance.rhs]
+        if any(t.seq is not None and t.a < 1 for t in sides):
+            raise ValueError("index multiplier must be >= 1")
+        lo, hi = _instance_range(sides, caps.bound)
         if lo <= hi:
-            checks.append(_Check(env, modulus, lhs, rhs, lo, hi))
+            checks.append(_Check(*instance, lo, hi))
     return checks
 
 
@@ -297,8 +299,8 @@ class TablePlan:
         return order if claim.order_cap is None else min(order, claim.order_cap)
 
     def checks(self, claim) -> list[_Check]:
-        """The claim's checks: its quantifier instances with a checkable n
-        for a congruence claim, none for an identity claim.  The first call
+        """The claim's checks: its instances with a checkable n for a
+        congruence claim, none for an identity claim.  The first call
         declares every claim's reads; a claim not in the plan raises
         ValueError."""
         if self._checks is None:
@@ -417,7 +419,7 @@ def _cases(claim, plan: TablePlan) -> Iterator[tuple[list, list, Callable]]:
         yield (
             _side(c.lhs, c, plan),
             _side(c.rhs, c, plan),
-            lambda j, c=c: ({**c.env, "n": c.lo + j}, c.lhs.a * (c.lo + j) + c.lhs.b),
+            lambda j, c=c: (dict(c.params, n=c.lo + j), c.lhs.a * (c.lo + j) + c.lhs.b),
         )
     if isinstance(claim, CongruenceClaim):
         return
@@ -433,7 +435,7 @@ def _cases(claim, plan: TablePlan) -> Iterator[tuple[list, list, Callable]]:
         for reads in (claim.lhs_reads, claim.rhs_reads)
     ]
     for case in claim.cases:
-        ring = _resolve(claim.ring, case)
+        ring = claim.ring(case) if callable(claim.ring) else claim.ring
         sides = []
         for name, side, side_tables in zip(("lhs", "rhs"), (claim.lhs, claim.rhs), tables):
             series = side(ring, order, *side_tables, **case)
@@ -448,8 +450,8 @@ def _cases(claim, plan: TablePlan) -> Iterator[tuple[list, list, Callable]]:
 
 def verify_claim(claim, plan: TablePlan) -> VerificationReport:
     """Check the claim with the tables and knobs of plan, which must hold it:
-    a congruence claim at every quantifier instance for all n with all
-    indices in [1, plan.caps.bound], an identity claim in every case at
+    a congruence claim at every instance for all n with all indices in
+    [1, plan.caps.bound], an identity claim in every case at
     plan.order_of(claim).  Each check's two sides are compared whole; the
     first mismatch is located only when they differ.  The claim's tables
     are released on return."""

@@ -1,20 +1,23 @@
 """Built-in claim registry: the congruences and series identities the
 library verifies, with fixed ids for CLI addressing.
 
+Every congruence claim is data: a tuple of instances, or a PrimeFamily
+whose primes are residue classes.  A class not prime to its modulus holds
+at most one prime, so leaving it out excludes that prime (2, 5 or 7).
+
 Prime-family hypotheses are the sharp ones: the geometric sums behind
 C-T2/C-T7 (1 + p + ... + p^(4k+3) and its cube version) vanish mod 5 only
 when p mod 5 is not 0 or 1, and the C-T5c combination vanishes mod 7 for
-all k only when p = 3 (mod 4) or p^2 != 1 (mod 7).  The regression tests
-exhibit counterexamples (e.g. index 1331 = 11^3) for the unfiltered
-families.
+all k only when p = 3 (mod 4) or p^2 != 1 (mod 7): the odd classes mod 28
+prime to 7, except 1 and 13.  The regression tests exhibit counterexamples
+(e.g. index 1331 = 11^3) for the unfiltered families.
 """
 
 from __future__ import annotations
 
-from itertools import takewhile
-
-from .arith import primes_up_to
-from .claims import ZERO, CongruenceClaim, IdentityClaim, Quantifier, Read, Term
+# bench/tracer.py wraps registry.primes_up_to, so the name is kept here
+from .arith import primes_up_to  # noqa: F401
+from .claims import ZERO, CongruenceClaim, IdentityClaim, Instance, PrimeFamily, Read, Term
 from .products import (
     EtaQuotientSpec,
     ThetaSpec,
@@ -40,232 +43,143 @@ from .series import Series, ZZ, Zmod
 # -- congruence claims -------------------------------------------------------
 
 
-def _prime_family(claim_id, seq, modulus, prefactor, e_base, e_step, p_filter, source):
-    """Claim: seq(prefactor * p^(e_step*k + e_base) * (p n + i)) = 0 mod m.
-
-    The least index of (p, k, i) is prefactor * p^e * i (at n = 0), so
-    values that put it above the bound are dropped: they have no checkable
-    instance, and enumerating them would cost time quadratic in the prime cap.
-    """
-
-    def exponent(env):
-        return e_step * env.get("k", 0) + e_base
-
-    def scale(env):
-        return prefactor * env["p"] ** exponent(env)
-
-    def primes(caps, env):
-        candidates = primes_up_to(min(caps.prime_cap, caps.bound))
-        return [p for p in candidates if p_filter(p) and scale({"p": p}) <= caps.bound]
-
-    def ks(caps, env):
-        return list(
-            takewhile(lambda k: scale({**env, "k": k}) <= caps.bound, range(caps.k_cap + 1))
-        )
-
-    def residues(caps, env):
-        return range(1, min(env["p"], caps.bound // scale(env) + 1))
-
-    quants = [Quantifier("p", primes)]
-    if e_step:
-        quants.append(Quantifier("k", ks))
-    quants.append(Quantifier("i", residues))
-    lhs = Term(
-        seq=seq,
-        a=lambda env: prefactor * env["p"] ** (exponent(env) + 1),
-        b=lambda env: scale(env) * env["i"],
-    )
-    return CongruenceClaim(claim_id, lhs, ZERO, modulus, tuple(quants), source)
-
-
 def _a(ell):
     return SequenceRef("A", ell)
 
 
 def _congruence_claims() -> list[CongruenceClaim]:
     pbar = SequenceRef("pbar")
-    claims = [
-        CongruenceClaim(
-            "C-SHEN-1", Term(_a(3), 4, 1), ZERO, 2, source="Shen (2016)"
-        ),
-        CongruenceClaim(
-            "C-SHEN-2", Term(_a(3), 4, 3), ZERO, 6, source="Shen (2016)"
-        ),
-        CongruenceClaim(
-            "C-SHEN-3", Term(_a(3), 9, 3), ZERO, 6, source="Shen (2016)"
-        ),
-        CongruenceClaim(
-            "C-SHEN-4", Term(_a(3), 9, 6), ZERO, 24, source="Shen (2016)"
-        ),
+    return [
+        CongruenceClaim("C-SHEN-1", (Instance((), 2, Term(_a(3), 4, 1), ZERO),), "Shen (2016)"),
+        CongruenceClaim("C-SHEN-2", (Instance((), 6, Term(_a(3), 4, 3), ZERO),), "Shen (2016)"),
+        CongruenceClaim("C-SHEN-3", (Instance((), 6, Term(_a(3), 9, 3), ZERO),), "Shen (2016)"),
+        CongruenceClaim("C-SHEN-4", (Instance((), 24, Term(_a(3), 9, 6), ZERO),), "Shen (2016)"),
         CongruenceClaim(
             "C-T1",
-            Term(_a(5)),
-            Term(SequenceRef("r", 4), sign_twist=True),
-            5,
-            source="5-regular overpartitions vs four squares",
+            (Instance((), 5, Term(_a(5)), Term(SequenceRef("r", 4), sign_twist=True)),),
+            "5-regular overpartitions vs four squares",
         ),
-        _prime_family(
+        CongruenceClaim(
             "C-T2",
-            _a(5),
-            5,
-            prefactor=1,
-            e_base=3,
-            e_step=4,
-            p_filter=lambda p: p % 2 and p % 5 not in (0, 1),
-            source="vanishing d*(p^(4k+3)) mod 5",
+            PrimeFamily(_a(5), 5, c=1, e=3, s=4, classes=(10, (3, 7, 9))),
+            "vanishing d*(p^(4k+3)) mod 5",
         ),
         CongruenceClaim(
-            "C-EX1", Term(_a(5), 81, 27), ZERO, 5, source="C-T2 at p=3, k=0, i=1"
+            "C-EX1", (Instance((), 5, Term(_a(5), 81, 27), ZERO),), "C-T2 at p=3, k=0, i=1"
         ),
-        _prime_family(
+        CongruenceClaim(
             "C-T3",
-            _a(5),
-            5,
-            prefactor=1,
-            e_base=1,
-            e_step=0,
-            p_filter=lambda p: p % 10 == 9,
-            source="1 + p = 0 mod 5 for p = 9 mod 10",
+            PrimeFamily(_a(5), 5, c=1, e=1, s=0, classes=(10, (9,))),
+            "1 + p = 0 mod 5 for p = 9 mod 10",
         ),
         CongruenceClaim(
-            "C-EX2", Term(_a(5), 361, 19), ZERO, 5, source="C-T3 at p=19, i=1"
+            "C-EX2", (Instance((), 5, Term(_a(5), 361, 19), ZERO),), "C-T3 at p=19, i=1"
         ),
         CongruenceClaim(
             "C-GEN",
-            Term(lambda env: _a(env["ell"])),
-            Term(lambda env: SequenceRef("r", env["ell"] - 1), sign_twist=True),
-            lambda env: env["ell"],
-            (Quantifier("ell", (3, 7)),),
-            source="prime-regular overpartitions vs squares",
+            tuple(
+                Instance(
+                    (("ell", ell),),
+                    ell,
+                    Term(_a(ell)),
+                    Term(SequenceRef("r", ell - 1), sign_twist=True),
+                )
+                for ell in (3, 7)
+            ),
+            "prime-regular overpartitions vs squares",
         ),
-        _prime_family(
+        CongruenceClaim(
             "C-T5a",
-            _a(3),
-            3,
-            prefactor=1,
-            e_base=1,
-            e_step=2,
-            p_filter=lambda p: p % 4 == 3,
-            source="r_2 divisor sum vanishes at p^(2k+1), p = 3 mod 4",
+            PrimeFamily(_a(3), 3, c=1, e=1, s=2, classes=(4, (3,))),
+            "r_2 divisor sum vanishes at p^(2k+1), p = 3 mod 4",
         ),
-        _prime_family(
+        CongruenceClaim(
             "C-T5b",
-            _a(3),
-            3,
-            prefactor=1,
-            e_base=2,
-            e_step=3,
-            p_filter=lambda p: p % 4 == 1,
-            source="r_2 divisor count 3(k+1) at p^(3k+2), p = 1 mod 4",
+            PrimeFamily(_a(3), 3, c=1, e=2, s=3, classes=(4, (1,))),
+            "r_2 divisor count 3(k+1) at p^(3k+2), p = 1 mod 4",
         ),
-        _prime_family(
+        CongruenceClaim(
             "C-T5c",
-            _a(7),
-            7,
-            prefactor=1,
-            e_base=5,
-            e_step=6,
-            p_filter=lambda p: p % 2 and p != 7 and (p % 4 == 3 or p * p % 7 != 1),
-            source="r_6 divisor sums vanish at p^(6k+5)",
+            PrimeFamily(
+                _a(7), 7, c=1, e=5, s=6, classes=(28, (3, 5, 9, 11, 15, 17, 19, 23, 25, 27))
+            ),
+            "r_6 divisor sums vanish at p^(6k+5)",
         ),
         CongruenceClaim(
             "C-A9",
-            Term(_a(9)),
-            Term(SequenceRef("r", 8), sign_twist=True),
-            3,
-            source="9-regular overpartitions vs eight squares",
+            (Instance((), 3, Term(_a(9)), Term(SequenceRef("r", 8), sign_twist=True)),),
+            "9-regular overpartitions vs eight squares",
         ),
         CongruenceClaim(
             "C-T6",
-            Term(_a(25), 5),
-            Term(SequenceRef("sigma3m")),
-            5,
-            source="25-regular overpartitions vs signed cube divisor sum",
+            (Instance((), 5, Term(_a(25), 5), Term(SequenceRef("sigma3m"))),),
+            "25-regular overpartitions vs signed cube divisor sum",
         ),
-        _prime_family(
+        CongruenceClaim(
             "C-T7",
-            _a(25),
-            5,
-            prefactor=5,
-            e_base=3,
-            e_step=4,
-            p_filter=lambda p: p % 2 and p % 5 not in (0, 1),
-            source="vanishing sigma3m(p^(4k+3)) mod 5",
+            PrimeFamily(_a(25), 5, c=5, e=3, s=4, classes=(10, (3, 7, 9))),
+            "vanishing sigma3m(p^(4k+3)) mod 5",
         ),
-        _prime_family(
+        CongruenceClaim(
             "C-T8",
-            _a(25),
-            5,
-            prefactor=5,
-            e_base=1,
-            e_step=0,
-            p_filter=lambda p: p % 10 == 9,
-            source="1 + p^3 = 0 mod 5 for p = 9 mod 10",
+            PrimeFamily(_a(25), 5, c=5, e=1, s=0, classes=(10, (9,))),
+            "1 + p^3 = 0 mod 5 for p = 9 mod 10",
         ),
         CongruenceClaim(
             "C-T9",
-            Term(_a(125), 25),
-            Term(_a(125), 625),
-            5,
-            source="125-regular overpartition self-similarity",
+            (Instance((), 5, Term(_a(125), 25), Term(_a(125), 625)),),
+            "125-regular overpartition self-similarity",
         ),
         CongruenceClaim(
             "C-T10",
-            Term(lambda env: _a(5 ** env["alpha"]), 625, lambda env: env["i"]),
-            ZERO,
-            5,
-            (Quantifier("alpha", (4, 5)), Quantifier("i", (125, 500))),
-            source="overpartition vanishing on 625n+125, 625n+500",
+            tuple(
+                Instance((("alpha", alpha), ("i", i)), 5, Term(_a(5**alpha), 625, i), ZERO)
+                for alpha in (4, 5)
+                for i in (125, 500)
+            ),
+            "overpartition vanishing on 625n+125, 625n+500",
         ),
         CongruenceClaim(
             "C-T11",
-            Term(lambda env: _a(5 ** env["alpha"]), 25),
-            Term(lambda env: _a(5 ** (env["alpha"] + 2)), 625),
-            5,
-            (Quantifier("alpha", (2, 3)),),
-            source="power-of-5 regular overpartition self-similarity",
+            tuple(
+                Instance(
+                    (("alpha", alpha),), 5, Term(_a(5**alpha), 25), Term(_a(5 ** (alpha + 2)), 625)
+                )
+                for alpha in (2, 3)
+            ),
+            "power-of-5 regular overpartition self-similarity",
         ),
         CongruenceClaim(
             "C-T12",
-            Term(
-                lambda env: _a(5 ** env["alpha"]),
-                lambda env: 25 ** env["j"] * 625,
-                lambda env: 25 ** env["j"] * env["i"],
+            tuple(
+                Instance(
+                    (("alpha", alpha), ("j", j), ("i", i)),
+                    5,
+                    Term(_a(5**alpha), 25**j * 625, 25**j * i),
+                    ZERO,
+                )
+                for alpha in (4, 5, 6)
+                for j in range((alpha - 4) // 2 + 1)
+                for i in (125, 500)
             ),
-            ZERO,
-            5,
-            (
-                Quantifier("alpha", (4, 5, 6)),
-                Quantifier("j", lambda caps, env: range((env["alpha"] - 4) // 2 + 1)),
-                Quantifier("i", (125, 500)),
-            ),
-            source="iterated 25-scaling of C-T10",
+            "iterated 25-scaling of C-T10",
         ),
         CongruenceClaim(
             "C-CHEN-1",
-            Term(pbar, 625, lambda env: 125 * env["s"]),
-            ZERO,
-            5,
-            (Quantifier("s", (1, -1)),),
-            source="Chen et al. (2015), Eq. (5.3)",
+            tuple(Instance((("s", s),), 5, Term(pbar, 625, 125 * s), ZERO) for s in (1, -1)),
+            "Chen et al. (2015), Eq. (5.3)",
         ),
         CongruenceClaim(
             "C-CHEN-2",
-            Term(pbar, 25),
-            Term(pbar, 625),
-            5,
-            source="Chen et al. (2015), Thm 1.5",
+            (Instance((), 5, Term(pbar, 25), Term(pbar, 625)),),
+            "Chen et al. (2015), Thm 1.5",
         ),
         CongruenceClaim(
             "C-CHEN-3",
-            Term(pbar, 625, lambda env: env["i"]),
-            ZERO,
-            5,
-            (Quantifier("i", (125, 500)),),
-            source="Chen et al. (2015), Eq. (5.3)",
+            tuple(Instance((("i", i),), 5, Term(pbar, 625, i), ZERO) for i in (125, 500)),
+            "Chen et al. (2015), Eq. (5.3)",
         ),
     ]
-    return claims
 
 
 # -- identity claims ---------------------------------------------------------

@@ -121,12 +121,18 @@ def test_criterion_08_prime_families():
 def test_criterion_09_mutation_sensitivity():
     with _Criterion(9, "five seeded registry mutations each fail at bound 200", 10) as c:
         t1, ex1, t6 = claims_by_id(["C-T1", "C-EX1", "C-T6"])
+        (t1_instance,), (ex1_instance,) = t1.instances, ex1.instances
+
+        def mutate(claim, **fields):  # a one-instance claim with fields replaced
+            (instance,) = claim.instances
+            return claim._replace(instances=(instance._replace(**fields),))
+
         mutations = [
-            t1._replace(rhs=t1.rhs._replace(sign_twist=False)),
-            t1._replace(modulus=6),
-            ex1._replace(lhs=ex1.lhs._replace(b=28)),
-            t6._replace(rhs=Term(SequenceRef("dstar"))),
-            ex1._replace(lhs=ex1.lhs._replace(a=82)),
+            mutate(t1, rhs=t1_instance.rhs._replace(sign_twist=False)),
+            mutate(t1, modulus=6),
+            mutate(ex1, lhs=ex1_instance.lhs._replace(b=28)),
+            mutate(t6, rhs=Term(SequenceRef("dstar"))),
+            mutate(ex1, lhs=ex1_instance.lhs._replace(a=82)),
         ]
         for mutant, report in zip(mutations, verify_claims(mutations, Caps(bound=200))):
             assert report.failed, mutant

@@ -8,15 +8,15 @@ from regover.claims import (
     Caps,
     CongruenceClaim,
     IdentityClaim,
-    Quantifier,
+    Instance,
+    PrimeFamily,
     Read,
     Term,
-    _expand_quantifiers,
     hunt,
     verify_claims,
 )
-from regover.registry import _a, _prime_family, builtin_registry, claims_by_id
-from regover.sequences import SequenceRef
+from regover.registry import _a, builtin_registry, claims_by_id
+from regover.sequences import SequenceRef, sequence_series
 from regover.series import Series, ZZ, Zmod
 
 
@@ -26,8 +26,19 @@ def verify_one(claim, bound=2000, order=None, **caps):
     return report
 
 
-def linear_claim(seq, a, b, modulus, rhs=ZERO, claim_id="test"):
-    return CongruenceClaim(claim_id, Term(seq, a, b), rhs, modulus)
+def single(claim_id, lhs, rhs, modulus):
+    """A claim of one instance with no params."""
+    return CongruenceClaim(claim_id, (Instance((), modulus, lhs, rhs),))
+
+
+def linear_claim(seq, a, b, modulus):
+    return single("test", Term(seq, a, b), ZERO, modulus)
+
+
+def with_instance(claim, **fields):
+    """The one-instance claim with those fields of its instance replaced."""
+    (instance,) = claim.instances
+    return claim._replace(instances=(instance._replace(**fields),))
 
 
 def test_theorem1_style_claim():
@@ -46,9 +57,7 @@ def test_example1_instances():
 
 def test_falsified_claim_counterexample():
     # drop the sign twist: A_5(n) = r_4(n) mod 5 breaks at n = 1 (2 vs 8)
-    bogus = CongruenceClaim(
-        "bogus", Term(_a(5)), Term(SequenceRef("r", 4)), 5
-    )
+    bogus = single("bogus", Term(_a(5)), Term(SequenceRef("r", 4)), 5)
     report = verify_one(bogus, 50)
     assert report.failed
     ce = report.counterexample
@@ -70,7 +79,7 @@ def test_falsified_claim_counterexample():
 def test_even_step_sign_twist(b, twist, counterexample):
     # A_5(2n + b) = (-1)^b r_4(2n + b) mod 5: at an even step the twist
     # negates every value of the odd progression and none of the even one
-    claim = CongruenceClaim(
+    claim = single(
         "even-step",
         Term(_a(5), 2, b),
         Term(SequenceRef("r", 4), 2, b, sign_twist=twist),
@@ -88,10 +97,12 @@ def test_failure_in_second_environment_counts_every_earlier_instance():
     # -r_4(9) = -104 = 16 mod 20
     claim = CongruenceClaim(
         "two-env",
-        Term(_a(5), a=3),
-        Term(SequenceRef("r", 4), a=3, sign_twist=True),
-        lambda env: env["m"],
-        (Quantifier("m", (5, 20)),),
+        tuple(
+            Instance(
+                (("m", m),), m, Term(_a(5), a=3), Term(SequenceRef("r", 4), a=3, sign_twist=True)
+            )
+            for m in (5, 20)
+        ),
     )
     report = verify_one(claim, 60)
     assert report.to_json_obj() == {
@@ -126,10 +137,8 @@ def test_index_zero_never_checked():
 
 
 def test_prime_family_dependent_quantifiers():
-    claim = _prime_family(
-        "fam", _a(5), 5, prefactor=1, e_base=3, e_step=4,
-        p_filter=lambda p: p == 3, source="",
-    )
+    # the one class mod 3 that holds 3 admits p = 3 alone
+    claim = CongruenceClaim("fam", PrimeFamily(_a(5), 5, c=1, e=3, s=4, classes=(3, (0,))))
     report = verify_one(claim, 2000, prime_cap=20, k_cap=0)
     # p=3, k=0: indices 27(3n+i), i in {1,2}: n = 0..24 each minus overshoot
     assert report.status == "pass"
@@ -137,21 +146,23 @@ def test_prime_family_dependent_quantifiers():
 
 
 def test_literal_t2_hypothesis_fails_at_p_11():
-    literal = _prime_family(
-        "T2-literal", _a(5), 5, prefactor=1, e_base=3, e_step=4,
-        p_filter=lambda p: p % 2 and p != 5, source="",
+    # p odd and p != 5: every class mod 10 prime to 10
+    literal = CongruenceClaim(
+        "T2-literal", PrimeFamily(_a(5), 5, c=1, e=3, s=4, classes=(10, (1, 3, 7, 9)))
     )
     report = verify_one(literal, 20000, prime_cap=20, k_cap=1)
-    assert report.failed
-    ce = report.counterexample
-    assert ce["params"]["p"] == 11
-    assert ce["index"] == 1331 and ce["lhs"] == 3
+    assert report.failed and report.instances == 551
+    assert report.counterexample == {
+        "params": {"p": 11, "k": 0, "i": 1, "n": 0},
+        "index": 1331,
+        "lhs": 3,
+        "rhs": 0,
+    }
 
 
 def test_literal_t7_hypothesis_fails_at_p_11():
-    literal = _prime_family(
-        "T7-literal", _a(25), 5, prefactor=5, e_base=3, e_step=4,
-        p_filter=lambda p: p % 2 and p != 5, source="",
+    literal = CongruenceClaim(
+        "T7-literal", PrimeFamily(_a(25), 5, c=5, e=3, s=4, classes=(10, (1, 3, 7, 9)))
     )
     report = verify_one(literal, 20000, prime_cap=20, k_cap=1)
     assert report.failed
@@ -165,20 +176,25 @@ def test_prime_families_pruned_by_bound():
     report = verify_one(t2, 200, prime_cap=300)
     assert report.instances == 5
     assert verify_one(t2, 200, prime_cap=5000) == report
-    envs = list(_expand_quantifiers(t2.quantifiers, Caps(prime_cap=5000, k_cap=1, bound=200)))
-    assert envs == [{"p": 3, "k": 0, "i": 1}, {"p": 3, "k": 0, "i": 2}]
-    # each quantifier stops exactly where the least index passes the bound
-    p_q, k_q, i_q = t2.quantifiers
-    assert list(p_q.enumerate(Caps(prime_cap=5000, bound=7**3), {})) == [3, 7]
-    caps = Caps(prime_cap=5000, k_cap=5, bound=3**7)
-    assert list(k_q.enumerate(caps, {"p": 3})) == [0, 1]
-    assert list(i_q.enumerate(caps, {"p": 3, "k": 1})) == [1]
+
+    def envs(claim, caps):
+        return [dict(instance.params) for instance in claim.instances.instances(caps)]
+
+    assert envs(t2, Caps(prime_cap=5000, k_cap=1, bound=200)) == [
+        {"p": 3, "k": 0, "i": 1},
+        {"p": 3, "k": 0, "i": 2},
+    ]
+    # p, k and i each stop exactly where the least index passes the bound
+    assert sorted({env["p"] for env in envs(t2, Caps(prime_cap=5000, bound=7**3))}) == [3, 7]
+    at_3_to_the_7 = envs(t2, Caps(prime_cap=5000, k_cap=5, bound=3**7))
+    assert sorted({env["k"] for env in at_3_to_the_7 if env["p"] == 3}) == [0, 1]
+    assert [env["i"] for env in at_3_to_the_7 if env["p"] == 3 and env["k"] == 1] == [1]
     (t3,) = claims_by_id(["C-T3"])
     assert verify_one(t3, 190).instances == 10  # 19 i for i = 1..10
     caps = Caps(prime_cap=5000, k_cap=3, bound=200)
     for claim in claims_by_id(["C-T2", "C-T3", "C-T5a", "C-T5b", "C-T5c", "C-T7", "C-T8"]):
-        for env in _expand_quantifiers(claim.quantifiers, caps):
-            assert claim.lhs.b(env) <= 200  # so n = 0 is a checkable instance
+        for instance in claim.instances.instances(caps):
+            assert instance.lhs.b <= 200  # so n = 0 is a checkable instance
 
 
 # -- mutation sensitivity ------------------------------------------------------
@@ -186,12 +202,13 @@ def test_prime_families_pruned_by_bound():
 
 def mutated_registry_claims():
     t1, ex1, t6 = claims_by_id(["C-T1", "C-EX1", "C-T6"])
+    (t1_instance,), (ex1_instance,) = t1.instances, ex1.instances
     return [
-        ("sign flip", t1._replace(rhs=t1.rhs._replace(sign_twist=False))),
-        ("modulus +1", t1._replace(modulus=6)),
-        ("offset +1", ex1._replace(lhs=ex1.lhs._replace(b=28))),
-        ("wrong rhs", t6._replace(rhs=Term(SequenceRef("dstar")))),
-        ("multiplier +1", ex1._replace(lhs=ex1.lhs._replace(a=82))),
+        ("sign flip", with_instance(t1, rhs=t1_instance.rhs._replace(sign_twist=False))),
+        ("modulus +1", with_instance(t1, modulus=6)),
+        ("offset +1", with_instance(ex1, lhs=ex1_instance.lhs._replace(b=28))),
+        ("wrong rhs", with_instance(t6, rhs=Term(SequenceRef("dstar")))),
+        ("multiplier +1", with_instance(ex1, lhs=ex1_instance.lhs._replace(a=82))),
     ]
 
 
@@ -386,14 +403,15 @@ def test_hunt_pointwise_sequence():
     ]
 
 
-def brute_force_hunt(value, modulus, max_step, bound):
-    """hunt's rows with min_instances 1, from one closed-form value per index."""
+def brute_force_hunt(value, modulus, max_step, bound, min_instances=1):
+    """hunt's rows, from one value per index, such as a closed form or a
+    table lookup."""
     vanishes = [None] + [value(n) % modulus == 0 for n in range(1, bound + 1)]
     rows = []
     for a in range(1, max_step + 1):
         for b in range(min(a, bound + 1)):
             indices = range(b or a, bound + 1, a)
-            if indices and all(vanishes[i] for i in indices):
+            if len(indices) >= min_instances and all(vanishes[i] for i in indices):
                 rows.append((a, b, len(indices)))
     return rows
 
@@ -411,20 +429,11 @@ def test_pointwise_hunt_matches_a_scan_of_the_closed_forms(ref, modulus, value):
     assert hunt(ref, modulus, 50, 3000, 1) == brute_force_hunt(value, modulus, 50, 3000)
 
 
-# -- quantifier plumbing ---------------------------------------------------------
-
-
-def test_quantifier_expansion_env_isolation():
-    claim = CongruenceClaim(
-        "env",
-        Term(lambda env: _a(5), a=lambda env: env["x"], b=lambda env: env["y"]),
-        ZERO,
-        5,
-        (
-            Quantifier("x", (81,)),
-            Quantifier("y", lambda caps, env: [env["x"] // 3]),
-        ),
-    )
-    report = verify_one(claim, 2000)
-    assert report.instances == sum(1 for n in range(25) if 81 * n + 27 <= 2000)
-    assert report.status == "pass"
+@pytest.mark.parametrize("min_instances", [2, 3])
+@pytest.mark.parametrize("bound", [11, 51])
+def test_hunt_keeps_the_rows_of_steps_that_divide_bound_minus_one(bound, min_instances):
+    # at a step a dividing bound - 1, the row from index 1 reaches the
+    # bound itself: (bound - 1) // a + 1 indices, one more than elsewhere
+    table = sequence_series(_a(3), Zmod(2), bound).coeffs
+    expected = brute_force_hunt(table.__getitem__, 2, bound, bound, min_instances)
+    assert hunt(_a(3), 2, bound, bound, min_instances) == expected

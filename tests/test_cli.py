@@ -137,7 +137,10 @@ def test_verify_json_roundtrip(capsys):
 def broken_claim(monkeypatch):
     """Adds C-BROKEN, C-EX1 with a wrong offset, to the registry."""
     (ex1,) = registry.claims_by_id(["C-EX1"])
-    broken = ex1._replace(id="C-BROKEN", lhs=ex1.lhs._replace(b=28))
+    (instance,) = ex1.instances
+    broken = ex1._replace(
+        id="C-BROKEN", instances=(instance._replace(lhs=instance.lhs._replace(b=28)),)
+    )
     claims_with_broken = registry.builtin_registry() + [broken]
     monkeypatch.setattr(registry, "builtin_registry", lambda: list(claims_with_broken))
 

@@ -8,7 +8,8 @@ from regover.claims import (
     Caps,
     CongruenceClaim,
     IdentityClaim,
-    Quantifier,
+    Instance,
+    PrimeFamily,
     Term,
     VerificationReport,
     _Check,
@@ -24,17 +25,21 @@ RECORDS = {
     "ThetaSpec": lambda: ThetaSpec(1, 3, -1, 7),
     "SequenceRef": lambda: SequenceRef("A", 5),
     "Caps": lambda: Caps(prime_cap=7, k_cap=2, bound=300),
-    "Quantifier": lambda: Quantifier("p", (5, 7)),
     "Term": lambda: Term(SequenceRef("pbar"), 5, 3, sign_twist=True),
+    "Instance": lambda: Instance((("k", 0),), 5, Term(SequenceRef("p"), 5, 4), Term(None)),
+    "PrimeFamily": lambda: PrimeFamily(SequenceRef("A", 5), 5, 1, 3, 4, (10, (3, 7, 9))),
     "CongruenceClaim": lambda: CongruenceClaim(
-        "C-X", Term(SequenceRef("p"), 5, 4), Term(None), 5, (Quantifier("k", (0,)),), "src"
+        "C-X", (Instance((("k", 0),), 5, Term(SequenceRef("p"), 5, 4), Term(None)),), "src"
+    ),
+    "CongruenceClaim of a family": lambda: CongruenceClaim(
+        "C-Y", PrimeFamily(SequenceRef("A", 3), 3, 1, 1, 0, (4, (3,))), "src"
     ),
     "IdentityClaim": lambda: IdentityClaim("I-X", Series.one, Series.one, ZZ, cases=({"k": 1},)),
     "VerificationReport": lambda: VerificationReport("C-X", 200, 39, "pass"),
-    "_Check": lambda: _Check({"p": 5}, 5, Term(SequenceRef("p"), 5, 4), Term(None), 0, 39),
+    "_Check": lambda: _Check((("p", 5),), 5, Term(SequenceRef("p"), 5, 4), Term(None), 0, 39),
 }
-# a dict field (a case, an environment) leaves a record unhashable
-UNHASHABLE = {"IdentityClaim", "_Check"}
+# a dict field (a case) leaves a record unhashable
+UNHASHABLE = {"IdentityClaim"}
 
 
 @pytest.mark.parametrize("name", RECORDS)

@@ -1,13 +1,16 @@
+import ast
 import inspect
 import json
-from math import isqrt
+from math import gcd, isqrt
 from pathlib import Path
 
 from regover import kernels, products, registry, sequences
+from regover.arith import primes_up_to
 from regover.claims import (
     Caps,
     CongruenceClaim,
     IdentityClaim,
+    PrimeFamily,
     TablePlan,
     verify_claim,
     verify_claims,
@@ -49,9 +52,62 @@ def test_expected_ids_present():
 
 def test_claim_t6_shape():
     (t6,) = claims_by_id(["C-T6"])
-    assert t6.modulus == 5
-    assert t6.rhs.seq == SequenceRef("sigma3m")
-    assert t6.lhs.a == 5
+    (instance,) = t6.instances
+    assert instance.params == ()
+    assert instance.modulus == 5
+    assert instance.rhs.seq == SequenceRef("sigma3m")
+    assert instance.lhs.a == 5
+
+
+# the paper's hypothesis on p for each prime family, as a predicate
+FAMILY_HYPOTHESES = {
+    "C-T2": lambda p: p % 2 and p % 5 not in (0, 1),
+    "C-T7": lambda p: p % 2 and p % 5 not in (0, 1),
+    "C-T3": lambda p: p % 10 == 9,
+    "C-T8": lambda p: p % 10 == 9,
+    "C-T5a": lambda p: p % 4 == 3,
+    "C-T5b": lambda p: p % 4 == 1,
+    "C-T5c": lambda p: p % 2 and p != 7 and (p % 4 == 3 or p * p % 7 != 1),
+}
+
+
+def test_family_classes_admit_the_primes_of_the_hypotheses():
+    families = {
+        c.id: c.instances
+        for c in builtin_registry()
+        if isinstance(c, CongruenceClaim) and isinstance(c.instances, PrimeFamily)
+    }
+    assert sorted(families) == sorted(FAMILY_HYPOTHESES)
+    primes = primes_up_to(10**5)
+    for claim_id, hypothesis in FAMILY_HYPOTHESES.items():
+        m, allowed = families[claim_id].classes
+        assert [p for p in primes if p % m in allowed] == [p for p in primes if hypothesis(p)]
+
+
+def _values(value):
+    """value and every value inside it, through tuples and named tuples."""
+    yield value
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _values(item)
+
+
+def test_congruence_claims_hold_no_code():
+    congruences = [c for c in builtin_registry() if isinstance(c, CongruenceClaim)]
+    assert not [v for c in congruences for v in _values(c) if callable(v)]
+    for claim in congruences:
+        if isinstance(claim.instances, PrimeFamily):
+            m, allowed = claim.instances.classes
+            assert list(allowed) == sorted(allowed), claim.id
+            assert all(0 <= r < m and gcd(r, m) == 1 for r in allowed), claim.id
+
+
+def test_the_congruence_half_of_the_registry_has_no_lambda():
+    source = Path(registry.__file__).read_text()
+    lines = source.splitlines()
+    marker = next(n for n, line in enumerate(lines, 1) if line.startswith("# -- identity claims"))
+    lambdas = [n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Lambda)]
+    assert lambdas and min(lambdas) > marker
 
 
 def test_claims_by_id_unknown():
