@@ -136,7 +136,9 @@ def r_formula(k: int, n: int) -> int:
     is evaluated as a product over the prime powers p^e of n: sum chi(d)
     gives sum_i chi(p)^i (i = 0..e), which is e + 1 for p = 1 (mod 4), 1 or
     0 as e is even or odd for p = 3 (mod 4), and 1 for p = 2; the r_6 sums
-    give r6_factors(p, e).
+    give r6_factors(p, e).  So for k = 2, 4, 8 and n >= 1, r_k = 2k f_k for
+    a multiplicative f_k: f_2 = sum chi(d), f_4 = d* and f_8 = (-1)^n
+    sigma3_minus(n).  r_6 has no such form (r_6(3) = 160).
     """
     if n < 0:
         raise ValueError("n must be >= 0")

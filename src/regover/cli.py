@@ -22,26 +22,20 @@ import sys
 from . import claims as claims_mod
 from . import registry
 from .products import eta_quotient, parse_eta_spec
-from .sequences import SequenceRef, sequence_value
+from .sequences import NAMES, PARAMS, SequenceRef, sequence_value
 from .series import ZZ, Zmod
-
-_SEQ_CHOICES = ("p", "pbar", "b", "A", "r", "dstar", "sigma3m", "chi")
 
 
 def _seq_from_args(args) -> SequenceRef:
-    name = args.seq
-    for flag, value, takers in (("--ell", args.ell, ("b", "A")), ("--k", args.k, ("r",))):
-        if value is not None and name not in takers:
-            raise _UsageError(f"sequence {name!r} takes no {flag}")
-    if name in ("b", "A"):
-        if args.ell is None:
-            raise _UsageError(f"sequence {name!r} requires --ell")
-        return SequenceRef(name, args.ell)
-    if name == "r":
-        if args.k is None:
-            raise _UsageError("sequence 'r' requires --k")
-        return SequenceRef(name, args.k)
-    return SequenceRef(name)
+    name, wanted = args.seq, PARAMS.get(args.seq)
+    for param in dict.fromkeys(PARAMS.values()):  # each flag once: ell, then k
+        if getattr(args, param) is not None and param != wanted:
+            raise _UsageError(f"sequence {name!r} takes no --{param}")
+    if wanted is None:
+        return SequenceRef(name)
+    if getattr(args, wanted) is None:
+        raise _UsageError(f"sequence {name!r} requires --{wanted}")
+    return SequenceRef(name, getattr(args, wanted))
 
 
 class _UsageError(Exception):
@@ -204,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("value", help="one sequence value")
-    p.add_argument("seq", choices=_SEQ_CHOICES)
+    p.add_argument("seq", choices=NAMES)
     p.add_argument("--ell", type=int, default=None, help="regularity parameter for b/A")
     p.add_argument("--k", type=int, default=None, help="number of squares for r")
     p.add_argument("--n", type=int, required=True)
@@ -227,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_identities)
 
     p = sub.add_parser("hunt", help="search for vanishing progressions")
-    p.add_argument("seq", choices=_SEQ_CHOICES)
+    p.add_argument("seq", choices=NAMES)
     p.add_argument("--ell", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--mod", type=int, required=True)

@@ -5,13 +5,15 @@ function (partitions 1/(q;q), regular partitions (q^l;q^l)/(q;q),
 overpartitions (q^2;q^2)/(q;q)^2 = 1/phi(-q), and regular overpartitions
 phi(-q^l)/phi(-q)).
 
-Table route for the pointwise sequences (r_k, d*, sigma3m, chi): a
-multiplicative sieve over the primes up to the top index, seeded at the
-prime powers by the closed forms of ``regover.arith``; r_k is built from
-its divisor sums, never as a power of theta.  ``sequence_series`` builds
-either route's table, a pointwise one over Zmod(m) only; claim runs read
-these tables from their plan, and ``sequence_value`` evaluates the closed
-forms at one n.
+Table route for the pointwise sequences (r_k, d*, sigma3m, chi): each has
+one closed form in ``regover.arith``, which ``sequence_value`` evaluates at
+one n and which seeds a multiplicative sieve over the primes up to the top
+index.  Each table but r_6's is scale * f, for the multiplicative f whose
+value at p^e is closed(p^e) // scale: scale is 2k for r_k (k = 2, 4, 8),
+-1 for sigma3m and 1 for d* and chi.  r_6 = 16 T - 4 P is built from the
+sieves of its two divisor sums T and P; no r_k is built as a power of
+theta.  ``sequence_series`` builds either route's table, a pointwise one
+over Zmod(m) only; claim runs read these tables from their plan.
 
 Oracle route: direct descending-part recursion, deliberately memo-free and
 structurally unrelated to the series pipeline, weighting each partition by
@@ -24,6 +26,7 @@ returns the whole table; its value at one n is read from that table.
 
 from __future__ import annotations
 
+from functools import partial
 from math import gcd
 from operator import mul
 from typing import NamedTuple
@@ -34,9 +37,11 @@ from .series import Ring, Series, ZZ, check_order
 
 ORACLE_CAP = 60
 
-SERIES_NAMES = frozenset({"p", "pbar", "b", "A"})
-POINTWISE_NAMES = frozenset({"r", "dstar", "sigma3m", "chi"})
-_PARAM_NAMES = frozenset({"b", "A", "r"})
+# every sequence name, in the order the CLI lists them: the series-backed
+# ones, then the pointwise ones; and the parameter each takes, by its flag
+NAMES = ("p", "pbar", "b", "A", "r", "dstar", "sigma3m", "chi")
+SERIES_NAMES = frozenset(NAMES[:4])
+PARAMS = {"b": "ell", "A": "ell", "r": "k"}
 
 
 class _SequenceRefFields(NamedTuple):
@@ -55,14 +60,14 @@ class SequenceRef(_SequenceRefFields):
     __slots__ = ()
 
     def __new__(cls, name: str, param: int | None = None):
-        if name not in SERIES_NAMES | POINTWISE_NAMES:
+        if name not in NAMES:
             raise ValueError(f"unknown sequence {name!r}")
-        if name in _PARAM_NAMES:
+        if name in PARAMS:
             if param is None:
                 raise ValueError(f"sequence {name!r} requires a parameter")
-            if name in ("b", "A") and param < 2:
+            if PARAMS[name] == "ell" and param < 2:
                 raise ValueError("regularity parameter must be >= 2")
-            if name == "r" and param not in (2, 4, 6, 8):
+            if PARAMS[name] == "k" and param not in (2, 4, 6, 8):
                 raise ValueError("squares count k must be one of 2, 4, 6, 8")
         elif param is not None:
             raise ValueError(f"sequence {name!r} takes no parameter")
@@ -159,37 +164,33 @@ def _multiplicative(seed, m: int, order: int) -> list[int]:
     return t
 
 
+def _closed_form(ref: SequenceRef):
+    """ref's closed form n -> ref(n), for a pointwise ref, taken from the
+    arith this module holds at the call, so a stand-in for arith sees every
+    evaluation."""
+    if ref.name == "r":
+        return partial(arith.r_formula, ref.param)
+    return {"dstar": arith.d_star, "sigma3m": arith.sigma3_minus, "chi": arith.chi}[ref.name]
+
+
 def _pointwise_table(ref: SequenceRef, m: int, order: int) -> list[int]:
     """ref(0..order) mod m, with r_k(0) = 1 and 0 at 0 for the others, from
-    multiplicative sieves.  d* and chi are multiplicative, and so are
-    -sigma3m (as sigma3m(1) = -1), r_2 / 4 and the two divisor sums T and
-    P of r_6; r_4 = 8 d*, r_6 = 16 T - 4 P and r_8 = 16 (-1)^n sigma3m,
-    where -(-1)^n sigma3m is multiplicative."""
-
-    def sieve(seed):
-        return _multiplicative(seed, m, order)
-
-    # the seeds look arith up at call time, so a caller can stand in for it
-    name = ref.label()
-    if name == "r(6)":
-        twisted = sieve(lambda p, e: arith.r6_factors(p, e)[0])
-        plain = sieve(lambda p, e: arith.r6_factors(p, e)[1])
+    multiplicative sieves.  r_6 = 16 T - 4 P for its multiplicative divisor
+    sums T and P.  Any other ref is scale f for the multiplicative f with
+    f(p^e) = closed(p^e) // scale, where closed is its closed form: scale is
+    ref(1) = 2k for r_k (k = 2, 4, 8), sigma3m(1) = -1 for sigma3m, and 1
+    for d* and chi."""
+    # the seeds look arith up at table time, so a caller can stand in for it
+    if ref.label() == "r(6)":
+        factors = arith.r6_factors
+        twisted = _multiplicative(lambda p, e: factors(p, e)[0], m, order)
+        plain = _multiplicative(lambda p, e: factors(p, e)[1], m, order)
         t = [(16 * a - 4 * b) % m for a, b in zip(twisted, plain)]
     else:
-        # ref(n) = scale f(n), for the multiplicative f seed gives
-        seed, scale = {
-            "chi": (lambda p, e: arith.chi(p**e), 1),
-            "dstar": (lambda p, e: arith.d_star(p**e), 1),
-            "r(4)": (lambda p, e: arith.d_star(p**e), 8),
-            "sigma3m": (lambda p, e: -arith.sigma3_minus(p**e), -1),
-            # f = -(-1)^n * -sigma3m(n): -(-1)^n is -1 at 2^a, 1 at odd p^e
-            "r(8)": (
-                lambda p, e: arith.sigma3_minus(p**e) if p == 2 else -arith.sigma3_minus(p**e),
-                16,
-            ),
-            "r(2)": (lambda p, e: arith.r_formula(2, p**e) // 4, 4),
-        }[name]
-        t = [scale * v % m for v in sieve(seed)]
+        closed = _closed_form(ref)
+        scale = 2 * ref.param if ref.name == "r" else -1 if ref.name == "sigma3m" else 1
+        f = _multiplicative(lambda p, e: closed(p**e) // scale, m, order)
+        t = [scale * v % m for v in f]
     if ref.name == "r":
         t[0] = 1
     return t
@@ -203,13 +204,7 @@ def sequence_value(ref: SequenceRef, n: int) -> int:
         if n < 0:
             raise ValueError("n must be >= 0")
         return sequence_series(ref, ZZ, n)[n]
-    if ref.name == "r":
-        return arith.r_formula(ref.param, n)
-    if ref.name == "dstar":
-        return arith.d_star(n)
-    if ref.name == "sigma3m":
-        return arith.sigma3_minus(n)
-    return arith.chi(n)
+    return _closed_form(ref)(n)
 
 
 # -- enumeration-oracle route -------------------------------------------------

@@ -7,6 +7,8 @@ tests/ passes, or that every such call sets to one and the same literal
 (passed, or the default where a call leaves it out): a knob with one value."""
 
 import ast
+import importlib
+import importlib.util
 from collections import defaultdict
 from pathlib import Path
 
@@ -207,3 +209,48 @@ def test_no_defaulted_parameter_is_a_knob_with_one_value():
 
 def test_all_is_sorted_without_duplicates():
     assert regover.__all__ == sorted(set(regover.__all__))
+
+
+def imported_but_unread(tree: ast.Module) -> set[str]:
+    """The names a module imports (outside __future__) and never loads."""
+    imported, loaded = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+    return imported - loaded
+
+
+def test_every_unread_import_is_a_name_the_tracer_wraps():
+    # bench/tracer.py wraps some names where their caller looks them up, so
+    # a package module may import a name only for the tracer to find there
+    # (today claims.sequence_value, registry.primes_up_to,
+    # registry.sequence_series and registry.oracle_regular_overpartition);
+    # once the tracer stops wrapping one, its import is dead
+    unread = {
+        f"{path.stem}.{name}"
+        for path, tree in MODULES.items()
+        if path.parent == PACKAGE
+        for name in imported_but_unread(tree)
+    }
+    stems = {name.split(".")[0] for name in unread}
+    modules = {stem: importlib.import_module(f"regover.{stem}") for stem in stems}
+    before = {stem: dict(vars(module)) for stem, module in modules.items()}
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer_mod.install_layers(tracer)
+        wrapped = {
+            f"{stem}.{name}"
+            for stem, module in modules.items()
+            for name, value in vars(module).items()
+            if before[stem].get(name) is not value
+        }
+    finally:
+        tracer.uninstall()
+    assert sorted(unread - wrapped) == []

@@ -222,8 +222,11 @@ def test_r_formula_matches_oracle(k):
 
 
 def test_multiplicativity():
-    # d* is multiplicative outright; sigma3_minus has sigma3_minus(1) = -1,
-    # so the multiplicative normalization is -sigma3_minus
+    # d* and chi are multiplicative outright; sigma3_minus has
+    # sigma3_minus(1) = -1, so the multiplicative normalization is
+    # -sigma3_minus; r_k / 2k is multiplicative for k = 2, 4, 8, the rule the
+    # sieved tables are seeded by; r_6 / 12 is not even integral (r_6(3) =
+    # 160), so r_6 is tabled from its two divisor sums instead
     rng = random.Random(20170822)
     pairs = 0
     while pairs < 200:
@@ -234,6 +237,11 @@ def test_multiplicativity():
         pairs += 1
         assert d_star(m * n) == d_star(m) * d_star(n)
         assert sigma3_minus(m * n) == -sigma3_minus(m) * sigma3_minus(n)
+        assert chi(m * n) == chi(m) * chi(n)
+        for k in (2, 4, 8):
+            (fm, rm), (fn, rn), (fmn, rmn) = (divmod(r_formula(k, x), 2 * k) for x in (m, n, m * n))
+            assert rm == rn == rmn == 0 and fmn == fm * fn, (k, m, n)
+    assert r_formula(6, 3) % 12 != 0
 
 
 def test_geometric_sums_vanish_mod_5():
