@@ -9,9 +9,11 @@ with _PRIMORIAL, the product of the primes below 1000 computed at import,
 and divides n only by the small primes that gcd contains; a cofactor at or
 above 1009^2 is then trial-divided by odd d up to its square root.  So a
 prime above 1000 costs one gcd and no division.  These closed forms
-serve ``regover value`` one n at a time; at the prime powers they also seed
-the multiplicative sieves that build the residue tables claim runs read
-(``regover.sequences``).
+serve ``regover value`` one n at a time.  They also seed the
+multiplicative sieves that build the residue tables claim runs read
+(``regover.sequences``): at each prime power p^e with p <= sqrt(top), and
+at a larger prime p once per class of p mod lcm(4, M), M the sieve's
+modulus.
 
 r_k values come two independent ways: these closed formulas (r_formula)
 and k-fold convolution of the one-dimensional squares vector (r_oracle),

@@ -30,8 +30,15 @@ a Read's function) gets that ring, index and step and the whole tables it
 is built from, and returns that progression.  An A_l in a plan reads all
 of pbar, which the plan builds once for every A_l that shares it, unless
 the A_l is pbar's only reader: that A_l is one quotient phi(-q^l) /
-phi(-q), and pbar is not built.  A read mod m reduces the part it reads.
-The plan's first read builds its progression tables, largest step first.
+phi(-q), and pbar is not built.  The pointwise tables are built the same
+way from sieve groups: once every read is declared, the plan puts the
+multiplicative parts of all its pointwise tables into groups of pairwise
+coprime moduli (sequences.sieve_groups).  Each group is one sieve over the
+product of its moduli, a source that its member tables are built from, as
+pbar is for the A_l: built at its first member's build, to its members'
+largest index, and dropped after its last member's build.  A read mod m
+reduces the part it reads.  The plan's first read builds its progression
+tables, largest step first.
 The lcm is taken per table, not over the run, because a table over a
 larger modulus costs more to build.  A table is dropped after its last
 consumer.
@@ -57,7 +64,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from . import sequences
 from .arith import primes_up_to
 # bench/tracer.py wraps claims.sequence_value, so the name is kept here
-from .sequences import SequenceRef, sequence_value, series_inputs  # noqa: F401
+from .sequences import SequenceRef, SieveGroup, sequence_value, series_inputs  # noqa: F401
 from .series import Ring, Series, Zmod
 
 DEFAULT_BOUND = 2000
@@ -254,17 +261,12 @@ def _indices(t: Term, check: _Check) -> range:
     return range(t.a * check.lo + t.b, t.a * check.hi + t.b + 1, t.a)
 
 
-def _inputs(source: SequenceRef | Callable) -> tuple[SequenceRef, ...]:
-    """The tables source's table is built from."""
-    return series_inputs(source) if isinstance(source, SequenceRef) else ()
-
-
 class TablePlan:
     """The tables that a run of claims reads, built by the module
     docstring's build rule.
 
-    The plan holds its own tables, one per source: a SequenceRef or a
-    Read's function.  The first ``checks`` call declares every claim's
+    The plan holds its own tables, one per source: a SequenceRef, a Read's
+    function or a sequences.SieveGroup.  The first ``checks`` call declares every claim's
     reads.  Each is (table, modulus, indices), the indices a range: a
     congruence side a n + b reads from a lo + b with step a, an identity
     claim's Read from 0 with its step.  The plan's first read builds its
@@ -274,7 +276,8 @@ class TablePlan:
     never held while the core is expanded to the same length.  Every other
     table is built at its first read.  A table's consumers are the claims
     that read it and the tables built from it; after the last one, the plan
-    drops it.  verify_claims gives each claim kind its own plan.
+    drops it.  A sieve group's consumers are its member tables.
+    verify_claims gives each claim kind its own plan.
     """
 
     def __init__(self, claims: Iterable, caps: Caps = Caps(), order: int | None = None):
@@ -289,6 +292,7 @@ class TablePlan:
         self._top: dict = {}  # table -> largest index read
         self._step: dict = {}  # table -> gcd of its reads' starts and steps
         self._consumers: Counter = Counter()  # table -> readers and builds left
+        self._inputs: dict = {}  # table -> the tables it is built from
         self._tables: dict = {}  # table -> its table, until its last consumer
         self._started = False  # set by the first read, which builds the progression tables
 
@@ -325,6 +329,7 @@ class TablePlan:
                     self._add(*read)
                 sources = self._reads[id(c)] = {source for source, *_ in reads}
                 self._consumers.update(sources)
+            self._link()
         if id(claim) not in self._checks:
             raise ValueError(f"claim {claim.id} is not in the plan")
         return self._checks[id(claim)]
@@ -355,26 +360,51 @@ class TablePlan:
             self._step[source] = gcd(self._step[source], step)
         else:
             self._modulus[source], self._top[source], self._step[source] = modulus, top, step
-            for dep in _inputs(source):
-                self._consumers[dep] += 1  # source's build reads dep's table
-        for dep in _inputs(source):
+            deps = series_inputs(source) if isinstance(source, SequenceRef) else ()
+            self._inputs[source] = deps
+            self._consumers.update(deps)  # source's build reads each dep's table
+        for dep in self._inputs[source]:
             self._add(dep, modulus, range(top + 1))
 
-    def _table(self, source) -> Series:
+    def _link(self):
+        """Settle what each table is built from, once every read is declared.
+        An A_l that is pbar's only consumer goes without it, as one quotient,
+        and pbar is never built.  Each pointwise table is built from its
+        sieve groups (sequences.sieve_groups over every pointwise table of
+        the plan); a group is built to its members' largest index and
+        released after its last member's build."""
+        for source, deps in self._inputs.items():
+            if any(self._consumers[d] == 1 for d in deps):
+                self._inputs[source] = ()
+        pointwise = {
+            s: m
+            for s, m in self._modulus.items()
+            if isinstance(s, SequenceRef) and not s.is_series_backed
+        }
+        for ref, groups in sequences.sieve_groups(pointwise).items():
+            self._inputs[ref] = groups
+            for group in groups:
+                self._top[group] = max(self._top.get(group, 0), self._top[ref])
+                self._consumers[group] += 1
+
+    def _table(self, source) -> Series | bytes | list[int]:
         """source's planned progression, built on its first read from the
-        whole tables it is built from.  An input that is not built yet and
-        has no other consumer is left out, so the builder goes without it."""
+        whole tables it is built from.  A sieve group's table is its
+        residues (sequences.sieve), whole, mod its own modulus."""
         table = self._tables.get(source)
         if table is None:
-            ring, top, step = Zmod(self._modulus[source]), self._top[source], self._step[source]
-            deps = _inputs(source)
-            inputs = [self._table(d) for d in deps if d in self._tables or self._consumers[d] > 1]
+            deps = self._inputs.get(source, ())
+            inputs = [self._table(d) for d in deps]
             for d in deps:
                 self._release(d)
-            if isinstance(source, SequenceRef):
+            top = self._top[source]
+            if isinstance(source, SieveGroup):
+                table = sequences.sieve(source, top)
+            elif isinstance(source, SequenceRef):
+                ring, step = Zmod(self._modulus[source]), self._step[source]
                 table = sequences._build_series(source, ring, top, *inputs, step=step)
             else:
-                table = source(ring, top, step)
+                table = source(Zmod(self._modulus[source]), top, self._step[source])
             self._tables[source] = table
         return table
 

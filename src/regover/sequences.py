@@ -7,13 +7,23 @@ phi(-q^l)/phi(-q)).
 
 Table route for the pointwise sequences (r_k, d*, sigma3m, chi): each has
 one closed form in ``regover.arith``, which ``sequence_value`` evaluates at
-one n and which seeds a multiplicative sieve over the primes up to the top
-index.  Each table but r_6's is scale * f, for the multiplicative f whose
-value at p^e is closed(p^e) // scale: scale is 2k for r_k (k = 2, 4, 8),
--1 for sigma3m and 1 for d* and chi.  r_6 = 16 T - 4 P is built from the
-sieves of its two divisor sums T and P; no r_k is built as a power of
-theta.  ``sequence_series`` builds either route's table, a pointwise one
-over Zmod(m) only; claim runs read these tables from their plan.
+one n, and each table is a sum of multiplicative parts times scales: r_6 =
+16 T - 4 P for its two divisor sums T and P, and any other ref is scale f
+for the one f whose value at p^e is closed(p^e) // scale, where scale is
+2k for r_k (k = 2, 4, 8), -1 for sigma3m and 1 for d* and chi.  No r_k is
+built as a power of theta.  The parts are sieved, seeded from the closed
+forms at the prime powers p^e with p <= sqrt(top).  A larger prime enters
+only as p^1.  At an odd prime every closed form here is a polynomial in
+p and chi(p), and 2 is alone in its class mod 4, so a seed mod M at p
+depends only on p mod lcm(4, M): it is computed once per such class, at
+the least prime above sqrt(top) in it.  Parts with pairwise coprime
+moduli form a SieveGroup, one sieve over Zmod of the moduli's product
+whose seeds are the CRT of the parts' seeds and whose products are
+reduced as they are made; a table is read back from its group or groups
+with its scales.  A claims.TablePlan groups every
+pointwise table it reads (sieve_groups) and builds each group once; a
+table built alone (``sequence_series``) sieves the groups of its own
+parts, by the same code.  Claim runs read these tables from their plan.
 
 Oracle route: direct descending-part recursion, deliberately memo-free and
 structurally unrelated to the series pipeline, weighting each partition by
@@ -27,7 +37,8 @@ returns the whole table; its value at one n is read from that table.
 from __future__ import annotations
 
 from functools import partial
-from math import gcd
+from itertools import islice
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -107,16 +118,19 @@ def sequence_series(ref: SequenceRef, ring: Ring, order: int) -> Series:
 def series_inputs(ref: SequenceRef) -> tuple[SequenceRef, ...]:
     """The series-backed sequences whose tables a plan builds once and hands
     _build_series to build ref's from: pbar for every A_l, none for the
-    others.  A table built alone needs none of them."""
+    others.  A table built alone needs none of them; a plan hands a
+    pointwise ref its sieve groups instead (sieve_groups)."""
     return (_PBAR,) if ref.name == "A" else ()
 
 
-def _build_series(ref: SequenceRef, ring: Ring, order: int, *inputs: Series, step=1) -> Series:
+def _build_series(ref: SequenceRef, ring: Ring, order: int, *inputs, step=1) -> Series:
     """ref's step-progression over ring to order, from the whole tables of
     series_inputs(ref) when given, each over ring or a Zmod(k) whose k is a
     multiple of ring's modulus.  A pointwise ref's series holds residues,
-    over a Zmod(m).  Given no pbar, an A_l is one quotient phi(-q^l) /
-    phi(-q), built whole.  Given pbar, as a plan that shares it among several
+    over a Zmod(m), read from the sieve results of its parts' groups, each
+    mod a multiple of m: given in part order by a plan, or else sieved here
+    for its own parts alone.  Given no pbar, an A_l is one quotient
+    phi(-q^l) / phi(-q), built whole.  Given pbar, as a plan that shares it among several
     A_l does, an A_l is a product: phi(-q^l) is a series in q^g for g =
     gcd(step, l), so it is built at g, as phi(-q^(l/g)) times pbar's
     g-progression.  Any other ref is whole."""
@@ -137,7 +151,9 @@ def _build_series(ref: SequenceRef, ring: Ring, order: int, *inputs: Series, ste
         check_order(order)
         if ring.is_exact:
             raise ValueError(f"sequence {ref.label()} is tabled mod m only")
-        table = Series._raw(ring, _pointwise_table(ref, ring.modulus, order))
+        groups = inputs or [sieve(g, order) for g in sieve_groups({ref: ring.modulus})[ref]]
+        table = Series._raw(ring, _pointwise_table(ref, ring.modulus, order, groups, step))
+        step = 1
     elif ref.name == "p":
         table = Series.one(ring, order) / euler_product(1, ring, order)
     elif ref.name == "pbar":
@@ -148,19 +164,30 @@ def _build_series(ref: SequenceRef, ring: Ring, order: int, *inputs: Series, ste
 
 
 def _multiplicative(seed, m: int, order: int) -> list[int]:
-    """f(0..order), with 0 at 0, for the multiplicative f with f(p^e) =
-    seed(p, e) mod m, the products left unreduced.  Each prime p scales its
-    multiples once: t[p::p] = map(mul, t[p::p], run), where run holds f(p^e)
-    at the multiples of p^e that p^(e+1) does not divide."""
+    """f(0..order) mod m, with 0 at 0, for the multiplicative f with f(p^e) =
+    seed(p, e) mod m.  Each prime p scales its multiples once: t[p::p] =
+    map(mul, t[p::p], run), where run holds f(p^e) at the multiples of p^e
+    that p^(e+1) does not divide, and the products are reduced as they are
+    made.  A prime above sqrt(order) scales only as p^1, and every seed here
+    is at p^1 a function of p mod lcm(4, m), so seed is called once per
+    such class: at its least prime above sqrt(order)."""
     t = [1] * (order + 1)
     t[0] = 0
+    root, period, by_class = isqrt(order), lcm(4, m), {}
+    reduce = m.__rmod__
     for p in arith.primes_up_to(order):
-        run = [seed(p, 1) % m] * (order // p)
-        q, e = p, 2
-        while q * p <= order:  # run[i] is at (i + 1) p, a multiple of p^e when q | i + 1
-            run[q - 1 :: q] = [seed(p, e) % m] * (order // (q * p))
-            q, e = q * p, e + 1
-        t[p::p] = map(mul, t[p::p], run)
+        if p <= root:
+            run = [seed(p, 1) % m] * (order // p)
+            q, e = p, 2
+            while q * p <= order:  # run[i] is at (i + 1) p, a multiple of p^e when q | i + 1
+                run[q - 1 :: q] = [seed(p, e) % m] * (order // (q * p))
+                q, e = q * p, e + 1
+            t[p::p] = map(reduce, map(mul, t[p::p], run))
+        else:
+            s = by_class.get(p % period)
+            if s is None:
+                s = by_class[p % period] = seed(p, 1) % m
+            t[p::p] = map(reduce, map(s.__mul__, t[p::p]))
     return t
 
 
@@ -173,24 +200,82 @@ def _closed_form(ref: SequenceRef):
     return {"dstar": arith.d_star, "sigma3m": arith.sigma3_minus, "chi": arith.chi}[ref.name]
 
 
-def _pointwise_table(ref: SequenceRef, m: int, order: int) -> list[int]:
-    """ref(0..order) mod m, with r_k(0) = 1 and 0 at 0 for the others, from
-    multiplicative sieves.  r_6 = 16 T - 4 P for its multiplicative divisor
-    sums T and P.  Any other ref is scale f for the multiplicative f with
-    f(p^e) = closed(p^e) // scale, where closed is its closed form: scale is
-    ref(1) = 2k for r_k (k = 2, 4, 8), sigma3m(1) = -1 for sigma3m, and 1
-    for d* and chi."""
-    # the seeds look arith up at table time, so a caller can stand in for it
+def _scales(ref: SequenceRef) -> tuple[int, ...]:
+    """The scales of ref's multiplicative parts: a pointwise ref is the sum
+    of its parts times their scales, with r_k(0) = 1.  r_6 = 16 T - 4 P.
+    Any other ref is scale f for one part f: scale is ref(1), 2k for r_k
+    (k = 2, 4, 8), -1 for sigma3m and 1 for d* and chi."""
+    if ref.label() == "r(6)":
+        return (16, -4)
+    return (2 * ref.param if ref.name == "r" else -1 if ref.name == "sigma3m" else 1,)
+
+
+def _seed(ref: SequenceRef, i: int):
+    """(p, e) -> the value at p^e of ref's i-th multiplicative part: r_6's
+    divisor sums T and P from arith.r6_factors, any other ref's part as
+    closed(p^e) // scale for its closed form.  arith is looked up here, at
+    table time, so a caller can stand in for it."""
     if ref.label() == "r(6)":
         factors = arith.r6_factors
-        twisted = _multiplicative(lambda p, e: factors(p, e)[0], m, order)
-        plain = _multiplicative(lambda p, e: factors(p, e)[1], m, order)
-        t = [(16 * a - 4 * b) % m for a, b in zip(twisted, plain)]
+        return lambda p, e: factors(p, e)[i]
+    closed, (scale,) = _closed_form(ref), _scales(ref)
+    return lambda p, e: closed(p**e) // scale
+
+
+class SieveGroup(NamedTuple):
+    """Multiplicative parts of pointwise tables, as ((ref, i), modulus)
+    pairs with pairwise coprime moduli, sieved together as one table over
+    Zmod(modulus), the product of the moduli: at n, the residue that is each
+    part's value at n mod the part's modulus (CRT)."""
+
+    parts: tuple[tuple[tuple[SequenceRef, int], int], ...]
+
+    @property
+    def modulus(self) -> int:
+        return prod(m for _, m in self.parts)
+
+
+def sieve_groups(moduli: dict) -> dict:
+    """ref -> the SieveGroups its parts are sieved in, in part order, for
+    each pointwise ref in moduli tabled mod moduli[ref].  Each part, in the
+    dict's order, joins the first group whose modulus is coprime to its
+    ref's, or else starts a group."""
+    groups = []  # [modulus, parts] of each group
+    for ref, m in moduli.items():
+        for i in range(len(_scales(ref))):
+            group = next((g for g in groups if gcd(g[0], m) == 1), None)
+            if group is None:
+                groups.append(group := [1, []])
+            group[0] *= m
+            group[1].append(((ref, i), m))
+    of_part = {part: SieveGroup(tuple(parts)) for _, parts in groups for part, _ in parts}
+    return {ref: tuple(of_part[ref, i] for i in range(len(_scales(ref)))) for ref in moduli}
+
+
+def sieve(group: SieveGroup, order: int) -> bytes | list[int]:
+    """The group's residues mod group.modulus at 0..order, 0 at 0, from one
+    multiplicative sieve whose seeds are the CRT of its parts' seeds: one
+    byte each for a modulus up to 256, so that a plan holds a group between
+    its members' builds at an eighth of a list's size, else a list."""
+    modulus = group.modulus
+    # u = 1 mod m and 0 mod the other moduli, for each part's modulus m
+    seeds = [(modulus // m * pow(modulus // m, -1, m), _seed(*part)) for part, m in group.parts]
+    table = _multiplicative(lambda p, e: sum(u * seed(p, e) for u, seed in seeds), modulus, order)
+    return bytes(table) if modulus <= 256 else table
+
+
+def _pointwise_table(ref: SequenceRef, m: int, order: int, groups, step: int) -> list[int]:
+    """ref(0..order) mod m at the multiples of step, read from the tables of
+    its parts' sieve groups, in part order: each group's modulus is a
+    multiple of m, so a group's residue mod m is its part's value mod m."""
+    scales = _scales(ref)
+    columns = [islice(g, 0, order + 1, step) for g in groups]
+    if len(scales) == 2:
+        s, u = scales
+        t = [(s * a + u * b) % m for a, b in zip(*columns)]
     else:
-        closed = _closed_form(ref)
-        scale = 2 * ref.param if ref.name == "r" else -1 if ref.name == "sigma3m" else 1
-        f = _multiplicative(lambda p, e: closed(p**e) // scale, m, order)
-        t = [scale * v % m for v in f]
+        (s,) = scales
+        t = [s * v % m for v in columns[0]]
     if ref.name == "r":
         t[0] = 1
     return t

@@ -173,6 +173,22 @@ def test_largest_field_sums_do_not_carry(m):
     assert all(out == expected for out in keyword_div_mods(full, den, n, m))
 
 
+@pytest.mark.parametrize(
+    "terms, m, nbytes",
+    [
+        (1, 2, 1),  # a sum of 1 needs one bit, and a field is at least a byte
+        (1, 17, 2),  # 16^2 = 2^8 needs 9 bits
+        (512, 5, 2),  # 512 * 4^2 = 2^13
+        (1, 4096, 4),  # 4095^2 needs 3 bytes, rounded up to a power of two
+        (512, 625, 4),  # 512 * 624^2 needs 28 bits
+        (1, 65537, 8),  # 2^32 needs 5 bytes
+        (1, 2**32 + 1, 9),  # 2^64 needs 9 bytes, past 8 kept as is
+    ],
+)
+def test_field_bytes_on_hand_values(terms, m, nbytes):
+    assert kernels._field_bytes(terms, m) == nbytes
+
+
 @pytest.mark.parametrize("m, head", [(2, 0), (2, 4), (5, 10), (24, 6), (24, 9), (2**40, 2**20)])
 @pytest.mark.parametrize("out_len", [0, 1, B + 1])
 def test_div_mod_rejects_non_unit_constant_term(m, head, out_len):

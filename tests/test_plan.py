@@ -11,8 +11,12 @@ import pytest
 
 from regover import claims, kernels, registry, sequences
 from regover.claims import (
+    ZERO,
     Caps,
+    CongruenceClaim,
+    Instance,
     TablePlan,
+    Term,
     hunt,
     verify_claim,
     verify_claims,
@@ -20,7 +24,7 @@ from regover.claims import (
 from regover.cli import main
 from regover.products import phi
 from regover.registry import _a, claims_by_id
-from regover.sequences import SequenceRef
+from regover.sequences import SequenceRef, sequence_series
 from regover.series import Zmod
 
 BOUND = 2000
@@ -206,6 +210,41 @@ def test_a_625_is_one_product_of_phi_and_pbars_125_progression(monkeypatch):
     assert theta == phi(-1, Zmod(5), BOUND // 125, scale=5).coeffs
     assert progression == pbar[::125] and len(progression) == 17
     assert table == whole.extract_progression(125, 0)
+
+
+def test_a_plans_pointwise_tables_equal_lone_builds():
+    # r_4 mod 5, r_2 mod 3 and r_6's T mod 7 share one sieve group mod 105;
+    # r_6's P, r_8 mod 6 and sigma3m mod 25 one mod 1050 (not coprime to
+    # the first); chi mod 7 a third.  r_8 and chi are kept as progressions of
+    # step 2 and 4, and sigma3m is read to bound / 5 only, next to A_5 at
+    # 5 n.  Below top 49, some of 2, 3, 5 and 7 lie above sqrt(top).
+    r2, r4, r6, r8, s3, chi = (
+        *(SequenceRef("r", k) for k in (2, 4, 6, 8)),
+        SequenceRef("sigma3m"),
+        SequenceRef("chi"),
+    )
+    sides = [(5, r4, 1, 0), (3, r2, 2, 1), (7, r6, 3, 2), (6, r8, 2, 0), (7, chi, 4, 0)]
+    instances = tuple(Instance((), m, Term(ref, a, b), ZERO) for m, ref, a, b in sides)
+    claim = CongruenceClaim("PLAN", (*instances, Instance((), 25, Term(s3), Term(_a(5), 5))))
+    for bound in [*range(61), 20000]:
+        plan = TablePlan([claim], Caps(bound=bound))
+        read = 0
+        for check in plan.checks(claim):
+            for t in (check.lhs, check.rhs):
+                if t.seq is not None and not t.seq.is_series_backed:
+                    indices = claims._indices(t, check)
+                    lone = sequence_series(t.seq, Zmod(check.modulus), indices[-1])
+                    values = plan.read(t.seq, check.modulus, indices)
+                    assert values == lone[indices.start :: indices.step], (bound, t.seq)
+                    read += 1
+        if bound == 20000:
+            groups = {ref.label(): [g.modulus for g in plan._inputs[ref]] for ref in (r6, s3, chi)}
+            assert groups == {"r(6)": [105, 1050], "sigma3m": [1050], "chi": [7]}
+            assert plan._step[r8] == 2 and plan._step[chi] == 4
+            assert plan._top[s3] == bound // 5 < plan._top[r8]
+        plan.done(claim)
+        assert plan._tables == {}
+        assert read == 6 or bound < 5, bound  # sigma3m's first index is 1, next to A_5's 5
 
 
 def test_hunt_rejects_a_negative_bound():

@@ -1,4 +1,5 @@
 import types
+from math import isqrt, lcm
 
 import pytest
 
@@ -336,39 +337,81 @@ def test_r_tables_match_the_lattice_count(k):
         assert table.coeffs == [v % m for v in lattice]
 
 
-def test_a_table_seeds_each_prime_power_once(monkeypatch):
-    # every sieve reads its closed form through sequences.arith once per p^e
-    # (r_6 has two sieves); the bench tracer counts the arith work of a
-    # sieved table through these calls
+def expected_seeds(order, modulus):
+    """The p^e a sieve mod modulus to order seeds each part at, sorted: each
+    p^e with p <= sqrt(order), then the least prime above sqrt(order) in each
+    class mod lcm(4, modulus)."""
+    root, period = isqrt(order), lcm(4, modulus)
+    exponents = range(1, order.bit_length())
+    small = [p**e for p in arith.primes_up_to(root) for e in exponents if p**e <= order]
+    least = {}
+    for p in arith.primes_up_to(order):
+        if p > root:
+            least.setdefault(p % period, p)
+    return sorted(small + list(least.values()))
+
+
+def test_a_table_seeds_each_small_prime_power_and_each_class_once(monkeypatch):
+    # every sieve reads each part's closed form through sequences.arith once
+    # per p^e with p <= sqrt(top), and once per class mod lcm(4, M) of the
+    # primes above sqrt(top), for its group's modulus M; the bench tracer
+    # counts the arith work of a sieved table through these calls
     seen = []
     proxy = types.SimpleNamespace(**vars(arith))
     for name in ("r_formula", "d_star", "sigma3_minus", "chi", "r6_factors"):
         def spy(*args, fn=getattr(arith, name), name=name):
-            seen.append(args[0] ** args[1] if name == "r6_factors" else args[-1])
+            if name == "r6_factors":
+                seen.append((name, args[0] ** args[1]))
+            else:
+                seen.append((name, *args))
             return fn(*args)
 
         setattr(proxy, name, spy)
     monkeypatch.setattr(sequences, "arith", proxy)
     order = 20000
-    prime_powers = sorted(
-        p**e for p in arith.primes_up_to(order) for e in range(1, 15) if p**e <= order
-    )
-    for ref, sieves in (
-        (SequenceRef("r", 2), 1),
-        (SequenceRef("r", 4), 1),
-        (SequenceRef("r", 8), 1),
-        (SequenceRef("sigma3m"), 1),
-        (SequenceRef("dstar"), 1),
-        (SequenceRef("chi"), 1),
-        (SequenceRef("r", 6), 2),
-    ):
+    alone = expected_seeds(order, 5)
+    # the 100 p^e with p <= 141 and the 8 classes mod 20 prime to it, of 2328 p^e
+    assert len(alone) == 100 + 8
+    for ref in POINTWISE:
         seen.clear()
         table = sequences._build_series(ref, Zmod(5), order)
-        n = len(prime_powers)
-        assert len(seen) == sieves * n, ref.label()
-        for i in range(sieves):
-            assert sorted(seen[i * n : (i + 1) * n]) == prime_powers, (ref.label(), i)
+        # r_6 sieves T and P in two groups, each calling r6_factors
+        parts = 2 if ref == SequenceRef("r", 6) else 1
+        assert sorted(args[-1] for args in seen) == sorted(alone * parts), ref.label()
         assert table[order] == sequence_value(ref, order) % 5, ref.label()
+    # one group of three parts, as a plan sieves r_4 mod 5, r_2 mod 3 and T mod 7
+    r2, r4, r6 = (SequenceRef("r", k) for k in (2, 4, 6))
+    seen.clear()
+    sequences.sieve(sequences.SieveGroup((((r4, 0), 5), ((r2, 0), 3), ((r6, 0), 7))), order)
+    by_part = {}
+    for *key, n in seen:
+        by_part.setdefault(tuple(key), []).append(n)
+    grouped = expected_seeds(order, 105)
+    assert len(grouped) == 100 + 96  # the classes mod 420 prime to it
+    assert {key: sorted(ns) for key, ns in by_part.items()} == {
+        ("r_formula", 4): grouped,
+        ("r_formula", 2): grouped,
+        ("r6_factors",): grouped,
+    }
+
+
+SEEDS = [(ref, 0) for ref in POINTWISE] + [(SequenceRef("r", 6), 1)]
+
+
+@pytest.mark.parametrize("part", SEEDS, ids=lambda part: f"{part[0].label()}-{part[1]}")
+def test_a_seed_at_a_prime_is_a_function_of_its_class_mod_lcm_4_m(part):
+    # the sieve seeds a prime above sqrt(top) with the seed of the least such
+    # prime in its class mod lcm(4, M), which is right only if each seed at a
+    # prime is a function of that class
+    seed = sequences._seed(*part)
+    primes = arith.primes_up_to(20000)
+    values = {p: seed(p, 1) for p in primes}
+    for m in TABLE_MODULI + (105,):
+        period = lcm(4, m)
+        least = {}
+        for p in primes:
+            q = least.setdefault(p % period, p)
+            assert values[p] % m == values[q] % m, (p, q, m)
 
 
 def test_pointwise_tables_are_residue_tables():
