@@ -23,22 +23,15 @@ reads from 0 with its step, up to step times the order the run checks it
 at, modulo the claim's ring.  TablePlan.read serves both.
 
 The build rule: each table is built once per plan, over the lcm of its
-moduli (pbar's include those of every A_l built from it), to its largest
-read index, as the progression whose step is the gcd of its reads' starts
-and steps.  The plan only plans: the builder (sequences._build_series, or
-a Read's function) gets that ring, index and step and the whole tables it
-is built from, and returns that progression.  An A_l in a plan reads all
-of pbar, which the plan builds once for every A_l that shares it, unless
-the A_l is pbar's only reader: that A_l is one quotient phi(-q^l) /
-phi(-q), and pbar is not built.  The pointwise tables are built the same
-way from sieve groups: once every read is declared, the plan puts the
-multiplicative parts of all its pointwise tables into groups of pairwise
-coprime moduli (sequences.sieve_groups).  Each group is one sieve over the
-product of its moduli, a source that its member tables are built from, as
-pbar is for the A_l: built at its first member's build, to its members'
-largest index, and dropped after its last member's build.  A read mod m
-reduces the part it reads.  The plan's first read builds its progression
-tables, largest step first.
+moduli, to its largest read index, as the progression whose step is the gcd
+of its reads' starts and steps.  The plan only plans: the builder
+(sequences._build_series, sequences.sieve, or a Read's function) gets that
+ring, index and step and the whole tables it is built from, and returns
+that progression.  What a table is built from is sequences.table_inputs,
+asked once every read is declared; the plan then reads each such input
+whole, over the built table's modulus and to its top index, so an input
+(pbar, or a sieve group) is built at the first build that reads it.  The
+plan's first read builds its progression tables, largest step first.
 The lcm is taken per table, not over the run, because a table over a
 larger modulus costs more to build.  A table is dropped after its last
 consumer.
@@ -64,7 +57,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from . import sequences
 from .arith import primes_up_to
 # bench/tracer.py wraps claims.sequence_value, so the name is kept here
-from .sequences import SequenceRef, SieveGroup, sequence_value, series_inputs  # noqa: F401
+from .sequences import SequenceRef, SieveGroup, sequence_value  # noqa: F401
 from .series import Ring, Series, Zmod
 
 DEFAULT_BOUND = 2000
@@ -266,18 +259,21 @@ class TablePlan:
     docstring's build rule.
 
     The plan holds its own tables, one per source: a SequenceRef, a Read's
-    function or a sequences.SieveGroup.  The first ``checks`` call declares every claim's
-    reads.  Each is (table, modulus, indices), the indices a range: a
-    congruence side a n + b reads from a lo + b with step a, an identity
-    claim's Read from 0 with its step.  The plan's first read builds its
-    progression tables before any other, largest step first, and tables of
-    one step in the order they were first declared, a claim's lhs reads
-    before its rhs reads: a whole table, such as pbar to 125*order, is then
-    never held while the core is expanded to the same length.  Every other
-    table is built at its first read.  A table's consumers are the claims
-    that read it and the tables built from it; after the last one, the plan
-    drops it.  A sieve group's consumers are its member tables.
-    verify_claims gives each claim kind its own plan.
+    function or a sequences.SieveGroup, with one spec each, (lcm of its
+    moduli, largest index read, gcd of its reads' starts and steps).  The
+    first ``checks`` call declares every claim's reads.  Each is (table,
+    modulus, indices), the indices a range: a congruence side a n + b reads
+    from a lo + b with step a, an identity claim's Read from 0 with its
+    step.  It then asks sequences.table_inputs what each table is built
+    from, and declares one whole read of each input.  The plan's first read
+    builds its progression tables before any other, largest step first,
+    and tables of one step in the order they were first declared, a claim's
+    lhs reads before its rhs reads: a whole table, such as pbar to
+    125*order, is then never held while the core is expanded to the same
+    length.  Every other table is built at its first read.  A table's
+    consumers are the claims that read it and the tables built from it;
+    after the last one, the plan drops it.  verify_claims gives each claim
+    kind its own plan.
     """
 
     def __init__(self, claims: Iterable, caps: Caps = Caps(), order: int | None = None):
@@ -288,9 +284,7 @@ class TablePlan:
         self._claims = list(claims)
         self._checks: dict | None = None  # id(claim) -> its checks
         self._reads: dict = {}  # id(claim) -> the tables it reads
-        self._modulus: dict = {}  # table -> lcm of its moduli
-        self._top: dict = {}  # table -> largest index read
-        self._step: dict = {}  # table -> gcd of its reads' starts and steps
+        self._spec: dict = {}  # table -> (lcm of its moduli, largest index, step)
         self._consumers: Counter = Counter()  # table -> readers and builds left
         self._inputs: dict = {}  # table -> the tables it is built from
         self._tables: dict = {}  # table -> its table, until its last consumer
@@ -329,7 +323,12 @@ class TablePlan:
                     self._add(*read)
                 sources = self._reads[id(c)] = {source for source, *_ in reads}
                 self._consumers.update(sources)
-            self._link()
+            refs = {s: m for s, (m, *_) in self._spec.items() if isinstance(s, SequenceRef)}
+            self._inputs = sequences.table_inputs(refs)
+            for ref, deps in self._inputs.items():
+                self._consumers.update(deps)  # ref's build reads each dep's table
+                for dep in deps:
+                    self._add(dep, refs[ref], range(self._spec[ref][1] + 1))
         if id(claim) not in self._checks:
             raise ValueError(f"claim {claim.id} is not in the plan")
         return self._checks[id(claim)]
@@ -340,10 +339,10 @@ class TablePlan:
         its progression tables, largest step first."""
         if not self._started:
             self._started = True
-            kept = [s for s, g in self._step.items() if g > 1]
-            for s in sorted(kept, key=self._step.get, reverse=True):
+            kept = {s: g for s, (*_, g) in self._spec.items() if g > 1}
+            for s in sorted(kept, key=kept.get, reverse=True):
                 self._table(s)
-        table, g = self._table(source), self._step[source]
+        table, g = self._table(source), self._spec[source][2]
         end = indices.start + indices.step * len(indices)
         values = table[indices.start // g : end // g : indices.step // g]
         if table.ring.modulus != modulus:
@@ -351,41 +350,10 @@ class TablePlan:
         return values
 
     def _add(self, source, modulus: int, indices: range):
-        """Add the read, and a whole read of every table source's is built
-        from."""
-        top, step = indices[-1], gcd(indices.start, indices.step)
-        if source in self._modulus:
-            self._modulus[source] = lcm(self._modulus[source], modulus)
-            self._top[source] = max(self._top[source], top)
-            self._step[source] = gcd(self._step[source], step)
-        else:
-            self._modulus[source], self._top[source], self._step[source] = modulus, top, step
-            deps = series_inputs(source) if isinstance(source, SequenceRef) else ()
-            self._inputs[source] = deps
-            self._consumers.update(deps)  # source's build reads each dep's table
-        for dep in self._inputs[source]:
-            self._add(dep, modulus, range(top + 1))
-
-    def _link(self):
-        """Settle what each table is built from, once every read is declared.
-        An A_l that is pbar's only consumer goes without it, as one quotient,
-        and pbar is never built.  Each pointwise table is built from its
-        sieve groups (sequences.sieve_groups over every pointwise table of
-        the plan); a group is built to its members' largest index and
-        released after its last member's build."""
-        for source, deps in self._inputs.items():
-            if any(self._consumers[d] == 1 for d in deps):
-                self._inputs[source] = ()
-        pointwise = {
-            s: m
-            for s, m in self._modulus.items()
-            if isinstance(s, SequenceRef) and not s.is_series_backed
-        }
-        for ref, groups in sequences.sieve_groups(pointwise).items():
-            self._inputs[ref] = groups
-            for group in groups:
-                self._top[group] = max(self._top.get(group, 0), self._top[ref])
-                self._consumers[group] += 1
+        """Add the read to source's spec."""
+        m, top, step = self._spec.get(source, (1, 0, 0))
+        top, step = max(top, indices[-1]), gcd(step, indices.start, indices.step)
+        self._spec[source] = lcm(m, modulus), top, step
 
     def _table(self, source) -> Series | bytes | list[int]:
         """source's planned progression, built on its first read from the
@@ -397,14 +365,13 @@ class TablePlan:
             inputs = [self._table(d) for d in deps]
             for d in deps:
                 self._release(d)
-            top = self._top[source]
+            modulus, top, step = self._spec[source]
             if isinstance(source, SieveGroup):
                 table = sequences.sieve(source, top)
             elif isinstance(source, SequenceRef):
-                ring, step = Zmod(self._modulus[source]), self._step[source]
-                table = sequences._build_series(source, ring, top, *inputs, step=step)
+                table = sequences._build_series(source, Zmod(modulus), top, *inputs, step=step)
             else:
-                table = source(Zmod(self._modulus[source]), top, self._step[source])
+                table = source(Zmod(modulus), top, step)
             self._tables[source] = table
         return table
 

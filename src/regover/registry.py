@@ -217,7 +217,7 @@ def _build_core(ring, order, step=1):
     psi = theta_f_series(_PSI, ZZ, order)
     square = Series(ring, (psi * psi)[:])
     del psi
-    return (square / jacobi_cube(2, ring, order)).extract_progression(step, 0)
+    return (square / jacobi_cube(2, ring, order)).extract_progression(step)
 
 
 def _gf_extracted(ell, step, ring, order, core):

@@ -3,7 +3,9 @@
 Series route: each sequence is the coefficient list of its generating
 function (partitions 1/(q;q), regular partitions (q^l;q^l)/(q;q),
 overpartitions (q^2;q^2)/(q;q)^2 = 1/phi(-q), and regular overpartitions
-phi(-q^l)/phi(-q)).
+phi(-q^l)/phi(-q)).  table_inputs is the one rule for what each table is
+built from: an A_l is built from pbar only when pbar is read too or
+another A_l shares it, and else as that one quotient.
 
 Table route for the pointwise sequences (r_k, d*, sigma3m, chi): each has
 one closed form in ``regover.arith``, which ``sequence_value`` evaluates at
@@ -20,10 +22,11 @@ the least prime above sqrt(top) in it.  Parts with pairwise coprime
 moduli form a SieveGroup, one sieve over Zmod of the moduli's product
 whose seeds are the CRT of the parts' seeds and whose products are
 reduced as they are made; a table is read back from its group or groups
-with its scales.  A claims.TablePlan groups every
-pointwise table it reads (sieve_groups) and builds each group once; a
-table built alone (``sequence_series``) sieves the groups of its own
-parts, by the same code.  Claim runs read these tables from their plan.
+with its scales.  table_inputs groups the parts of every pointwise table
+that a claims.TablePlan reads, and the plan builds each group once; a
+table built alone (``sequence_series``) sieves the groups table_inputs
+gives its own parts, by the same code.  Claim runs read these tables from
+their plan.
 
 Oracle route: direct descending-part recursion, deliberately memo-free and
 structurally unrelated to the series pipeline, weighting each partition by
@@ -115,25 +118,16 @@ def sequence_series(ref: SequenceRef, ring: Ring, order: int) -> Series:
     return _build_series(ref, ring, order)
 
 
-def series_inputs(ref: SequenceRef) -> tuple[SequenceRef, ...]:
-    """The series-backed sequences whose tables a plan builds once and hands
-    _build_series to build ref's from: pbar for every A_l, none for the
-    others.  A table built alone needs none of them; a plan hands a
-    pointwise ref its sieve groups instead (sieve_groups)."""
-    return (_PBAR,) if ref.name == "A" else ()
-
-
 def _build_series(ref: SequenceRef, ring: Ring, order: int, *inputs, step=1) -> Series:
     """ref's step-progression over ring to order, from the whole tables of
-    series_inputs(ref) when given, each over ring or a Zmod(k) whose k is a
-    multiple of ring's modulus.  A pointwise ref's series holds residues,
-    over a Zmod(m), read from the sieve results of its parts' groups, each
-    mod a multiple of m: given in part order by a plan, or else sieved here
-    for its own parts alone.  Given no pbar, an A_l is one quotient
-    phi(-q^l) / phi(-q), built whole.  Given pbar, as a plan that shares it among several
-    A_l does, an A_l is a product: phi(-q^l) is a series in q^g for g =
-    gcd(step, l), so it is built at g, as phi(-q^(l/g)) times pbar's
-    g-progression.  Any other ref is whole."""
+    its table_inputs when given, each mod a multiple of ring's modulus.
+    Given none, ref is built alone, from table_inputs({ref: modulus}): an
+    A_l as one quotient phi(-q^l) / phi(-q), built whole, a pointwise ref
+    from the groups of its own parts, sieved here.  Given pbar, an A_l is a
+    product: phi(-q^l) is a series in q^g for g = gcd(step, l), so it is
+    built at g, as phi(-q^(l/g)) times pbar's g-progression.  A pointwise
+    ref's series holds residues, over a Zmod(m), read from its groups'
+    sieve results.  Any other ref is whole."""
     if ref.name == "A" and not inputs:
         # regular overpartitions: (q^l;q^l)^2 (q^2;q^2) / (q;q)^2 (q^2l;q^2l)
         table = phi(-1, ring, order, scale=ref.param) / phi(-1, ring, order)
@@ -141,17 +135,16 @@ def _build_series(ref: SequenceRef, ring: Ring, order: int, *inputs, step=1) -> 
         # the same grouped as phi(-q^l) * pbar
         (pbar,) = inputs
         g = gcd(step, ref.param)
+        coeffs = pbar[: order + 1 : g]
         if pbar.ring != ring:
-            pbar = Series._raw(ring, [c % ring.modulus for c in pbar[: order + 1 : g]])
-        elif g > 1:
-            pbar = Series._raw(ring, pbar[: order + 1 : g])
-        table = phi(-1, ring, order // g, scale=ref.param // g) * pbar
+            coeffs = [c % ring.modulus for c in coeffs]
+        table = phi(-1, ring, order // g, scale=ref.param // g) * Series._raw(ring, coeffs)
         step //= g
     elif not ref.is_series_backed:
         check_order(order)
         if ring.is_exact:
             raise ValueError(f"sequence {ref.label()} is tabled mod m only")
-        groups = inputs or [sieve(g, order) for g in sieve_groups({ref: ring.modulus})[ref]]
+        groups = inputs or [sieve(g, order) for g in table_inputs({ref: ring.modulus})[ref]]
         table = Series._raw(ring, _pointwise_table(ref, ring.modulus, order, groups, step))
         step = 1
     elif ref.name == "p":
@@ -160,7 +153,7 @@ def _build_series(ref: SequenceRef, ring: Ring, order: int, *inputs, step=1) -> 
         table = Series.one(ring, order) / phi(-1, ring, order)
     else:
         table = euler_product(ref.param, ring, order) / euler_product(1, ring, order)
-    return table if step == 1 else table.extract_progression(step, 0)
+    return table if step == 1 else table.extract_progression(step)
 
 
 def _multiplicative(seed, m: int, order: int) -> list[int]:
@@ -200,26 +193,20 @@ def _closed_form(ref: SequenceRef):
     return {"dstar": arith.d_star, "sigma3m": arith.sigma3_minus, "chi": arith.chi}[ref.name]
 
 
-def _scales(ref: SequenceRef) -> tuple[int, ...]:
-    """The scales of ref's multiplicative parts: a pointwise ref is the sum
-    of its parts times their scales, with r_k(0) = 1.  r_6 = 16 T - 4 P.
-    Any other ref is scale f for one part f: scale is ref(1), 2k for r_k
-    (k = 2, 4, 8), -1 for sigma3m and 1 for d* and chi."""
-    if ref.label() == "r(6)":
-        return (16, -4)
-    return (2 * ref.param if ref.name == "r" else -1 if ref.name == "sigma3m" else 1,)
-
-
-def _seed(ref: SequenceRef, i: int):
-    """(p, e) -> the value at p^e of ref's i-th multiplicative part: r_6's
-    divisor sums T and P from arith.r6_factors, any other ref's part as
-    closed(p^e) // scale for its closed form.  arith is looked up here, at
-    table time, so a caller can stand in for it."""
+def _parts(ref: SequenceRef) -> list:
+    """ref's multiplicative parts, as (scale, seed) pairs: a pointwise ref is
+    the sum of its parts times their scales, with r_k(0) = 1, and seed(p, e)
+    is the part's value at p^e.  r_6 = 16 T - 4 P for its divisor sums T and
+    P from arith.r6_factors.  Any other ref is scale f for the one f whose
+    value at p^e is closed(p^e) // scale: scale is ref(1), 2k for r_k (k =
+    2, 4, 8), -1 for sigma3m and 1 for d* and chi.  arith is looked up here,
+    at table time, so a caller can stand in for it."""
     if ref.label() == "r(6)":
         factors = arith.r6_factors
-        return lambda p, e: factors(p, e)[i]
-    closed, (scale,) = _closed_form(ref), _scales(ref)
-    return lambda p, e: closed(p**e) // scale
+        return [(16, lambda p, e: factors(p, e)[0]), (-4, lambda p, e: factors(p, e)[1])]
+    closed = _closed_form(ref)
+    scale = 2 * ref.param if ref.name == "r" else -1 if ref.name == "sigma3m" else 1
+    return [(scale, lambda p, e: closed(p**e) // scale)]
 
 
 class SieveGroup(NamedTuple):
@@ -235,21 +222,30 @@ class SieveGroup(NamedTuple):
         return prod(m for _, m in self.parts)
 
 
-def sieve_groups(moduli: dict) -> dict:
-    """ref -> the SieveGroups its parts are sieved in, in part order, for
-    each pointwise ref in moduli tabled mod moduli[ref].  Each part, in the
-    dict's order, joins the first group whose modulus is coprime to its
-    ref's, or else starts a group."""
+def table_inputs(moduli: dict) -> dict:
+    """ref -> the tables that ref's table is built from, for each ref in
+    moduli: the sequences one plan reads, or one table built alone, each
+    tabled mod moduli[ref].  An A_l
+    is built from pbar when pbar is read too or another A_l shares it, and
+    else from nothing, as one quotient.  A pointwise ref is built from the
+    SieveGroups of its parts, in part order: each part, in the dict's
+    order, joins the first group whose modulus is coprime to its ref's, or
+    else starts a group.  Any other ref is built from nothing."""
+    shared = _PBAR in moduli or sum(ref.name == "A" for ref in moduli) > 1
+    count = {ref: 0 if ref.is_series_backed else len(_parts(ref)) for ref in moduli}
     groups = []  # [modulus, parts] of each group
     for ref, m in moduli.items():
-        for i in range(len(_scales(ref))):
+        for i in range(count[ref]):
             group = next((g for g in groups if gcd(g[0], m) == 1), None)
             if group is None:
                 groups.append(group := [1, []])
             group[0] *= m
             group[1].append(((ref, i), m))
     of_part = {part: SieveGroup(tuple(parts)) for _, parts in groups for part, _ in parts}
-    return {ref: tuple(of_part[ref, i] for i in range(len(_scales(ref)))) for ref in moduli}
+    return {
+        ref: (_PBAR,) if ref.name == "A" and shared else tuple(of_part[ref, i] for i in range(n))
+        for ref, n in count.items()
+    }
 
 
 def sieve(group: SieveGroup, order: int) -> bytes | list[int]:
@@ -259,7 +255,9 @@ def sieve(group: SieveGroup, order: int) -> bytes | list[int]:
     its members' builds at an eighth of a list's size, else a list."""
     modulus = group.modulus
     # u = 1 mod m and 0 mod the other moduli, for each part's modulus m
-    seeds = [(modulus // m * pow(modulus // m, -1, m), _seed(*part)) for part, m in group.parts]
+    seeds = [
+        (modulus // m * pow(modulus // m, -1, m), _parts(ref)[i][1]) for (ref, i), m in group.parts
+    ]
     table = _multiplicative(lambda p, e: sum(u * seed(p, e) for u, seed in seeds), modulus, order)
     return bytes(table) if modulus <= 256 else table
 
@@ -268,7 +266,7 @@ def _pointwise_table(ref: SequenceRef, m: int, order: int, groups, step: int) ->
     """ref(0..order) mod m at the multiples of step, read from the tables of
     its parts' sieve groups, in part order: each group's modulus is a
     multiple of m, so a group's residue mod m is its part's value mod m."""
-    scales = _scales(ref)
+    scales = [scale for scale, _ in _parts(ref)]
     columns = [islice(g, 0, order + 1, step) for g in groups]
     if len(scales) == 2:
         s, u = scales

@@ -231,15 +231,11 @@ class Series:
         n = len(self._coeffs)
         return Series._raw(self.ring, [0] * min(t, n) + self._coeffs[: max(n - t, 0)])
 
-    def extract_progression(self, k: int, r: int) -> Series:
-        """Returns sum a(k n + r) q^n with order floor((order - r) / k)."""
+    def extract_progression(self, k: int) -> Series:
+        """Returns sum a(k n) q^n with order floor(order / k)."""
         if k < 1:
             raise ValueError("progression step must be >= 1")
-        if not 0 <= r < k:
-            raise ValueError(f"residue {r} must satisfy 0 <= r < {k}")
-        if r > self.order:
-            raise ValueError(f"residue {r} exceeds truncation order {self.order}")
-        return Series._raw(self.ring, self._coeffs[r :: k])
+        return Series._raw(self.ring, self._coeffs[::k])
 
     # -- serialization ----------------------------------------------------
 

@@ -42,7 +42,7 @@ def bump_pbar(monkeypatch, index):
     def mutated(ref, ring, order, *inputs, step=1):
         if ref != SequenceRef("pbar") and (ref.name != "A" or inputs):
             return build(ref, ring, order, *inputs, step=step)
-        return bump(build(ref, ring, order, *inputs), index).extract_progression(step, 0)
+        return bump(build(ref, ring, order, *inputs), index).extract_progression(step)
 
     monkeypatch.setattr(sequences, "_build_series", mutated)
 

@@ -24,7 +24,7 @@ from regover.claims import (
 from regover.cli import main
 from regover.products import phi
 from regover.registry import _a, claims_by_id
-from regover.sequences import SequenceRef, sequence_series
+from regover.sequences import SequenceRef, SieveGroup, sequence_series
 from regover.series import Zmod
 
 BOUND = 2000
@@ -137,6 +137,8 @@ def test_hunt_and_a_lone_claim_build_at_the_requested_modulus(builds):
         (["C-T1"], [("div_mod", 5)]),
         # A_5 and A_3 share pbar, one division over lcm(5, 2), then a product each
         (["C-T1", "C-SHEN-1"], [("div_mod", 10), ("mul_mod", 5), ("mul_mod", 2)]),
+        # pbar is read (C-CHEN-2) and A_5 is built from it: one division, one product
+        (["C-T1", "C-CHEN-2"], [("div_mod", 5), ("mul_mod", 5)]),
     ],
 )
 def test_pbar_is_built_only_for_a_tables_that_share_it(monkeypatch, ids, calls):
@@ -150,6 +152,37 @@ def test_pbar_is_built_only_for_a_tables_that_share_it(monkeypatch, ids, calls):
         monkeypatch.setattr(kernels, name, spy)
     assert all(r.status == "pass" for r in run_plan(claims_by_id(ids)).values())
     assert seen == calls
+
+
+def test_a_lone_a_table_plan_never_declares_pbar():
+    (t1,) = claims_by_id(["C-T1"])
+    plan = TablePlan([t1], Caps(bound=BOUND))
+    plan.checks(t1)
+    assert plan._inputs[_a(5)] == ()
+    assert SequenceRef("pbar") not in plan._spec
+
+
+def test_the_registrys_pointwise_tables_are_sieved_in_two_groups_mod_105():
+    # r_4 mod 5, r_2 mod 3 and r_6's T mod 7 share one group; r_6's P mod 7
+    # cannot join it, so it starts a second one, with r_8 mod 3 and sigma3m
+    # mod 5
+    selected = congruences()
+    plan = TablePlan(selected, Caps(bound=BOUND))
+    plan.checks(selected[0])
+    r2, r4, r6, r8 = (SequenceRef("r", k) for k in (2, 4, 6, 8))
+    s3 = SequenceRef("sigma3m")
+    moduli = {
+        s: m
+        for s, (m, *_) in plan._spec.items()
+        if isinstance(s, SequenceRef) and not s.is_series_backed
+    }
+    assert list(moduli.items()) == [(r4, 5), (r2, 3), (r6, 7), (r8, 3), (s3, 5)]
+    first = SieveGroup((((r4, 0), 5), ((r2, 0), 3), ((r6, 0), 7)))
+    second = SieveGroup((((r6, 1), 7), ((r8, 0), 3), ((s3, 0), 5)))
+    assert first.modulus == second.modulus == 105
+    inputs = {r4: (first,), r2: (first,), r6: (first, second), r8: (second,), s3: (second,)}
+    assert sequences.table_inputs(moduli) == inputs
+    assert {ref: plan._inputs[ref] for ref in moduli} == inputs
 
 
 def test_a_plan_that_verifies_a_claim_twice_keeps_no_table():
@@ -176,12 +209,12 @@ def test_a_congruence_table_is_kept_as_the_progression_its_reads_share():
     plan = TablePlan(selected, Caps(bound=BOUND))
     assert verify_claim(selected[0], plan).status == "pass"
     a625, a25, pbar = _a(625), _a(25), SequenceRef("pbar")
-    assert plan._step[a625] == 125
+    assert plan._spec[a625][2] == 125
     assert len(plan._tables[a625]) == BOUND // 125 + 1 == 17
-    assert plan._step[a25] == 5
+    assert plan._spec[a25][2] == 5
     assert len(plan._tables[a25]) == BOUND // 5 + 1
     # pbar stays whole: every A_l is built from all of it
-    assert plan._step[pbar] == 1
+    assert plan._spec[pbar][2] == 1
     assert len(plan._tables[pbar]) == BOUND + 1
     whole = sequences.sequence_series(_a(625), Zmod(5), BOUND).coeffs
     assert plan.read(a625, 5, range(125, BOUND + 1, 625)) == whole[125::625]
@@ -209,7 +242,7 @@ def test_a_625_is_one_product_of_phi_and_pbars_125_progression(monkeypatch):
     assert m == 5
     assert theta == phi(-1, Zmod(5), BOUND // 125, scale=5).coeffs
     assert progression == pbar[::125] and len(progression) == 17
-    assert table == whole.extract_progression(125, 0)
+    assert table == whole.extract_progression(125)
 
 
 def test_a_plans_pointwise_tables_equal_lone_builds():
@@ -240,8 +273,8 @@ def test_a_plans_pointwise_tables_equal_lone_builds():
         if bound == 20000:
             groups = {ref.label(): [g.modulus for g in plan._inputs[ref]] for ref in (r6, s3, chi)}
             assert groups == {"r(6)": [105, 1050], "sigma3m": [1050], "chi": [7]}
-            assert plan._step[r8] == 2 and plan._step[chi] == 4
-            assert plan._top[s3] == bound // 5 < plan._top[r8]
+            assert plan._spec[r8][2] == 2 and plan._spec[chi][2] == 4
+            assert plan._spec[s3][1] == bound // 5 < plan._spec[r8][1]
         plan.done(claim)
         assert plan._tables == {}
         assert read == 6 or bound < 5, bound  # sigma3m's first index is 1, next to A_5's 5

@@ -176,9 +176,9 @@ def test_gf_extracted_equals_the_extraction_of_the_whole_quotient(ell, step, rin
     # the factor in q^step is evaluated after the extraction, at order, and
     # multiplies the extracted core that the claims read from their plan
     whole = eta_quotient(registry.regular_overpartition_quotient(ell), ring, step * order)
-    core = registry._build_core(ring, step * order).extract_progression(step, 0)
+    core = registry._build_core(ring, step * order).extract_progression(step)
     got = registry._gf_extracted(ell, step, ring, order, core)
-    assert got == whole.extract_progression(step, 0)
+    assert got == whole.extract_progression(step)
 
 
 # the series constructors of products, spied wherever a module imports them
@@ -194,7 +194,7 @@ def _side_builders(side, reads, ring, case, order, called):
     over ring."""
     called.clear()
     tables = [
-        sequence_series(r.table, ring, r.step * order).extract_progression(r.step, 0)
+        sequence_series(r.table, ring, r.step * order).extract_progression(r.step)
         if isinstance(r.table, SequenceRef)
         else r.table(ring, r.step * order, r.step)
         for r in reads

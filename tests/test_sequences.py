@@ -284,7 +284,7 @@ def test_an_a_table_is_built_at_the_step_it_is_asked_for(ell, step):
         for order in (0, 7, 1999, 2000):
             whole = phi(-1, ring, order, scale=ell) * Series(ring, pbar[: order + 1])
             got = sequences._build_series(a, ring, order, pbar, step=step)
-            assert got == whole.extract_progression(step, 0), (pbar_ring, ring, order)
+            assert got == whole.extract_progression(step), (pbar_ring, ring, order)
 
 
 @pytest.mark.parametrize("ring", [ZZ, Zmod(5), Zmod(24), Zmod(625), Zmod(840)], ids=str)
@@ -299,14 +299,14 @@ def test_a_lone_a_table_is_the_quotient_a_plan_builds_as_a_product(ell, ring):
         lone = sequences._build_series(a, ring, order)
         assert lone == sequences._build_series(a, ring, order, pbar), order
         planned = sequences._build_series(a, ring, order, pbar, step=ell)
-        assert planned == lone.extract_progression(ell, 0), order
+        assert planned == lone.extract_progression(ell), order
         assert sequences._build_series(a, ring, order, step=ell) == planned, order
 
 
 def test_every_other_table_is_built_whole_and_extracted():
     for ref in (SequenceRef("p"), SequenceRef("pbar"), SequenceRef("b", 5), SequenceRef("r", 4)):
         whole = sequences._build_series(ref, Zmod(5), 100)
-        assert sequences._build_series(ref, Zmod(5), 100, step=5) == whole.extract_progression(5, 0)
+        assert sequences._build_series(ref, Zmod(5), 100, step=5) == whole.extract_progression(5)
 
 
 def test_sequence_series_rejects_a_negative_order():
@@ -403,7 +403,8 @@ def test_a_seed_at_a_prime_is_a_function_of_its_class_mod_lcm_4_m(part):
     # the sieve seeds a prime above sqrt(top) with the seed of the least such
     # prime in its class mod lcm(4, M), which is right only if each seed at a
     # prime is a function of that class
-    seed = sequences._seed(*part)
+    ref, i = part
+    _, seed = sequences._parts(ref)[i]
     primes = arith.primes_up_to(20000)
     values = {p: seed(p, 1) for p in primes}
     for m in TABLE_MODULI + (105,):
