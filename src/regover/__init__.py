@@ -9,10 +9,12 @@ from .arith import (
     sigma3_minus,
 )
 from .claims import (
+    Build,
     Caps,
     CongruenceClaim,
     IdentityClaim,
     Instance,
+    Op,
     PrimeFamily,
     Term,
     VerificationReport,
@@ -45,11 +47,13 @@ from .series import Ring, Series, ZZ, Zmod
 __version__ = "0.1.0"
 
 __all__ = [
+    "Build",
     "Caps",
     "CongruenceClaim",
     "EtaQuotientSpec",
     "IdentityClaim",
     "Instance",
+    "Op",
     "PrimeFamily",
     "Ring",
     "SequenceRef",

@@ -1,10 +1,14 @@
 """Congruence/identity claim model and the finite-range verifier.
 
 A CongruenceClaim is plain data: the Instances it asserts, each lhs = rhs
-mod m for every n in range, where a side is a sequence at a n + b for
-integers a and b.  The instances are a fixed tuple, or a PrimeFamily,
+mod m for every n in range, where a side is a Term, a sequence at a n + b
+for integers a and b.  The instances are a fixed tuple, or a PrimeFamily,
 index = c p^(s k + e) (p n + i) over the primes p in given residue
 classes, whose integer fields list its instances under the run's caps.
+An IdentityClaim is plain data too: Instances whose sides are series over
+ZZ/m, or ZZ when the modulus is None, up to the order the run checks.  Its
+side is a Term, the series of seq(a n + b) q^n over n = 0..order, a Build
+(a function's series) or an Op (a product, quotient or power of sides).
 Claims are immutable named tuples: ``_replace`` gives a changed copy.
 
 An instance is checked iff every index of both sides lies in [1, bound];
@@ -17,28 +21,28 @@ Tables come from a TablePlan, which holds its own tables.  Before the
 first table is built, the plan lists every congruence claim's instances
 once and declares what each claim reads.  Every read is of one
 kind, (table, modulus, indices), the indices a progression: start, step
-and count.  A congruence side a n + b reads from a lo + b with step a, for
-its instance's n in [lo, hi]; an identity claim's Read (table, step)
-reads from 0 with its step, up to step times the order the run checks it
-at, modulo the claim's ring.  TablePlan.read serves both.
+and count.  A Term a n + b reads from a lo + b with step a, modulo its
+instance's modulus, for n in [lo, hi]: a congruence instance's checkable
+n, or n = 0..order for an identity instance, at the order the run checks
+it at.  TablePlan.read serves both.
 
 The build rule: each table is built once per plan, over the lcm of its
 moduli, to its largest read index, as the progression whose step is the gcd
 of its reads' starts and steps.  The plan only plans: the builder
-(sequences._build_series, sequences.sieve, or a Read's function) gets that
-ring, index and step and the whole tables it is built from, and returns
-that progression.  What a table is built from is sequences.table_inputs,
-asked once every read is declared; the plan then reads each such input
-whole, over the built table's modulus and to its top index, so an input
-(pbar, or a sieve group) is built at the first build that reads it.  The
-plan's first read builds its progression tables, largest step first.
-The lcm is taken per table, not over the run, because a table over a
-larger modulus costs more to build.  A table is dropped after its last
-consumer.
+(sequences._build_series, sequences.sieve, or a Term's table function)
+gets that ring, index and step and the whole tables it is built from, and
+returns that progression.  What a table is built from is
+sequences.table_inputs, asked once every read is declared; the plan then
+reads each such input whole, over the built table's modulus and to its
+top index, so an input (pbar, or a sieve group) is built at the first
+build that reads it.  The plan's first read builds its progression
+tables, largest step first.  The lcm is taken per table, not over the
+run, because a table over a larger modulus costs more to build.  A table
+is dropped after its last consumer.
 
 The plan also holds the run's knobs: the caps of its congruence claims and
 the order of its identity claims.  verify_claim(claim, plan) reads them from
-the plan and compares every instance or case of either kind in one loop.
+the plan and compares the instances of either kind in one loop.
 verify_claims runs a batch from one plan per claim kind: congruence and
 identity claims read separate tables, because their moduli of pbar (lcm
 840 and 625) have the lcm 105,000, whose residues need twice the kernel
@@ -77,9 +81,11 @@ class Caps(NamedTuple):
 
 class Term(NamedTuple):
     """One side of a congruence: seq(a n + b), optionally times (-1)^index.
-    seq None denotes the literal constant 0."""
+    seq None denotes the literal constant 0.  In an identity, seq may also
+    be a table function (ring, order, step) -> Series, which returns the
+    step-progression of its table to order, built by the build rule."""
 
-    seq: SequenceRef | None = None
+    seq: SequenceRef | Callable[[Ring, int, int], Series] | None = None
     a: int = 1
     b: int = 0
     sign_twist: bool = False
@@ -89,14 +95,54 @@ ZERO = Term(seq=None)
 
 
 class Instance(NamedTuple):
-    """One concrete congruence, lhs = rhs mod modulus at every checkable n.
+    """One concrete congruence, lhs = rhs mod modulus at every checkable n,
+    or one identity, lhs = rhs over ZZ/modulus (ZZ for None) to the order.
     params are the (name, value) pairs the instance fixes, such as
-    (("p", 11), ("k", 0), ("i", 1)); a counterexample reports them with n."""
+    (("p", 11), ("k", 0), ("i", 1)); a counterexample reports them, and n
+    for a congruence."""
 
     params: tuple[tuple[str, int], ...]
-    modulus: int
-    lhs: Term
-    rhs: Term
+    modulus: int | None
+    lhs: Term | Build | Op
+    rhs: Term | Build | Op
+
+
+class Build(NamedTuple):
+    """An identity side built by a function: fn(*args, ring, order), a
+    Series over ring to order.  fn is the function object itself, bound
+    when the claim is made, which for the registry's claims is when
+    builtin_registry() runs: a stand-in for a builder must be installed
+    before then to reach a claim."""
+
+    fn: Callable[..., Series]
+    args: tuple = ()
+
+
+class Op(NamedTuple):
+    """An identity side fn(*args): fn is operator.mul, pow or truediv, and
+    each argument a side or an int."""
+
+    fn: Callable
+    args: tuple
+
+
+def _terms(*sides) -> Iterator[Term]:
+    """The Terms of the sides, in the order they are evaluated."""
+    for side in sides:
+        if isinstance(side, Term):
+            yield side
+        elif isinstance(side, Op):
+            yield from _terms(*side.args)
+
+
+def _check_reads(instance: Instance):
+    """Refuse a table read that a plan cannot serve: one over ZZ, or one
+    whose index multiplier is below 1."""
+    for t in _terms(instance.lhs, instance.rhs):
+        if t.seq is not None and instance.modulus is None:
+            raise ValueError("a table read needs a modulus")
+        if t.seq is not None and t.a < 1:
+            raise ValueError("index multiplier must be >= 1")
 
 
 class PrimeFamily(NamedTuple):
@@ -140,48 +186,32 @@ class CongruenceClaim(NamedTuple):
     source: str = ""
 
 
-class Read(NamedTuple):
-    """An identity side's read of a table: its coefficients at the indices
-    step*n, over the claim's ring.  The table is a series-backed sequence,
-    or else a function (ring, order, step) -> Series built by the module's
-    build rule."""
-
-    table: SequenceRef | Callable[[Ring, int, int], Series]
-    step: int = 1
-
-
 class _IdentityClaimFields(NamedTuple):
     id: str
-    lhs: Callable[..., Series]
-    rhs: Callable[..., Series]
-    ring: Ring | Callable[[dict], Ring]
-    cases: tuple[dict, ...] = ({},)
+    instances: tuple[Instance, ...]
     default_order: int = 500
     order_cap: int | None = None
     source: str = ""
-    lhs_reads: tuple[Read, ...] = ()
-    rhs_reads: tuple[Read, ...] = ()
 
 
 class IdentityClaim(_IdentityClaimFields):
-    """Exact or modular series identity, evaluated case by case.
-
-    lhs/rhs are callables (ring, order, *tables, **case) -> Series, where
-    tables holds one Series over ring to order for each of the side's reads
-    (lhs_reads or rhs_reads), in that order, from the run's TablePlan.  ring
-    may be a callable of the case for per-case moduli, but a claim with
-    reads needs one Zmod(m) ring: the plan builds its tables mod m.
-    order_cap bounds evaluation for sides backed by the enumeration oracle.
-    """
+    """Exact or modular series identities, one per instance, each checked
+    at every coefficient up to the run's order.  A Term side is read from
+    the run's TablePlan, which builds its table mod the instance's modulus,
+    so an instance with a read needs a modulus, and its index at n = 0,
+    b, is at least 0.  order_cap bounds evaluation for sides backed by the
+    enumeration oracle."""
 
     __slots__ = ()
 
     def __new__(cls, *fields, **named):
         claim = super().__new__(cls, *fields, **named)
-        if not claim.cases:
-            raise ValueError("identity claim needs at least one case")
-        if (claim.lhs_reads or claim.rhs_reads) and (callable(claim.ring) or claim.ring.is_exact):
-            raise ValueError("identity claim with reads needs one Zmod(m) ring")
+        if not claim.instances:
+            raise ValueError("identity claim needs at least one instance")
+        for instance in claim.instances:
+            _check_reads(instance)
+            if any(t.b < 0 for t in _terms(instance.lhs, instance.rhs)):
+                raise ValueError("an identity read starts at an index >= 0")
         return claim
 
     @classmethod
@@ -241,8 +271,9 @@ def _declare(claim: CongruenceClaim, caps: Caps) -> list[_Check]:
     checks = []
     for instance in instances:
         sides = [instance.lhs, instance.rhs]
-        if any(t.seq is not None and t.a < 1 for t in sides):
-            raise ValueError("index multiplier must be >= 1")
+        if instance.modulus is None or not all(isinstance(t, Term) for t in sides):
+            raise ValueError("a congruence instance needs a modulus and two Terms")
+        _check_reads(instance)
         lo, hi = _instance_range(sides, caps.bound)
         if lo <= hi:
             checks.append(_Check(*instance, lo, hi))
@@ -258,22 +289,22 @@ class TablePlan:
     """The tables that a run of claims reads, built by the module
     docstring's build rule.
 
-    The plan holds its own tables, one per source: a SequenceRef, a Read's
-    function or a sequences.SieveGroup, with one spec each, (lcm of its
-    moduli, largest index read, gcd of its reads' starts and steps).  The
-    first ``checks`` call declares every claim's reads.  Each is (table,
-    modulus, indices), the indices a range: a congruence side a n + b reads
-    from a lo + b with step a, an identity claim's Read from 0 with its
-    step.  It then asks sequences.table_inputs what each table is built
-    from, and declares one whole read of each input.  The plan's first read
-    builds its progression tables before any other, largest step first,
-    and tables of one step in the order they were first declared, a claim's
-    lhs reads before its rhs reads: a whole table, such as pbar to
-    125*order, is then never held while the core is expanded to the same
-    length.  Every other table is built at its first read.  A table's
-    consumers are the claims that read it and the tables built from it;
-    after the last one, the plan drops it.  verify_claims gives each claim
-    kind its own plan.
+    The plan holds its own tables, one per source: a SequenceRef, a Term's
+    table function or a sequences.SieveGroup, with one spec each, (lcm of
+    its moduli, largest index read, gcd of its reads' starts and steps).
+    The first ``checks`` call declares every claim's reads.  Each is (table,
+    modulus, indices), the indices a range: a Term a n + b reads from
+    a lo + b with step a, for a congruence's checkable n in [lo, hi] or an
+    identity's n = 0..order.  It then asks sequences.table_inputs what
+    each table is built from, and declares one whole read of each input.
+    The plan's first read builds its progression tables before any other,
+    largest step first, and tables of one step in the order they were
+    first declared, a claim's lhs reads before its rhs reads: a whole
+    table, such as pbar to 125*order, is then never held while the core is
+    expanded to the same length.  Every other table is built at its first
+    read.  A table's consumers are the claims that read it and the tables
+    built from it; after the last one, the plan drops it.  verify_claims
+    gives each claim kind its own plan.
     """
 
     def __init__(self, claims: Iterable, caps: Caps = Caps(), order: int | None = None):
@@ -298,26 +329,22 @@ class TablePlan:
 
     def checks(self, claim) -> list[_Check]:
         """The claim's checks: its instances with a checkable n for a
-        congruence claim, none for an identity claim.  The first call
-        declares every claim's reads; a claim not in the plan raises
-        ValueError."""
+        congruence claim, and each instance over n = 0..order for an
+        identity claim.  The first call declares every claim's reads; a
+        claim not in the plan raises ValueError."""
         if self._checks is None:
             self._checks = {}
             for c in self._claims:
                 if isinstance(c, CongruenceClaim):
                     checks = _declare(c, self.caps)
-                    reads = [
-                        (t.seq, check.modulus, _indices(t, check))
-                        for check in checks
-                        for t in (check.lhs, check.rhs)
-                        if t.seq is not None
-                    ]
                 else:
-                    checks, order = [], self.order_of(c)
-                    reads = [
-                        (r.table, c.ring.modulus, range(0, r.step * order + 1, r.step))
-                        for r in c.lhs_reads + c.rhs_reads
-                    ]
+                    checks = [_Check(*instance, 0, self.order_of(c)) for instance in c.instances]
+                reads = [
+                    (t.seq, check.modulus, _indices(t, check))
+                    for check in checks
+                    for t in _terms(check.lhs, check.rhs)
+                    if t.seq is not None
+                ]
                 self._checks[id(c)] = checks
                 for read in reads:
                     self._add(*read)
@@ -406,59 +433,57 @@ def _side(t: Term, check: _Check, plan: TablePlan) -> list[int]:
     return values
 
 
-def _cases(claim, plan: TablePlan) -> Iterator[tuple[list, list, Callable]]:
-    """What the claim compares, as (lhs, rhs, where): two residue lists
-    over the same positions, and where(j), the params and index of
-    position j.  A congruence claim gives one per check, an identity claim
-    one per case, where a side that stops short of the order raises
-    ValueError, so it cannot shrink the check."""
+def _evaluate(side, ring: Ring, order: int, read: Callable[[Term], list[int]]):
+    """An identity side as a Series over ring to order, and an Op's int
+    argument as itself; a Term's values are read(term)."""
+    if isinstance(side, Term):
+        return Series._raw(ring, read(side))
+    if isinstance(side, Build):
+        return side.fn(*side.args, ring, order)
+    if isinstance(side, Op):
+        return side.fn(*(_evaluate(arg, ring, order, read) for arg in side.args))
+    return side
+
+
+def _cases(claim, plan: TablePlan) -> Iterator[tuple[list, list, _Check]]:
+    """What the claim compares, check by check: (lhs, rhs, check), two
+    residue lists over n = lo..hi.  A Term side is read from the plan, any
+    other side evaluated over ZZ/modulus to the order hi.  A side that
+    stops short raises ValueError, so it cannot shrink the check."""
     for c in plan.checks(claim):
-        yield (
-            _side(c.lhs, c, plan),
-            _side(c.rhs, c, plan),
-            lambda j, c=c: (dict(c.params, n=c.lo + j), c.lhs.a * (c.lo + j) + c.lhs.b),
-        )
-    if isinstance(claim, CongruenceClaim):
-        return
-    order = plan.order_of(claim)
-    tables = [
-        [
-            Series._raw(
-                claim.ring,
-                plan.read(r.table, claim.ring.modulus, range(0, r.step * order + 1, r.step)),
-            )
-            for r in reads
-        ]
-        for reads in (claim.lhs_reads, claim.rhs_reads)
-    ]
-    for case in claim.cases:
-        ring = claim.ring(case) if callable(claim.ring) else claim.ring
         sides = []
-        for name, side, side_tables in zip(("lhs", "rhs"), (claim.lhs, claim.rhs), tables):
-            series = side(ring, order, *side_tables, **case)
-            if series.order < order:
+        for name, side in (("lhs", c.lhs), ("rhs", c.rhs)):
+            if isinstance(side, Term):
+                values = _side(side, c, plan)
+            else:
+                series = _evaluate(side, Ring(c.modulus), c.hi, lambda t: _side(t, c, plan))
+                values = series[: c.hi + 1]
+            if len(values) <= c.hi - c.lo:
                 raise ValueError(
-                    f"{claim.id}: {name} of case {case} stops at order"
-                    f" {series.order}, not {order}"
+                    f"{claim.id}: {name} of {dict(c.params)} stops at n = "
+                    f"{c.lo + len(values) - 1}, not {c.hi}"
                 )
-            sides.append(series[: order + 1])
-        yield (*sides, lambda j, case=case: (dict(case), j))
+            sides.append(values)
+        yield (*sides, c)
 
 
 def verify_claim(claim, plan: TablePlan) -> VerificationReport:
     """Check the claim with the tables and knobs of plan, which must hold it:
     a congruence claim at every instance for all n with all indices in
-    [1, plan.caps.bound], an identity claim in every case at
+    [1, plan.caps.bound], an identity claim at every instance to
     plan.order_of(claim).  Each check's two sides are compared whole; the
     first mismatch is located only when they differ.  The claim's tables
     are released on return."""
-    bound = plan.caps.bound if isinstance(claim, CongruenceClaim) else plan.order_of(claim)
+    congruence = isinstance(claim, CongruenceClaim)
+    bound = plan.caps.bound if congruence else plan.order_of(claim)
     total = 0
     try:
-        for lhs, rhs, where in _cases(claim, plan):
+        for lhs, rhs, c in _cases(claim, plan):
             if lhs != rhs:
                 j = next(j for j, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
-                params, index = where(j)
+                n = c.lo + j
+                params = dict(c.params, n=n) if congruence else dict(c.params)
+                index = c.lhs.a * n + c.lhs.b if congruence else n
                 counterexample = {"params": params, "index": index, "lhs": lhs[j], "rhs": rhs[j]}
                 return VerificationReport(claim.id, bound, total + j + 1, "fail", counterexample)
             total += len(lhs)

@@ -11,13 +11,18 @@ when p mod 5 is not 0 or 1, and the C-T5c combination vanishes mod 7 for
 all k only when p = 3 (mod 4) or p^2 != 1 (mod 7): the odd classes mod 28
 prime to 7, except 1 and 13.  The regression tests exhibit counterexamples
 (e.g. index 1331 = 11^3) for the unfiltered families.
+
+Every identity claim is data too: instances whose sides are Terms, Builds
+and Ops over module-level functions, so the registry holds no closure.
 """
 
 from __future__ import annotations
 
+import operator
+
 # bench/tracer.py wraps registry.primes_up_to, so the name is kept here
 from .arith import primes_up_to  # noqa: F401
-from .claims import ZERO, CongruenceClaim, IdentityClaim, Instance, PrimeFamily, Read, Term
+from .claims import ZERO, Build, CongruenceClaim, IdentityClaim, Instance, Op, PrimeFamily, Term
 from .products import (
     EtaQuotientSpec,
     ThetaSpec,
@@ -38,7 +43,7 @@ from .sequences import (  # noqa: F401
     oracle_regular_overpartition_table,
     sequence_series,
 )
-from .series import Series, ZZ, Zmod
+from .series import Series, ZZ
 
 # -- congruence claims -------------------------------------------------------
 
@@ -191,12 +196,18 @@ def regular_overpartition_quotient(ell: int) -> EtaQuotientSpec:
     return EtaQuotientSpec(0, ((ell, 2), (2, 1), (1, -2), (2 * ell, -1)))
 
 
-def _oracle_series(ring, order, ell):
+def _oracle_series(ell, ring, order):
     return Series(ring, oracle_regular_overpartition_table(ell, order))
 
 
-def _gf_lhs(ring, order, ell):
-    return eta_quotient(regular_overpartition_quotient(ell), ring, order)
+def _eta(*factors) -> Build:
+    """The side of the eta quotient of factors, with no q prefactor."""
+    return Build(eta_quotient, (EtaQuotientSpec(0, factors),))
+
+
+def _overpartition_product(ring, order):
+    """prod (1 + q^n) for n = 1..order."""
+    return one_plus_q_product(range(1, order + 1), ring, order)
 
 
 _OVERPARTITION_QUOTIENT = EtaQuotientSpec(0, ((2, 1), (1, -2)))
@@ -220,130 +231,122 @@ def _build_core(ring, order, step=1):
     return (square / jacobi_cube(2, ring, order)).extract_progression(step)
 
 
-def _gf_extracted(ell, step, ring, order, core):
-    """The step*n coefficients of the eta quotient, not of the A table:
-    (q^r;q^r)^2/(q^2r;q^2r) times core, the step*n extraction of
-    (q^2;q^2)/(q;q)^2 to order, with r = ell/step.
+def _gf_extracted(ell, step) -> Op:
+    """The side of the step*n coefficients of the eta quotient, not of the
+    A table: core, the step*n extraction of (q^2;q^2)/(q;q)^2 that the plan
+    reads from _build_core, times (q^r;q^r)^2/(q^2r;q^2r), r = ell/step.
 
     step must divide ell.  Then the factor (q^ell;q^ell)^2/(q^2ell;q^2ell)
     is a series in q^step, so it commutes with the extraction and is
     evaluated at order instead of step*order.  Of the two factors only the
     core is expanded to step*order, by _build_core once per run."""
     r = ell // step
-    outer = eta_quotient(EtaQuotientSpec(0, ((r, 2), (2 * r, -1))), ring, order)
-    return outer * core
+    return Op(operator.mul, (Term(_build_core, step), _eta((r, 2), (2 * r, -1))))
 
 
 def _identity_claims() -> list[IdentityClaim]:
+    # phi(-q) as f(-q, -q), since the table sides are built from products.phi
+    theta_phi = Build(theta_f_series, (ThetaSpec(-1, 1, -1, 1),))
+    euler = Build(euler_product, (1,))
     return [
         IdentityClaim(
             "I-GF",
-            _gf_lhs,
-            _oracle_series,
-            ZZ,
-            cases=tuple({"ell": ell} for ell in (3, 4, 5, 9, 25)),
+            tuple(
+                Instance(
+                    (("ell", ell),),
+                    None,
+                    Build(eta_quotient, (regular_overpartition_quotient(ell),)),
+                    Build(_oracle_series, (ell,)),
+                )
+                for ell in (3, 4, 5, 9, 25)
+            ),
             default_order=40,
             order_cap=40,
             source="Shen (2016) generating function",
         ),
         IdentityClaim(
             "I-QP",
-            lambda ring, order, p: euler_product(1, ring, order) ** p,
-            lambda ring, order, p: euler_product(p, ring, order),
-            lambda case: Zmod(case["p"]),
-            cases=({"p": 3}, {"p": 5}, {"p": 7}),
+            tuple(
+                Instance(
+                    (("p", p),),
+                    p,
+                    Op(operator.pow, (euler, p)),
+                    Build(euler_product, (p,)),
+                )
+                for p in (3, 5, 7)
+            ),
             default_order=500,
             source="binomial theorem (freshman's dream)",
         ),
         IdentityClaim(
             "I-PHI",
-            lambda ring, order: phi(-1, ring, order),
-            lambda ring, order: eta_quotient(
-                EtaQuotientSpec(0, ((1, 2), (2, -1))), ring, order
-            ),
-            ZZ,
+            (Instance((), None, Build(phi, (-1,)), _eta((1, 2), (2, -1))),),
             default_order=1000,
             source="Berndt, Ramanujan's Notebooks III, p. 37",
         ),
         IdentityClaim(
             "I-GF5",
-            lambda ring, order, a5: a5,
-            lambda ring, order: eta_quotient(
-                EtaQuotientSpec(0, ((1, 8), (2, -4))), ring, order
-            ),
-            Zmod(5),
+            (Instance((), 5, Term(_a(5)), _eta((1, 8), (2, -4))),),
             default_order=1000,
             source="generating function reduced mod 5",
-            lhs_reads=(Read(_a(5)),),
         ),
         IdentityClaim(
             "I-R25",
-            lambda ring, order, a25: a25,
-            # phi(-q) as f(-q, -q), since the table side is built from products.phi
-            lambda ring, order: theta_f_series(ThetaSpec(-1, 1, -1, 1), ring, order) ** 8,
-            Zmod(5),
+            (Instance((), 5, Term(_a(25), 5), Op(operator.pow, (theta_phi, 8))),),
             default_order=1000,
             source="via Treneer's overpartition congruence",
-            lhs_reads=(Read(_a(25), 5),),
         ),
         IdentityClaim(
             "I-TRENEER",
-            lambda ring, order, pbar: pbar,
-            # phi(-q) as f(-q, -q), since the table side is built from products.phi
-            lambda ring, order: theta_f_series(ThetaSpec(-1, 1, -1, 1), ring, order) ** 3,
-            Zmod(5),
+            (Instance((), 5, Term(SequenceRef("pbar"), 5), Op(operator.pow, (theta_phi, 3))),),
             default_order=1000,
             source="Treneer (2006)",
-            lhs_reads=(Read(SequenceRef("pbar"), 5),),
         ),
         IdentityClaim(
             "I-GF125",
-            lambda ring, order, core: _gf_extracted(125, 125, ring, order, core),
-            lambda ring, order, a125: a125,
-            Zmod(5**4),
+            (Instance((), 5**4, _gf_extracted(125, 125), Term(_a(125), 125)),),
             default_order=200,
             source="generating function of A_125(125n); the paper states it mod 5",
-            lhs_reads=(Read(_build_core, 125),),
-            rhs_reads=(Read(_a(125), 125),),
         ),
         IdentityClaim(
             "I-DISSECT",
-            lambda ring, order: phi_five_dissection_residual(ring, order),
-            lambda ring, order: Series.zero(ring, order),
-            ZZ,
+            (Instance((), None, Build(phi_five_dissection_residual), ZERO),),
             default_order=1000,
             source="Berndt, Ramanujan's Notebooks III, p. 49",
         ),
         IdentityClaim(
             "I-TRIPLE",
-            lambda ring, order, a, b: theta_f_series(
-                ThetaSpec(1, a, 1, b), ring, order
+            tuple(
+                Instance(
+                    (("a", a), ("b", b)),
+                    None,
+                    Build(theta_f_series, (ThetaSpec(1, a, 1, b),)),
+                    Build(theta_f_product, (ThetaSpec(1, a, 1, b),)),
+                )
+                for a, b in ((3, 7), (1, 9))
             ),
-            lambda ring, order, a, b: theta_f_product(
-                ThetaSpec(1, a, 1, b), ring, order
-            ),
-            ZZ,
-            cases=({"a": 3, "b": 7}, {"a": 1, "b": 9}),
             default_order=300,
             source="Jacobi triple product identity",
         ),
         IdentityClaim(
             "I-ALPHA",
-            lambda ring, order, core, alpha: _gf_extracted(5**alpha, 25, ring, order, core),
-            lambda ring, order, a25, a125, a625, alpha: (a25, a125, a625)[alpha - 2],
-            Zmod(5**4),
-            cases=({"alpha": 2}, {"alpha": 3}, {"alpha": 4}),
+            tuple(
+                Instance((("alpha", a),), 5**4, _gf_extracted(5**a, 25), Term(_a(5**a), 25))
+                for a in (2, 3, 4)
+            ),
             default_order=200,
             source="generating function of A_(5^a)(25n); the paper states it mod 5",
-            lhs_reads=(Read(_build_core, 25),),
-            rhs_reads=tuple(Read(_a(5**alpha), 25) for alpha in (2, 3, 4)),
         ),
         IdentityClaim(
             "I-PBAR",
-            lambda ring, order: one_plus_q_product(range(1, order + 1), ring, order)
-            / euler_product(1, ring, order),
-            lambda ring, order: eta_quotient(_OVERPARTITION_QUOTIENT, ring, order),
-            ZZ,
+            (
+                Instance(
+                    (),
+                    None,
+                    Op(operator.truediv, (Build(_overpartition_product), euler)),
+                    Build(eta_quotient, (_OVERPARTITION_QUOTIENT,)),
+                ),
+            ),
             default_order=500,
             source="overpartition generating function",
         ),

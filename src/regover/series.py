@@ -135,11 +135,6 @@ class Series:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls, ring: Ring, order: int) -> Series:
-        check_order(order)
-        return cls._raw(ring, [0] * (order + 1))
-
-    @classmethod
     def one(cls, ring: Ring, order: int) -> Series:
         check_order(order)
         c = [0] * (order + 1)

@@ -1,23 +1,26 @@
 import json
+import operator
 
 import pytest
 
 from regover import arith
 from regover.claims import (
     ZERO,
+    Build,
     Caps,
     CongruenceClaim,
     IdentityClaim,
     Instance,
+    Op,
     PrimeFamily,
-    Read,
     Term,
     hunt,
     verify_claims,
 )
+from regover.products import phi
 from regover.registry import _a, builtin_registry, claims_by_id
 from regover.sequences import SequenceRef, sequence_series
-from regover.series import Series, ZZ, Zmod
+from regover.series import Series, Zmod
 
 
 def verify_one(claim, bound=2000, order=None, **caps):
@@ -255,12 +258,20 @@ def test_identity_pass_and_order_cap():
     assert report.bound == 40  # capped at the oracle range
 
 
+def polynomial(coeffs, ring, order):
+    """coeffs followed by zeros, to order."""
+    return Series(ring, [*coeffs, *[0] * order][: order + 1])
+
+
+def identity(claim_id, *instances, **fields):
+    """An identity claim of the (params, modulus, lhs, rhs) instances."""
+    return IdentityClaim(claim_id, tuple(Instance(*i) for i in instances), **fields)
+
+
 def test_identity_counterexample():
-    wrong = IdentityClaim(
+    wrong = identity(
         "wrong",
-        lambda ring, order: Series(ring, [1, 1] + [0] * (order - 1)),
-        lambda ring, order: Series(ring, [1, 2] + [0] * (order - 1)),
-        ZZ,
+        ((), None, Build(polynomial, ((1, 1),)), Build(polynomial, ((1, 2),))),
         default_order=5,
     )
     report = verify_one(wrong, order=5)
@@ -270,54 +281,86 @@ def test_identity_counterexample():
         verify_one(wrong, order=0)
 
 
+def test_an_identity_term_is_read_with_its_sign_twist():
+    # pbar(-q) = 1/phi(q): twisting the table of 1/phi(-q) negates its odd
+    # coefficients; without the twist the claim breaks at q^1 (2 vs -2)
+    pbar = Term(SequenceRef("pbar"), sign_twist=True)
+    reciprocal = Op(operator.truediv, (Build(Series.one), Build(phi, (1,))))
+    claim = identity("twist", ((), 5, pbar, reciprocal))
+    assert verify_one(claim, order=50).status == "pass"
+    (instance,) = claim.instances
+    untwisted = claim._replace(instances=(instance._replace(lhs=pbar._replace(sign_twist=False)),))
+    report = verify_one(untwisted, order=50)
+    assert report.counterexample == {"params": {}, "index": 1, "lhs": 2, "rhs": 3}
+
+
+def truncated(stop, ring, order):
+    """The series 1 to order, stopped at stop."""
+    return Series.one(ring, min(stop, order))
+
+
+def short_table(ring, order, step):
+    """A table function whose table stops at 3."""
+    return Series.one(ring, 3)
+
+
 @pytest.mark.parametrize("short_side", ["lhs", "rhs"])
 def test_a_short_side_is_an_error_not_a_smaller_check(short_side):
     # a side that stops at order 3 would have shrunk the check to 4
-    # coefficients and still passed
-    def side(name):
-        def build(ring, order, k):
-            return Series.one(ring, 3 if name == short_side else order)
-
-        return build
-
-    claim = IdentityClaim("stub", side("lhs"), side("rhs"), ZZ, cases=({"k": 1},))
-    with pytest.raises(ValueError) as err:
-        verify_one(claim, order=10)
-    message = str(err.value)
-    assert "stub" in message and short_side in message and "{'k': 1}" in message
-    assert verify_one(claim, order=3).status == "pass"
+    # coefficients and still passed; so would a short table read
+    for modulus, short in ((None, Build(truncated, (3,))), (5, Term(short_table))):
+        sides = {"lhs": Build(Series.one), "rhs": Build(Series.one), short_side: short}
+        claim = identity("stub", ((("k", 1),), modulus, sides["lhs"], sides["rhs"]))
+        with pytest.raises(ValueError) as err:
+            verify_one(claim, order=10)
+        message = str(err.value)
+        assert "stub" in message and short_side in message and "{'k': 1}" in message
+        assert verify_one(claim, order=3).status == "pass"
 
 
 def test_claims_reject_malformed_shapes():
-    with pytest.raises(ValueError, match="at least one case"):
-        IdentityClaim("no-cases", Series.one, Series.one, ZZ, cases=())
-    # a read is built mod the claim's ring, so that ring is one Zmod(m)
-    reads = (Read(SequenceRef("pbar")),)
-    claim = IdentityClaim("reads", Series.one, Series.one, Zmod(5), rhs_reads=reads)
-    for ring in (ZZ, lambda case: Zmod(5)):
-        for fields in ({"lhs_reads": reads}, {"rhs_reads": reads}):
-            with pytest.raises(ValueError, match="needs one Zmod"):
-                IdentityClaim("reads", Series.one, Series.one, ring, **fields)
-        with pytest.raises(ValueError, match="needs one Zmod"):
-            claim._replace(ring=ring)
-    zero_step = linear_claim(SequenceRef("p"), 0, 1, 5)
-    with pytest.raises(ValueError, match="index multiplier must be >= 1"):
-        verify_one(zero_step, 10)
+    one, pbar = Build(Series.one), Term(SequenceRef("pbar"))
+    with pytest.raises(ValueError, match="at least one instance"):
+        identity("no-instances")
+    # a read is built mod its instance's modulus, so it needs one, at any
+    # depth of a side; ZZ is for sides that read no table
+    assert identity("zero", ((), None, one, ZERO)).instances[0].rhs == ZERO
+    claim = identity("reads", ((), 5, one, pbar))
+    for lhs, rhs in ((pbar, one), (one, pbar), (Op(operator.pow, (pbar, 2)), one)):
+        with pytest.raises(ValueError, match="a table read needs a modulus"):
+            identity("reads", ((), None, lhs, rhs))
+        with pytest.raises(ValueError, match="a table read needs a modulus"):
+            claim._replace(instances=(Instance((), None, lhs, rhs),))
+    # an index multiplier below 1: an identity's when it is built, a
+    # congruence's when its instances are listed
+    for step in (0, -1):
+        with pytest.raises(ValueError, match="index multiplier must be >= 1"):
+            identity("zero-step", ((), 5, one, Op(operator.mul, (one, pbar._replace(a=step)))))
+        with pytest.raises(ValueError, match="index multiplier must be >= 1"):
+            verify_one(linear_claim(SequenceRef("p"), step, 1, 5), 10)
+    # an identity reads from n = 0, so its first index b is at least 0
+    with pytest.raises(ValueError, match="an identity read starts at an index >= 0"):
+        identity("before-zero", ((), 5, pbar._replace(b=-1), one))
+    # a congruence instance compares two Terms mod a modulus
+    valid = linear_claim(SequenceRef("p"), 5, 4, 5)
+    assert verify_one(valid, 10).status == "pass"
+    for fields in ({"modulus": None}, {"rhs": one}, {"lhs": Op(operator.pow, (pbar, 2))}):
+        with pytest.raises(ValueError, match="a congruence instance needs a modulus and two Terms"):
+            verify_one(with_instance(valid, **fields), 10)
+
+
+def geometric(k, ring, order):
+    """1/(1 - q^k)."""
+    one = Series.one(ring, order)
+    return one / (one - one.shift(k))
 
 
 def test_identity_failure_in_second_case_counts_every_earlier_instance():
     # 1/(1 - q^k) against 1/(1 - q^2): case k = 2 passes (7 coefficients),
     # case k = 4 breaks at q^2
-    def geometric(ring, order, k):
-        one = Series.one(ring, order)
-        return one / (one - one.shift(k))
-
-    claim = IdentityClaim(
+    claim = identity(
         "two-case",
-        geometric,
-        lambda ring, order, k: geometric(ring, order, 2),
-        ZZ,
-        cases=({"k": 2}, {"k": 4}),
+        *(((("k", k),), None, Build(geometric, (k,)), Build(geometric, (2,))) for k in (2, 4)),
     )
     report = verify_one(claim, order=6)
     assert report.to_json_obj() == {

@@ -1,24 +1,28 @@
 import ast
 import inspect
 import json
+import sys
 from math import gcd, isqrt
 from pathlib import Path
 
-from regover import kernels, products, registry, sequences
+from regover import claims, kernels, products, registry, sequences
 from regover.arith import primes_up_to
 from regover.claims import (
+    Build,
     Caps,
     CongruenceClaim,
     IdentityClaim,
+    Op,
     PrimeFamily,
     TablePlan,
+    Term,
     verify_claim,
     verify_claims,
 )
 from regover.products import eta_quotient
 from regover.registry import builtin_registry, claims_by_id
 from regover.sequences import SequenceRef, sequence_series
-from regover.series import ZZ, Zmod
+from regover.series import ZZ, Ring, Zmod
 
 import pytest
 
@@ -102,12 +106,18 @@ def test_congruence_claims_hold_no_code():
             assert all(0 <= r < m and gcd(r, m) == 1 for r in allowed), claim.id
 
 
-def test_the_congruence_half_of_the_registry_has_no_lambda():
-    source = Path(registry.__file__).read_text()
-    lines = source.splitlines()
-    marker = next(n for n, line in enumerate(lines, 1) if line.startswith("# -- identity claims"))
-    lambdas = [n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Lambda)]
-    assert lambdas and min(lambdas) > marker
+def test_the_registry_holds_no_lambda():
+    tree = ast.parse(Path(registry.__file__).read_text())
+    assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Lambda)] == []
+
+
+def test_every_function_in_a_claim_is_found_by_its_name():
+    # a claim holds module-level functions only, never a closure: each one
+    # is the object its module holds under its name
+    functions = {v for c in builtin_registry() for v in _values(c) if callable(v)}
+    assert registry._build_core in functions
+    for fn in functions:
+        assert getattr(sys.modules[fn.__module__], fn.__name__) is fn, fn
 
 
 def test_claims_by_id_unknown():
@@ -176,8 +186,7 @@ def test_gf_extracted_equals_the_extraction_of_the_whole_quotient(ell, step, rin
     # the factor in q^step is evaluated after the extraction, at order, and
     # multiplies the extracted core that the claims read from their plan
     whole = eta_quotient(registry.regular_overpartition_quotient(ell), ring, step * order)
-    core = registry._build_core(ring, step * order).extract_progression(step)
-    got = registry._gf_extracted(ell, step, ring, order, core)
+    got = evaluate_alone(registry._gf_extracted(ell, step), ring, order)
     assert got == whole.extract_progression(step)
 
 
@@ -189,18 +198,36 @@ BUILDERS = [
 ]
 
 
-def _side_builders(side, reads, ring, case, order, called):
-    """The constructors one side calls, with each of its reads built alone
+def evaluate_alone(side, ring, order):
+    """An identity side over ring to order, each table it reads built alone
     over ring."""
-    called.clear()
-    tables = [
-        sequence_series(r.table, ring, r.step * order).extract_progression(r.step)
-        if isinstance(r.table, SequenceRef)
-        else r.table(ring, r.step * order, r.step)
-        for r in reads
-    ]
-    side(ring, order, *tables, **case)
-    return set(called)
+
+    def read(t):
+        assert t.b == 0 and not t.sign_twist  # the registry's identity reads
+        if t.seq is None:
+            return [0] * (order + 1)
+        if isinstance(t.seq, SequenceRef):
+            return sequence_series(t.seq, ring, t.a * order).extract_progression(t.a)[:]
+        return t.seq(ring, t.a * order, t.a)[:]
+
+    return claims._evaluate(side, ring, order, read)
+
+
+def sources(side) -> set:
+    """What a side is made from, by its data: the tables its Terms read and
+    the functions its Builds call."""
+    if isinstance(side, Term):
+        return {side.seq} - {None}
+    if isinstance(side, Build):
+        return {side.fn}
+    if isinstance(side, Op):
+        return set().union(*map(sources, side.args))
+    return set()
+
+
+def shared_sources(claim) -> set:
+    """The sources that the two sides of one of the claim's instances share."""
+    return {s for i in claim.instances for s in sources(i.lhs) & sources(i.rhs)}
 
 
 def test_no_identity_side_reads_the_other_sides_table(monkeypatch):
@@ -209,6 +236,16 @@ def test_no_identity_side_reads_the_other_sides_table(monkeypatch):
     # side also calls, would let a wrong table or constructor confirm
     # itself.  The Euler product is the one declared exception: the mutation
     # tests perturb it at a scale only one side of I-QP or I-PBAR uses.
+    # Each side's tables and builders are read from its data, and the
+    # constructors it calls, seen by a spy, cross-check them.
+    identities = [c for c in builtin_registry() if isinstance(c, IdentityClaim)]
+    shared = {c.id: {getattr(s, "__name__", s) for s in shared_sources(c)} for c in identities}
+    (gf125,) = claims_by_id(["I-GF125"])
+    (instance,) = gf125.instances
+    assert sources(instance.lhs) == {registry._build_core, products.eta_quotient}
+    assert sources(instance.rhs) == {SequenceRef("A", 125)}
+    reads_a125 = instance._replace(lhs=Term(SequenceRef("A", 125), 125))
+    assert shared_sources(gf125._replace(instances=(reads_a125,))) == {SequenceRef("A", 125)}
     called = []
     for owner in (products, sequences, registry):
         for name in BUILDERS:
@@ -220,25 +257,25 @@ def test_no_identity_side_reads_the_other_sides_table(monkeypatch):
                     return _real(*args, **kwargs)
 
                 monkeypatch.setattr(owner, name, spy)
-    builders, shared = {}, {}
-    for claim in builtin_registry():
-        if not isinstance(claim, IdentityClaim):
-            continue
-        lhs = {read.table for read in claim.lhs_reads}
-        assert not lhs & {read.table for read in claim.rhs_reads}, claim.id
-        for case in claim.cases:
-            ring = claim.ring(case) if callable(claim.ring) else claim.ring
-            sides = builders[claim.id] = [
-                _side_builders(side, reads, ring, case, 20, called)
-                for side, reads in ((claim.lhs, claim.lhs_reads), (claim.rhs, claim.rhs_reads))
-            ]
-            if sides[0] & sides[1]:
-                shared.setdefault(claim.id, set()).update(sides[0] & sides[1])
-    assert shared == {"I-QP": {"euler_product"}, "I-PBAR": {"euler_product"}}
+    # a Build binds its function when the claim is made, so the claims
+    # that run under the spies are made after them
+    builders = {}
+    spied = [c for c in builtin_registry() if isinstance(c, IdentityClaim)]
+    for claim, data in zip(spied, identities):
+        for instance, data_instance in zip(claim.instances, data.instances):
+            sides = builders[claim.id] = []
+            for side, data_side in zip(instance[2:], data_instance[2:]):
+                called.clear()
+                evaluate_alone(side, Ring(instance.modulus), 20)
+                sides.append(set(called))
+                named = {s.__name__ for s in sources(data_side) if callable(s)}
+                assert named & set(BUILDERS) <= sides[-1], (claim.id, named)
+            shared[claim.id] |= sides[0] & sides[1]
+    assert {k: v for k, v in shared.items() if v} == {
+        "I-QP": {"euler_product"},
+        "I-PBAR": {"euler_product"},
+    }
     assert builders["I-R25"] == builders["I-TRENEER"] == [{"phi"}, {"theta_f_series"}]
-    (gf125,) = claims_by_id(["I-GF125"])
-    assert [r.table for r in gf125.lhs_reads] == [registry._build_core]
-    assert [r.table for r in gf125.rhs_reads] == [SequenceRef("A", 125)]
 
 
 @pytest.mark.parametrize(

@@ -50,7 +50,6 @@ def test_construct_pads_and_reduces():
     "build",
     [
         lambda order: Series(ZZ, pad([], order)),
-        lambda order: Series.zero(ZZ, order),
         lambda order: Series.one(ZZ, order),
         lambda order: euler_product(1, ZZ, order),
         lambda order: phi(-1, ZZ, order),
@@ -59,7 +58,6 @@ def test_construct_pads_and_reduces():
     ],
     ids=[
         "init",
-        "zero",
         "one",
         "euler_product",
         "phi",
