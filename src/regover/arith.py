@@ -4,16 +4,15 @@ prime sieve, and representation counts r_k(n) by sums of squares.
 d*, sigma3_minus and the closed r_k formulas are defined as sums over the
 divisors of n, but every such sum is multiplicative, so each is evaluated
 as a product over the prime powers p^e of n (Grosswald, Representations of
-Integers as Sums of Squares, 1985).  The factorization takes one gcd
-with _PRIMORIAL, the product of the primes below 1000 computed at import,
-and divides n only by the small primes that gcd contains; a cofactor at or
-above 1009^2 is then trial-divided by odd d up to its square root.  So a
-prime above 1000 costs one gcd and no division.  These closed forms
-serve ``regover value`` one n at a time.  They also seed the
-multiplicative sieves that build the residue tables claim runs read
-(``regover.sequences``): at each prime power p^e with p <= sqrt(top), and
-at a larger prime p once per class of p mod lcm(4, M), M the sieve's
-modulus.
+Integers as Sums of Squares, 1985), with n factored by plain trial
+division.  These closed forms serve ``regover value`` one n at a time.
+They also seed the multiplicative sieves that build the residue tables
+claim runs read (``regover.sequences``): at each prime power p^e with p <=
+sqrt(top), and at a larger prime p once per class of p mod lcm(4, M), M
+the sieve's modulus.  So a claim run factors a few hundred arguments, each
+at most the table's top index (784 calls, none above 3^9 = 19,683, for the
+registry's congruences at bound 20,000), and at that size plain trial
+division costs less than a gcd with a product of small primes would.
 
 r_k values come two independent ways: these closed formulas (r_formula)
 and k-fold convolution of the one-dimensional squares vector (r_oracle),
@@ -22,8 +21,7 @@ so each checks the other.
 
 from __future__ import annotations
 
-from itertools import compress, count
-from math import gcd, prod
+from itertools import compress
 
 from . import kernels
 
@@ -42,39 +40,20 @@ def primes_up_to(n: int) -> list[int]:
     return list(compress(range(n + 1), sieve))
 
 
-_SMALL_PRIMES = primes_up_to(1000)
-_PRIMORIAL = prod(_SMALL_PRIMES)
-
-
 def _factorize(n: int) -> list[tuple[int, int]]:
-    """The prime factorization of n >= 1 as [(p, e), ...], p increasing.
-
-    g = gcd(n, _PRIMORIAL) is the product of n's distinct primes below 1000,
-    so only the small primes up to the largest of them are tried, and a
-    prime n above 1000 tries none.  The cofactor left has no prime factor
-    below 1009, so below 1009^2 it is 1 or a prime; a larger one is divided
-    by the odd d from 1009 until d^2 exceeds it."""
+    """The prime factorization of n >= 1 as [(p, e), ...], p increasing,
+    by trial division: by 2, then by each odd d while d^2 <= n, dividing
+    out each factor found.  What is left above 1 is a prime."""
     factors = []
-    g = gcd(n, _PRIMORIAL)
-    for p in _SMALL_PRIMES:
-        if g == 1:
-            break
-        if g % p == 0:
-            g //= p
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            factors.append((p, e))
-    for d in count(1009, 2):
-        if d * d > n:
-            break
+    d, step = 2, 1
+    while d * d <= n:
         if n % d == 0:
             e = 0
             while n % d == 0:
                 n //= d
                 e += 1
             factors.append((d, e))
+        d, step = d + step, 2  # 2, then the odd d
     if n > 1:
         factors.append((n, 1))
     return factors

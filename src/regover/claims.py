@@ -145,17 +145,36 @@ def _check_reads(instance: Instance):
             raise ValueError("index multiplier must be >= 1")
 
 
-class PrimeFamily(NamedTuple):
-    """seq(c p^(s k + e) (p n + i)) = 0 mod modulus for every prime p whose
-    residue mod classes[0] is in classes[1], every k >= 0 and 0 < i < p.
-    s = 0 fixes the exponent at e, and the family has no k."""
-
+class _PrimeFamilyFields(NamedTuple):
     seq: SequenceRef
     modulus: int
     c: int
     e: int
     s: int
     classes: tuple[int, tuple[int, ...]]
+
+
+class PrimeFamily(_PrimeFamilyFields):
+    """seq(c p^(s k + e) (p n + i)) = 0 mod modulus for every prime p whose
+    residue mod classes[0] is in classes[1], every k >= 0 and 0 < i < p.
+    s = 0 fixes the exponent at e, and the family has no k.  c and
+    classes[0] are at least 1, and e and s at least 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, *fields, **named):
+        family = super().__new__(cls, *fields, **named)
+        if family.c < 1:
+            raise ValueError("scale c must be >= 1")
+        if family.e < 0 or family.s < 0:
+            raise ValueError("exponents e and s must be >= 0")
+        if family.classes[0] < 1:
+            raise ValueError("class modulus must be >= 1")
+        return family
+
+    @classmethod
+    def _make(cls, fields):  # so _replace validates too
+        return cls(*fields)
 
     def instances(self, caps: Caps) -> Iterator[Instance]:
         """The instances for p <= prime_cap and k <= k_cap, by p, then k,
@@ -200,7 +219,7 @@ class IdentityClaim(_IdentityClaimFields):
     the run's TablePlan, which builds its table mod the instance's modulus,
     so an instance with a read needs a modulus, and its index at n = 0,
     b, is at least 0.  order_cap bounds evaluation for sides backed by the
-    enumeration oracle."""
+    enumeration oracle.  default_order and order_cap are at least 1."""
 
     __slots__ = ()
 
@@ -208,6 +227,8 @@ class IdentityClaim(_IdentityClaimFields):
         claim = super().__new__(cls, *fields, **named)
         if not claim.instances:
             raise ValueError("identity claim needs at least one instance")
+        if claim.default_order < 1 or (claim.order_cap is not None and claim.order_cap < 1):
+            raise ValueError("default_order and order_cap must be >= 1")
         for instance in claim.instances:
             _check_reads(instance)
             if any(t.b < 0 for t in _terms(instance.lhs, instance.rhs)):

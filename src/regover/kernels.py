@@ -62,7 +62,8 @@ the difference.  The finished block is then pushed forward: for each
 nonzero tail term v q**k, v times the packed block, shifted by k mod
 _BLOCK fields, is added to a packed accumulator that spans the two blocks
 from k // _BLOCK blocks ahead.  The part of a push that lands in the block
-itself is never read back, since the block inverse already accounts for it.
+itself is never read back, since the block inverse already accounts for it,
+and neither is what the last block pushes.
 Here t is the larger of _BLOCK and the divisor's nonzero tail count.
 """
 
@@ -241,8 +242,6 @@ def div_mod(num, den, out_len, m, den_terms=None):
         rhs = [(c - p) % m for c, p in zip(rhs, _unpack(carried, size, nbytes))]
         solved = _unpack(_pack(rhs, nbytes) * packed_inv, size, nbytes, m, shared)
         q += solved
-        if t + 1 == nblocks:
-            break
         packed = _pack(solved, nbytes)
         scaled = {}
         for hop, shift, v in zip(hops, shifts, vals):

@@ -28,13 +28,14 @@ table built alone (``sequence_series``) sieves the groups table_inputs
 gives its own parts, by the same code.  Claim runs read these tables from
 their plan.
 
-Oracle route: direct descending-part recursion, deliberately memo-free and
-structurally unrelated to the series pipeline, weighting each partition by
-2^(number of distinct part sizes) for the overlined variants.  The
-recursion stops at part 3: whatever remains is a partition into 1s and
-2s, whose count (or weighted count) has a closed form in its size, so it
-is added directly.  The overlined oracle walks once up to a size and
-returns the whole table; its value at one n is read from that table.
+Oracle route: one enumeration walk, deliberately memo-free and
+structurally unrelated to the series pipeline, that weights each partition
+by w^(number of distinct part sizes): w = 1 counts partitions, w = 2
+overpartitions (Corteel and Lovejoy, Overpartitions, 2004).  The walk
+tallies the partitions into allowed parts >= 3 by size; the rest of a size
+is a partition into 1s and 2s, whose weighted count has a closed form in
+its size, and the table is the convolution of the two.  Each oracle's value
+at one n is read from the table up to n.
 """
 
 from __future__ import annotations
@@ -293,54 +294,18 @@ def sequence_value(ref: SequenceRef, n: int) -> int:
 # -- enumeration-oracle route -------------------------------------------------
 
 
-def oracle_partition(restriction: int | None, n: int) -> int:
-    """Partitions of n (weight 1), optionally into parts not divisible by
-    the restriction; plain recursion over the largest part, down to part 3.
+def _oracle_table(restriction: int | None, upto: int, w: int) -> list[int]:
+    """Partitions of 0..upto into parts not divisible by the restriction
+    (None = any parts), each counted with weight w^(number of distinct part
+    sizes).
 
-    A remainder r > 0 left for parts 1 and 2 has floor(r/2) + 1 partitions
-    when both are allowed, 1 (all ones) when 2 is barred, and none when
-    the restriction is 1."""
-    if n > ORACLE_CAP:
-        raise ValueError(f"n={n} exceeds the enumeration cap {ORACLE_CAP}")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if restriction is not None and restriction < 1:
-        raise ValueError("restriction must be >= 1")
-
-    ones, twos = (restriction is None or part % restriction != 0 for part in (1, 2))
-
-    def small_parts(r: int) -> int:
-        if not ones:
-            return 0
-        return r // 2 + 1 if twos else 1
-
-    def count(remaining: int, max_part: int) -> int:
-        if remaining == 0:
-            return 1
-        # max_part >= 2 here unless remaining <= 1: the first call passes
-        # n, and every later one follows a part >= 3
-        total = small_parts(remaining)
-        for part in range(min(remaining, max_part), 2, -1):
-            if restriction is not None and part % restriction == 0:
-                continue
-            total += count(remaining - part, part)
-        return total
-
-    return count(n, n)
-
-
-def oracle_regular_overpartition_table(restriction: int | None, upto: int) -> list[int]:
-    """Overpartitions of 0..upto into parts not divisible by the restriction
-    (None = plain overpartitions): each partition counts with weight
-    2^(number of distinct part sizes).
-
-    One walk over the overpartitions into allowed parts >= 3 of size <= upto
+    One walk over the partitions into allowed parts >= 3 of size <= upto
     tallies their weight by size.  The rest of a size n is a partition of a
-    remainder r into 1s and 2s, whose total weight has a closed form: 2r
-    when both parts are allowed (2 for all ones, 2 for all twos when r is
-    even, 4 for each mix), 2 when 2 is barred, and 0 when the restriction
-    is 1; the empty remainder weighs 1.  The table is the convolution of
-    the two."""
+    remainder r into 1s and 2s, whose total weight has a closed form: when
+    both parts are allowed, w for all ones, w for all twos when r is even
+    and w^2 for each of the floor((r - 1)/2) mixes; w when 2 is barred; and
+    0 when the restriction is 1.  The empty remainder weighs 1.  The table
+    is the convolution of the two."""
     if upto > ORACLE_CAP:
         raise ValueError(f"n={upto} exceeds the enumeration cap {ORACLE_CAP}")
     if upto < 0:
@@ -349,7 +314,10 @@ def oracle_regular_overpartition_table(restriction: int | None, upto: int) -> li
         raise ValueError("restriction must be >= 1")
 
     ones, twos = (restriction is None or part % restriction != 0 for part in (1, 2))
-    small = [1] + [(2 * r if twos else 2) if ones else 0 for r in range(1, upto + 1)]
+    small = [1] + [
+        (w + w * (r % 2 == 0) + w * w * ((r - 1) // 2) if twos else w) if ones else 0
+        for r in range(1, upto + 1)
+    ]
 
     large = [0] * (upto + 1)
 
@@ -360,11 +328,24 @@ def oracle_regular_overpartition_table(restriction: int | None, upto: int) -> li
                 continue
             used = part
             while size + used <= upto:
-                walk(size + used, part - 1, 2 * weight)
+                walk(size + used, part - 1, w * weight)
                 used += part
 
     walk(0, upto, 1)
     return [sum(large[j] * small[n - j] for j in range(n + 1)) for n in range(upto + 1)]
+
+
+def oracle_partition(restriction: int | None, n: int) -> int:
+    """Partitions of n, optionally into parts not divisible by the
+    restriction: the weight-1 enumeration walk up to n."""
+    return _oracle_table(restriction, n, 1)[n]
+
+
+def oracle_regular_overpartition_table(restriction: int | None, upto: int) -> list[int]:
+    """Overpartitions of 0..upto into parts not divisible by the restriction
+    (None = plain overpartitions): the weight-2 enumeration walk, in which
+    each partition counts 2^(number of distinct part sizes)."""
+    return _oracle_table(restriction, upto, 2)
 
 
 def oracle_regular_overpartition(restriction: int | None, n: int) -> int:

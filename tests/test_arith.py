@@ -114,10 +114,12 @@ def test_factorize_matches_a_smallest_prime_factor_sieve():
 
 
 def test_factorize_at_the_edges_of_the_small_prime_gcd():
-    # 997 is the last prime below 1000 and 1009, 1013 the first above it:
-    # a cofactor below 1009^2 is taken as a prime, one at or above it is
-    # divided out
-    small = [(p, 1) for p in arith._SMALL_PRIMES]
+    # the edges of the factorization that took a gcd with the product of
+    # the primes below 1000: 997 is the last such prime and 1009, 1013 the
+    # first above it
+    small_primes = [q for q in range(2, 1000) if all(q % d for d in range(2, isqrt(q) + 1))]
+    small = [(p, 1) for p in small_primes]
+    primorial = prod(small_primes)
     cases = {
         997**2: [(997, 2)],
         997 * 1009: [(997, 1), (1009, 1)],
@@ -125,9 +127,19 @@ def test_factorize_at_the_edges_of_the_small_prime_gcd():
         1009 * 1013: [(1009, 1), (1013, 1)],
         10**6 + 3: [(10**6 + 3, 1)],
         2 * 999983: [(2, 1), (999983, 1)],
-        arith._PRIMORIAL: small,
-        arith._PRIMORIAL * 1009: small + [(1009, 1)],
+        primorial: small,
+        primorial * 1009: small + [(1009, 1)],
         2**40 * 997**3: [(2, 40), (997, 3)],
+        # trial division's own edges: no factor, the squares of primes at
+        # which d^2 = n stops the loop, and the shapes of the sieve seeds
+        1: [],
+        4: [(2, 2)],
+        9: [(3, 2)],
+        25: [(5, 2)],
+        49: [(7, 2)],
+        3**9: [(3, 9)],
+        2**14: [(2, 14)],
+        139**2: [(139, 2)],
     }
     for n, factors in cases.items():
         assert arith._factorize(n) == factors, n

@@ -268,6 +268,33 @@ def identity(claim_id, *instances, **fields):
     return IdentityClaim(claim_id, tuple(Instance(*i) for i in instances), **fields)
 
 
+_FAMILY = PrimeFamily(SequenceRef("A", 5), 5, c=1, e=3, s=4, classes=(10, (1, 3, 7, 9)))
+_IDENTITY = identity("I-X", ((), 5, Term(SequenceRef("pbar")), Term(SequenceRef("pbar"))))
+
+
+@pytest.mark.parametrize(
+    "record, field, value, message",
+    [
+        (_FAMILY, "classes", (0, (0,)), "class modulus must be >= 1"),
+        (_FAMILY, "c", 0, "scale c must be >= 1"),
+        (_FAMILY, "c", -1, "scale c must be >= 1"),
+        (_FAMILY, "e", -1, "exponents e and s must be >= 0"),
+        (_FAMILY, "s", -1, "exponents e and s must be >= 0"),
+        (_IDENTITY, "default_order", -3, "default_order and order_cap must be >= 1"),
+        (_IDENTITY, "default_order", 0, "default_order and order_cap must be >= 1"),
+        (_IDENTITY, "order_cap", -3, "default_order and order_cap must be >= 1"),
+        (_IDENTITY, "order_cap", 0, "default_order and order_cap must be >= 1"),
+    ],
+)
+def test_claim_data_refuses_out_of_range_integers(record, field, value, message):
+    # each once gave a ZeroDivisionError, TypeError or IndexError at run
+    # time, or a silent fail, skipped or pass
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        type(record)(**{**record._asdict(), field: value})
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        record._replace(**{field: value})
+
+
 def test_identity_counterexample():
     wrong = identity(
         "wrong",

@@ -160,11 +160,12 @@ def test_series_matches_oracle(ell):
 def test_plain_sequences_match_oracles():
     pbar = sequence_series(SequenceRef("pbar"), ZZ, 40).coeffs
     p = sequence_series(SequenceRef("p"), ZZ, 40).coeffs
-    b3 = sequence_series(SequenceRef("b", 3), ZZ, 40).coeffs
+    b = {ell: sequence_series(SequenceRef("b", ell), ZZ, 40).coeffs for ell in (2, 3, 4, 5, 9, 25)}
     for n in range(41):
         assert pbar[n] == oracle_regular_overpartition(None, n)
         assert p[n] == oracle_partition(None, n)
-        assert b3[n] == oracle_partition(3, n)
+        for ell, table in b.items():
+            assert table[n] == oracle_partition(ell, n), (ell, n)
 
 
 @pytest.mark.parametrize("ell", [3, 5, 9, 25])
