@@ -18,12 +18,24 @@ they build a series.  A kernel reads them only for the operand it steps
 through term by term, cut at out_len, and then does not scan that operand
 for its nonzeros.
 
+Residues mod m <= 128 (``_BYTE_MODULI``) are one byte each inside the
+kernels.  A packed int's fields are reduced by byte planes: byte j of every
+field is mapped by a 256-entry ``bytes.translate`` table to b * 256**j mod
+m, the mapped planes are added as ints, and one more translate reduces the
+sum.  A sum is reduced early only when one more plane could carry a byte
+past 255, which two residues never do.  The cut is 128 because then a
+difference c + m - p of two residues stays below 2m <= 256, so one big-int
+subtraction serves a whole block with no borrow between bytes.  Outputs
+are still lists of ints, listed from the bytes.  Larger moduli keep lists,
+reduced field by field with ``%``; the paper's mod-625 and mod-840 tables
+are among them, since their residues do not fit a byte.
+
 When m is past CPython's small-int cache (m > 256) and out_len >= m, a
 modular output holds one shared int object per residue, from one
 list(range(m)) per call, in place of a fresh 32-byte int per entry above
-256.  Otherwise entries are reduced one by one: residues up to 256 are
-cached ints already, and a list of m ints would outweigh an output shorter
-than m.
+256.  Otherwise the list path reduces entries one by one: residues up to
+256 are cached ints already, and a list of m ints would outweigh an output
+shorter than m.
 
 ``mul_exact`` and ``div_exact`` are plain loops over the nonzero terms:
 the schoolbook product, and the recurrence
@@ -57,8 +69,13 @@ fields.  Unpacking it big-endian undoes the reversal.
 inverse of the divisor mod q**_BLOCK comes once from the sparse recurrence.
 Each block is (numerator - carried) times that inverse, one packed
 multiply, where "carried" is what earlier blocks contribute through the
-divisor's tail; its fields are unpacked as they are and reduced once, in
-the difference.  The finished block is then pushed forward: for each
+divisor's tail.  For m > 128 the block is a list: carried's fields are
+unpacked as they are and reduced once, in the difference.  For m <= 128 it
+stays bytes: carried is reduced by byte planes, the difference is one
+big-int subtraction with m added to every byte and one translate, and the
+residues are widened into fields by a strided slice assignment, for the
+multiply and again for the push; the quotient is one bytearray, listed
+at the end.  The finished block is then pushed forward: for each
 nonzero tail term v q**k, v times the packed block, shifted by k mod
 _BLOCK fields, is added to a packed accumulator that spans the two blocks
 from k // _BLOCK blocks ahead.  The part of a push that lands in the block
@@ -70,6 +87,7 @@ Here t is the larger of _BLOCK and the divisor's nonzero tail count.
 import sys
 from array import array
 from bisect import bisect_left
+from functools import lru_cache
 from itertools import compress, count
 
 # Both set by measurement on divisions by phi(-q) and (q;q) and on random
@@ -80,6 +98,9 @@ from itertools import compress, count
 # the break-even against one big-int (Karatsuba) multiply.
 _BLOCK = 512
 _SPARSE_RATIO = 30
+
+# the largest modulus whose residues the kernels hold as bytes
+_BYTE_MODULI = 128
 
 # array typecode per field width; arrays hold native-order items
 _ARRAY_CODES = {array(code).itemsize: code for code in "QLIHB"}
@@ -116,14 +137,49 @@ def _pack(residues, nbytes, byteorder="little"):
     return int.from_bytes(fields, byteorder)
 
 
-def _unpack(x, n, nbytes, m=None, shared=None, byteorder="little"):
-    """The low n fields of x, reduced mod m (entries of `shared` when
-    given) or as they are without m; with byteorder "big" they come out
-    reversed, field n - 1 first."""
-    size = n * nbytes
+def _low_fields(x, size, byteorder="little"):
+    """The low size bytes of x, in byteorder."""
     length = max(size, (x.bit_length() + 7) >> 3)
     data = memoryview(x.to_bytes(length, byteorder))
-    data = data[:size] if byteorder == "little" else data[length - size :]
+    return data[:size] if byteorder == "little" else data[length - size :]
+
+
+@lru_cache(maxsize=32)
+def _plane_tables(m, nbytes):
+    """For m <= _BYTE_MODULI: per byte j of a little-endian field, the
+    translate table b -> b * 256**j mod m."""
+    return tuple(bytes((b << 8 * j) % m for b in range(256)) for j in range(nbytes))
+
+
+def _residue_bytes(data, nbytes, m, byteorder="little"):
+    """Each nbytes-wide field of data reduced mod m <= _BYTE_MODULI, one byte
+    per field, in data's order: byte plane j is translated to its residues,
+    the planes are added as ints while no byte can pass 255, and the sum is
+    translated once more."""
+    tables = _plane_tables(m, nbytes)
+    reduce = tables[0]
+    if byteorder == "big":
+        tables = tables[::-1]
+    data = bytes(data)  # strided slices of bytes are fast, of a memoryview slow
+    n = len(data) // nbytes
+    acc = top = 0  # top bounds every byte of acc
+    for j, table in enumerate(tables):
+        if top + m > 256:
+            acc = int.from_bytes(acc.to_bytes(n, "little").translate(reduce), "little")
+            top = m - 1
+        acc += int.from_bytes(data[j::nbytes].translate(table), "little")
+        top += m - 1
+    return acc.to_bytes(n, "little").translate(reduce)
+
+
+def _unpack(x, n, nbytes, m=None, shared=None, byteorder="little"):
+    """The low n fields of x, reduced mod m (by byte planes for m <=
+    _BYTE_MODULI, entries of `shared` when given) or as they are without m;
+    with byteorder "big" they come out reversed, field n - 1 first."""
+    size = n * nbytes
+    data = _low_fields(x, size, byteorder)
+    if m is not None and m <= _BYTE_MODULI:
+        return list(_residue_bytes(data, nbytes, m, byteorder))
     code = _ARRAY_CODES.get(nbytes)
     if code is None:
         fields = [int.from_bytes(data[i : i + nbytes], byteorder) for i in range(0, size, nbytes)]
@@ -229,7 +285,8 @@ def div_mod(num, den, out_len, m, den_terms=None):
     nblocks = -(-out_len // block)
     # window[t] collects the pushes into blocks t and t + 1
     window = [0] * nblocks
-    q = []
+    small = m <= _BYTE_MODULI
+    q = bytearray() if small else []
     for t in range(nblocks):
         start = t * block
         size = min(block, out_len - start)
@@ -238,11 +295,22 @@ def div_mod(num, den, out_len, m, den_terms=None):
             carried += window[t - 1] >> (block * width)
             window[t - 1] = 0
         rhs = num[start : start + size]
-        rhs += [0] * (size - len(rhs))
-        rhs = [(c - p) % m for c, p in zip(rhs, _unpack(carried, size, nbytes))]
-        solved = _unpack(_pack(rhs, nbytes) * packed_inv, size, nbytes, m, shared)
+        if small:
+            # (num - carried) mod m, as num + m - carried per byte: no borrows
+            carried = _residue_bytes(_low_fields(carried, size * nbytes), nbytes, m)
+            rhs = int.from_bytes(bytes(rhs), "little") + int.from_bytes(bytes([m]) * size, "little")
+            rhs = (rhs - int.from_bytes(carried, "little")).to_bytes(size, "little")
+            wide = bytearray(size * nbytes)
+            wide[::nbytes] = rhs.translate(_plane_tables(m, nbytes)[0])
+            solved = _low_fields(int.from_bytes(wide, "little") * packed_inv, size * nbytes)
+            wide[::nbytes] = solved = _residue_bytes(solved, nbytes, m)
+            packed = int.from_bytes(wide, "little")
+        else:
+            rhs += [0] * (size - len(rhs))
+            rhs = [(c - p) % m for c, p in zip(rhs, _unpack(carried, size, nbytes))]
+            solved = _unpack(_pack(rhs, nbytes) * packed_inv, size, nbytes, m, shared)
+            packed = _pack(solved, nbytes)
         q += solved
-        packed = _pack(solved, nbytes)
         scaled = {}
         for hop, shift, v in zip(hops, shifts, vals):
             target = t + hop
@@ -252,7 +320,7 @@ def div_mod(num, den, out_len, m, den_terms=None):
             if term is None:
                 term = scaled[v] = packed * v
             window[target] += term << shift
-    return q
+    return list(q) if small else q
 
 
 def div_exact(num, den, out_len):

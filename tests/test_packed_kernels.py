@@ -9,7 +9,7 @@ draws are reduced here before a kernel sees them.
 
 import random
 from itertools import product
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,9 +21,10 @@ from regover.sequences import SequenceRef, sequence_series
 from regover.series import Zmod
 
 B = kernels._BLOCK
-# 625 and 840 lie past CPython's small-int cache, so outputs of at least
-# m entries share one object per residue
-MODULI = [2, 5, 24, 625, 840, 2**31 - 1, 2**40, 2**61 - 1]
+# moduli up to 128 hold residues as bytes and 129 is the first that does
+# not; 625 and 840 lie past CPython's small-int cache, so outputs of at
+# least m entries share one object per residue
+MODULI = [2, 3, 5, 7, 24, 127, 128, 129, 625, 840, 2**31 - 1, 2**40, 2**61 - 1]
 OUT_LENS = [1, B - 1, B, B + 1, 2 * B + 1]
 
 
@@ -67,21 +68,33 @@ def _terms(residues):
     return [(i, c) for i, c in enumerate(residues) if c]
 
 
+def _lists_of_ints(outputs):
+    """outputs, once each is checked to be a list of ints, whichever residue
+    form the kernel held them in."""
+    for out in outputs:
+        assert type(out) is list and all(type(c) is int for c in out)
+    return outputs
+
+
 def keyword_mul_mods(a, b, out_len, m):
     """mul_mod's outputs on the least residues of a and b, with the keywords
     a Series passes: each operand's terms or none."""
     x, y = _residues(a, m), _residues(b, m)
-    return [
-        kernels.mul_mod(x, y, out_len, m, a_terms=a_terms, b_terms=b_terms)
-        for a_terms, b_terms in product((None, _terms(x)), (None, _terms(y)))
-    ]
+    return _lists_of_ints(
+        [
+            kernels.mul_mod(x, y, out_len, m, a_terms=a_terms, b_terms=b_terms)
+            for a_terms, b_terms in product((None, _terms(x)), (None, _terms(y)))
+        ]
+    )
 
 
 def keyword_div_mods(num, den, out_len, m):
     """div_mod's outputs on the least residues of num and den, with the
     divisor's terms or none."""
     x, y = _residues(num, m), _residues(den, m)
-    return [kernels.div_mod(x, y, out_len, m, den_terms=den_terms) for den_terms in (None, _terms(y))]
+    return _lists_of_ints(
+        [kernels.div_mod(x, y, out_len, m, den_terms=den_terms) for den_terms in (None, _terms(y))]
+    )
 
 
 @st.composite
@@ -173,6 +186,18 @@ def test_largest_field_sums_do_not_carry(m):
     assert all(out == expected for out in keyword_div_mods(full, den, n, m))
 
 
+@pytest.mark.parametrize("byteorder", ["little", "big"])
+@pytest.mark.parametrize("nbytes", [1, 2, 4, 8])
+def test_byte_planes_reduce_like_mod(nbytes, byteorder):
+    # every byte-path modulus, on the extreme field values and random ones
+    top = 256**nbytes - 1
+    for m in range(2, kernels._BYTE_MODULI + 1):
+        rng = random.Random(m * 16 + nbytes)
+        fields = [0, m - 1, m, top] + [rng.randrange(top + 1) for _ in range(40)]
+        data = b"".join(f.to_bytes(nbytes, byteorder) for f in fields)
+        assert kernels._residue_bytes(data, nbytes, m, byteorder) == bytes(f % m for f in fields)
+
+
 @pytest.mark.parametrize(
     "terms, m, nbytes",
     [
@@ -239,7 +264,8 @@ DIVISOR_CASES = {
 }
 
 
-@pytest.mark.parametrize("m", [m for m in MODULI if m % 2 and m % 3])
+# every divisor head above (3, -7 and +-1) is a unit mod these
+@pytest.mark.parametrize("m", [m for m in MODULI if gcd(m, 42) == 1])
 @pytest.mark.parametrize("case", DIVISOR_CASES)
 def test_divisor_boundaries(case, m):
     num, den, out_len = DIVISOR_CASES[case]
@@ -314,6 +340,17 @@ def test_empty_output():
 def test_hunt_at_bench_scale():
     # the rows bench/expected.json pins for the hunt workload
     assert hunt(SequenceRef("A", 5), 5, 100, 100000) == [(81, 27, 1235), (81, 54, 1234)]
+
+
+def test_byte_and_list_residues_agree_at_bench_scale():
+    # each pair builds one table on the byte path (m <= 128) and on the list
+    # path at a multiple of m: hunt's A_5 division, and pbar at the cut
+    for ref, m, big_m, order in (
+        (SequenceRef("A", 5), 5, 625, 10**5),
+        (SequenceRef("pbar"), 128, 256, 2 * 10**4),
+    ):
+        small = sequence_series(ref, Zmod(m), order)[:]
+        assert small == [c % m for c in sequence_series(ref, Zmod(big_m), order)[:]]
 
 
 def test_hunts_table_hands_each_kernel_its_sparse_terms(monkeypatch):
