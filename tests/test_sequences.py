@@ -317,7 +317,9 @@ def test_sequence_series_rejects_a_negative_order():
 
 # -- sieved tables of the pointwise sequences ---------------------------------
 
-TABLE_MODULI = (2, 3, 5, 7, 8, 24, 625)
+# a modulus up to 256 sieves and reads back as bytes, a larger one as a
+# list; r_6's two byte columns are added as ints only up to 128
+TABLE_MODULI = (2, 3, 5, 7, 8, 24, 128, 129, 200, 256, 257, 625)
 
 
 @pytest.mark.parametrize("ref", POINTWISE, ids=SequenceRef.label)
@@ -423,3 +425,39 @@ def test_pointwise_tables_are_residue_tables():
         sequences._build_series(SequenceRef("r", 4), Zmod(5), -1)
     assert sequences._build_series(SequenceRef("r", 6), Zmod(7), 0).coeffs == [1]
     assert sequences._build_series(SequenceRef("chi"), Zmod(3), 1).coeffs == [0, 1]
+
+
+def test_scale_tables_map_every_byte_to_its_multiple_mod_m():
+    # a read-back translates a group's residues mod its modulus, which may
+    # exceed m, so every byte must map right, not only those below m
+    for m in (2, 3, 5, 7, 105, 128, 129, 200, 255, 256):
+        for s in range(m):
+            assert sequences._scale_table(s, m) == bytes(b * s % m for b in range(256)), (s, m)
+
+
+@pytest.mark.parametrize("m", [7, 128, 129, 256, 257])
+def test_tables_to_order_0_and_1_on_each_path(m):
+    # bytes with r_6's int add, bytes without it, and lists
+    for ref in POINTWISE:
+        head = [1 if ref.name == "r" else 0, sequence_value(ref, 1) % m]
+        for order in (0, 1):
+            assert sequences._build_series(ref, Zmod(m), order).coeffs == head[: order + 1]
+    group = sequences.SieveGroup((((SequenceRef("chi"), 0), m),))
+    assert list(sequences.sieve(group, 0)) == [0]
+    assert list(sequences.sieve(group, 1)) == [0, 1]
+
+
+def test_byte_and_list_sieves_agree_at_bench_scale():
+    # the registry's two groups mod 105 are sieved as bytes; the same parts
+    # mod 25 * 9 * 7 = 1575 are sieved as lists, and agree mod 105
+    r2, r4, r6, r8 = (SequenceRef("r", k) for k in (2, 4, 6, 8))
+    s3 = SequenceRef("sigma3m")
+    first = [((r4, 0), 5), ((r2, 0), 3), ((r6, 0), 7)]
+    second = [((r6, 1), 7), ((r8, 0), 3), ((s3, 0), 5)]
+    order = 20000
+    for parts in (first, second):
+        small = sequences.sieve(sequences.SieveGroup(tuple(parts)), order)
+        wide = [(part, {3: 9, 5: 25}.get(m, m)) for part, m in parts]
+        large = sequences.sieve(sequences.SieveGroup(tuple(wide)), order)
+        assert isinstance(small, bytes) and isinstance(large, list)
+        assert list(small) == [v % 105 for v in large]
