@@ -46,11 +46,11 @@ about 10**4 coefficients.
 
 The modular kernels use Kronecker substitution: a list of residues mod m
 becomes one Python int with a fixed field width, so CPython's C big-int
-arithmetic runs the inner loops.  Field-width rule: a field that receives
-at most t products of two residues gets the smallest width of 1, 2, 4 or 8
-bytes, or else the smallest whole number of bytes, with
-t * (m - 1)**2 < 2**width.  Then no field carries into the next one, and the
-low fields unpack exactly.
+arithmetic runs the inner loops.  Field-width rule: a field gets the
+smallest width of 1, 2, 4 or 8 bytes, or else the smallest whole number of
+bytes, that holds the largest value it can reach, its load.  A field that
+sums at most t products of two residues has load t * (m - 1)**2.  Then no
+field carries into the next one, and the low fields unpack exactly.
 
 ``mul_mod`` counts the zeros of both operands, truncated to out_len, and
 packs the denser one; t is the nonzero count of the other, and on a tie the
@@ -74,14 +74,40 @@ unpacked as they are and reduced once, in the difference.  For m <= 128 it
 stays bytes: carried is reduced by byte planes, the difference is one
 big-int subtraction with m added to every byte and one translate, and the
 residues are widened into fields by a strided slice assignment, for the
-multiply and again for the push; the quotient is one bytearray, listed
-at the end.  The finished block is then pushed forward: for each
-nonzero tail term v q**k, v times the packed block, shifted by k mod
-_BLOCK fields, is added to a packed accumulator that spans the two blocks
-from k // _BLOCK blocks ahead.  The part of a push that lands in the block
-itself is never read back, since the block inverse already accounts for it,
-and neither is what the last block pushes.
-Here t is the larger of _BLOCK and the divisor's nonzero tail count.
+multiply and again, at the push width, for the push; the quotient is one
+bytearray, listed at the end.
+
+The finished block is then pushed forward through the divisor's tail.  Each
+tail residue v is read as its balanced b in (-m/2, m/2], v - m above m/2,
+so a theta tail of 2s and -2s loads a field with 2 * (m - 1) per term, not
+(m - 1)**2.  The tail terms are split by the sign of b and packed, in
+increasing index, into push groups whose load, the sum of |b| * (m - 1)
+over their terms, fits the push width.  For each term b q**k, |b| times
+the block, packed at the push width, is added to its group's accumulator
+("window") for the two blocks from k // _BLOCK blocks ahead, shifted left
+by k mod _BLOCK fields; for k < _BLOCK only the part that lands in the next
+block is added, shifted right by _BLOCK - k fields, since the block
+inverse already accounts for the part in the block itself.  What lands
+past out_len is never read.
+
+Carried is offset + (plus groups) - (minus groups) in every field, where
+the offset is the least multiple of m at or above the minus groups' total
+load.  So each field is nonnegative and congruent to the sum of
+b * q[n - k] mod m.  The solve width is the width of a sum of _BLOCK
+products, grown only when offset + the plus groups' total load would not
+fit it.  A group's window for block T is complete once block T - h has
+pushed, h being the nearest hop among its terms (1 for k < _BLOCK).  It
+is then folded into block T's sum and freed: its fields are split by
+masks into p phases (fields r, r + p, r + 2p, ...), whose slots of p times
+the push width fit the solve width, and added to or subtracted from that
+block's phase sums.  A block's carried is the low half of its phase sums
+plus the high half of the previous block's, interleaved into solve-width
+fields by strided slice assignment and then reduced as above.  The push
+width is the narrowest of 1, 2, 4 and 8 bytes below the solve width whose
+groups hold at least ``_PUSH_GROUP_TERMS`` terms on average, or else the
+solve width, with one group per sign and a single phase.  Dividing by
+phi(-q) mod 625 pushes through 2-byte fields in groups of 52 terms, where
+the solve width is 4.
 """
 
 import sys
@@ -98,6 +124,12 @@ from itertools import compress, count
 # the break-even against one big-int (Karatsuba) multiply.
 _BLOCK = 512
 _SPARSE_RATIO = 30
+# div_mod pushes through fields narrower than its solve width only when
+# its push groups hold at least this many tail terms on average, since each
+# group costs a few big-int operations per block.  Measured dividing by
+# phi(-q) to 1e5: 1-byte groups of ~10 terms (mod 13) beat 2-byte groups of
+# 158, ~8 (mod 16) tie and ~7 (mod 17, 19) lose.
+_PUSH_GROUP_TERMS = 8
 
 # the largest modulus whose residues the kernels hold as bytes
 _BYTE_MODULI = 128
@@ -111,10 +143,37 @@ def backend_name():
     return "pure-python"
 
 
+def _load_bytes(load):
+    """Bytes per field for fields that hold values up to load."""
+    nbytes = max(1, load.bit_length() + 7 >> 3)
+    return 1 << (nbytes - 1).bit_length() if nbytes <= 8 else nbytes
+
+
 def _field_bytes(terms, m):
     """Bytes per field for a sum of `terms` products of residues mod m."""
-    nbytes = max(1, (terms * (m - 1) ** 2).bit_length() + 7 >> 3)
-    return 1 << (nbytes - 1).bit_length() if nbytes <= 8 else nbytes
+    return _load_bytes(terms * (m - 1) ** 2)
+
+
+def _push_groups(mags, minus, m, nbytes):
+    """div_mod's push groups at nbytes per field: each tail term, in
+    increasing index, joins the open group of its sign while that group's
+    load, the sum of |b| * (m - 1) over its terms, still fits; else it opens
+    a new one.  Returns each term's group and each group's sign (True for
+    minus), or None when one term alone does not fit."""
+    cap = 256**nbytes - 1
+    if max(mags, default=1) * (m - 1) > cap:  # a field holds a residue too
+        return None
+    groups, signs = [], []
+    load = [cap, cap]  # full, so each sign's first term opens a group
+    last = [0, 0]
+    for b, neg in zip(mags, minus):
+        c = b * (m - 1)
+        if load[neg] + c > cap:
+            last[neg], load[neg] = len(signs), 0
+            signs.append(neg)
+        load[neg] += c
+        groups.append(last[neg])
+    return groups, signs
 
 
 def _shared_residues(m, out_len):
@@ -277,23 +336,77 @@ def div_mod(num, den, out_len, m, den_terms=None):
                 break
             acc -= v * inv[n - k]
         inv.append(acc * inv0 % m)
-    nbytes = _field_bytes(max(block, len(tail)), m)
-    width = 8 * nbytes
+    # each tail residue v as its balanced b in (-m/2, m/2], |b| and a sign
+    mags = [v if 2 * v <= m else m - v for v in vals]
+    minus = [2 * v > m for v in vals]
+    minus_load = (m - 1) * sum(compress(mags, minus))
+    plus_load = (m - 1) * sum(mags) - minus_load
+    # carried is offset + (plus groups) - (minus groups) in every field
+    offset = -(-minus_load // m) * m
+    nbytes = max(_field_bytes(block, m), _load_bytes(offset + plus_load))
     packed_inv = _pack(inv, nbytes)
-    hops = [k // block for k in tail]
-    shifts = [k % block * width for k in tail]
+    for push in [w for w in (1, 2, 4, 8) if w < nbytes] + [nbytes]:
+        layout = _push_groups(mags, minus, m, push)
+        if push == nbytes or layout and len(tail) >= _PUSH_GROUP_TERMS * len(layout[1]):
+            break
+    groups, signs = layout
     nblocks = -(-out_len // block)
-    # window[t] collects the pushes into blocks t and t + 1
-    window = [0] * nblocks
+    # windows[g][T] collects group g's pushes into blocks T and T + 1.  A
+    # term q**k adds |b| times the block to the window k // block ahead,
+    # shifted left by k mod block fields, or for k < block only what lands
+    # in the next block, shifted right by block - k fields.  So window T of
+    # a group is complete once block T - first has pushed, first being its
+    # nearest hop.
+    windows = [[0] * nblocks for _ in signs]
+    wins = [windows[g] for g in groups]
+    near = bisect_left(tail, block)
+    near_pushes = list(zip([(block - k) * 8 * push for k in tail[:near]], mags, wins))
+    hops = [k // block for k in tail[near:]]
+    shifts = [k % block * 8 * push for k in tail[near:]]
+    far_pushes = list(zip(hops, shifts, mags[near:], wins[near:]))
+    firsts = [nblocks] * len(signs)
+    for g, hop in zip(groups, [1] * near + hops):
+        firsts[g] = min(firsts[g], hop)
+    # phase r of a window is its fields r, r + p, r + 2p, ... for p phases,
+    # each in a slot of p * push >= nbytes bytes; one mask picks it.  p is
+    # a power of two, at most 4 since a push field holds a residue, so it
+    # divides the block.  sums[T] holds, per phase, offset in block T's
+    # slots plus and minus the complete windows T of the groups; block t's
+    # carried is the low half of sums[t] plus the high half of sums[t - 1].
+    phases = 1 << (-(-nbytes // push) - 1).bit_length()
+    slot = phases * push
+    per_block = block // phases  # slots of a phase in one block
+    half = per_block * slot * 8
+    low_mask = (1 << half) - 1
+    phase_mask = int.from_bytes((b"\xff" * push + bytes(slot - push)) * 2 * per_block, "little")
+    offsets = [int.from_bytes(offset.to_bytes(slot, "little") * per_block, "little")] * phases
+    sums = {}
     small = m <= _BYTE_MODULI
     q = bytearray() if small else []
     for t in range(nblocks):
         start = t * block
         size = min(block, out_len - start)
-        carried = window[t]
-        if t:
-            carried += window[t - 1] >> (block * width)
-            window[t - 1] = 0
+        for win, neg, first in zip(windows, signs, firsts):
+            T = t - 1 + first
+            if T < nblocks and win[T]:
+                part, win[T] = win[T], 0
+                acc = sums.setdefault(T, offsets[:])
+                for r in range(phases):
+                    f = part >> (8 * push * r) & phase_mask
+                    acc[r] = acc[r] - f if neg else acc[r] + f
+        cur = sums.get(t, offsets)
+        prev = sums.pop(t - 1, None)
+        lows = [(c & low_mask) + (p >> half) for c, p in zip(cur, prev or [0] * phases)]
+        if phases == 1:
+            carried = lows[0]
+        else:
+            # interleave the phase sums into nbytes fields
+            wide = bytearray(size * nbytes)
+            for r, phase in enumerate(lows):
+                data = bytes(_low_fields(phase, len(range(r, size, phases)) * slot))
+                for j in range(nbytes):
+                    wide[r * nbytes + j :: phases * nbytes] = data[j::slot]
+            carried = int.from_bytes(wide, "little")
         rhs = num[start : start + size]
         if small:
             # (num - carried) mod m, as num + m - carried per byte: no borrows
@@ -303,23 +416,28 @@ def div_mod(num, den, out_len, m, den_terms=None):
             wide = bytearray(size * nbytes)
             wide[::nbytes] = rhs.translate(_plane_tables(m, nbytes)[0])
             solved = _low_fields(int.from_bytes(wide, "little") * packed_inv, size * nbytes)
-            wide[::nbytes] = solved = _residue_bytes(solved, nbytes, m)
-            packed = int.from_bytes(wide, "little")
+            solved = _residue_bytes(solved, nbytes, m)
+            fields = bytearray(size * push)
+            fields[::push] = solved
+            packed = int.from_bytes(fields, "little")
         else:
             rhs += [0] * (size - len(rhs))
             rhs = [(c - p) % m for c, p in zip(rhs, _unpack(carried, size, nbytes))]
             solved = _unpack(_pack(rhs, nbytes) * packed_inv, size, nbytes, m, shared)
-            packed = _pack(solved, nbytes)
+            packed = _pack(solved, push)
         q += solved
         scaled = {}
-        for hop, shift, v in zip(hops, shifts, vals):
-            target = t + hop
-            if target >= nblocks:
-                break
+        if t + 1 < nblocks:
+            for shift, v, win in near_pushes:
+                term = scaled.get(v)
+                if term is None:
+                    term = scaled[v] = packed * v
+                win[t + 1] += term >> shift
+        for hop, shift, v, win in far_pushes[: bisect_left(hops, nblocks - t)]:
             term = scaled.get(v)
             if term is None:
                 term = scaled[v] = packed * v
-            window[target] += term << shift
+            win[t + hop] += term << shift
     return list(q) if small else q
 
 

@@ -15,7 +15,10 @@ import re
 from itertools import chain
 from typing import NamedTuple
 
+from . import kernels
 from .series import Ring, Series, check_order
+
+_KARATSUBA = 1.585  # log2(3), the exponent of CPython's big-int multiply
 
 
 def euler_product(scale: int, ring: Ring, order: int) -> Series:
@@ -216,14 +219,22 @@ def eta_quotient(spec: EtaQuotientSpec, ring: Ring, order: int) -> Series:
 def _power_is_cheaper(count: int, factor: Series) -> bool:
     """Cost model for ``eta_quotient``: count sparse passes cost
     count * nnz * N coefficient steps, nnz being the terms ``euler_product``
-    recorded for the factor, against (squarings + multiplies + 1)
-    dense products for binary powering, each priced at the schoolbook N^2.
-    That price is exact for the exact kernel and high for the packed
-    modular one, so small exponents keep the sparse loop: at the orders the
-    registry uses (>= 40) every |e| <= 8 does."""
+    recorded for the factor, against (squarings + multiplies + 1) dense
+    products for binary powering.  Over ZZ a dense product is the
+    schoolbook N^2.  Over Zmod(m) it is ``kernels.mul_mod``'s one big-int
+    multiply of N fields of w bytes, priced at (N * w)^log2(3) for
+    CPython's Karatsuba: measured at 0.74-1.6 ns per unit from N = 1000 to
+    64000 (m = 5, 7, 625, 840), against 0.8-30 ns per pass step, so a pass
+    step priced at one unit leans to the sparse loop.  Dense products grow
+    faster than passes, which caps the order at which powering wins: for
+    |e| = 24 mod 5 or 7 it wins to order ~1400, for |e| = 400 mod 840 to
+    ~5600, and at the registry's orders every |e| <= 8 keeps the sparse
+    loop."""
     n = len(factor)
     products = count.bit_length() + bin(count).count("1")
-    return count * len(factor._terms) * n > products * n * n
+    m = factor.ring.modulus
+    dense = n * n if m is None else (n * kernels._field_bytes(n, m)) ** _KARATSUBA
+    return count * len(factor._terms) * n > products * dense
 
 
 # -- Ramanujan theta function f(a, b) ---------------------------------------

@@ -8,6 +8,7 @@ draws are reduced here before a kernel sees them.
 """
 
 import random
+from collections import Counter
 from itertools import product
 from math import gcd, isqrt
 
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from regover import kernels
 from regover.claims import hunt
-from regover.products import phi
+from regover.products import jacobi_cube, phi
 from regover.sequences import SequenceRef, sequence_series
 from regover.series import Zmod
 
@@ -371,3 +372,113 @@ def test_hunts_table_hands_each_kernel_its_sparse_terms(monkeypatch):
     assert [name for name, _ in calls] == ["div_mod"]
     ((_, div),) = calls
     assert 0 < len(div["den_terms"]) <= isqrt(N) + 1
+
+
+def _push_layouts(monkeypatch):
+    """Every (push width, layout) div_mod tries, in order; the last one
+    tried is the one it pushes through."""
+    tried = []
+    real = kernels._push_groups
+
+    def spy(mags, minus, m, nbytes):
+        layout = real(mags, minus, m, nbytes)
+        tried.append((nbytes, layout))
+        return layout
+
+    monkeypatch.setattr(kernels, "_push_groups", spy)
+    return tried
+
+
+def _group_sizes(layout):
+    """The term count of each push group, per sign (False for plus)."""
+    groups, signs = layout
+    sizes = Counter(groups)
+    return {neg: [sizes[g] for g, s in enumerate(signs) if s == neg] for neg in (False, True)}
+
+
+@pytest.mark.parametrize("m", [5, 127, 128, 129, 256, 257, 625, 840])
+@pytest.mark.parametrize("mag", ["1", "2", "half"])
+def test_capacity_filling_divisions(monkeypatch, m, mag):
+    # every quotient coefficient is m - 1, so each field of each push group
+    # reaches the group's load, sum |b| * (m - 1); the tail alternates +b
+    # and -b (all +m/2 for even m and b = m/2) at every fourth index, so
+    # greedy groups fill up to their width's capacity
+    b = {"1": 1, "2": 2, "half": m // 2}[mag]
+    n = 3 * B + 1
+    den = [1] + [0] * (3 * B // 2)
+    for j, k in enumerate(range(1, len(den), 4)):
+        den[k] = (-b if j % 2 else b) % m
+    quotient = [m - 1] * n
+    num = ref_mul_mod(den, quotient, n, m)
+    tried = _push_layouts(monkeypatch)
+    assert all(out == quotient for out in keyword_div_mods(num, den, n, m))
+    push, layout = tried[-1]
+    per_term = b * (m - 1)
+    by_sign = _group_sizes(layout)
+    # b = m/2 is its own balanced residue, so that tail has no minus terms
+    assert sum(by_sign[True]) == (0 if 2 * b == m else 96)
+    for sizes in by_sign.values():
+        # each group but a sign's last is full: one more term would not fit
+        assert all((size + 1) * per_term > 256**push - 1 for size in sizes[:-1])
+
+
+
+def test_solve_width_grows_for_a_long_heavy_tail():
+    # m = 2897: 512 products fill 4 bytes to within 2**20, and a dense tail
+    # of 1099 terms b = 1448 loads a field with 1099 * 1448 * 2896 > 2**32.
+    # The quotient is all m - 1, so carried reaches that load at index
+    # 3 * B, the first whose whole tail lies in earlier blocks, and the
+    # solve width must grow to 8 bytes.  num = den * quotient is minus
+    # den's prefix sums, since quotient = -1 / (1 - q) mod m.
+    m, n = 2897, 3 * B + 1
+    assert kernels._field_bytes(B, m) == 4
+    den = [1] + [m // 2] * 1099
+    num = [-sum(den[: i + 1]) % m for i in range(n)]
+    assert all(out == [m - 1] * n for out in keyword_div_mods(num, den, n, m))
+
+@pytest.mark.parametrize(
+    "m, push, per_group",
+    [
+        (5, 1, 31),  # 31 * 2 * 4 <= 255: 1-byte fields, half the solve width
+        (625, 2, 52),  # 52 * 2 * 624 <= 65535, solve width 4
+        (840, 2, 39),
+        (127, 2, 260),  # 1-byte groups would hold one term each
+    ],
+)
+def test_theta_divisor_push_width(monkeypatch, m, push, per_group):
+    # phi(-q) to 1e5: 316 tail terms, +-2 alternating, 158 per sign
+    N = 10**5
+    den = phi(-1, Zmod(m), N)
+    tried = _push_layouts(monkeypatch)
+    kernels.div_mod([1], den[:], N + 1, m, den_terms=list(den._terms))
+    chosen, layout = tried[-1]
+    assert chosen == push < kernels._field_bytes(B, m)
+    for sizes in _group_sizes(layout).values():
+        assert sum(sizes) == 158 and max(sizes) == min(per_group, 158)
+        assert all(size == per_group for size in sizes[:-1])
+
+
+def test_jacobi_cube_divisor_keeps_the_solve_width(monkeypatch):
+    # (q^2;q^2)^3 mod 625: |b| up to 312, so one term's load 312 * 624
+    # overflows 2 bytes, and the push runs at the solve width, one group
+    # per sign
+    N, m = 125000, 625
+    den = jacobi_cube(2, Zmod(m), N)
+    tried = _push_layouts(monkeypatch)
+    kernels.div_mod([1], den[:], N + 1, m, den_terms=list(den._terms))
+    assert [width for width, layout in tried if layout is not None] == [4]
+    push, (groups, signs) = tried[-1]
+    assert push == kernels._field_bytes(B, m) and sorted(signs) == [False, True]
+
+
+def test_push_layouts_agree_at_bench_scale():
+    # each pair divides by phi(-q) under two push layouts: pbar mod 3125
+    # (2-byte groups of 10 terms, four phases per 8-byte field) against mod
+    # 625 (groups of 52, two phases), and A_5 mod 125 (2-byte groups of 264
+    # in 4-byte fields) against mod 5 (1-byte groups of 31 in 2-byte fields)
+    for ref, m, big_m, order in (
+        (SequenceRef("pbar"), 625, 3125, 2 * 10**4),
+        (SequenceRef("A", 5), 5, 125, 10**5),
+    ):
+        small = sequence_series(ref, Zmod(m), order)[:]
+        assert small == [c % m for c in sequence_series(ref, Zmod(big_m), order)[:]]

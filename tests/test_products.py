@@ -204,6 +204,49 @@ def test_registry_eta_quotients_keep_the_sparse_route(monkeypatch):
     assert all(r.status == "pass" for r in verify_claims(identities))
 
 
+
+def test_registry_eta_quotient_routes_at_the_bench_order(monkeypatch):
+    # the identities workload runs every identity claim at order 1000: each
+    # eta-quotient factor it expands, as (modulus, factor length, |e|), and
+    # the route the cost model picks for it, False for the sparse passes
+    routes = []
+    choose = products._power_is_cheaper
+
+    def spy(count, factor):
+        routes.append((factor.ring.modulus, len(factor), count, choose(count, factor)))
+        return routes[-1][-1]
+
+    monkeypatch.setattr(products, "_power_is_cheaper", spy)
+    identities = [c for c in builtin_registry() if isinstance(c, IdentityClaim)]
+    assert all(r.status == "pass" for r in verify_claims(identities, order=1000))
+    # I-GF's five quotients over ZZ at its order cap 40, I-PHI's over ZZ,
+    # I-GF5's mod 5, I-PBAR's over ZZ, and the cofactors of I-GF125 and
+    # I-ALPHA mod 625
+    assert set(routes) == (
+        {(None, 41, e, False) for e in (1, 2)}
+        | {(None, 1001, e, False) for e in (1, 2)}
+        | {(5, 1001, e, False) for e in (4, 8)}
+        | {(625, 1001, e, False) for e in (1, 2)}
+    )
+
+
+@pytest.mark.parametrize(
+    "modulus, order, count, powers",
+    [
+        (5, 4000, 400, True),  # 400 divisions took 0.66 s, powering 0.022 s
+        (7, 10**5, 24, False),  # 24 products 0.92 s, powering 2.27 s
+        (5, 10**5, 8, False),  # 8 products 0.26 s, powering 1.18 s
+        (7, 1000, 24, True),
+        (7, 2000, 24, False),
+        (840, 10**4, 400, False),  # past the cap, 8-byte fields
+        (840, 10**6, 24, False),  # one dense product took 68.9 s here
+        (None, 4000, 400, False),  # the exact schoolbook N^2
+    ],
+)
+def test_power_is_cheaper_prices_the_packed_multiply(modulus, order, count, powers):
+    ring = ZZ if modulus is None else Zmod(modulus)
+    assert products._power_is_cheaper(count, euler_product(1, ring, order)) is powers
+
 def test_eta_spec_merges_duplicate_scales():
     spec = EtaQuotientSpec(0, ((2, 2), (2, 1), (3, 1), (3, -1)))
     assert spec.factors == ((2, 3),)
