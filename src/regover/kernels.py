@@ -19,16 +19,23 @@ through term by term, cut at out_len, and then does not scan that operand
 for its nonzeros.
 
 Residues mod m <= 128 (``_BYTE_MODULI``) are one byte each inside the
-kernels.  A packed int's fields are reduced by byte planes: byte j of every
-field is mapped by a 256-entry ``bytes.translate`` table to b * 256**j mod
-m, the mapped planes are added as ints, and one more translate reduces the
-sum.  A sum is reduced early only when one more plane could carry a byte
-past 255, which two residues never do.  The cut is 128 because then a
-difference c + m - p of two residues stays below 2m <= 256, so one big-int
-subtraction serves a whole block with no borrow between bytes.  Outputs
-are still lists of ints, listed from the bytes.  Larger moduli keep lists,
-reduced field by field with ``%``; the paper's mod-625 and mod-840 tables
-are among them, since their residues do not fit a byte.
+kernels, and ``_unpack`` alone decides it: it returns the reduced fields of
+a packed int as bytes for such m and as a list of ints above.  Bytes are
+reduced by ``_residue_bytes``, a sum of scaled byte columns mod m: each
+column is mapped by the 256-entry ``bytes.translate`` table b -> b * s mod
+m of its scale s (``_scale_table``), the mapped columns are added as ints,
+the sum is reduced early only when one more column could carry a byte past
+255, and one more translate reduces it.  A packed int's byte planes are
+such columns: byte j of every field, scaled by 256**j mod m.  The cut is
+128 because then two residues sum to at most 254, so a reduced sum can
+always take one more column; above it, up to m = 256, one column still
+reduces by translate and several are summed entry by entry.  ``_pack``
+packs bytes, or a list whose entries all fit a byte, by widening them into
+their fields with one strided slice assignment; other lists go through an
+array.  Outputs are lists of ints.  The paper's mod-625 and mod-840 tables
+stay lists, reduced field by field with ``%``, since their residues do not
+fit a byte.  The sieve tables of ``regover.sequences`` are bytes up to m =
+256, and are scaled and summed with the same two helpers.
 
 When m is past CPython's small-int cache (m > 256) and out_len >= m, a
 modular output holds one shared int object per residue, from one
@@ -69,13 +76,12 @@ fields.  Unpacking it big-endian undoes the reversal.
 inverse of the divisor mod q**_BLOCK comes once from the sparse recurrence.
 Each block is (numerator - carried) times that inverse, one packed
 multiply, where "carried" is what earlier blocks contribute through the
-divisor's tail.  For m > 128 the block is a list: carried's fields are
-unpacked as they are and reduced once, in the difference.  For m <= 128 it
-stays bytes: carried is reduced by byte planes, the difference is one
-big-int subtraction with m added to every byte and one translate, and the
-residues are widened into fields by a strided slice assignment, for the
-multiply and again, at the push width, for the push; the quotient is one
-bytearray, listed at the end.
+divisor's tail.  Every modulus takes the same three steps: the right-hand
+side is num + L - carried in every field, unpacked and so reduced once,
+where the lift L is a multiple of m at least every field of carried; it is
+packed and multiplied by the inverse, and the product is unpacked to the
+block's quotient; the quotient is packed again at the push width for the
+push.
 
 The finished block is then pushed forward through the divisor's tail.  Each
 tail residue v is read as its balanced b in (-m/2, m/2], v - m above m/2,
@@ -92,22 +98,23 @@ past out_len is never read.
 
 Carried is offset + (plus groups) - (minus groups) in every field, where
 the offset is the least multiple of m at or above the minus groups' total
-load.  So each field is nonnegative and congruent to the sum of
-b * q[n - k] mod m.  The solve width is the width of a sum of _BLOCK
-products, grown only when offset + the plus groups' total load would not
-fit it.  A group's window for block T is complete once block T - h has
-pushed, h being the nearest hop among its terms (1 for k < _BLOCK).  It
-is then folded into block T's sum and freed: its fields are split by
-masks into p phases (fields r, r + p, r + 2p, ...), whose slots of p times
-the push width fit the solve width, and added to or subtracted from that
-block's phase sums.  A block's carried is the low half of its phase sums
-plus the high half of the previous block's, interleaved into solve-width
-fields by strided slice assignment and then reduced as above.  The push
-width is the narrowest of 1, 2, 4 and 8 bytes below the solve width whose
-groups hold at least ``_PUSH_GROUP_TERMS`` terms on average, or else the
-solve width, with one group per sign and a single phase.  Dividing by
-phi(-q) mod 625 pushes through 2-byte fields in groups of 52 terms, where
-the solve width is 4.
+load.  So each field is nonnegative, congruent to the sum of b * q[n - k]
+mod m, and at most the lift L, the least multiple of m at or above offset
++ the plus groups' total load.  Then num + L - carried needs no borrow
+between fields and stays below L + m.  The solve width is the width of a
+sum of _BLOCK products, grown only when L + m - 1 would not fit it.  A
+group's window for block T is complete once block T - h has pushed, h
+being the nearest hop among its terms (1 for k < _BLOCK).  It is then
+folded into block T's sum and freed: its fields are split by masks into p
+phases (fields r, r + p, r + 2p, ...), whose slots of p times the push
+width fit the solve width, and added to or subtracted from that block's
+phase sums.  A block's carried is the low half of its phase sums plus the
+high half of the previous block's, interleaved into solve-width fields by
+strided slice assignment.  The push width is the narrowest of 1, 2, 4 and
+8 bytes below the solve width whose groups hold at least
+``_PUSH_GROUP_TERMS`` terms on average, or else the solve width, with one
+group per sign and a single phase.  Dividing by phi(-q) mod 625 pushes
+through 2-byte fields in groups of 52 terms, where the solve width is 4.
 """
 
 import sys
@@ -184,61 +191,77 @@ def _shared_residues(m, out_len):
 
 
 def _pack(residues, nbytes, byteorder="little"):
-    """One int with residues[i] in field i; with byteorder "big" the list
-    packs reversed, residues[0] in the top field."""
-    code = _ARRAY_CODES.get(nbytes)
-    if code is None:
-        data = b"".join([c.to_bytes(nbytes, byteorder) for c in residues])
-        return int.from_bytes(data, byteorder)
-    fields = array(code, residues)
-    if byteorder != sys.byteorder:
-        fields.byteswap()
+    """One int with residues[i] in field i, from bytes or a list of ints;
+    with byteorder "big" they pack reversed, residues[0] in the top field.
+    Residues that all fit a byte pack as bytes, each the low byte of its
+    field, placed by one strided slice assignment; others through an array
+    of the field width."""
+    try:
+        residues = bytes(residues)
+    except ValueError:  # a residue past 255
+        code = _ARRAY_CODES.get(nbytes)
+        if code is None:
+            data = b"".join([c.to_bytes(nbytes, byteorder) for c in residues])
+            return int.from_bytes(data, byteorder)
+        fields = array(code, residues)
+        if byteorder != sys.byteorder:
+            fields.byteswap()
+        return int.from_bytes(fields, byteorder)
+    fields = bytearray(len(residues) * nbytes)
+    fields[(byteorder == "big") * (nbytes - 1) :: nbytes] = residues
     return int.from_bytes(fields, byteorder)
 
 
 def _low_fields(x, size, byteorder="little"):
     """The low size bytes of x, in byteorder."""
     length = max(size, (x.bit_length() + 7) >> 3)
-    data = memoryview(x.to_bytes(length, byteorder))
+    data = x.to_bytes(length, byteorder)
     return data[:size] if byteorder == "little" else data[length - size :]
 
 
-@lru_cache(maxsize=32)
-def _plane_tables(m, nbytes):
-    """For m <= _BYTE_MODULI: per byte j of a little-endian field, the
-    translate table b -> b * 256**j mod m."""
-    return tuple(bytes((b << 8 * j) % m for b in range(256)) for j in range(nbytes))
+@lru_cache(maxsize=256)
+def _scale_table(s, m):
+    """The translate table b -> b * s mod m, for m <= 256: its first m
+    entries repeated, since b * s mod m has period m in b."""
+    return (bytes([b * s % m for b in range(m)]) * (256 // m + 1))[:256]
 
 
-def _residue_bytes(data, nbytes, m, byteorder="little"):
-    """Each nbytes-wide field of data reduced mod m <= _BYTE_MODULI, one byte
-    per field, in data's order: byte plane j is translated to its residues,
-    the planes are added as ints while no byte can pass 255, and the sum is
-    translated once more."""
-    tables = _plane_tables(m, nbytes)
-    reduce = tables[0]
-    if byteorder == "big":
-        tables = tables[::-1]
-    data = bytes(data)  # strided slices of bytes are fast, of a memoryview slow
-    n = len(data) // nbytes
+def _residue_bytes(columns, scales, m):
+    """sum(s * column) mod m <= 256 as bytes, entry by entry, for byte
+    columns of one length and their scales s: each column is translated by
+    _scale_table(s, m), the results are added as ints, reduced early
+    whenever one more column could carry a byte past 255, and the sum is
+    translated once more.  Past _BYTE_MODULI two residues can pass 255, so
+    there several columns are summed entry by entry."""
+    if m > _BYTE_MODULI and len(columns) > 1:
+        columns = [c.translate(_scale_table(s, m)) for c, s in zip(columns, scales)]
+        return bytes([v % m for v in map(sum, zip(*columns))])
+    n = len(columns[0])
+    reduce = _scale_table(1, m)
     acc = top = 0  # top bounds every byte of acc
-    for j, table in enumerate(tables):
+    for column, s in zip(columns, scales):
         if top + m > 256:
             acc = int.from_bytes(acc.to_bytes(n, "little").translate(reduce), "little")
             top = m - 1
-        acc += int.from_bytes(data[j::nbytes].translate(table), "little")
+        acc += int.from_bytes(column.translate(_scale_table(s, m)), "little")
         top += m - 1
     return acc.to_bytes(n, "little").translate(reduce)
 
 
 def _unpack(x, n, nbytes, m=None, shared=None, byteorder="little"):
-    """The low n fields of x, reduced mod m (by byte planes for m <=
-    _BYTE_MODULI, entries of `shared` when given) or as they are without m;
-    with byteorder "big" they come out reversed, field n - 1 first."""
+    """The low n fields of x, reduced mod m or as they are without m; with
+    byteorder "big" they come out reversed, field n - 1 first.  Residues
+    mod m <= _BYTE_MODULI come as bytes, reduced by byte planes: plane j,
+    byte j of every field, is a column scaled by 256**j mod m.  Otherwise
+    they come as a list, reduced field by field, as entries of `shared`
+    when given."""
     size = n * nbytes
     data = _low_fields(x, size, byteorder)
     if m is not None and m <= _BYTE_MODULI:
-        return list(_residue_bytes(data, nbytes, m, byteorder))
+        planes = [data[j::nbytes] for j in range(nbytes)]
+        if byteorder == "big":
+            planes.reverse()
+        return _residue_bytes(planes, [pow(256, j, m) for j in range(nbytes)], m)
     code = _ARRAY_CODES.get(nbytes)
     if code is None:
         fields = [int.from_bytes(data[i : i + nbytes], byteorder) for i in range(0, size, nbytes)]
@@ -280,7 +303,7 @@ def mul_mod(a, b, out_len, m, a_terms=None, b_terms=None):
     shared = _shared_residues(m, out_len)
     if nb * nb > _SPARSE_RATIO * len(a):
         acc = _pack(a, nbytes) * _pack(b, nbytes)
-        return _unpack(acc, out_len, nbytes, m, shared)
+        return list(_unpack(acc, out_len, nbytes, m, shared))
     terms = _nonzero_terms(b) if b_terms is None else b_terms[: bisect_left(b_terms, (out_len,))]
     width = 8 * nbytes
     # a, padded to out_len fields by the shift
@@ -293,7 +316,7 @@ def mul_mod(a, b, out_len, m, a_terms=None, b_terms=None):
         if term is None:
             term = scaled[d] = packed * d
         acc += term >> (j * width)
-    return _unpack(acc, out_len, nbytes, m, shared, "big")
+    return list(_unpack(acc, out_len, nbytes, m, shared, "big"))
 
 
 def mul_exact(a, b, out_len):
@@ -341,9 +364,11 @@ def div_mod(num, den, out_len, m, den_terms=None):
     minus = [2 * v > m for v in vals]
     minus_load = (m - 1) * sum(compress(mags, minus))
     plus_load = (m - 1) * sum(mags) - minus_load
-    # carried is offset + (plus groups) - (minus groups) in every field
+    # carried is offset + (plus groups) - (minus groups) in every field, at
+    # most lift, so num + lift - carried is nonnegative and below lift + m
     offset = -(-minus_load // m) * m
-    nbytes = max(_field_bytes(block, m), _load_bytes(offset + plus_load))
+    lift = -(-(offset + plus_load) // m) * m
+    nbytes = max(_field_bytes(block, m), _load_bytes(lift + m - 1))
     packed_inv = _pack(inv, nbytes)
     for push in [w for w in (1, 2, 4, 8) if w < nbytes] + [nbytes]:
         layout = _push_groups(mags, minus, m, push)
@@ -381,8 +406,8 @@ def div_mod(num, den, out_len, m, den_terms=None):
     phase_mask = int.from_bytes((b"\xff" * push + bytes(slot - push)) * 2 * per_block, "little")
     offsets = [int.from_bytes(offset.to_bytes(slot, "little") * per_block, "little")] * phases
     sums = {}
-    small = m <= _BYTE_MODULI
-    q = bytearray() if small else []
+    lifts = int.from_bytes(lift.to_bytes(nbytes, "little") * block, "little")
+    q = []
     for t in range(nblocks):
         start = t * block
         size = min(block, out_len - start)
@@ -403,28 +428,13 @@ def div_mod(num, den, out_len, m, den_terms=None):
             # interleave the phase sums into nbytes fields
             wide = bytearray(size * nbytes)
             for r, phase in enumerate(lows):
-                data = bytes(_low_fields(phase, len(range(r, size, phases)) * slot))
+                data = _low_fields(phase, len(range(r, size, phases)) * slot)
                 for j in range(nbytes):
                     wide[r * nbytes + j :: phases * nbytes] = data[j::slot]
             carried = int.from_bytes(wide, "little")
-        rhs = num[start : start + size]
-        if small:
-            # (num - carried) mod m, as num + m - carried per byte: no borrows
-            carried = _residue_bytes(_low_fields(carried, size * nbytes), nbytes, m)
-            rhs = int.from_bytes(bytes(rhs), "little") + int.from_bytes(bytes([m]) * size, "little")
-            rhs = (rhs - int.from_bytes(carried, "little")).to_bytes(size, "little")
-            wide = bytearray(size * nbytes)
-            wide[::nbytes] = rhs.translate(_plane_tables(m, nbytes)[0])
-            solved = _low_fields(int.from_bytes(wide, "little") * packed_inv, size * nbytes)
-            solved = _residue_bytes(solved, nbytes, m)
-            fields = bytearray(size * push)
-            fields[::push] = solved
-            packed = int.from_bytes(fields, "little")
-        else:
-            rhs += [0] * (size - len(rhs))
-            rhs = [(c - p) % m for c, p in zip(rhs, _unpack(carried, size, nbytes))]
-            solved = _unpack(_pack(rhs, nbytes) * packed_inv, size, nbytes, m, shared)
-            packed = _pack(solved, push)
+        rhs = _unpack(_pack(num[start : start + size], nbytes) + lifts - carried, size, nbytes, m)
+        solved = _unpack(_pack(rhs, nbytes) * packed_inv, size, nbytes, m, shared)
+        packed = _pack(solved, push)
         q += solved
         scaled = {}
         if t + 1 < nblocks:
@@ -438,7 +448,7 @@ def div_mod(num, den, out_len, m, den_terms=None):
             if term is None:
                 term = scaled[v] = packed * v
             win[t + hop] += term << shift
-    return list(q) if small else q
+    return q
 
 
 def div_exact(num, den, out_len):

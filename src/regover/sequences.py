@@ -40,11 +40,11 @@ at one n is read from the table up to n.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from math import gcd, isqrt, lcm, prod
 from typing import NamedTuple
 
-from . import arith
+from . import arith, kernels
 from .products import euler_product, phi
 from .series import Ring, Series, ZZ, check_order
 
@@ -155,13 +155,6 @@ def _build_series(ref: SequenceRef, ring: Ring, order: int, *inputs, step=1) -> 
     return table if step == 1 else table.extract_progression(step)
 
 
-@lru_cache(maxsize=256)
-def _scale_table(s: int, m: int) -> bytes:
-    """The translate table b -> b * s mod m, for m <= 256: its first m
-    entries repeated, since b * s mod m has period m in b."""
-    return (bytes([b * s % m for b in range(m)]) * (256 // m + 1))[:256]
-
-
 def _multiplicative(seed, m: int, order: int) -> bytearray | list[int]:
     """f(0..order) mod m, with 0 at 0, for the multiplicative f with f(p^e) =
     seed(p, e) mod m.  For a prime p <= sqrt(order) and each p^e <= order,
@@ -170,14 +163,14 @@ def _multiplicative(seed, m: int, order: int) -> bytearray | list[int]:
     sqrt(order) scales only as p^1, t[p::p], and every seed here is at p^1 a
     function of p mod lcm(4, m), so seed is called once per such class: at
     its least prime above sqrt(order).  For m <= 256 a residue fits a byte,
-    so t is a bytearray and a slice is scaled in C by bytes.translate with
-    the table b -> b s mod m; for a larger m t is a list, scaled entry by
+    so t is a bytearray and a slice is scaled by translating it with
+    kernels._scale_table(s, m); for a larger m t is a list, scaled entry by
     entry."""
     if m <= 256:
         t = bytearray([1]) * (order + 1)
 
         def scaled(column, s):
-            return column.translate(_scale_table(s, m))
+            return column.translate(kernels._scale_table(s, m))
     else:
         t = [1] * (order + 1)
 
@@ -269,10 +262,9 @@ def table_inputs(moduli: dict) -> dict:
 def sieve(group: SieveGroup, order: int) -> bytes | list[int]:
     """The group's residues mod group.modulus at 0..order, 0 at 0, from one
     multiplicative sieve whose seeds are the CRT of its parts' seeds.  For a
-    modulus up to 256 a residue fits a byte, so the sieve scales its
-    exact-valuation slices with bytes.translate and the table is bytes,
+    modulus up to 256 the table is bytes, as _multiplicative builds it,
     which a plan holds between its members' builds at an eighth of a list's
-    size and _pointwise_table reads back by translate; else a list."""
+    size; else a list."""
     modulus = group.modulus
     # u = 1 mod m and 0 mod the other moduli, for each part's modulus m
     seeds = [
@@ -285,23 +277,17 @@ def sieve(group: SieveGroup, order: int) -> bytes | list[int]:
 def _pointwise_table(ref: SequenceRef, m: int, order: int, groups, step: int) -> list[int]:
     """ref(0..order) mod m at the multiples of step, read from the tables of
     its parts' sieve groups, in part order: each group's modulus is a
-    multiple of m, so a group's residue mod m is its part's value mod m.  A
-    group held as bytes is scaled by one translate, b -> s b mod m.  r_6's
-    two scaled byte columns are added as ints and reduced by one more
-    translate only when 2 (m - 1) <= 255, so that no byte of the sum carries
-    into the next; otherwise, and for list groups, entry by entry."""
+    multiple of m, so a group's residue mod m is its part's value mod m, and
+    the table is the sum of the parts' columns times their scales.  Columns
+    held as bytes are summed by kernels._residue_bytes; with a list among
+    them the table is summed entry by entry."""
     scales = [scale % m for scale, _ in _parts(ref)]
     columns = [g[: order + 1 : step] for g in groups]
-    in_bytes = all(isinstance(c, bytes) for c in columns)
-    if len(scales) == 2 and in_bytes and 2 * (m - 1) <= 255:
-        a, b = (c.translate(_scale_table(s, m)) for s, c in zip(scales, columns))
-        total = int.from_bytes(a, "little") + int.from_bytes(b, "little")
-        t = list(total.to_bytes(len(a), "little").translate(_scale_table(1, m)))
+    if all(isinstance(c, bytes) for c in columns):
+        t = list(kernels._residue_bytes(columns, scales, m))
     elif len(scales) == 2:
         s, u = scales
         t = [(s * a + u * b) % m for a, b in zip(*columns)]
-    elif in_bytes:
-        t = list(columns[0].translate(_scale_table(scales[0], m)))
     else:
         (s,) = scales
         t = [s * v % m for v in columns[0]]

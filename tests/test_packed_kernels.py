@@ -11,6 +11,7 @@ import random
 from collections import Counter
 from itertools import product
 from math import gcd, isqrt
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,10 +23,11 @@ from regover.sequences import SequenceRef, sequence_series
 from regover.series import Zmod
 
 B = kernels._BLOCK
-# moduli up to 128 hold residues as bytes and 129 is the first that does
-# not; 625 and 840 lie past CPython's small-int cache, so outputs of at
+# the kernels hold residues mod m <= 128 as bytes and 129 is the first
+# modulus they keep in lists; 256 is the last whose residues fit a byte,
+# and 257 the first past CPython's small-int cache, where outputs of at
 # least m entries share one object per residue
-MODULI = [2, 3, 5, 7, 24, 127, 128, 129, 625, 840, 2**31 - 1, 2**40, 2**61 - 1]
+MODULI = [2, 3, 5, 7, 24, 127, 128, 129, 256, 257, 625, 840, 2**31 - 1, 2**40, 2**61 - 1]
 OUT_LENS = [1, B - 1, B, B + 1, 2 * B + 1]
 
 
@@ -195,8 +197,43 @@ def test_byte_planes_reduce_like_mod(nbytes, byteorder):
     for m in range(2, kernels._BYTE_MODULI + 1):
         rng = random.Random(m * 16 + nbytes)
         fields = [0, m - 1, m, top] + [rng.randrange(top + 1) for _ in range(40)]
-        data = b"".join(f.to_bytes(nbytes, byteorder) for f in fields)
-        assert kernels._residue_bytes(data, nbytes, m, byteorder) == bytes(f % m for f in fields)
+        x = int.from_bytes(b"".join(f.to_bytes(nbytes, byteorder) for f in fields), byteorder)
+        out = kernels._unpack(x, len(fields), nbytes, m, byteorder=byteorder)
+        assert out == bytes(f % m for f in fields)
+
+
+def test_byte_column_sums_reduce_like_mod():
+    # 1 to 9 columns with random scales: a partial sum is reduced early once
+    # k columns reach k * (m - 1) + m > 256, so at nine columns for every
+    # m >= 30 and at three for m >= 87; above _BYTE_MODULI one column still
+    # reduces by translate, and more are summed entry by entry
+    for m in range(2, 257):
+        rng = random.Random(m)
+        for ncols in range(1, 10):
+            columns = [bytes([0, 255, m - 1] + rng.choices(range(256), k=40)) for _ in range(ncols)]
+            scales = [m - 1] + [rng.randrange(m) for _ in range(ncols - 1)]
+            expected = bytes(sum(map(mul, scales, entries)) % m for entries in zip(*columns))
+            assert kernels._residue_bytes(columns, scales, m) == expected, (m, ncols)
+
+
+def test_scale_tables_map_every_byte_to_its_multiple_mod_m():
+    # a read-back translates a group's residues mod its modulus, which may
+    # exceed m, so every byte must map right, not only those below m
+    for m in (2, 3, 5, 7, 105, 128, 129, 200, 255, 256):
+        for s in range(m):
+            assert kernels._scale_table(s, m) == bytes(b * s % m for b in range(256)), (s, m)
+
+
+@pytest.mark.parametrize("byteorder", ["little", "big"])
+@pytest.mark.parametrize("nbytes", [1, 2, 3, 8, 9])
+def test_pack_puts_each_residue_in_its_field(nbytes, byteorder):
+    # bytes, a list whose entries fit a byte, and one with an entry past 255
+    cases = [bytes([0, 1, 128, 255, 7]), [0, 1, 128, 255, 7]]
+    if nbytes > 1:
+        cases.append([0, 1, 300, 255, 7])
+    for residues in cases:
+        fields = b"".join(r.to_bytes(nbytes, byteorder) for r in residues)
+        assert kernels._pack(residues, nbytes, byteorder) == int.from_bytes(fields, byteorder)
 
 
 @pytest.mark.parametrize(
@@ -435,6 +472,24 @@ def test_solve_width_grows_for_a_long_heavy_tail():
     den = [1] + [m // 2] * 1099
     num = [-sum(den[: i + 1]) % m for i in range(n)]
     assert all(out == [m - 1] * n for out in keyword_div_mods(num, den, n, m))
+    # m = 12, where 512 products fill 2 bytes.  The plus terms b = 6 (990)
+    # and 5 load 11 * 5945 = 65395, the three minus terms -4 load 132, a
+    # multiple of 12 and so the offset, and their sum 65527 fits 2 bytes.
+    # Lift it to 65532, the next multiple of 12: carried is at most that,
+    # but num + 65532 - carried reaches 11 + 65532 > 65535 at index 3 * B,
+    # where the minus terms see quotient 11 and the plus terms 0, so the
+    # solve width must grow to 4 bytes.
+    m = 12
+    assert kernels._field_bytes(B, m) == 2
+    den = [1] + [6] * 990 + [5] + [m - 4] * 3
+    quotient = [0] * n
+    for k in range(992, len(den)):
+        quotient[3 * B - k] = m - 1
+    rest = sum(den[k] * quotient[3 * B - k] for k in range(1, len(den)))
+    quotient[3 * B] = (m - 1 - rest) % m
+    num = ref_mul_mod(den, quotient, n, m)
+    assert num[3 * B] == m - 1
+    assert all(out == quotient for out in keyword_div_mods(num, den, n, m))
 
 @pytest.mark.parametrize(
     "m, push, per_group",

@@ -427,17 +427,9 @@ def test_pointwise_tables_are_residue_tables():
     assert sequences._build_series(SequenceRef("chi"), Zmod(3), 1).coeffs == [0, 1]
 
 
-def test_scale_tables_map_every_byte_to_its_multiple_mod_m():
-    # a read-back translates a group's residues mod its modulus, which may
-    # exceed m, so every byte must map right, not only those below m
-    for m in (2, 3, 5, 7, 105, 128, 129, 200, 255, 256):
-        for s in range(m):
-            assert sequences._scale_table(s, m) == bytes(b * s % m for b in range(256)), (s, m)
-
-
 @pytest.mark.parametrize("m", [7, 128, 129, 256, 257])
 def test_tables_to_order_0_and_1_on_each_path(m):
-    # bytes with r_6's int add, bytes without it, and lists
+    # byte columns summed as ints (m <= 128) or entry by entry, and lists
     for ref in POINTWISE:
         head = [1 if ref.name == "r" else 0, sequence_value(ref, 1) % m]
         for order in (0, 1):
