@@ -321,8 +321,8 @@ class TablePlan:
     The plan's first read builds its progression tables before any other,
     largest step first, and tables of one step in the order they were
     first declared, a claim's lhs reads before its rhs reads: a whole
-    table, such as pbar to 125*order, is then never held while the core is
-    expanded to the same length.  Every other table is built at its first
+    table, such as pbar to 125*order, is then never held while the core
+    divides to half that length.  Every other table is built at its first
     read.  A table's consumers are the claims that read it and the tables
     built from it; after the last one, the plan drops it.  verify_claims
     gives each claim kind its own plan.

@@ -183,8 +183,17 @@ def _add_format_flags(p, csv=True):
         formats.add_argument("--csv", action="store_true", help="comma-separated output")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are one line, as regover's own
+    are: "error: " and argparse's message, with exit code 2.  Its
+    subcommand parsers are of this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="regover",
         description="Truncated q-series arithmetic and congruence verification",
     )

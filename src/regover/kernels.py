@@ -73,15 +73,16 @@ that land at n >= out_len, and the accumulator never grows past out_len
 fields.  Unpacking it big-endian undoes the reversal.
 
 ``div_mod`` solves the quotient in blocks of ``_BLOCK`` coefficients.  The
-inverse of the divisor mod q**_BLOCK comes once from the sparse recurrence.
-Each block is (numerator - carried) times that inverse, one packed
-multiply, where "carried" is what earlier blocks contribute through the
-divisor's tail.  Every modulus takes the same three steps: the right-hand
-side is num + L - carried in every field, unpacked and so reduced once,
-where the lift L is a multiple of m at least every field of carried; it is
-packed and multiplied by the inverse, and the product is unpacked to the
-block's quotient; the quotient is packed again at the push width for the
-push.
+inverse of the divisor mod q**_BLOCK comes from the sparse recurrence, once
+per head of divisor terms, block and modulus (``_block_inverse``, a bounded
+cache of tuples).  Each block is (numerator - carried) times that inverse,
+one packed multiply, where "carried" is what earlier blocks contribute
+through the divisor's tail.  Every modulus takes the same three steps: the
+right-hand side is num + L - carried in every field, unpacked and so
+reduced once, where the lift L is a multiple of m at least every field of
+carried; it is packed and multiplied by the inverse, and the product is
+unpacked to the block's quotient; the quotient is packed again at the push
+width for the push.
 
 The finished block is then pushed forward through the divisor's tail.  Each
 tail residue v is read as its balanced b in (-m/2, m/2], v - m above m/2,
@@ -283,6 +284,25 @@ def _nonzero_terms(coeffs):
     return [(j, coeffs[j]) for j in compress(count(), coeffs)]
 
 
+@lru_cache(maxsize=64)
+def _block_inverse(head, block, m):
+    """den**-1 mod q**block as a tuple of residues, by the sparse recurrence
+    over den's head: its nonzero (index, residue) terms below block, the
+    constant term first.  Cached, since eta_quotient divides by one
+    divisor once per unit of its exponent."""
+    (_, d0), *head = head
+    inv0 = pow(d0, -1, m)
+    inv = [inv0]
+    for n in range(1, block):
+        acc = 0
+        for k, v in head:
+            if k > n:
+                break
+            acc -= v * inv[n - k]
+        inv.append(acc * inv0 % m)
+    return tuple(inv)
+
+
 def mul_mod(a, b, out_len, m, a_terms=None, b_terms=None):
     """Cauchy product of a and b mod m, truncated to out_len coefficients.
 
@@ -340,7 +360,7 @@ def div_mod(num, den, out_len, m, den_terms=None):
 
     num and den hold least residues mod m.  den_terms, when given, are den's
     nonzero (index, residue) terms in increasing index."""
-    inv0 = pow(den[0] if den else 0, -1, m)  # raises ValueError when not a unit
+    pow(den[0] if den else 0, -1, m)  # raises ValueError when not a unit
     if out_len <= 0:
         return []
     end = min(len(den), out_len)
@@ -349,16 +369,8 @@ def div_mod(num, den, out_len, m, den_terms=None):
     vals = [v for k, v in terms if 0 < k < end]
     block = min(_BLOCK, out_len)
     shared = _shared_residues(m, out_len)
-    # den**-1 mod q**block by the sparse recurrence
-    head = [(k, v) for k, v in zip(tail, vals) if k < block]
-    inv = [inv0]
-    for n in range(1, block):
-        acc = 0
-        for k, v in head:
-            if k > n:
-                break
-            acc -= v * inv[n - k]
-        inv.append(acc * inv0 % m)
+    head = tuple(terms[: bisect_left(terms, (min(block, end),))])
+    inv = _block_inverse(head, block, m)
     # each tail residue v as its balanced b in (-m/2, m/2], |b| and a sign
     mags = [v if 2 * v <= m else m - v for v in vals]
     minus = [2 * v > m for v in vals]

@@ -19,6 +19,7 @@ and Ops over module-level functions, so the registry holds no closure.
 from __future__ import annotations
 
 import operator
+from itertools import compress
 
 # bench/tracer.py wraps registry.primes_up_to, so the name is kept here
 from .arith import primes_up_to  # noqa: F401
@@ -43,7 +44,7 @@ from .sequences import (  # noqa: F401
     oracle_regular_overpartition_table,
     sequence_series,
 )
-from .series import Series, ZZ
+from .series import Series
 
 # -- congruence claims -------------------------------------------------------
 
@@ -212,23 +213,64 @@ def _overpartition_product(ring, order):
 
 _OVERPARTITION_QUOTIENT = EtaQuotientSpec(0, ((2, 1), (1, -2)))
 
-# psi(q) = f(q, q^3) = sum q^(n(n+1)/2)
+# psi(q) = f(q, q^3) = sum q^(n(n+1)/2); phi(x^2) = f(x^2, x^2) and
+# psi(x^4) = f(x^4, x^12), the two parts of phi(q) = phi(q^4) + 2q psi(q^8)
+# at q^2 = x
 _PSI = ThetaSpec(1, 1, 1, 3)
+_PHI_X2 = ThetaSpec(1, 2, 1, 2)
+_PSI_X4 = ThetaSpec(1, 4, 1, 12)
 
 
 def _build_core(ring, order, step=1):
     """The eta core that I-GF125 and I-ALPHA read: the step-progression of
-    (q^2;q^2)/(q;q)^2 to order, built whole as psi(q)^2 / (q^2;q^2)^3.
+    (q^2;q^2)/(q;q)^2 = psi(q)^2 / (q^2;q^2)^3 to order.
 
-    Gauss gives psi(q) = (q^2;q^2)^2/(q;q), so one division by Jacobi's
-    sparse cube replaces two by (q;q).  psi is squared over ZZ, where the
-    product is a sparse pair loop, and reduced into ring once; psi itself
-    is dropped before the division.  The core reads no theta series of
-    phi(-q), so it shares no construction with the pbar side."""
-    psi = theta_f_series(_PSI, ZZ, order)
-    square = Series(ring, (psi * psi)[:])
-    del psi
-    return (square / jacobi_cube(2, ring, order)).extract_progression(step)
+    Gauss gives psi(q) = (q^2;q^2)^2/(q;q), and Ramanujan (Berndt,
+    Notebooks III, p. 40, Entry 25) psi(q)^2 = phi(q) psi(q^2) and
+    phi(q) = phi(q^4) + 2q psi(q^8).  So with G(x) = psi(x)/(x;x)^3 the
+    core is E(q^2) + q O(q^2), E = phi(x^2) G and O = 2 psi(x^4) G: one
+    division by Jacobi's sparse cube, to order // 2.  The progression reads
+    E at x = step*n/2 for even step*n and O at x = (step*n - 1)/2 for odd,
+    so only those x of E and O are formed (_theta_times).  The core reads
+    no theta series of phi(-q), so it shares no construction with the pbar
+    side."""
+    half = order // 2
+    g = theta_f_series(_PSI, ring, half) / jacobi_cube(1, ring, half)
+    count = order // step + 1
+    if step % 2 == 0:
+        return Series(ring, _theta_times(_PHI_X2, g, 0, step // 2, count))
+    values = [0] * count
+    values[::2] = _theta_times(_PHI_X2, g, 0, step, (count + 1) // 2)
+    odd = _theta_times(_PSI_X4, g, (step - 1) // 2, step, count // 2)
+    values[1::2] = [2 * v for v in odd]
+    return Series(ring, values)
+
+
+def _theta_times(spec, g, r, d, count):
+    """The coefficients of x^(r + d t) for t < count in theta * g, theta
+    the theta series of spec, as unreduced ints.
+
+    A term c x^e of theta meets g at x^(r + d t - e) = x^(j + d u) with
+    j = (r - e) mod d and u = t - k, k = (e - r + j) / d >= 0.  So the
+    terms of one class j form a sparse series sum c y^k, and its product
+    with g's class j, sum g[j + d u] y^u, is their share: one Series
+    product of count coefficients per class."""
+    if not count:
+        return []
+    ring = g.ring
+    theta = theta_f_series(spec, ring, r + d * (count - 1))[:]
+    classes = {}
+    for e in compress(range(len(theta)), theta):
+        j = (r - e) % d
+        if j not in classes:
+            classes[j] = [0] * count
+        classes[j][(e - r + j) // d] = theta[e]
+    padded = g[:] + [0] * d  # so that each class of g has count coefficients
+    shares = [
+        (Series._raw(ring, sparse) * Series._raw(ring, padded[j::d]))[:]
+        for j, sparse in classes.items()
+    ]
+    return list(map(sum, zip(*shares)))
 
 
 def _gf_extracted(ell, step) -> Op:
@@ -238,8 +280,8 @@ def _gf_extracted(ell, step) -> Op:
 
     step must divide ell.  Then the factor (q^ell;q^ell)^2/(q^2ell;q^2ell)
     is a series in q^step, so it commutes with the extraction and is
-    evaluated at order instead of step*order.  Of the two factors only the
-    core is expanded to step*order, by _build_core once per run."""
+    evaluated at order instead of step*order.  _build_core, once per run,
+    divides to step*order // 2 and forms only the core's step-progression."""
     r = ell // step
     return Op(operator.mul, (Term(_build_core, step), _eta((r, 2), (2 * r, -1))))
 

@@ -31,7 +31,8 @@ ALLOWED = {
 ONE_VALUE_KNOBS = {
     # phi(q) = phi(-(-q)) is the tests' second route for theta_f_series
     "products.phi(sign)",
-    # ROADMAP item 12 expands cubes at other scales than 2
+    # the identity core divides by the cube at scale 1 alone; ROADMAP item
+    # 12 would expand cubes at the scales of an eta quotient's factors
     "products.jacobi_cube(scale)",
 }
 

@@ -234,6 +234,15 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [("-h",), ("verify", "-h"), ("expand", "--help")])
+def test_help_still_prints_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0
+    assert out.startswith("usage: regover") and err == ""
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -293,6 +302,7 @@ EXIT_CODE_GRID = [
     (("expand", "1000000^1", "--order", "5"), 0),
     (("expand", "q^1000 1^1", "--order", "5"), 0),
     (("expand", "1^-1", "--order", "5", "--csv", "--json"), 2),
+    (("expand", "--order", "5"), 2),
     (("value", "A", "--ell", "0", "--n", "5"), 2),
     (("value", "A", "--n", "5"), 2),
     (("value", "A", "--ell", "5", "--n", "0"), 0),
@@ -310,6 +320,7 @@ EXIT_CODE_GRID = [
     (("verify", "C-T1", "--bound", "0", "--json"), 0),
     (("verify", "C-T1", "--bound", "200", "--json"), 0),
     (("verify", "C-T1", "--bound", "abc", "--json"), 2),
+    (("verify", "--bound"), 2),
     (("verify", "C-T2", "--bound", "200", "--prime-cap", "0", "--json"), 0),
     (("verify", "C-T2", "--bound", "200", "--prime-cap", "300", "--json"), 0),
     (("verify", "C-T2", "--bound", "200", "--k-cap", "-1", "--json"), 2),
@@ -362,7 +373,8 @@ def test_exit_code_contract(capsys, broken_claim, argv, expected):
     out, err = capsys.readouterr()
     assert code == expected
     if code == 2:
-        assert "error" in err
+        # argparse's errors too are one line, with no usage text
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     elif argv[0] in ("verify", "identities"):
         statuses = [json.loads(line)["status"] for line in out.splitlines()]
         assert statuses

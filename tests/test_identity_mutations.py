@@ -82,17 +82,36 @@ def signless_phi(monkeypatch):
 
 
 def bump_core_factor(monkeypatch, name, index):
-    """Perturb one of the two factors of the eta core psi(q)^2 / (q^2;q^2)^3:
-    Jacobi's cube, or the theta series psi(q) alone."""
-    build = getattr(registry, name)
+    """Perturb one of the four factors of the eta core phi(q) G(q^2), G(x) =
+    psi(x) / (x;x)^3 and phi(q) = phi(q^4) + 2q psi(q^8): Jacobi's cube, or
+    one theta series alone, psi(x), phi(x^2) or psi(x^4) by its name in
+    CORE_THETAS.  A bump at x^k changes G or phi(x^2) first at x^k, so the
+    core at q^(2k), and psi(x^4) first at q^(2k + 1)."""
+    build = getattr(registry, "jacobi_cube" if name == "jacobi_cube" else "theta_f_series")
 
     def mutated(spec_or_scale, ring, order):
         series = build(spec_or_scale, ring, order)
-        if name == "theta_f_series" and spec_or_scale != registry._PSI:
+        if name != "jacobi_cube" and spec_or_scale != CORE_THETAS[name]:
             return series
         return bump(series, index)
 
-    monkeypatch.setattr(registry, name, mutated)
+    monkeypatch.setattr(registry, build.__name__, mutated)
+
+
+CORE_THETAS = {
+    "theta_f_series": registry._PSI,
+    "phi_x2": registry._PHI_X2,
+    "psi_x4": registry._PSI_X4,
+}
+
+# (factor, x-index bumped, first wrong index of the 125-progression, of the
+# 25-progression): x^125 gives q^250 and x^62 gives q^125
+CORE_BUMPS = [
+    ("jacobi_cube", 125, 2, 10),
+    ("theta_f_series", 125, 2, 10),
+    ("phi_x2", 125, 2, 10),
+    ("psi_x4", 62, 1, 5),
+]
 
 
 def check_fails(claim_id, order, params, index):
@@ -177,12 +196,14 @@ def test_i_gf125_fails_on_a_wrong_eta_factor(monkeypatch):
     check_fails("I-GF125", 20, {}, 1)
 
 
-@pytest.mark.parametrize("factor", ["jacobi_cube", "theta_f_series"])
-def test_i_gf125_fails_on_a_wrong_core_factor(monkeypatch, factor):
-    # a wrong q^250 term of either factor first changes the core at q^250,
-    # its 125-progression at 2; the theta side builds neither factor
-    bump_core_factor(monkeypatch, factor, 250)
-    check_fails("I-GF125", 20, {}, 2)
+@pytest.mark.parametrize(
+    "factor, index, at", [bump[:3] for bump in CORE_BUMPS], ids=[bump[0] for bump in CORE_BUMPS]
+)
+def test_i_gf125_fails_on_a_wrong_core_factor(monkeypatch, factor, index, at):
+    # a wrong term of any factor first changes the core at q^(125 at): the
+    # theta side builds none of them
+    bump_core_factor(monkeypatch, factor, index)
+    check_fails("I-GF125", 20, {}, at)
 
 
 def test_i_dissect_fails_on_a_wrong_dissection_component(monkeypatch):
@@ -210,12 +231,16 @@ def test_i_alpha_fails_on_a_wrong_eta_factor(monkeypatch):
     check_fails("I-ALPHA", 20, {"alpha": 2}, 1)
 
 
-@pytest.mark.parametrize("factor", ["jacobi_cube", "theta_f_series"])
-def test_i_alpha_fails_on_a_wrong_core_factor(monkeypatch, factor):
+@pytest.mark.parametrize(
+    "factor, index, at",
+    [bump[:2] + bump[3:] for bump in CORE_BUMPS],
+    ids=[bump[0] for bump in CORE_BUMPS],
+)
+def test_i_alpha_fails_on_a_wrong_core_factor(monkeypatch, factor, index, at):
     # the core the three cases share is built in the run, from the mutated
-    # factor; its 25-progression first differs at 10
-    bump_core_factor(monkeypatch, factor, 250)
-    check_fails("I-ALPHA", 20, {"alpha": 2}, 10)
+    # factor; its 25-progression first differs at q^(25 at)
+    bump_core_factor(monkeypatch, factor, index)
+    check_fails("I-ALPHA", 20, {"alpha": 2}, at)
 
 
 def test_i_pbar_fails_when_only_the_scale_two_product_is_wrong(monkeypatch):

@@ -514,16 +514,38 @@ def test_theta_divisor_push_width(monkeypatch, m, push, per_group):
 
 
 def test_jacobi_cube_divisor_keeps_the_solve_width(monkeypatch):
-    # (q^2;q^2)^3 mod 625: |b| up to 312, so one term's load 312 * 624
-    # overflows 2 bytes, and the push runs at the solve width, one group
-    # per sign
-    N, m = 125000, 625
-    den = jacobi_cube(2, Zmod(m), N)
+    # (q;q)^3 mod 625, the identity core's divisor at half of 125000: |b|
+    # up to 312, so one term's load 312 * 624 overflows 2 bytes, and the
+    # push runs at the solve width, one group per sign
+    N, m = 62500, 625
+    den = jacobi_cube(1, Zmod(m), N)
     tried = _push_layouts(monkeypatch)
     kernels.div_mod([1], den[:], N + 1, m, den_terms=list(den._terms))
     assert [width for width, layout in tried if layout is not None] == [4]
     push, (groups, signs) = tried[-1]
     assert push == kernels._field_bytes(B, m) and sorted(signs) == [False, True]
+
+
+def test_a_divisors_block_inverse_is_built_once():
+    # eta_quotient divides by one divisor once per unit of its exponent; the
+    # block inverse is cached by the divisor's terms below the block, the
+    # block and the modulus, and the cache is bounded
+    inverse = kernels._block_inverse
+    inverse.cache_clear()
+    den = phi(-1, Zmod(625), 3000)
+    num = [n * n % 625 for n in range(3001)]
+    first = kernels.div_mod(num, den[:], 3001, 625, den_terms=list(den._terms))
+    assert kernels.div_mod(num, den[:], 3001, 625) == first == ref_div_mod(num, den[:], 3001, 625)
+    assert (inverse.cache_info().misses, inverse.cache_info().hits) == (1, 1)
+    # a tail past the block leaves the head, and so the inverse, as it is
+    longer = den[:B] + [0] * B + [7]
+    assert kernels.div_mod(num, longer, 3001, 625) == ref_div_mod(num, longer, 3001, 625)
+    assert inverse.cache_info().misses == 1
+    for m, out_len in ((5, 3001), (625, 100)):
+        num_m, den_m = [c % m for c in num], [c % m for c in den[:]]
+        assert kernels.div_mod(num_m, den_m, out_len, m) == ref_div_mod(num_m, den_m, out_len, m)
+    assert inverse.cache_info().misses == 3
+    assert inverse.cache_info().maxsize is not None
 
 
 def test_push_layouts_agree_at_bench_scale():

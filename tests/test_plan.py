@@ -330,12 +330,12 @@ def test_each_identity_table_is_built_once_to_its_largest_read(builds, monkeypat
         ("pbar", 625, 125 * order, 1),
     ]
     # one core for I-GF125 (step 125) and the three cases of I-ALPHA (25)
-    assert core == [(625, 125 * order)]
+    assert core == [(625, 125 * order // 2)]
 
 
 def test_progression_tables_are_built_before_whole_ones(builds, monkeypatch):
     # I-GF5 reads first, but pbar to 125*order is not held while the core
-    # is expanded to the same length
+    # is built
     cube = registry.jacobi_cube
 
     def spy(scale, ring, order):
@@ -346,7 +346,7 @@ def test_progression_tables_are_built_before_whole_ones(builds, monkeypatch):
     selected = claims_by_id(["I-GF5", "I-R25", "I-GF125"])
     assert all(r.status == "pass" for r in run_identities(selected, 20).values())
     assert builds == [
-        ("core", 625, 2500),  # kept as its 125-progression
+        ("core", 625, 1250),  # divided to half of 2500, kept as its 125-progression
         ("pbar", 625, 2500, 1),  # built for A_125, kept whole for A_25 and A_5
         ("A(125)", 625, 2500, 125),
         ("A(25)", 5, 100, 5),

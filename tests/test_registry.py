@@ -19,10 +19,10 @@ from regover.claims import (
     verify_claim,
     verify_claims,
 )
-from regover.products import eta_quotient
+from regover.products import eta_quotient, jacobi_cube, theta_f_series
 from regover.registry import builtin_registry, claims_by_id
 from regover.sequences import SequenceRef, sequence_series
-from regover.series import ZZ, Ring, Zmod
+from regover.series import ZZ, Ring, Series, Zmod
 
 import pytest
 
@@ -278,21 +278,32 @@ def test_no_identity_side_reads_the_other_sides_table(monkeypatch):
     assert builders["I-R25"] == builders["I-TRENEER"] == [{"phi"}, {"theta_f_series"}]
 
 
+def psi_squared_over_cube(ring, order):
+    """The core's former route: psi(q)^2 squared over ZZ, reduced into ring
+    and divided by (q^2;q^2)^3 at full length."""
+    psi = theta_f_series(registry._PSI, ZZ, order)
+    return Series(ring, (psi * psi)[:]) / jacobi_cube(2, ring, order)
+
+
 @pytest.mark.parametrize(
-    "ring, orders",
-    [(ZZ, (0, 1, 2, 3, 7, 40, 2000)), (Zmod(625), (0, 1, 7, 25000)), (Zmod(5), (0, 1, 7, 25000))],
-    ids=["ZZ", "mod625", "mod5"],
+    "ring", [ZZ, Zmod(625), Zmod(5), Zmod(840)], ids=["ZZ", "mod625", "mod5", "mod840"]
 )
-def test_the_core_equals_the_pentagonal_eta_quotient(ring, orders):
-    # psi(q)^2 / (q^2;q^2)^3 against the two divisions by (q;q)
-    for order in orders:
-        expected = eta_quotient(registry._OVERPARTITION_QUOTIENT, ring, order)
-        assert registry._build_core(ring, order) == expected, order
+def test_the_core_equals_the_pentagonal_eta_quotient(ring):
+    # phi(q) G(q^2), formed at the progression's indices only, against psi^2
+    # / (q^2;q^2)^3 and the two divisions by (q;q), each whole and
+    # extracted; odd steps read both halves E and O, even ones E alone
+    for order in (0, 1, 2, 3, 7, 40, 25000):
+        whole = psi_squared_over_cube(ring, order)
+        assert whole == eta_quotient(registry._OVERPARTITION_QUOTIENT, ring, order), order
+        for step in (1, 2, 3, 6, 25, 125, order + 1):
+            got = registry._build_core(ring, order, step)
+            assert got == whole.extract_progression(step), (order, step)
 
 
 def test_one_core_build_divides_once_by_a_sparse_divisor(monkeypatch):
-    # a cost guard by count: the square of psi is taken over ZZ, and the
-    # one division is by a divisor with O(sqrt(N)) terms
+    # a cost guard by count: the one division runs at half length by a
+    # divisor with O(sqrt(N)) terms, no product is taken over ZZ, and no
+    # kernel call runs past half length
     N = 125 * 1000
     calls = []
     for name in ("mul_exact", "mul_mod", "div_exact", "div_mod"):
@@ -303,11 +314,15 @@ def test_one_core_build_divides_once_by_a_sparse_divisor(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(kernels, name, spy)
-    registry._build_core(Zmod(625), N)
-    assert [name for name, _ in calls] == ["mul_exact", "div_mod"]
-    _, (num, den, out_len, m) = calls[1]
-    assert (out_len, m) == (N + 1, 625)
-    assert sum(1 for c in den[1:] if c % m) <= isqrt(N) + 1
+    for step in (1, 25):
+        calls.clear()
+        registry._build_core(Zmod(625), N, step)
+        names = [name for name, _ in calls]
+        assert names.count("div_mod") == 1 and set(names) == {"div_mod", "mul_mod"}
+        _, (num, den, out_len, m) = calls[names.index("div_mod")]
+        assert (out_len, m) == (N // 2 + 1, 625)
+        assert sum(1 for c in den[1:] if c % m) <= isqrt(N) + 1
+        assert max(args[2] for _, args in calls) <= N // 2 + 1
 
 
 def test_i_alpha_builds_the_extracted_quotient_once(monkeypatch):
@@ -329,7 +344,7 @@ def test_i_alpha_builds_the_extracted_quotient_once(monkeypatch):
     (claim,) = claims_by_id(["I-ALPHA"])
     plan = TablePlan([claim], order=40)
     assert verify_claim(claim, plan).status == "pass"
-    assert cubes == [(2, 625, 25 * 40)]
+    assert cubes == [(1, 625, 25 * 40 // 2)]
     # the outer factors are the only eta quotients, one per case at order
     assert len(built) == len({spec for spec, _ in built}) == 3
     assert {order for _, order in built} == {40}

@@ -97,8 +97,8 @@ def test_one_plan_over_the_identities_builds_each_table_once(monkeypatch):
         ("A(625)", 625, 25 * order, 25),
         ("pbar", 625, 125 * order, 1),
     ]
-    assert cores == [(625, 125 * order)]
-    # pbar 1, the core 1 (by (q^2;q^2)^3), the outer factors of I-GF125 and
+    assert cores == [(625, 125 * order // 2)]
+    # pbar 1, the core 1 (by (q;q)^3 at half length), the outer factors of I-GF125 and
     # I-ALPHA's three cases 4, and I-GF5's eta side 4
     assert names.count("kernels.div_mod") == 10
     assert plan._tables == {}
