@@ -58,6 +58,9 @@ smallest width of 1, 2, 4 or 8 bytes, or else the smallest whole number of
 bytes, that holds the largest value it can reach, its load.  A field that
 sums at most t products of two residues has load t * (m - 1)**2.  Then no
 field carries into the next one, and the low fields unpack exactly.
+``products.one_plus_q_product`` packs its exact expansion by the same
+rule, ``_load_bytes`` of a bound on its coefficients, and reads it back
+with a big-endian ``_unpack``.
 
 ``mul_mod`` counts the zeros of both operands, truncated to out_len, and
 packs the denser one; t is the nonzero count of the other, and on a tie the

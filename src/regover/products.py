@@ -6,11 +6,15 @@ their ThetaSpec.
 Each construction has an independent second route used by the tests
 (finite-product expansion, bilateral sum vs. triple product, Jacobi's cube
 vs. the cubed pentagonal series), so a bug in one path cannot silently
-confirm itself.
+confirm itself.  The triple product's and the overpartition product's
+prod (1 + q^e) is expanded exactly on one packed int, one big-int
+shift-add per factor, and the tests hold it to a plain list shift-add
+per factor.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from itertools import chain
 from typing import NamedTuple
@@ -19,6 +23,7 @@ from . import kernels
 from .series import Ring, Series, check_order
 
 _KARATSUBA = 1.585  # log2(3), the exponent of CPython's big-int multiply
+_LN2 = math.log(2)
 
 
 def euler_product(scale: int, ring: Ring, order: int) -> Series:
@@ -93,18 +98,51 @@ def _sparse(ring: Ring, order: int, terms: list) -> Series:
 
 
 def one_plus_q_product(exponents, ring: Ring, order: int) -> Series:
-    """prod (1 + q^e) over the given exponents, by direct expansion.
+    """prod (1 + q^e) over the given exponents, by direct expansion in one
+    packed int.
 
-    One in-place shift-add per factor; e = 0 doubles the series, e > order
-    leaves it unchanged.  Coefficients are reduced once, at the end.
+    Every exponent is checked before anything is expanded.  The series is
+    packed big-endian at a fixed field width w, coefficient 0 in the top
+    field, as ``kernels.mul_mod``'s shift-add packs it: 1 is
+    1 << (order * w).  A factor (1 + q^e) with e <= order is then one
+    shift-add, c += c >> (e * w): the right shift drops exactly the fields
+    that land past order, so no mask is needed.  e = 0 doubles the series,
+    and e > order leaves it unchanged.  No field carries into the next,
+    since w holds every coefficient (``_product_bytes``).  The fields are
+    unpacked once and reduced into ring once, at the end.
     """
     check_order(order)
-    c = [1] + [0] * order
+    factors = []
     for e in exponents:
         if e < 0:
             raise ValueError(f"exponent {e} must be >= 0")
-        c[e:] = [x + y for x, y in zip(c[e:], c)]
-    return Series(ring, c)
+        if e <= order:
+            factors.append(e)
+    nbytes = _product_bytes(factors, order)
+    w = 8 * nbytes
+    c = 1 << (order * w)
+    for e in factors:
+        c += c >> (e * w)
+    return Series(ring, kernels._unpack(c, order + 1, nbytes, byteorder="big"))
+
+
+def _product_bytes(exponents, order: int) -> int:
+    """Bytes per field that hold every coefficient to order of prod (1 + q^e)
+    over exponents, all at most order, and over each partial product.
+
+    The coefficients c_n are nonnegative, so c_n x^n <= P(x), the product at
+    x, for 0 < x <= 1; with x^n >= x^order this gives c_n <= P(x) / x^order
+    for n <= order, and a partial product's coefficients are no larger.  The
+    bound is taken at x = 1 (2^#factors) and at x = e^-u for
+    u = 2^k / sqrt(order + 1), k = -3..3, as a log-sum by math.fsum, and
+    two guard bits cover its float rounding."""
+    least = len(exponents) * _LN2
+    for k in range(-3, 4):
+        u = 2.0**k / math.sqrt(order + 1)
+        logs = math.fsum([math.log1p(math.exp(-u * e)) for e in exponents])
+        least = min(least, logs + order * u)
+    bits = math.ceil(least / _LN2) + 2
+    return kernels._load_bytes((1 << bits) - 1)
 
 
 # -- eta quotients ---------------------------------------------------------

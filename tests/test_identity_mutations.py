@@ -69,6 +69,18 @@ def bump_phi(monkeypatch, target, index):
     monkeypatch.setattr(products, "phi", mutated)
 
 
+def bump_expansion(monkeypatch, index):
+    """Perturb the exact expansion prod (1 + q^e), as I-PBAR's product side
+    reads it from registry and I-TRIPLE's from products."""
+    build = products.one_plus_q_product
+
+    def mutated(exponents, ring, order):
+        return bump(build(exponents, ring, order), index)
+
+    for owner in (products, registry):
+        monkeypatch.setattr(owner, "one_plus_q_product", mutated)
+
+
 def signless_phi(monkeypatch):
     """Make phi ignore its sign, at every module that builds with it: the
     overpartition table becomes 1/phi(q) and each A_l phi(q^l)/phi(q)."""
@@ -218,6 +230,13 @@ def test_i_triple_fails_on_a_wrong_product_side(monkeypatch):
     check_fails("I-TRIPLE", 30, {"a": 3, "b": 7}, 10)
 
 
+def test_i_triple_fails_on_a_wrong_expansion(monkeypatch):
+    # a wrong coefficient above the order the hypothesis test of the
+    # expansion reaches; the bilateral sum never expands a product
+    bump_expansion(monkeypatch, 70)
+    check_fails("I-TRIPLE", 80, {"a": 3, "b": 7}, 70)
+
+
 def test_i_alpha_fails_on_a_wrong_overpartition_table(monkeypatch):
     # As for I-GF125: with both sides built from phi(-q^l) * pbar over ZZ
     # this mutation passed every case.
@@ -247,6 +266,13 @@ def test_i_pbar_fails_when_only_the_scale_two_product_is_wrong(monkeypatch):
     # the product side divides by (q;q) only; the eta side also uses (q^2;q^2)
     bump_euler(monkeypatch, products, 2, 2)
     check_fails("I-PBAR", 30, {}, 2)
+
+
+def test_i_pbar_fails_on_a_wrong_expansion(monkeypatch):
+    # (q;q) has constant term 1, so the quotient first differs where the
+    # product does
+    bump_expansion(monkeypatch, 70)
+    check_fails("I-PBAR", 80, {}, 70)
 
 
 def test_every_identity_has_a_mutation_test():

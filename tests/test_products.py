@@ -1,4 +1,6 @@
 import random
+from functools import lru_cache
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -316,11 +318,82 @@ def test_one_plus_q_product_matches_factorwise_product(exponents, ring, order):
     assert one_plus_q_product(exponents, ring, order) == expected
 
 
-def test_one_plus_q_product_rejects_negative_exponent():
-    with pytest.raises(ValueError):
+def test_one_plus_q_product_rejects_negative_exponent(monkeypatch):
+    # the field width needs every exponent, so a negative one must stop the
+    # call before the width is taken or any field is unpacked
+    def expanded(*args, **kwargs):
+        raise AssertionError("expanded before the exponents were checked")
+
+    monkeypatch.setattr(products, "_product_bytes", expanded)
+    monkeypatch.setattr(kernels, "_unpack", expanded)
+    with pytest.raises(ValueError, match=r"^exponent -1 must be >= 0$"):
         one_plus_q_product([1, -1], ZZ, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^exponent -3 must be >= 0$"):
+        one_plus_q_product(chain([5, 0], [-3, -4]), ZZ, 10)
+    with pytest.raises(ValueError, match=r"^order must be >= 0$"):
         one_plus_q_product([], ZZ, -1)
+
+
+# (exponents, order) for the packed expansion: (1 + q)^k at order k, where
+# the width's bound is tightest against the central binomial; a multiset
+# with many doublings; distinct parts; I-TRIPLE's two progressions; and
+# exponents above the order.  Exponents are tuples, so that the cached
+# reference can key on them
+PACKED_CASES = {
+    **{f"binomial-{k}": ((1,) * k, k) for k in (0, 1, 2, 3, 8, 30, 61, 62, 63, 64, 500, 2000)},
+    "doublings": ((0,) * 300 + tuple(range(1, 50)), 60),
+    **{f"distinct-{n}": (tuple(range(1, n + 1)), n) for n in (0, 1, 2, 3, 999, 1000, 4000)},
+    **{
+        f"triple-{a}-{b}": (
+            tuple(chain(range(a, 1001, a + b), range(b, 1001, a + b))),
+            1000,
+        )
+        for a, b in ((3, 7), (1, 9))
+    },
+    "above-order": ((5, 1001, 3, 2000, 0, 1000, 7), 1000),
+    "above-order-0": ((1, 2, 0, 3, 0), 0),
+}
+PACKED_RINGS = [ZZ, Zmod(2), Zmod(5), Zmod(24), Zmod(625), Zmod(840)]
+
+
+@lru_cache(maxsize=None)
+def listed_product(exponents, order):
+    """Reference: prod (1 + q^e) by one list shift-add per factor over ZZ."""
+    c = [1] + [0] * order
+    for e in exponents:
+        c[e:] = [x + y for x, y in zip(c[e:], c)]
+    return c
+
+
+@pytest.mark.parametrize("case", PACKED_CASES)
+def test_one_plus_q_product_matches_the_list_expansion(case):
+    exponents, order = PACKED_CASES[case]
+    expected = listed_product(exponents, order)
+    for ring in PACKED_RINGS:
+        got = one_plus_q_product(exponents, ring, order).coeffs
+        m = ring.modulus
+        assert got == (expected if m is None else [c % m for c in expected]), (case, ring)
+
+
+def test_one_plus_q_product_reads_a_one_shot_iterator():
+    exponents = chain(range(1, 50), iter([0, 0, 70]), range(3, 80, 4))
+    expected = listed_product(tuple(chain(range(1, 50), [0, 0, 70], range(3, 80, 4))), 100)
+    assert one_plus_q_product(exponents, ZZ, 100).coeffs == expected
+
+
+def test_product_bytes_hold_every_coefficient_with_a_spare_bit():
+    # and waste at most one byte over the width of the largest coefficient;
+    # both read-backs run: array fields of at most 8 bytes, and wider
+    # fields unpacked one by one
+    widths = set()
+    for case, (exponents, order) in PACKED_CASES.items():
+        nbytes = products._product_bytes([e for e in exponents if e <= order], order)
+        widths.add(nbytes)
+        largest = max(listed_product(exponents, order))
+        assert largest < 1 << (8 * nbytes - 1), case
+        assert nbytes <= kernels._load_bytes(largest << 8), case
+    assert {1, 2, 4, 8} <= widths
+    assert max(widths) > 8
 
 
 def test_theta_product_rejects_signs():

@@ -260,6 +260,7 @@ def test_no_identity_side_reads_the_other_sides_table(monkeypatch):
     # a Build binds its function when the claim is made, so the claims
     # that run under the spies are made after them
     builders = {}
+    expands = set()
     spied = [c for c in builtin_registry() if isinstance(c, IdentityClaim)]
     for claim, data in zip(spied, identities):
         for instance, data_instance in zip(claim.instances, data.instances):
@@ -268,6 +269,8 @@ def test_no_identity_side_reads_the_other_sides_table(monkeypatch):
                 called.clear()
                 evaluate_alone(side, Ring(instance.modulus), 20)
                 sides.append(set(called))
+                if "one_plus_q_product" in called:
+                    expands.add(claim.id)
                 named = {s.__name__ for s in sources(data_side) if callable(s)}
                 assert named & set(BUILDERS) <= sides[-1], (claim.id, named)
             shared[claim.id] |= sides[0] & sides[1]
@@ -276,6 +279,8 @@ def test_no_identity_side_reads_the_other_sides_table(monkeypatch):
         "I-PBAR": {"euler_product"},
     }
     assert builders["I-R25"] == builders["I-TRENEER"] == [{"phi"}, {"theta_f_series"}]
+    # the exact expansion is read by I-PBAR and I-TRIPLE alone
+    assert expands == {"I-PBAR", "I-TRIPLE"}
 
 
 def psi_squared_over_cube(ring, order):
