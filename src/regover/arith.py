@@ -7,10 +7,10 @@ as a product over the prime powers p^e of n (Grosswald, Representations of
 Integers as Sums of Squares, 1985), with n factored by plain trial
 division.  These closed forms serve ``regover value`` one n at a time.
 They also seed the multiplicative sieves that build the residue tables
-claim runs read (``regover.sequences``): at each prime power p^e with p <=
-sqrt(top), and at a larger prime p once per class of p mod lcm(4, M), M
-the sieve's modulus.  So a claim run factors a few hundred arguments, each
-at most the table's top index (784 calls, none above 3^9 = 19,683, for the
+claim runs read (``regover.sequences``): at each prime power p^e <= top
+with e >= 2, and at a prime p once per class of p mod lcm(4, M), M the
+sieve's modulus.  So a claim run factors a few hundred arguments, each
+at most the table's top index (664 calls, none above 3^9 = 19,683, for the
 registry's congruences at bound 20,000), and at that size plain trial
 division costs less than a gcd with a product of small primes would.
 

@@ -57,10 +57,13 @@ arithmetic runs the inner loops.  Field-width rule: a field gets the
 smallest width of 1, 2, 4 or 8 bytes, or else the smallest whole number of
 bytes, that holds the largest value it can reach, its load.  A field that
 sums at most t products of two residues has load t * (m - 1)**2.  Then no
-field carries into the next one, and the low fields unpack exactly.
-``products.one_plus_q_product`` packs its exact expansion by the same
-rule, ``_load_bytes`` of a bound on its coefficients, and reads it back
-with a big-endian ``_unpack``.
+field carries into the next one, and the low fields unpack exactly.  A
+packed int has one byte order: ``_pack`` puts entry i in field i, counted
+from the low end, and ``_unpack`` returns field 0 first.  A caller that
+needs coefficient 0 in the top field packs its list reversed and reverses
+what it unpacks.  ``products.one_plus_q_product`` packs its exact
+expansion by the same rule, ``_load_bytes`` of a bound on its
+coefficients, and reads it back with ``_unpack``, reversed.
 
 ``mul_mod`` counts the zeros of both operands, truncated to out_len, and
 packs the denser one; t is the nonzero count of the other, and on a tie the
@@ -69,11 +72,11 @@ recorded terms are exactly an operand's nonzeros.  When the sparser operand
 is sparse (see ``_SPARSE_RATIO``) it shift-adds a scaled copy of the packed
 operand per nonzero term, from its recorded terms or else a scan;
 otherwise it packs it too and does one big-int multiply.  The shift-add
-packs the dense operand padded to out_len fields and reversed (big-endian),
-so coefficient n sits in field out_len - 1 - n.  A term d q**j then adds
+packs the dense operand reversed and shifts it up to out_len fields, so
+coefficient n sits in field out_len - 1 - n.  A term d q**j then adds
 (d * packed) >> (j * width): the right shift drops exactly the products
 that land at n >= out_len, and the accumulator never grows past out_len
-fields.  Unpacking it big-endian undoes the reversal.
+fields.  Reversing the unpacked fields undoes the reversal.
 
 ``div_mod`` solves the quotient in blocks of ``_BLOCK`` coefficients.  The
 inverse of the divisor mod q**_BLOCK comes from the sparse recurrence, once
@@ -121,7 +124,6 @@ group per sign and a single phase.  Dividing by phi(-q) mod 625 pushes
 through 2-byte fields in groups of 52 terms, where the solve width is 4.
 """
 
-import sys
 from array import array
 from bisect import bisect_left
 from functools import lru_cache
@@ -145,8 +147,10 @@ _PUSH_GROUP_TERMS = 8
 # the largest modulus whose residues the kernels hold as bytes
 _BYTE_MODULI = 128
 
-# array typecode per field width; arrays hold native-order items
+# array typecode per field width; arrays hold native-order items, swapped
+# to and from a packed int's little-endian fields on a big-endian host
 _ARRAY_CODES = {array(code).itemsize: code for code in "QLIHB"}
+_SWAP = array("H", [1]).tobytes() != b"\x01\x00"
 
 
 def backend_name():
@@ -194,9 +198,8 @@ def _shared_residues(m, out_len):
     return list(range(m)) if 256 < m <= out_len else None
 
 
-def _pack(residues, nbytes, byteorder="little"):
-    """One int with residues[i] in field i, from bytes or a list of ints;
-    with byteorder "big" they pack reversed, residues[0] in the top field.
+def _pack(residues, nbytes):
+    """One int with residues[i] in field i, from bytes or a list of ints.
     Residues that all fit a byte pack as bytes, each the low byte of its
     field, placed by one strided slice assignment; others through an array
     of the field width."""
@@ -205,22 +208,20 @@ def _pack(residues, nbytes, byteorder="little"):
     except ValueError:  # a residue past 255
         code = _ARRAY_CODES.get(nbytes)
         if code is None:
-            data = b"".join([c.to_bytes(nbytes, byteorder) for c in residues])
-            return int.from_bytes(data, byteorder)
+            data = b"".join([c.to_bytes(nbytes, "little") for c in residues])
+            return int.from_bytes(data, "little")
         fields = array(code, residues)
-        if byteorder != sys.byteorder:
+        if _SWAP:
             fields.byteswap()
-        return int.from_bytes(fields, byteorder)
+        return int.from_bytes(fields, "little")
     fields = bytearray(len(residues) * nbytes)
-    fields[(byteorder == "big") * (nbytes - 1) :: nbytes] = residues
-    return int.from_bytes(fields, byteorder)
+    fields[::nbytes] = residues
+    return int.from_bytes(fields, "little")
 
 
-def _low_fields(x, size, byteorder="little"):
-    """The low size bytes of x, in byteorder."""
-    length = max(size, (x.bit_length() + 7) >> 3)
-    data = x.to_bytes(length, byteorder)
-    return data[:size] if byteorder == "little" else data[length - size :]
+def _low_fields(x, size):
+    """The low size bytes of x, little-endian."""
+    return x.to_bytes(max(size, (x.bit_length() + 7) >> 3), "little")[:size]
 
 
 @lru_cache(maxsize=256)
@@ -252,27 +253,24 @@ def _residue_bytes(columns, scales, m):
     return acc.to_bytes(n, "little").translate(reduce)
 
 
-def _unpack(x, n, nbytes, m=None, shared=None, byteorder="little"):
-    """The low n fields of x, reduced mod m or as they are without m; with
-    byteorder "big" they come out reversed, field n - 1 first.  Residues
-    mod m <= _BYTE_MODULI come as bytes, reduced by byte planes: plane j,
-    byte j of every field, is a column scaled by 256**j mod m.  Otherwise
-    they come as a list, reduced field by field, as entries of `shared`
-    when given."""
+def _unpack(x, n, nbytes, m=None, shared=None):
+    """The low n fields of x, field 0 first, reduced mod m or as they are
+    without m.  Residues mod m <= _BYTE_MODULI come as bytes, reduced by
+    byte planes: plane j, byte j of every field, is a column scaled by
+    256**j mod m.  Otherwise they come as a list, reduced field by field,
+    as entries of `shared` when given."""
     size = n * nbytes
-    data = _low_fields(x, size, byteorder)
+    data = _low_fields(x, size)
     if m is not None and m <= _BYTE_MODULI:
         planes = [data[j::nbytes] for j in range(nbytes)]
-        if byteorder == "big":
-            planes.reverse()
         return _residue_bytes(planes, [pow(256, j, m) for j in range(nbytes)], m)
     code = _ARRAY_CODES.get(nbytes)
     if code is None:
-        fields = [int.from_bytes(data[i : i + nbytes], byteorder) for i in range(0, size, nbytes)]
+        fields = [int.from_bytes(data[i : i + nbytes], "little") for i in range(0, size, nbytes)]
     else:
         fields = array(code)
         fields.frombytes(data)
-        if byteorder != sys.byteorder:
+        if _SWAP:
             fields.byteswap()
     if m is None:
         return list(fields)
@@ -329,8 +327,8 @@ def mul_mod(a, b, out_len, m, a_terms=None, b_terms=None):
         return list(_unpack(acc, out_len, nbytes, m, shared))
     terms = _nonzero_terms(b) if b_terms is None else b_terms[: bisect_left(b_terms, (out_len,))]
     width = 8 * nbytes
-    # a, padded to out_len fields by the shift
-    packed = _pack(a, nbytes, "big") << (out_len - len(a)) * width
+    # a reversed, padded to out_len fields by the shift
+    packed = _pack(a[::-1], nbytes) << (out_len - len(a)) * width
     del a, b  # free any truncated copies before the shift-adds
     scaled = {}
     acc = 0
@@ -339,7 +337,9 @@ def mul_mod(a, b, out_len, m, a_terms=None, b_terms=None):
         if term is None:
             term = scaled[d] = packed * d
         acc += term >> (j * width)
-    return list(_unpack(acc, out_len, nbytes, m, shared, "big"))
+    out = list(_unpack(acc, out_len, nbytes, m, shared))
+    out.reverse()
+    return out
 
 
 def mul_exact(a, b, out_len):

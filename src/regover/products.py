@@ -102,14 +102,14 @@ def one_plus_q_product(exponents, ring: Ring, order: int) -> Series:
     packed int.
 
     Every exponent is checked before anything is expanded.  The series is
-    packed big-endian at a fixed field width w, coefficient 0 in the top
+    packed reversed at a fixed field width w, coefficient 0 in the top
     field, as ``kernels.mul_mod``'s shift-add packs it: 1 is
     1 << (order * w).  A factor (1 + q^e) with e <= order is then one
     shift-add, c += c >> (e * w): the right shift drops exactly the fields
     that land past order, so no mask is needed.  e = 0 doubles the series,
     and e > order leaves it unchanged.  No field carries into the next,
     since w holds every coefficient (``_product_bytes``).  The fields are
-    unpacked once and reduced into ring once, at the end.
+    unpacked once, reversed, and reduced into ring once, at the end.
     """
     check_order(order)
     factors = []
@@ -123,7 +123,7 @@ def one_plus_q_product(exponents, ring: Ring, order: int) -> Series:
     c = 1 << (order * w)
     for e in factors:
         c += c >> (e * w)
-    return Series(ring, kernels._unpack(c, order + 1, nbytes, byteorder="big"))
+    return Series(ring, kernels._unpack(c, order + 1, nbytes)[::-1])
 
 
 def _product_bytes(exponents, order: int) -> int:

@@ -13,20 +13,20 @@ one n, and each table is a sum of multiplicative parts times scales: r_6 =
 16 T - 4 P for its two divisor sums T and P, and any other ref is scale f
 for the one f whose value at p^e is closed(p^e) // scale, where scale is
 2k for r_k (k = 2, 4, 8), -1 for sigma3m and 1 for d* and chi.  No r_k is
-built as a power of theta.  The parts are sieved, seeded from the closed
-forms at the prime powers p^e with p <= sqrt(top).  A larger prime enters
-only as p^1.  At an odd prime every closed form here is a polynomial in
-p and chi(p), and 2 is alone in its class mod 4, so a seed mod M at p
-depends only on p mod lcm(4, M): it is computed once per such class, at
-the least prime above sqrt(top) in it.  Parts with pairwise coprime
-moduli form a SieveGroup, one sieve over Zmod of the moduli's product
-whose seeds are the CRT of the parts' seeds and whose products are
-reduced as they are made; a table is read back from its group or groups
-with its scales.  table_inputs groups the parts of every pointwise table
-that a claims.TablePlan reads, and the plan builds each group once; a
-table built alone (``sequence_series``) sieves the groups table_inputs
-gives its own parts, by the same code.  Claim runs read these tables from
-their plan.
+built as a power of theta.  The parts are sieved by one walk over the
+primes p <= top, the same for every p, seeded from the closed forms at
+each p^e <= top with e >= 2 and at p^1.  At an odd prime every closed
+form here is a polynomial in p and chi(p), and 2 and each prime dividing
+M are alone in their class mod lcm(4, M), so a seed mod M at p depends
+only on p mod lcm(4, M): it is computed once per such class, at the least
+prime in it.  Parts with pairwise coprime moduli form a SieveGroup, one
+sieve over Zmod of the moduli's product whose seeds are the CRT of the
+parts' seeds and whose products are reduced as they are made; a table is
+read back from its group or groups with its scales.  table_inputs groups
+the parts of every pointwise table that a claims.TablePlan reads, and the
+plan builds each group once; a table built alone (``sequence_series``)
+sieves the groups table_inputs gives its own parts, by the same code.
+Claim runs read these tables from their plan.
 
 Oracle route: one enumeration walk, deliberately memo-free and
 structurally unrelated to the series pipeline, that weights each partition
@@ -41,7 +41,7 @@ at one n is read from the table up to n.
 from __future__ import annotations
 
 from functools import partial
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from . import arith, kernels
@@ -157,15 +157,17 @@ def _build_series(ref: SequenceRef, ring: Ring, order: int, *inputs, step=1) -> 
 
 def _multiplicative(seed, m: int, order: int) -> bytearray | list[int]:
     """f(0..order) mod m, with 0 at 0, for the multiplicative f with f(p^e) =
-    seed(p, e) mod m.  For a prime p <= sqrt(order) and each p^e <= order,
-    the indices of exact p-valuation e are the slices t[j p^e :: p^(e+1)],
-    j = 1..p-1, and each is scaled once by f(p^e).  A prime above
-    sqrt(order) scales only as p^1, t[p::p], and every seed here is at p^1 a
-    function of p mod lcm(4, m), so seed is called once per such class: at
-    its least prime above sqrt(order).  For m <= 256 a residue fits a byte,
-    so t is a bytearray and a slice is scaled by translating it with
-    kernels._scale_table(s, m); for a larger m t is a list, scaled entry by
-    entry."""
+    seed(p, e) mod m.  One walk for every prime p: save the column t[q::q]
+    of each q = p^e <= order with e >= 2, scale t[p::p] once by f(p), then
+    overwrite each t[q::q], in increasing e, with its saved column scaled
+    by f(p^e).  An index of exact p-valuation e is last written at p^e,
+    from its value before p, so it gains the factor f(p^e) and no other.
+    Every seed here is at p^1 a function of p mod lcm(4, m), and 2 and each
+    p dividing m are alone in their class, so f(p) is seeded once per such
+    class, at its least prime; f(p^e) for e >= 2 once per p^e.  For m <=
+    256 a residue fits a byte, so t is a bytearray and a column is scaled by
+    translating it with kernels._scale_table(s, m); for a larger m t is a
+    list, scaled entry by entry."""
     if m <= 256:
         t = bytearray([1]) * (order + 1)
 
@@ -178,20 +180,18 @@ def _multiplicative(seed, m: int, order: int) -> bytearray | list[int]:
             return [v * s % m for v in column]
 
     t[0] = 0
-    root, period, by_class = isqrt(order), lcm(4, m), {}
+    period, by_class = lcm(4, m), {}
     for p in arith.primes_up_to(order):
-        if p <= root:
-            q, e = p, 1
-            while q <= order:
-                s, stride = seed(p, e) % m, q * p
-                for j in range(q, min(stride, order + 1), q):
-                    t[j::stride] = scaled(t[j::stride], s)
-                q, e = stride, e + 1
-        else:
-            s = by_class.get(p % period)
-            if s is None:
-                s = by_class[p % period] = seed(p, 1) % m
-            t[p::p] = scaled(t[p::p], s)
+        s = by_class.get(p % period)
+        if s is None:
+            s = by_class[p % period] = seed(p, 1) % m
+        saved, q = [], p * p
+        while q <= order:
+            saved.append((q, t[q::q]))
+            q *= p
+        t[p::p] = scaled(t[p::p], s)
+        for e, (q, column) in enumerate(saved, 2):
+            t[q::q] = scaled(column, seed(p, e) % m)
     return t
 
 

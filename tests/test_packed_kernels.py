@@ -189,16 +189,20 @@ def test_largest_field_sums_do_not_carry(m):
     assert all(out == expected for out in keyword_div_mods(full, den, n, m))
 
 
-@pytest.mark.parametrize("byteorder", ["little", "big"])
+@pytest.mark.parametrize("layout", ["little", "big"])
 @pytest.mark.parametrize("nbytes", [1, 2, 4, 8])
-def test_byte_planes_reduce_like_mod(nbytes, byteorder):
-    # every byte-path modulus, on the extreme field values and random ones
+def test_byte_planes_reduce_like_mod(nbytes, layout):
+    # every byte-path modulus, on the extreme field values and random ones;
+    # _unpack reads field 0 first, so fields laid out big-endian, as the
+    # shift-add of mul_mod lays them, read back reversed
     top = 256**nbytes - 1
     for m in range(2, kernels._BYTE_MODULI + 1):
         rng = random.Random(m * 16 + nbytes)
         fields = [0, m - 1, m, top] + [rng.randrange(top + 1) for _ in range(40)]
-        x = int.from_bytes(b"".join(f.to_bytes(nbytes, byteorder) for f in fields), byteorder)
-        out = kernels._unpack(x, len(fields), nbytes, m, byteorder=byteorder)
+        x = int.from_bytes(b"".join(f.to_bytes(nbytes, layout) for f in fields), layout)
+        out = kernels._unpack(x, len(fields), nbytes, m)
+        if layout == "big":
+            out = out[::-1]
         assert out == bytes(f % m for f in fields)
 
 
@@ -224,16 +228,21 @@ def test_scale_tables_map_every_byte_to_its_multiple_mod_m():
             assert kernels._scale_table(s, m) == bytes(b * s % m for b in range(256)), (s, m)
 
 
-@pytest.mark.parametrize("byteorder", ["little", "big"])
+@pytest.mark.parametrize("layout", ["little", "big"])
 @pytest.mark.parametrize("nbytes", [1, 2, 3, 8, 9])
-def test_pack_puts_each_residue_in_its_field(nbytes, byteorder):
-    # bytes, a list whose entries fit a byte, and one with an entry past 255
+def test_pack_puts_each_residue_in_its_field(nbytes, layout):
+    # bytes, a list whose entries fit a byte, and one with an entry past 255;
+    # _pack puts entry i in field i from the low end, so the big-endian
+    # layout of mul_mod's shift-add is the pack of the reversed entries
     cases = [bytes([0, 1, 128, 255, 7]), [0, 1, 128, 255, 7]]
     if nbytes > 1:
         cases.append([0, 1, 300, 255, 7])
     for residues in cases:
-        fields = b"".join(r.to_bytes(nbytes, byteorder) for r in residues)
-        assert kernels._pack(residues, nbytes, byteorder) == int.from_bytes(fields, byteorder)
+        fields = b"".join(r.to_bytes(nbytes, layout) for r in residues)
+        entries = residues if layout == "little" else residues[::-1]
+        packed = kernels._pack(entries, nbytes)
+        assert packed == int.from_bytes(fields, layout)
+        assert list(kernels._unpack(packed, len(entries), nbytes)) == list(entries)
 
 
 @pytest.mark.parametrize(
@@ -332,15 +341,16 @@ def test_mul_mod_shift_adds_the_sparser_operand(monkeypatch, sparser, recorded):
     packs = []
     pack = kernels._pack
 
-    def spy(residues, nbytes, byteorder="little"):
-        packs.append((list(residues), byteorder))
-        return pack(residues, nbytes, byteorder)
+    def spy(residues, nbytes):
+        packs.append(list(residues))
+        return pack(residues, nbytes)
 
     monkeypatch.setattr(kernels, "_pack", spy)
     out = kernels.mul_mod(a, b, N, 5, a_terms=a_terms, b_terms=b_terms)
     assert out == ref_mul_mod(a, b, N, 5)
     denser = b if sparser == "a" or (sparser == "tie" and recorded == "a") else a
-    assert packs == [(denser[:N], "big")]
+    # reversed, so that coefficient 0 sits in the top field
+    assert packs == [denser[:N][::-1]]
 
 
 @pytest.mark.parametrize("m, n", [(625, 3 * 625), (840, 3 * 840), (2**31 - 1, 60)])

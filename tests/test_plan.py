@@ -250,7 +250,7 @@ def test_a_plans_pointwise_tables_equal_lone_builds():
     # r_6's P, r_8 mod 6 and sigma3m mod 25 one mod 1050 (not coprime to
     # the first); chi mod 7 a third.  r_8 and chi are kept as progressions of
     # step 2 and 4, and sigma3m is read to bound / 5 only, next to A_5 at
-    # 5 n.  Below top 49, some of 2, 3, 5 and 7 lie above sqrt(top).
+    # 5 n.  Below top 49, some of 2, 3, 5 and 7 have no square up to top.
     r2, r4, r6, r8, s3, chi = (
         *(SequenceRef("r", k) for k in (2, 4, 6, 8)),
         SequenceRef("sigma3m"),

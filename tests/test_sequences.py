@@ -1,9 +1,11 @@
+import hashlib
+import json
 import types
 from math import isqrt, lcm
 
 import pytest
 
-from regover import arith, sequences
+from regover import arith, kernels, sequences
 from regover.products import eta_quotient, phi
 from regover.registry import regular_overpartition_quotient
 from regover.sequences import (
@@ -321,6 +323,13 @@ def test_sequence_series_rejects_a_negative_order():
 # list; r_6's two byte columns are added as ints only up to 128
 TABLE_MODULI = (2, 3, 5, 7, 8, 24, 128, 129, 200, 256, 257, 625)
 
+# the two groups mod 105 that a plan of the registry's congruences sieves
+R2, R4, R6, R8 = (SequenceRef("r", k) for k in (2, 4, 6, 8))
+REGISTRY_GROUPS = (
+    sequences.SieveGroup((((R4, 0), 5), ((R2, 0), 3), ((R6, 0), 7))),
+    sequences.SieveGroup((((R6, 1), 7), ((R8, 0), 3), ((SequenceRef("sigma3m"), 0), 5))),
+)
+
 
 @pytest.mark.parametrize("ref", POINTWISE, ids=SequenceRef.label)
 def test_pointwise_tables_match_the_closed_forms(ref):
@@ -342,23 +351,22 @@ def test_r_tables_match_the_lattice_count(k):
 
 def expected_seeds(order, modulus):
     """The p^e a sieve mod modulus to order seeds each part at, sorted: each
-    p^e with p <= sqrt(order), then the least prime above sqrt(order) in each
-    class mod lcm(4, modulus)."""
-    root, period = isqrt(order), lcm(4, modulus)
-    exponents = range(1, order.bit_length())
-    small = [p**e for p in arith.primes_up_to(root) for e in exponents if p**e <= order]
+    p^e <= order with e >= 2, then the least prime <= order in each class
+    mod lcm(4, modulus)."""
+    period = lcm(4, modulus)
+    exponents = range(2, order.bit_length())
+    powers = [p**e for p in arith.primes_up_to(isqrt(order)) for e in exponents if p**e <= order]
     least = {}
     for p in arith.primes_up_to(order):
-        if p > root:
-            least.setdefault(p % period, p)
-    return sorted(small + list(least.values()))
+        least.setdefault(p % period, p)
+    return sorted(powers + list(least.values()))
 
 
 def test_a_table_seeds_each_small_prime_power_and_each_class_once(monkeypatch):
     # every sieve reads each part's closed form through sequences.arith once
-    # per p^e with p <= sqrt(top), and once per class mod lcm(4, M) of the
-    # primes above sqrt(top), for its group's modulus M; the bench tracer
-    # counts the arith work of a sieved table through these calls
+    # per p^e <= top with e >= 2, and once per class mod lcm(4, M) of the
+    # primes <= top, for its group's modulus M; the bench tracer counts the
+    # arith work of a sieved table through these calls
     seen = []
     proxy = types.SimpleNamespace(**vars(arith))
     for name in ("r_formula", "d_star", "sigma3_minus", "chi", "r6_factors"):
@@ -373,8 +381,9 @@ def test_a_table_seeds_each_small_prime_power_and_each_class_once(monkeypatch):
     monkeypatch.setattr(sequences, "arith", proxy)
     order = 20000
     alone = expected_seeds(order, 5)
-    # the 100 p^e with p <= 141 and the 8 classes mod 20 prime to it, of 2328 p^e
-    assert len(alone) == 100 + 8
+    # the 66 p^e with e >= 2, and the classes mod 20 of 2, of 5 and the 8
+    # prime to 20, of 2328 p^e
+    assert len(alone) == 66 + 10
     for ref in POINTWISE:
         seen.clear()
         table = sequences._build_series(ref, Zmod(5), order)
@@ -383,14 +392,14 @@ def test_a_table_seeds_each_small_prime_power_and_each_class_once(monkeypatch):
         assert sorted(args[-1] for args in seen) == sorted(alone * parts), ref.label()
         assert table[order] == sequence_value(ref, order) % 5, ref.label()
     # one group of three parts, as a plan sieves r_4 mod 5, r_2 mod 3 and T mod 7
-    r2, r4, r6 = (SequenceRef("r", k) for k in (2, 4, 6))
     seen.clear()
-    sequences.sieve(sequences.SieveGroup((((r4, 0), 5), ((r2, 0), 3), ((r6, 0), 7))), order)
+    sequences.sieve(REGISTRY_GROUPS[0], order)
     by_part = {}
     for *key, n in seen:
         by_part.setdefault(tuple(key), []).append(n)
     grouped = expected_seeds(order, 105)
-    assert len(grouped) == 100 + 96  # the classes mod 420 prime to it
+    # the classes mod 420 of 2, 3, 5, 7 and the 96 prime to 420
+    assert len(grouped) == 66 + 100
     assert {key: sorted(ns) for key, ns in by_part.items()} == {
         ("r_formula", 4): grouped,
         ("r_formula", 2): grouped,
@@ -403,9 +412,9 @@ SEEDS = [(ref, 0) for ref in POINTWISE] + [(SequenceRef("r", 6), 1)]
 
 @pytest.mark.parametrize("part", SEEDS, ids=lambda part: f"{part[0].label()}-{part[1]}")
 def test_a_seed_at_a_prime_is_a_function_of_its_class_mod_lcm_4_m(part):
-    # the sieve seeds a prime above sqrt(top) with the seed of the least such
-    # prime in its class mod lcm(4, M), which is right only if each seed at a
-    # prime is a function of that class
+    # the sieve seeds every prime with the seed of the least prime in its
+    # class mod lcm(4, M), which is right only if each seed at a prime is a
+    # function of that class
     ref, i = part
     _, seed = sequences._parts(ref)[i]
     primes = arith.primes_up_to(20000)
@@ -416,6 +425,86 @@ def test_a_seed_at_a_prime_is_a_function_of_its_class_mod_lcm_4_m(part):
         for p in primes:
             q = least.setdefault(p % period, p)
             assert values[p] % m == values[q] % m, (p, q, m)
+
+
+def test_a_sieve_scales_one_column_per_prime_and_prime_power(monkeypatch):
+    # each of the registry's two groups mod 105 at 2 * 10^4 scales t[p::p]
+    # once for each of the 2262 primes and t[q::q] once for each of the 66
+    # q = p^e with e >= 2: every scaling translates by one _scale_table
+    calls = []
+    table = kernels._scale_table
+
+    def spy(s, m):
+        calls.append(m)
+        return table(s, m)
+
+    monkeypatch.setattr(kernels, "_scale_table", spy)
+    order = 20000
+    assert len(arith.primes_up_to(order)) == 2262
+    for group in REGISTRY_GROUPS:
+        calls.clear()
+        sequences.sieve(group, order)
+        assert calls == [105] * (2262 + 66)
+
+
+def _two_regime_walk(seed, m, order):
+    """The reference walk, as a list, with two regimes: for p <= sqrt(order)
+    each slice of exact p-valuation e, t[j p^e :: p^(e+1)] for j = 1..p-1,
+    is scaled by f(p^e) seeded at p itself; a larger prime scales t[p::p]
+    once, seeded once per class of p mod lcm(4, m) at its least prime above
+    sqrt(order)."""
+    t = [1] * (order + 1)
+    t[0] = 0
+    root, period, by_class = isqrt(order), lcm(4, m), {}
+    for p in arith.primes_up_to(order):
+        if p <= root:
+            q, e = p, 1
+            while q <= order:
+                s, stride = seed(p, e) % m, q * p
+                for j in range(q, min(stride, order + 1), q):
+                    t[j::stride] = [v * s % m for v in t[j::stride]]
+                q, e = stride, e + 1
+        else:
+            s = by_class.get(p % period)
+            if s is None:
+                s = by_class[p % period] = seed(p, 1) % m
+            t[p::p] = [v * s % m for v in t[p::p]]
+    return t
+
+
+def test_one_walk_matches_the_two_regime_walk(monkeypatch):
+    # every part, bytes (m <= 256) and lists, at orders around small squares
+    # and cubes; then the registry's groups, whose seeds are CRT sums
+    orders = (0, 1, 2, 3, 4, 8, 9, 25, 64)
+    for ref, i in SEEDS:
+        _, seed = sequences._parts(ref)[i]
+        for m in (*range(2, 301), 625, 840):
+            for order in orders:
+                expected = _two_regime_walk(seed, m, order)
+                assert list(sequences._multiplicative(seed, m, order)) == expected, (ref, i, m)
+    one_walk = [sequences.sieve(group, 3000) for group in REGISTRY_GROUPS]
+    monkeypatch.setattr(sequences, "_multiplicative", _two_regime_walk)
+    assert one_walk == [sequences.sieve(group, 3000) for group in REGISTRY_GROUPS]
+
+
+# sha256 of the JSON coefficient list, first 16 hex digits, of each table
+# the registry's congruences read, at 10^6: the only check where p^e with
+# e >= 3 reaches p near 100
+MILLION_HASHES = {
+    (R2, 3): "b26043f1e196b92c",
+    (R4, 5): "0bc2bdaec5427990",
+    (R6, 7): "e4e1adce65eb43ac",
+    (R8, 3): "270eb6f74761b274",
+    (SequenceRef("sigma3m"), 5): "6ec435c6a62c9092",
+}
+
+
+@pytest.mark.parametrize(
+    "ref, m", MILLION_HASHES, ids=[f"{ref.label()}-{m}" for ref, m in MILLION_HASHES]
+)
+def test_registry_tables_at_a_million_keep_their_hashes(ref, m):
+    coeffs = sequence_series(ref, Zmod(m), 10**6).coeffs
+    assert hashlib.sha256(json.dumps(coeffs).encode()).hexdigest()[:16] == MILLION_HASHES[ref, m]
 
 
 def test_pointwise_tables_are_residue_tables():
@@ -442,14 +531,10 @@ def test_tables_to_order_0_and_1_on_each_path(m):
 def test_byte_and_list_sieves_agree_at_bench_scale():
     # the registry's two groups mod 105 are sieved as bytes; the same parts
     # mod 25 * 9 * 7 = 1575 are sieved as lists, and agree mod 105
-    r2, r4, r6, r8 = (SequenceRef("r", k) for k in (2, 4, 6, 8))
-    s3 = SequenceRef("sigma3m")
-    first = [((r4, 0), 5), ((r2, 0), 3), ((r6, 0), 7)]
-    second = [((r6, 1), 7), ((r8, 0), 3), ((s3, 0), 5)]
     order = 20000
-    for parts in (first, second):
-        small = sequences.sieve(sequences.SieveGroup(tuple(parts)), order)
-        wide = [(part, {3: 9, 5: 25}.get(m, m)) for part, m in parts]
+    for group in REGISTRY_GROUPS:
+        small = sequences.sieve(group, order)
+        wide = [(part, {3: 9, 5: 25}.get(m, m)) for part, m in group.parts]
         large = sequences.sieve(sequences.SieveGroup(tuple(wide)), order)
         assert isinstance(small, bytes) and isinstance(large, list)
         assert list(small) == [v % 105 for v in large]

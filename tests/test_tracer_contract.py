@@ -34,8 +34,8 @@ def test_tracer_installs_and_uninstalls_against_the_package():
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
     # the sigma3m table's sieve is seeded from arith's closed forms, at the
-    # prime powers p^e with p <= sqrt(top) and once per class of the larger
-    # primes, through sequences.arith, which the tracer wraps
+    # prime powers p^e with e >= 2 and once per class of the primes,
+    # through sequences.arith, which the tracer wraps
     assert {"claims.C-T6", "sequences.build", "arith", "registry"} <= names
     assert tracer.counts["arith.trial_div_steps"] > 0
     after = [dict(vars(m)) for m in modules] + [dict(vars(Series))]
