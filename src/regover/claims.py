@@ -58,11 +58,11 @@ from collections import Counter
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from . import sequences
+from . import kernels, sequences
 from .arith import primes_up_to
 # bench/tracer.py wraps claims.sequence_value, so the name is kept here
 from .sequences import SequenceRef, SieveGroup, sequence_value  # noqa: F401
-from .series import Ring, Series, Zmod
+from .series import Ring, Series, Zmod, _zeros
 
 DEFAULT_BOUND = 2000
 DEFAULT_PRIME_CAP = 20
@@ -381,10 +381,13 @@ class TablePlan:
             raise ValueError(f"claim {claim.id} is not in the plan")
         return self._checks[id(claim)]
 
-    def read(self, source, modulus: int, indices: range) -> list[int]:
+    def read(self, source, modulus: int, indices: range) -> bytes | list[int]:
         """source's table at indices, mod modulus, a declared read, as a
-        fresh list; shorter when the table is.  The plan's first read builds
-        its progression tables, largest step first."""
+        slice of the table's store, bytes for a modulus <= 128 and else a
+        fresh list; shorter when the table is.  A table over a larger modulus
+        is reduced by kernels._reduce: a bytes slice by one translate, a
+        list slice read at a modulus <= 128 once into bytes.  The plan's
+        first read builds its progression tables, largest step first."""
         if not self._started:
             self._started = True
             kept = {s: g for s, (*_, g) in self._spec.items() if g > 1}
@@ -392,9 +395,9 @@ class TablePlan:
                 self._table(s)
         table, g = self._table(source), self._spec[source][2]
         end = indices.start + indices.step * len(indices)
-        values = table[indices.start // g : end // g : indices.step // g]
+        values = table._coeffs[indices.start // g : end // g : indices.step // g]
         if table.ring.modulus != modulus:
-            values = [v % modulus for v in values]
+            values = kernels._reduce(values, table.ring.modulus, modulus)
         return values
 
     def _add(self, source, modulus: int, indices: range):
@@ -434,12 +437,14 @@ class TablePlan:
             self._tables.pop(source, None)
 
 
-def _side(t: Term, check: _Check, plan: TablePlan) -> list[int]:
+def _side(t: Term, check: _Check, plan: TablePlan) -> bytes | bytearray | list[int]:
     """Residues of one side over its progression for n in [lo, hi], read
-    from the plan and sign-twisted."""
+    from the plan and sign-twisted, in the store of the modulus: bytes-like
+    for a modulus <= 128, else a list.  The twist of bytes is one translate
+    of the odd slice, b -> -b mod m."""
     m = check.modulus
     if t.seq is None:
-        return [0] * (check.hi - check.lo + 1)
+        return _zeros(Ring(m), check.hi - check.lo + 1)
     indices = _indices(t, check)
     values = plan.read(t.seq, m, indices)
     if t.sign_twist:
@@ -450,11 +455,15 @@ def _side(t: Term, check: _Check, plan: TablePlan) -> list[int]:
             odd = slice((start + 1) & 1, None, 2)
         else:
             odd = slice(None if start & 1 else 0)
-        values[odd] = [-v % m for v in values[odd]]
+        if isinstance(values, bytes):
+            values = bytearray(values)
+            values[odd] = values[odd].translate(kernels._scale_table(m - 1, m))
+        else:
+            values[odd] = [-v % m for v in values[odd]]
     return values
 
 
-def _evaluate(side, ring: Ring, order: int, read: Callable[[Term], list[int]]):
+def _evaluate(side, ring: Ring, order: int, read: Callable[[Term], bytes | list[int]]):
     """An identity side as a Series over ring to order, and an Op's int
     argument as itself; a Term's values are read(term)."""
     if isinstance(side, Term):
@@ -466,11 +475,12 @@ def _evaluate(side, ring: Ring, order: int, read: Callable[[Term], list[int]]):
     return side
 
 
-def _cases(claim, plan: TablePlan) -> Iterator[tuple[list, list, _Check]]:
+def _cases(claim, plan: TablePlan) -> Iterator[tuple[bytes | list, bytes | list, _Check]]:
     """What the claim compares, check by check: (lhs, rhs, check), two
-    residue lists over n = lo..hi.  A Term side is read from the plan, any
-    other side evaluated over ZZ/modulus to the order hi.  A side that
-    stops short raises ValueError, so it cannot shrink the check."""
+    residue sequences over n = lo..hi in the store of the check's modulus
+    (see ``_side``).  A Term side is read from the plan, any other side
+    evaluated over ZZ/modulus to the order hi.  A side that stops short
+    raises ValueError, so it cannot shrink the check."""
     for c in plan.checks(claim):
         sides = []
         for name, side in (("lhs", c.lhs), ("rhs", c.rhs)):
@@ -478,7 +488,7 @@ def _cases(claim, plan: TablePlan) -> Iterator[tuple[list, list, _Check]]:
                 values = _side(side, c, plan)
             else:
                 series = _evaluate(side, Ring(c.modulus), c.hi, lambda t: _side(t, c, plan))
-                values = series[: c.hi + 1]
+                values = series._coeffs[: c.hi + 1]
             if len(values) <= c.hi - c.lo:
                 raise ValueError(
                     f"{claim.id}: {name} of {dict(c.params)} stops at n = "
@@ -492,9 +502,9 @@ def verify_claim(claim, plan: TablePlan) -> VerificationReport:
     """Check the claim with the tables and knobs of plan, which must hold it:
     a congruence claim at every instance for all n with all indices in
     [1, plan.caps.bound], an identity claim at every instance to
-    plan.order_of(claim).  Each check's two sides are compared whole; the
-    first mismatch is located only when they differ.  The claim's tables
-    are released on return."""
+    plan.order_of(claim).  Each check's two sides are compared whole, as
+    bytes for a modulus <= 128; the first mismatch is located only when
+    they differ.  The claim's tables are released on return."""
     congruence = isinstance(claim, CongruenceClaim)
     bound = plan.caps.bound if congruence else plan.order_of(claim)
     total = 0
@@ -555,7 +565,8 @@ def hunt(
         raise ValueError("min_instances must be >= 1")
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    table = sequences.sequence_series(ref, Zmod(modulus), bound)[1:]  # table[i] is at i + 1
+    # the store, bytes for a modulus <= 128; table[i] is at i + 1
+    table = sequences.sequence_series(ref, Zmod(modulus), bound)._coeffs[1:]
     results = []
     for a in range(1, min(max_step, bound) + 1):
         if (bound - 1) // a + 1 < min_instances:

@@ -5,18 +5,18 @@ exact kernels, in pure Python.
 kernel implementation.  ``series`` and ``arith`` call them as attributes of
 this module and none of them calls another, so wrapping the four attributes
 (as ``bench/tracer.py`` does) sees every kernel call exactly once.
-Coefficient lists may be shorter or longer than ``out_len`` (missing entries
-are zero, extra ones are ignored); outputs have exactly ``out_len`` entries.
-Modular results are least nonnegative residues.
+Coefficient sequences may be shorter or longer than ``out_len`` (missing
+entries are zero, extra ones are ignored); outputs have exactly ``out_len``
+entries.  Modular results are least nonnegative residues.
 
-``mul_mod`` and ``div_mod`` take lists of least residues mod m, as every
-``Series`` over Zmod(m) holds them, and read them as they are: they make no
-reduced copy of an operand.  An operand's terms (``a_terms``, ``b_terms``,
-``den_terms``), when given, are exactly its nonzero (index, residue) pairs
-in increasing index, which the sparse constructors in ``products`` record as
-they build a series.  A kernel reads them only for the operand it steps
-through term by term, cut at out_len, and then does not scan that operand
-for its nonzeros.
+``mul_mod`` and ``div_mod`` take least residues mod m, as bytes for m <=
+128 and as lists above, the way every ``Series`` over Zmod(m) stores them,
+and read them as they are: they make no reduced copy of an operand.  An
+operand's terms (``a_terms``, ``b_terms``, ``den_terms``), when given, are
+exactly its nonzero (index, residue) pairs in increasing index, which the
+sparse constructors in ``products`` record as they build a series.  A
+kernel reads them only for the operand it steps through term by term, cut
+at out_len, and then does not scan that operand for its nonzeros.
 
 Residues mod m <= 128 (``_BYTE_MODULI``) are one byte each inside the
 kernels, and ``_unpack`` alone decides it: it returns the reduced fields of
@@ -32,10 +32,14 @@ always take one more column; above it, up to m = 256, one column still
 reduces by translate and several are summed entry by entry.  ``_pack``
 packs bytes, or a list whose entries all fit a byte, by widening them into
 their fields with one strided slice assignment; other lists go through an
-array.  Outputs are lists of ints.  The paper's mod-625 and mod-840 tables
-stay lists, reduced field by field with ``%``, since their residues do not
-fit a byte.  The sieve tables of ``regover.sequences`` are bytes up to m =
-256, and are scaled and summed with the same two helpers.
+array.  So ``mul_mod`` and ``div_mod`` return bytes for m <= 128, the bytes
+``_unpack`` makes, and lists of ints above, and ``div_mod`` collects its
+quotient blocks in a bytearray.  The paper's mod-625 and mod-840 tables stay
+lists, reduced field by field with ``%``, since their residues do not fit a
+byte.  The sieve tables of ``regover.sequences`` are bytes up to m = 256,
+and are scaled and summed with the same two helpers.  ``_reduce`` takes
+residues mod a multiple of m into the store of m: bytes by one translate, a
+list mod up to 2**32 by the byte planes of one array, as ``_unpack`` does.
 
 When m is past CPython's small-int cache (m > 256) and out_len >= m, a
 modular output holds one shared int object per residue, from one
@@ -76,7 +80,8 @@ packs the dense operand reversed and shifts it up to out_len fields, so
 coefficient n sits in field out_len - 1 - n.  A term d q**j then adds
 (d * packed) >> (j * width): the right shift drops exactly the products
 that land at n >= out_len, and the accumulator never grows past out_len
-fields.  Reversing the unpacked fields undoes the reversal.
+fields.  Reversing the unpacked fields, one reversed slice, undoes the
+reversal.
 
 ``div_mod`` solves the quotient in blocks of ``_BLOCK`` coefficients.  The
 inverse of the divisor mod q**_BLOCK comes from the sparse recurrence, once
@@ -253,6 +258,26 @@ def _residue_bytes(columns, scales, m):
     return acc.to_bytes(n, "little").translate(reduce)
 
 
+def _reduce(residues, big, m):
+    """Least residues mod big, reduced mod m, a divisor of big: bytes for m <=
+    _BYTE_MODULI, else a list.  Bytes are reduced by one translate.  A list
+    of residues below 2**32 is packed into one array of 4-byte items, whose
+    low byte planes, as many as big - 1 needs, are summed by
+    _residue_bytes."""
+    if m > _BYTE_MODULI:
+        return [v % m for v in residues]
+    if isinstance(residues, bytes):
+        return residues.translate(_scale_table(1, m))
+    if big > 1 << 32:
+        return bytes([v % m for v in residues])
+    fields = array(_ARRAY_CODES[4], residues)
+    if _SWAP:
+        fields.byteswap()
+    data = fields.tobytes()
+    planes = range(_load_bytes(big - 1))
+    return _residue_bytes([data[j::4] for j in planes], [pow(256, j, m) for j in planes], m)
+
+
 def _unpack(x, n, nbytes, m=None, shared=None):
     """The low n fields of x, field 0 first, reduced mod m or as they are
     without m.  Residues mod m <= _BYTE_MODULI come as bytes, reduced by
@@ -310,7 +335,7 @@ def mul_mod(a, b, out_len, m, a_terms=None, b_terms=None):
     a and b hold least residues mod m.  a_terms and b_terms, when given, are
     their nonzero (index, residue) terms in increasing index."""
     if out_len <= 0:
-        return []
+        return _unpack(0, 0, 1, m)  # no fields, as bytes or a list as m asks
     a = a[:out_len] if len(a) > out_len else a
     b = b[:out_len] if len(b) > out_len else b
     na, nb = len(a) - a.count(0), len(b) - b.count(0)
@@ -319,12 +344,12 @@ def mul_mod(a, b, out_len, m, a_terms=None, b_terms=None):
     if (na, a_terms is None) < (nb, b_terms is None):
         a, b, nb, b_terms = b, a, na, a_terms
     if not nb:
-        return [0] * out_len
+        return _unpack(0, out_len, 1, m)
     nbytes = _field_bytes(nb, m)
     shared = _shared_residues(m, out_len)
     if nb * nb > _SPARSE_RATIO * len(a):
         acc = _pack(a, nbytes) * _pack(b, nbytes)
-        return list(_unpack(acc, out_len, nbytes, m, shared))
+        return _unpack(acc, out_len, nbytes, m, shared)
     terms = _nonzero_terms(b) if b_terms is None else b_terms[: bisect_left(b_terms, (out_len,))]
     width = 8 * nbytes
     # a reversed, padded to out_len fields by the shift
@@ -337,9 +362,7 @@ def mul_mod(a, b, out_len, m, a_terms=None, b_terms=None):
         if term is None:
             term = scaled[d] = packed * d
         acc += term >> (j * width)
-    out = list(_unpack(acc, out_len, nbytes, m, shared))
-    out.reverse()
-    return out
+    return _unpack(acc, out_len, nbytes, m, shared)[::-1]
 
 
 def mul_exact(a, b, out_len):
@@ -365,7 +388,7 @@ def div_mod(num, den, out_len, m, den_terms=None):
     nonzero (index, residue) terms in increasing index."""
     pow(den[0] if den else 0, -1, m)  # raises ValueError when not a unit
     if out_len <= 0:
-        return []
+        return _unpack(0, 0, 1, m)
     end = min(len(den), out_len)
     terms = _nonzero_terms(den[:end]) if den_terms is None else den_terms
     tail = [k for k, _ in terms if 0 < k < end]
@@ -422,7 +445,7 @@ def div_mod(num, den, out_len, m, den_terms=None):
     offsets = [int.from_bytes(offset.to_bytes(slot, "little") * per_block, "little")] * phases
     sums = {}
     lifts = int.from_bytes(lift.to_bytes(nbytes, "little") * block, "little")
-    q = []
+    q = bytearray() if m <= _BYTE_MODULI else []
     for t in range(nblocks):
         start = t * block
         size = min(block, out_len - start)
@@ -463,7 +486,7 @@ def div_mod(num, den, out_len, m, den_terms=None):
             if term is None:
                 term = scaled[v] = packed * v
             win[t + hop] += term << shift
-    return q
+    return bytes(q) if m <= _BYTE_MODULI else q
 
 
 def div_exact(num, den, out_len):

@@ -20,7 +20,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from . import kernels
-from .series import Ring, Series, check_order
+from .series import Ring, Series, _zeros, check_order
 
 _KARATSUBA = 1.585  # log2(3), the exponent of CPython's big-int multiply
 _LN2 = math.log(2)
@@ -87,7 +87,7 @@ def _sparse(ring: Ring, order: int, terms: list) -> Series:
     """The Series to order with the given (exponent, coefficient) terms,
     at increasing exponents up to order; those nonzero in ring are recorded
     as the Series' terms."""
-    c = [0] * (order + 1)
+    c = _zeros(ring, order + 1)
     kept = []
     for e, v in terms:
         v = ring.reduce(v)
@@ -103,12 +103,17 @@ def one_plus_q_product(exponents, ring: Ring, order: int) -> Series:
 
     Every exponent is checked before anything is expanded.  The series is
     packed reversed at a fixed field width w, coefficient 0 in the top
-    field, as ``kernels.mul_mod``'s shift-add packs it: 1 is
-    1 << (order * w).  A factor (1 + q^e) with e <= order is then one
-    shift-add, c += c >> (e * w): the right shift drops exactly the fields
-    that land past order, so no mask is needed.  e = 0 doubles the series,
-    and e > order leaves it unchanged.  No field carries into the next,
-    since w holds every coefficient (``_product_bytes``).  The fields are
+    field, as ``kernels.mul_mod``'s shift-add packs it, over only the
+    d + 1 fields its degree d has reached: coefficient n sits in field
+    d - n, and 1 is 1.  A factor (1 + q^e) with e <= order is one
+    shift-add.  While d + e <= order it is c += c << (e * w), which moves
+    coefficient n to field d + e - n and grows the series by e fields, so
+    a factor costs the fields reached so far.  Past that the series is
+    padded once to order + 1 fields, and a factor is c += c >> (e * w):
+    the right shift drops exactly the fields that land past order, so no
+    mask is needed.  e = 0 doubles the series, and e > order leaves it
+    unchanged.  No field carries into the next, since w holds every
+    coefficient (``_product_bytes``).  The fields are padded to order + 1,
     unpacked once, reversed, and reduced into ring once, at the end.
     """
     check_order(order)
@@ -120,9 +125,17 @@ def one_plus_q_product(exponents, ring: Ring, order: int) -> Series:
             factors.append(e)
     nbytes = _product_bytes(factors, order)
     w = 8 * nbytes
-    c = 1 << (order * w)
+    c, degree = 1, 0
     for e in factors:
+        if degree + e <= order:  # no field passes order: grow by e fields
+            c += c << (e * w)
+            degree += e
+            continue
+        if degree < order:  # pad to order + 1 fields, once
+            c <<= (order - degree) * w
+            degree = order
         c += c >> (e * w)
+    c <<= (order - degree) * w
     return Series(ring, kernels._unpack(c, order + 1, nbytes)[::-1])
 
 

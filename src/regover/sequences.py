@@ -134,9 +134,9 @@ def _build_series(ref: SequenceRef, ring: Ring, order: int, *inputs, step=1) -> 
         # the same grouped as phi(-q^l) * pbar
         (pbar,) = inputs
         g = gcd(step, ref.param)
-        coeffs = pbar[: order + 1 : g]
+        coeffs = pbar._coeffs[: order + 1 : g]
         if pbar.ring != ring:
-            coeffs = [c % ring.modulus for c in coeffs]
+            coeffs = kernels._reduce(coeffs, pbar.ring.modulus, ring.modulus)
         table = phi(-1, ring, order // g, scale=ref.param // g) * Series._raw(ring, coeffs)
         step //= g
     elif not ref.is_series_backed:
@@ -274,25 +274,25 @@ def sieve(group: SieveGroup, order: int) -> bytes | list[int]:
     return bytes(table) if modulus <= 256 else table
 
 
-def _pointwise_table(ref: SequenceRef, m: int, order: int, groups, step: int) -> list[int]:
+def _pointwise_table(ref: SequenceRef, m: int, order: int, groups, step: int) -> bytes | list[int]:
     """ref(0..order) mod m at the multiples of step, read from the tables of
     its parts' sieve groups, in part order: each group's modulus is a
     multiple of m, so a group's residue mod m is its part's value mod m, and
     the table is the sum of the parts' columns times their scales.  Columns
-    held as bytes are summed by kernels._residue_bytes; with a list among
-    them the table is summed entry by entry."""
+    held as bytes are summed by kernels._residue_bytes into bytes; with a
+    list among them the table is summed entry by entry into a list."""
     scales = [scale % m for scale, _ in _parts(ref)]
     columns = [g[: order + 1 : step] for g in groups]
     if all(isinstance(c, bytes) for c in columns):
-        t = list(kernels._residue_bytes(columns, scales, m))
+        t = kernels._residue_bytes(columns, scales, m)
     elif len(scales) == 2:
         s, u = scales
         t = [(s * a + u * b) % m for a, b in zip(*columns)]
     else:
         (s,) = scales
         t = [s * v % m for v in columns[0]]
-    if ref.name == "r":
-        t[0] = 1
+    if ref.name == "r":  # r_k(0) = 1, in t's own type
+        t = type(t)([1]) + t[1:]
     return t
 
 

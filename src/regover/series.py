@@ -1,9 +1,18 @@
 """Truncated formal power series in q over ZZ or ZZ/m.
 
-A Series stores the dense coefficient list of sum a(n) q^n for n = 0..order
+A Series stores the dense coefficients of sum a(n) q^n for n = 0..order
 (truncation order inclusive).  Exact coefficients are arbitrary-precision
 ints; modular coefficients are kept as least nonnegative residues.  A Series
 is immutable after construction and every operation returns a new one.
+
+The store rule: over Zmod(m) with m <= ``kernels._BYTE_MODULI`` (128) the
+residues are stored as bytes, one byte each, and otherwise, over ZZ
+included, as a list of ints.  ``_store`` applies it to every constructor and
+to ``_raw``, so the kernels' bytes outputs and the byte tables of
+``sequences`` and ``claims`` are stored as they come.  The public API does
+not show the store: ``coeffs`` and slices are lists, an index is an int, and
+``==``, ``repr`` and ``to_json_obj`` read the same either way.  A scalar
+product or a negation of a bytes store is one ``bytes.translate``.
 
 A Series built by one of the sparse constructors in ``products`` (phi,
 euler_product, jacobi_cube, theta_f_series) also holds its nonzero
@@ -75,17 +84,18 @@ class Series:
         coeffs = list(coeffs) if m is None else [c % m for c in coeffs]
         check_order(len(coeffs) - 1)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_coeffs", coeffs)
+        object.__setattr__(self, "_coeffs", _store(ring, coeffs))
         object.__setattr__(self, "_terms", None)
 
     @classmethod
-    def _raw(cls, ring: Ring, coeffs: list, terms: tuple | None = None) -> Series:
-        """Internal fast path: coeffs already reduced, ownership transferred.
-        terms, given by the sparse constructors in ``products`` only, are
-        the nonzero (index, coefficient) pairs of coeffs in increasing index."""
+    def _raw(cls, ring: Ring, coeffs, terms: tuple | None = None) -> Series:
+        """Internal fast path: coeffs already reduced, as bytes, a bytearray
+        or a list, ownership transferred; stored by the store rule.  terms,
+        given by the sparse constructors in ``products`` only, are the
+        nonzero (index, coefficient) pairs of coeffs in increasing index."""
         s = object.__new__(cls)
         object.__setattr__(s, "ring", ring)
-        object.__setattr__(s, "_coeffs", coeffs)
+        object.__setattr__(s, "_coeffs", _store(ring, coeffs))
         object.__setattr__(s, "_terms", terms)
         return s
 
@@ -97,14 +107,15 @@ class Series:
         """Dense coefficient list, index n = coefficient of q^n.  A fresh
         copy on every access, so no caller can alter the series; index or
         slice the series to read part of it."""
-        return self._coeffs[:]
+        return list(self._coeffs)
 
     @property
     def order(self) -> int:
         return len(self._coeffs) - 1
 
     def __getitem__(self, n: int | slice) -> int | list:
-        return self._coeffs[n]
+        value = self._coeffs[n]
+        return list(value) if isinstance(value, bytes) else value
 
     def __len__(self) -> int:
         return len(self._coeffs)
@@ -137,7 +148,7 @@ class Series:
     @classmethod
     def one(cls, ring: Ring, order: int) -> Series:
         check_order(order)
-        c = [0] * (order + 1)
+        c = _zeros(ring, order + 1)
         c[0] = ring.reduce(1)
         return cls._raw(ring, c)
 
@@ -168,13 +179,19 @@ class Series:
         )
 
     def __neg__(self):
+        return self._scaled(-1)
+
+    def _scaled(self, s: int) -> Series:
+        """s times the series; a bytes store is translated by b -> s b mod m."""
+        m = self.ring.modulus
+        if isinstance(self._coeffs, bytes):
+            return Series._raw(self.ring, self._coeffs.translate(kernels._scale_table(s % m, m)))
         red = self.ring.reduce
-        return Series._raw(self.ring, [red(-c) for c in self._coeffs])
+        return Series._raw(self.ring, [red(s * c) for c in self._coeffs])
 
     def __mul__(self, other):
         if isinstance(other, int):
-            red = self.ring.reduce
-            return Series._raw(self.ring, [red(other * c) for c in self._coeffs])
+            return self._scaled(other)
         if not isinstance(other, Series):
             return NotImplemented
         self._check_ring(other)
@@ -224,7 +241,7 @@ class Series:
         if t < 0:
             raise ValueError("shift must be >= 0")
         n = len(self._coeffs)
-        return Series._raw(self.ring, [0] * min(t, n) + self._coeffs[: max(n - t, 0)])
+        return Series._raw(self.ring, _zeros(self.ring, min(t, n)) + self._coeffs[: max(n - t, 0)])
 
     def extract_progression(self, k: int) -> Series:
         """Returns sum a(k n) q^n with order floor(order / k)."""
@@ -239,7 +256,24 @@ class Series:
         return {"ring": ring, "order": self.order, "coeffs": list(self._coeffs)}
 
 
-def _div(num: list, den: Series, out_len: int) -> list:
+def _store(ring: Ring, coeffs) -> bytes | list:
+    """The store rule: least residues mod m <= kernels._BYTE_MODULI as bytes,
+    any other coefficients as a list; coeffs already of that type are kept
+    as they are."""
+    m = ring.modulus
+    if m is not None and m <= kernels._BYTE_MODULI:
+        return coeffs if type(coeffs) is bytes else bytes(coeffs)
+    return coeffs if type(coeffs) is list else list(coeffs)
+
+
+def _zeros(ring: Ring, n: int) -> bytearray | list:
+    """n zero coefficients of ring, to fill in place and hand to Series._raw:
+    a bytearray where the store is bytes, else a list."""
+    m = ring.modulus
+    return bytearray(n) if m is not None and m <= kernels._BYTE_MODULI else [0] * n
+
+
+def _div(num, den: Series, out_len: int) -> bytes | list:
     d0, m = den[0] if den else 0, den.ring.modulus
     if m is None:
         if d0 not in (1, -1):

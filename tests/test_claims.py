@@ -3,7 +3,7 @@ import operator
 
 import pytest
 
-from regover import arith
+from regover import arith, sequences
 from regover.claims import (
     ZERO,
     Build,
@@ -507,3 +507,67 @@ def test_hunt_keeps_the_rows_of_steps_that_divide_bound_minus_one(bound, min_ins
     table = sequence_series(_a(3), Zmod(2), bound).coeffs
     expected = brute_force_hunt(table.__getitem__, 2, bound, bound, min_instances)
     assert hunt(_a(3), 2, bound, bound, min_instances) == expected
+
+
+@pytest.mark.parametrize("m", [5, 128, 129, 625])
+def test_a_twisted_identity_read_passes_in_either_store(m):
+    # pbar(-q) = 1/phi(q) mod m: the twist is one translate of the odd slice
+    # for m <= 128 and an entry-by-entry negation of a list above
+    pbar = Term(SequenceRef("pbar"), sign_twist=True)
+    reciprocal = Op(operator.truediv, (Build(Series.one), Build(phi, (1,))))
+    assert verify_one(identity("twist", ((), m, pbar, reciprocal)), order=700).status == "pass"
+
+
+def flip_one_residue(monkeypatch, ref, modulus, index):
+    """Make the plan's table of ref over Zmod(modulus) hold its residue at
+    index plus 1: a mutant the claims reading it there must report."""
+    real = sequences._build_series
+
+    def build(r, ring, order, *inputs, step=1):
+        table = real(r, ring, order, *inputs, step=step)
+        if r == ref and ring.modulus == modulus:
+            assert index % step == 0
+            coeffs = table.coeffs
+            coeffs[index // step] = (coeffs[index // step] + 1) % modulus
+            table = Series(ring, coeffs)
+        return table
+
+    monkeypatch.setattr(sequences, "_build_series", build)
+
+
+# the reports of the registry's congruences at bound 20000 with one residue
+# flipped past tier-1's small bounds, as the list-backed store gave them
+FLIPS = {
+    # C-T1 reads r_4 mod 5 sign-twisted, and 12345 is odd
+    "twisted side": (
+        SequenceRef("r", 4), 5, 12345,
+        {"C-T1": (12345, {"params": {"n": 12345}, "index": 12345, "lhs": 2, "rhs": 1})},
+    ),
+    # A_3's table is mod 24 (C-SHEN-4), read mod 6 and mod 3 at 13503
+    "smaller modulus": (
+        _a(3), 24, 13503,
+        {
+            "C-SHEN-2": (3376, {"params": {"n": 3375}, "index": 13503, "lhs": 1, "rhs": 0}),
+            "C-SHEN-3": (1501, {"params": {"n": 1500}, "index": 13503, "lhs": 1, "rhs": 0}),
+            "C-GEN": (
+                13503, {"params": {"ell": 3, "n": 13503}, "index": 13503, "lhs": 1, "rhs": 0}
+            ),
+            "C-T5a": (
+                1501,
+                {
+                    "params": {"p": 3, "k": 0, "i": 1, "n": 1500},
+                    "index": 13503, "lhs": 1, "rhs": 0,
+                },
+            ),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("flip", FLIPS)
+def test_a_flipped_residue_is_reported_with_the_same_counterexample(monkeypatch, flip):
+    ref, modulus, index, failures = FLIPS[flip]
+    flip_one_residue(monkeypatch, ref, modulus, index)
+    congruences = [c for c in builtin_registry() if isinstance(c, CongruenceClaim)]
+    reports = verify_claims(congruences, Caps(bound=20000))
+    assert {r.claim_id: (r.instances, r.counterexample) for r in reports if r.failed} == failures

@@ -71,33 +71,35 @@ def _terms(residues):
     return [(i, c) for i, c in enumerate(residues) if c]
 
 
-def _lists_of_ints(outputs):
-    """outputs, once each is checked to be a list of ints, whichever residue
-    form the kernel held them in."""
-    for out in outputs:
+def _as_list(out, m):
+    """A kernel output mod m as a list, once it is checked to be in the
+    store a Series over Zmod(m) keeps: bytes for m <= 128, else a list of
+    ints."""
+    if m <= kernels._BYTE_MODULI:
+        assert type(out) is bytes
+    else:
         assert type(out) is list and all(type(c) is int for c in out)
-    return outputs
+    return list(out)
 
 
 def keyword_mul_mods(a, b, out_len, m):
     """mul_mod's outputs on the least residues of a and b, with the keywords
     a Series passes: each operand's terms or none."""
     x, y = _residues(a, m), _residues(b, m)
-    return _lists_of_ints(
-        [
-            kernels.mul_mod(x, y, out_len, m, a_terms=a_terms, b_terms=b_terms)
-            for a_terms, b_terms in product((None, _terms(x)), (None, _terms(y)))
-        ]
-    )
+    return [
+        _as_list(kernels.mul_mod(x, y, out_len, m, a_terms=a_terms, b_terms=b_terms), m)
+        for a_terms, b_terms in product((None, _terms(x)), (None, _terms(y)))
+    ]
 
 
 def keyword_div_mods(num, den, out_len, m):
     """div_mod's outputs on the least residues of num and den, with the
     divisor's terms or none."""
     x, y = _residues(num, m), _residues(den, m)
-    return _lists_of_ints(
-        [kernels.div_mod(x, y, out_len, m, den_terms=den_terms) for den_terms in (None, _terms(y))]
-    )
+    return [
+        _as_list(kernels.div_mod(x, y, out_len, m, den_terms=den_terms), m)
+        for den_terms in (None, _terms(y))
+    ]
 
 
 @st.composite
@@ -218,6 +220,23 @@ def test_byte_column_sums_reduce_like_mod():
             scales = [m - 1] + [rng.randrange(m) for _ in range(ncols - 1)]
             expected = bytes(sum(map(mul, scales, entries)) % m for entries in zip(*columns))
             assert kernels._residue_bytes(columns, scales, m) == expected, (m, ncols)
+
+
+@pytest.mark.parametrize(
+    "big, m",
+    [(24, 3), (256, 128), (840, 5), (840, 8), (840, 105), (840, 210), (625, 125), (65537, 7),
+     (2**32, 128), (2**40, 8), (2**40, 2**20)],
+)
+def test_reduce_takes_residues_into_the_store_of_m(big, m):
+    # bytes come in when big <= 128; the byte planes serve lists mod up to
+    # 2**32, and past that, or for m > 128, entries are reduced one by one
+    rng = random.Random(big + m)
+    residues = [0, 1, m - 1, m, big - 1] + [rng.randrange(big) for _ in range(300)]
+    if big <= kernels._BYTE_MODULI:
+        residues = bytes(residues)
+    expected = [v % m for v in residues]
+    for cut in (slice(None), slice(0), slice(3, None, 7)):
+        assert _as_list(kernels._reduce(residues[cut], big, m), m) == expected[cut]
 
 
 def test_scale_tables_map_every_byte_to_its_multiple_mod_m():
@@ -347,7 +366,7 @@ def test_mul_mod_shift_adds_the_sparser_operand(monkeypatch, sparser, recorded):
 
     monkeypatch.setattr(kernels, "_pack", spy)
     out = kernels.mul_mod(a, b, N, 5, a_terms=a_terms, b_terms=b_terms)
-    assert out == ref_mul_mod(a, b, N, 5)
+    assert _as_list(out, 5) == ref_mul_mod(a, b, N, 5)
     denser = b if sparser == "a" or (sparser == "tie" and recorded == "a") else a
     # reversed, so that coefficient 0 sits in the top field
     assert packs == [denser[:N][::-1]]
@@ -376,13 +395,21 @@ def test_outputs_share_one_object_per_residue(m, n):
     outputs += [(out, by_sparse) for out in keyword_mul_mods(dense, sparse, n, m)]
     outputs += [(out, by_head) for out in keyword_mul_mods(dense, head, n, m)]
     for out, expected in outputs:
-        assert out == expected
+        assert _as_list(out, m) == expected
         assert len({id(v) for v in out}) <= m
 
 
 def test_empty_output():
-    assert kernels.mul_mod([1, 2], [3], 0, 5) == []
-    assert kernels.div_mod([1, 2], [3], 0, 5) == []
+    # in the store of m: bytes for m <= 128, a list above
+    for m in (5, 128, 129, 625):
+        assert _as_list(kernels.mul_mod([1, 2], [3], 0, m), m) == []
+        assert _as_list(kernels.div_mod([1, 2], [7], 0, m), m) == []
+
+
+@pytest.mark.parametrize("m", [5, 128, 129, 625])
+def test_a_zero_operand_gives_zeros_in_the_store(m):
+    assert _as_list(kernels.mul_mod([1, 2, 3], [0, 0], 4, m), m) == [0] * 4
+    assert _as_list(kernels.mul_mod([], [1], 3, m), m) == [0] * 3
 
 
 def test_hunt_at_bench_scale():
@@ -544,16 +571,20 @@ def test_a_divisors_block_inverse_is_built_once():
     inverse.cache_clear()
     den = phi(-1, Zmod(625), 3000)
     num = [n * n % 625 for n in range(3001)]
-    first = kernels.div_mod(num, den[:], 3001, 625, den_terms=list(den._terms))
-    assert kernels.div_mod(num, den[:], 3001, 625) == first == ref_div_mod(num, den[:], 3001, 625)
+    first = _as_list(kernels.div_mod(num, den[:], 3001, 625, den_terms=list(den._terms)), 625)
+    second = _as_list(kernels.div_mod(num, den[:], 3001, 625), 625)
+    assert second == first == ref_div_mod(num, den[:], 3001, 625)
     assert (inverse.cache_info().misses, inverse.cache_info().hits) == (1, 1)
     # a tail past the block leaves the head, and so the inverse, as it is
     longer = den[:B] + [0] * B + [7]
-    assert kernels.div_mod(num, longer, 3001, 625) == ref_div_mod(num, longer, 3001, 625)
+    assert _as_list(kernels.div_mod(num, longer, 3001, 625), 625) == ref_div_mod(
+        num, longer, 3001, 625
+    )
     assert inverse.cache_info().misses == 1
     for m, out_len in ((5, 3001), (625, 100)):
         num_m, den_m = [c % m for c in num], [c % m for c in den[:]]
-        assert kernels.div_mod(num_m, den_m, out_len, m) == ref_div_mod(num_m, den_m, out_len, m)
+        out = kernels.div_mod(num_m, den_m, out_len, m)
+        assert _as_list(out, m) == ref_div_mod(num_m, den_m, out_len, m)
     assert inverse.cache_info().misses == 3
     assert inverse.cache_info().maxsize is not None
 

@@ -352,3 +352,89 @@ def test_every_modular_series_holds_least_residues(m, data):
     for name, series in built.items():
         assert series.ring == ring, name
         assert all(0 <= c < m for c in series[:]), name
+
+
+# -- the store across the byte cut ---------------------------------------------
+
+# the store is bytes for m <= 128 and a list above; 256 is the last modulus
+# whose residues fit a byte, 257 the first past the small-int cache
+CUT_MODULI = [2, 5, 127, 128, 129, 256, 257, 625]
+
+
+def ref_mul(a, b, m):
+    """The schoolbook truncated product of two residue lists mod m."""
+    n = min(len(a), len(b))
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) % m for k in range(n)]
+
+
+def ref_div(a, b, m):
+    """The truncated quotient a / b mod m of two residue lists, by the
+    recurrence; b[0] is a unit mod m."""
+    n, inv = min(len(a), len(b)), pow(b[0], -1, m)
+    q = []
+    for k in range(n):
+        q.append((a[k] - sum(b[j] * q[k - j] for j in range(1, k + 1))) * inv % m)
+    return q
+
+
+def ref_pow(a, e, m):
+    """a**e mod m by repeated products, through the inverse for e < 0."""
+    out = [1 % m] + [0] * (len(a) - 1)
+    for _ in range(abs(e)):
+        out = ref_mul(out, a, m)
+    return ref_div([1 % m] + [0] * (len(a) - 1), out, m) if e < 0 else out
+
+
+def assert_reads_as(s, ref, m):
+    """s reads as the residue list ref through every public accessor, and
+    its store follows the store rule."""
+    assert type(s._coeffs) is (bytes if m <= 128 else list)
+    assert type(s.coeffs) is list and s.coeffs == ref
+    assert len(s) == len(ref) and s.order == len(ref) - 1
+    assert all(type(s[i]) is int and s[i] == ref[i] for i in range(len(ref)))
+    for cut in (slice(None), slice(1, None), slice(None, None, 2), slice(-3, None), slice(2, 1)):
+        assert type(s[cut]) is list and s[cut] == ref[cut]
+    assert s == Series(Zmod(m), ref) and not s != Series(Zmod(m), ref)
+    obj = s.to_json_obj()
+    assert obj == {"ring": {"mod": m}, "order": len(ref) - 1, "coeffs": ref}
+    assert json.loads(json.dumps(obj)) == obj
+
+
+@pytest.mark.parametrize("m", CUT_MODULI)
+@given(st.data())
+@settings(max_examples=12, deadline=None)
+def test_the_series_api_reads_alike_across_the_byte_cut(m, data):
+    n = data.draw(st.integers(1, 40))
+    coeff = st.integers(-(m**2), m**2)
+    raw_a = data.draw(st.lists(coeff, min_size=n, max_size=n))
+    raw_b = data.draw(st.lists(coeff, min_size=n, max_size=n))
+    units = [u for u in range(1, min(m, 60)) if gcd(u, m) == 1]
+    raw_b[0] = data.draw(st.sampled_from(units))
+    a, b = [c % m for c in raw_a], [c % m for c in raw_b]
+    sa, sb = Series(Zmod(m), raw_a), Series(Zmod(m), raw_b)
+    k = data.draw(st.integers(-3 * m, 3 * m))
+    e = data.draw(st.integers(-2, 3))
+    t = data.draw(st.integers(0, n + 1))
+    step = data.draw(st.integers(1, 5))
+    cases = [
+        (sa, a),
+        (sa + sb, [(x + y) % m for x, y in zip(a, b)]),
+        (sa - sb, [(x - y) % m for x, y in zip(a, b)]),
+        (-sa, [-x % m for x in a]),
+        (sa * k, [k * x % m for x in a]),
+        (k * sa, [k * x % m for x in a]),
+        (sa * sb, ref_mul(a, b, m)),
+        (sa / sb, ref_div(a, b, m)),
+        (sb.inverse(), ref_div([1 % m] + [0] * (n - 1), b, m)),
+        (sb**e, ref_pow(b, e, m)),
+        (sa.shift(t), ([0] * min(t, n) + a)[:n]),
+        (sa.extract_progression(step), a[::step]),
+        (Series.one(Zmod(m), n - 1), [1 % m] + [0] * (n - 1)),
+    ]
+    for s, ref in cases:
+        assert_reads_as(s, ref, m)
+    assert (sa == sb) == (a == b)
+    # a store is never aliased: altering a coefficient list leaves s alone
+    listed = sa.coeffs
+    listed[0] = m + 1
+    assert sa.coeffs == a
